@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bivaluations, frames, models, syntax, verify
-from .logics import CONNECTIVES, LOGIC_IDS, LOGICS, matrix_consequence, truth_table
+from .logics import CONNECTIVES, LOGIC_IDS, LOGICS, TooManyAtomsError, matrix_consequence, truth_table
 from .models import DIAMOND_VARIANTS
 from .syntax import ParseError, to_text
 
@@ -120,12 +120,8 @@ def _cmd_check_frame(args) -> int:
     frame = _load_frame(args.model)
     schema = frames.SCHEMAS[args.axiom]
     mode = "exhaustive" if args.exhaustive else "sampled"
-    atoms = max(args.vars, len(schema.atoms))
-    budget = frames.CheckBudget(mode, args.samples, atoms, args.seed)
-    try:
-        result = frames.axiom_valid_on_frame(frame, schema, args.diamond, budget)
-    except frames.BudgetError as exc:
-        raise InputError(str(exc)) from None
+    budget = frames.CheckBudget(mode, args.samples, args.seed)
+    result = frames.axiom_valid_on_frame(frame, schema, args.diamond, budget)
     if result.valid:
         print(f"VALID ({result.models_checked} valuations, mode={mode}, seed={args.seed})")
         return 0
@@ -202,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="frame JSON file")
     p.add_argument("--axiom", required=True, choices=tuple(frames.SCHEMAS))
     p.add_argument("--diamond", choices=DIAMOND_VARIANTS, default="up")
-    p.add_argument("--vars", type=int, default=1, help="atoms for valuation enumeration")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=frames.DEFAULT_SEED)
@@ -225,9 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package's own refusals (a budget, an atom or closure cap, a modal
+    # formula where consequence takes none) are bad input as well.
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (
+        InputError,
+        frames.BudgetError,
+        TooManyAtomsError,
+        bivaluations.ClosureTooLargeError,
+        syntax.ModalFormulaError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

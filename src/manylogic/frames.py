@@ -11,8 +11,10 @@ back as ordinary models that replay through the normal evaluator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+from operator import attrgetter
 from random import Random
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +81,6 @@ SCHEMAS: dict[str, AxiomSchema] = {
 class CheckBudget:
     mode: str = "exhaustive"  # "exhaustive" | "sampled"
     sample_count: int = 10000
-    atoms: int = 1
     seed: int = DEFAULT_SEED
 
 
@@ -143,18 +144,6 @@ def _fill_tables():
 
 MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fill_tables()
 
-_PY_MEET = MEET_T.tolist()
-_PY_JOIN = JOIN_T.tolist()
-_PY_IMP = IMP_T.tolist()
-_PY_CIRC = CIRC_T.tolist()
-_PY_NEG = NEG_T.tolist()
-_PY_DOWN = DOWN_T.tolist()
-_PY_UP = UP_T.tolist()
-_PY_DESIG = DESIG_T.tolist()
-_PY_TOP = TOP_T.tolist()
-_PY_BOT = BOT_T.tolist()
-_PY_ELEMENTS = [codes.tolist() for codes in ELEMENT_CODES]
-
 
 # ------------------------------------------------------------- programs
 
@@ -211,12 +200,10 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
     return prog
 
 
-def _eval_vec(prog, succs, lat, vals):
-    """Evaluate a program over numpy value-code arrays, one per world."""
-    return _eval_slots(prog, succs, lat, vals)[-1]
-
-
 def _eval_slots(prog, succs, lat, vals):
+    """Evaluate a program over value-code arrays: lat[w] and vals[a][w]
+    run along one batch axis, succs[w] lists the successors of w for the
+    whole batch.  Returns one row per program node, one array per world."""
     n = len(lat)
     slots = []
     for node in prog:
@@ -264,69 +251,24 @@ def _eval_slots(prog, succs, lat, vals):
     return slots
 
 
-def _eval_single(prog, succs, lat, vals):
-    """Same program on plain ints: lat is a logic-index list, vals[a][w]."""
-    n = len(lat)
-    slots = []
-    for node in prog:
-        kind = node[0]
-        if kind == "atom":
-            row = [vals[node[1]][w] for w in range(n)]
-        elif kind == "bottom":
-            row = [_PY_BOT[lat[w]] for w in range(n)]
-        elif kind == "neg":
-            ch = slots[node[1]]
-            row = [_PY_NEG[ch[w]] for w in range(n)]
-        elif kind == "circ":
-            ch = slots[node[1]]
-            row = [_PY_CIRC[lat[w]][ch[w]] for w in range(n)]
-        elif kind in ("and", "or", "imp"):
-            tbl = {"and": _PY_MEET, "or": _PY_JOIN, "imp": _PY_IMP}[kind]
-            l, r = slots[node[1]], slots[node[2]]
-            row = [tbl[lat[w]][l[w]][r[w]] for w in range(n)]
-        elif kind == "box":
-            ch = slots[node[1]]
-            row = []
-            for w in range(n):
-                ss = succs[w]
-                if not ss:
-                    row.append(_PY_TOP[lat[w]])
-                    continue
-                acc = _PY_DOWN[lat[w]][ch[ss[0]]]
-                for u in ss[1:]:
-                    acc = _PY_MEET[lat[w]][acc][_PY_DOWN[lat[w]][ch[u]]]
-                row.append(acc)
-        else:
-            interp = _PY_UP if kind == "dia_up" else _PY_DOWN
-            ch = slots[node[1]]
-            row = []
-            for w in range(n):
-                ss = succs[w]
-                if not ss:
-                    row.append(_PY_BOT[lat[w]])
-                    continue
-                acc = interp[lat[w]][ch[ss[0]]]
-                for u in ss[1:]:
-                    acc = _PY_JOIN[lat[w]][acc][interp[lat[w]][ch[u]]]
-                row.append(acc)
-        slots.append(row)
-    return slots[-1]
-
-
 # ----------------------------------------------------------------- axes
 
 @dataclass(frozen=True)
 class _Axis:
-    blocks: tuple  # (interp indices, start, end)
+    interps: tuple  # per block: the logic index of every world
+    bounds: np.ndarray  # block b covers positions bounds[b]:bounds[b + 1]
     lat: tuple  # per world: int8 array over the axis
     vals: tuple  # vals[a][w]: int8 array over the axis
 
 
-def _build_axis(n_worlds: int, logic_indices, atoms: int) -> _Axis:
-    blocks, lat_parts, val_parts = [], [[] for _ in range(n_worlds)], None
+def _build_axis(n_worlds: int, interps, atoms: int) -> _Axis:
+    """One block per logic assignment in interps, holding every valuation
+    of `atoms` atoms under that assignment."""
+    interps = tuple(interps)
+    lat_parts = [[] for _ in range(n_worlds)]
     val_parts = [[[] for _ in range(n_worlds)] for _ in range(atoms)]
-    start = 0
-    for interp in product(logic_indices, repeat=n_worlds):
+    bounds = [0]
+    for interp in interps:
         dims = [ELEMENT_CODES[interp[w]] for _ in range(atoms) for w in range(n_worlds)]
         count = int(np.prod([d.size for d in dims]))
         grids = np.meshgrid(*dims, indexing="ij") if dims else []
@@ -338,14 +280,17 @@ def _build_axis(n_worlds: int, logic_indices, atoms: int) -> _Axis:
                 k += 1
         for w in range(n_worlds):
             lat_parts[w].append(np.full(count, interp[w], dtype=np.int8))
-        blocks.append((interp, start, start + count))
-        start += count
+        bounds.append(bounds[-1] + count)
     lat = tuple(np.concatenate(parts) for parts in lat_parts)
     vals = tuple(
         tuple(np.concatenate(val_parts[a][w]) for w in range(n_worlds))
         for a in range(atoms)
     )
-    return _Axis(tuple(blocks), lat, vals)
+    return _Axis(interps, np.array(bounds), lat, vals)
+
+
+def _world_names(n: int) -> tuple[str, ...]:
+    return tuple(f"w{i + 1}" for i in range(n))
 
 
 def _relations(n: int):
@@ -360,21 +305,10 @@ def _succs(rel, n: int):
 
 
 def _rel_props(rel, n: int) -> FrameProperties:
-    worlds = tuple(f"w{i + 1}" for i in range(n))
+    worlds = _world_names(n)
     return frame_properties(
         Frame(worlds, frozenset((worlds[i], worlds[j]) for i, j in rel), {})
     )
-
-
-def _witness_model(n, rel, interp, vals, j, atom_names, variant) -> Model:
-    worlds = tuple(f"w{i + 1}" for i in range(n))
-    relation = frozenset((worlds[i], worlds[k]) for i, k in rel)
-    logics = {worlds[w]: LOGIC_IDS[interp[w]] for w in range(n)}
-    valuation = {
-        worlds[w]: {atom_names[a]: Value(int(vals[a][w][j])) for a in range(len(atom_names))}
-        for w in range(n)
-    }
-    return Model(worlds, relation, logics, valuation, variant)
 
 
 def _designated_all_worlds(root, lat):
@@ -384,11 +318,53 @@ def _designated_all_worlds(root, lat):
     return ok
 
 
+def _first_failures(ok, bounds, limit: int) -> list[int]:
+    """The first failing position of each block that fails, for the first
+    `limit` such blocks in block order."""
+    block_ok = np.logical_and.reduceat(ok, bounds[:-1])
+    return [
+        int(bounds[b] + np.argmin(ok[bounds[b]:bounds[b + 1]]))
+        for b in np.flatnonzero(~block_ok)[:limit]
+    ]
+
+
+def _witness(j, root, lat, vals, worlds, rel, atom_names, variant) -> Counterexample:
+    """The model at axis position j, over the named worlds and the index
+    relation rel, failing at its first world with an undesignated root."""
+    n = len(worlds)
+    model = Model(
+        worlds,
+        frozenset((worlds[u], worlds[v]) for u, v in rel),
+        {worlds[w]: LOGIC_IDS[lat[w][j]] for w in range(n)},
+        {
+            worlds[w]: {atom: Value(int(vals[a][w][j])) for a, atom in enumerate(atom_names)}
+            for w in range(n)
+        },
+        variant,
+    )
+    w = next(w for w in range(n) if not DESIG_T[lat[w][j], root[w][j]])
+    return Counterexample(model, worlds[w], Value(int(root[w][j])))
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise BudgetError(f"sampled checks need at least one sample, got {samples}")
+
+
 @dataclass(frozen=True)
 class SweepOutcome:
     frames_checked: int
     models_checked: int
     counterexamples: tuple[Counterexample, ...]
+
+
+def _merge(outcomes) -> SweepOutcome:
+    outcomes = tuple(outcomes)
+    return SweepOutcome(
+        sum(o.frames_checked for o in outcomes),
+        sum(o.models_checked for o in outcomes),
+        sum((o.counterexamples for o in outcomes), ()),
+    )
 
 
 def sweep_schema(
@@ -405,33 +381,22 @@ def sweep_schema(
     if n_worlds > 3:
         raise BudgetError("exhaustive sweeps are limited to 3 worlds")
     logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
-    axis = _build_axis(n_worlds, logic_indices, len(schema.atoms))
+    axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(schema.atoms))
     prog = compile_program(schema.template, variant, schema.atoms)
+    worlds = _world_names(n_worlds)
     frames = models = 0
     bad: list[Counterexample] = []
     for rel in _relations(n_worlds):
         if relation_pred is not None and not relation_pred(_rel_props(rel, n_worlds)):
             continue
-        succs = _succs(rel, n_worlds)
-        root = _eval_vec(prog, succs, axis.lat, axis.vals)
+        root = _eval_slots(prog, _succs(rel, n_worlds), axis.lat, axis.vals)[-1]
         ok = _designated_all_worlds(root, axis.lat)
-        for interp, start, end in axis.blocks:
-            frames += 1
-            models += end - start
-            if ok[start:end].all():
-                continue
-            if len(bad) >= max_counterexamples:
-                continue
-            j = start + int(np.argmin(ok[start:end]))
-            for w in range(n_worlds):
-                if not DESIG_T[axis.lat[w][j], root[w][j]]:
-                    model = _witness_model(
-                        n_worlds, rel, interp, axis.vals, j, schema.atoms, variant
-                    )
-                    bad.append(
-                        Counterexample(model, f"w{w + 1}", Value(int(root[w][j])))
-                    )
-                    break
+        frames += len(axis.interps)
+        models += ok.size
+        for j in _first_failures(ok, axis.bounds, max_counterexamples - len(bad)):
+            bad.append(
+                _witness(j, root, axis.lat, axis.vals, worlds, rel, schema.atoms, variant)
+            )
     return SweepOutcome(frames, models, tuple(bad))
 
 
@@ -446,39 +411,41 @@ def sample_schema(
     max_counterexamples: int = 1,
 ) -> SweepOutcome:
     """Randomised schema check: each sample draws a relation (optionally
-    closed by relation_transform), a logic per world, and a valuation."""
+    closed by relation_transform), a logic per world, and a valuation.
+    Samples that share a relation are evaluated together; counterexamples
+    are the first failing samples in draw order."""
+    _require_samples(samples)
     rng = Random(seed)
     logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
     prog = compile_program(schema.template, variant, schema.atoms)
+    n_atoms = len(schema.atoms)
     pairs = [(i, j) for i in range(n_worlds) for j in range(n_worlds)]
-    bad: list[Counterexample] = []
+    rels, draws = [], []
     for _ in range(samples):
         rel = frozenset(p for p in pairs if rng.random() < 0.5)
         if relation_transform is not None:
             rel = relation_transform(rel, n_worlds)
-        succs = _succs(rel, n_worlds)
-        lat = [rng.choice(logic_indices) for _ in range(n_worlds)]
-        vals = [
-            [rng.choice(_PY_ELEMENTS[lat[w]]) for w in range(n_worlds)]
-            for _ in range(len(schema.atoms))
-        ]
-        root = _eval_single(prog, succs, lat, vals)
-        for w in range(n_worlds):
-            if not _PY_DESIG[lat[w]][root[w]]:
-                if len(bad) < max_counterexamples:
-                    rel_named = rel
-                    model = _witness_model(
-                        n_worlds,
-                        rel_named,
-                        tuple(lat),
-                        [[np.array([v]) for v in row] for row in vals],
-                        0,
-                        schema.atoms,
-                        variant,
-                    )
-                    bad.append(Counterexample(model, f"w{w + 1}", Value(root[w])))
-                break
-    return SweepOutcome(samples, samples, tuple(bad))
+        rels.append(rel)
+        interp = [rng.choice(logic_indices) for _ in range(n_worlds)]
+        draws.append(interp + [
+            rng.choice(ELEMENT_CODES[interp[w]]) for _ in range(n_atoms) for w in range(n_worlds)
+        ])
+    table = np.array(draws, dtype=np.int8).T
+    lat = table[:n_worlds]
+    vals = table[n_worlds:].reshape(n_atoms, n_worlds, samples)
+    groups: dict[frozenset, list[int]] = {}
+    for s, rel in enumerate(rels):
+        groups.setdefault(rel, []).append(s)
+    root = np.empty((n_worlds, samples), dtype=np.int8)
+    for rel, idx in groups.items():
+        root[:, idx] = _eval_slots(prog, _succs(rel, n_worlds), lat[:, idx], vals[:, :, idx])[-1]
+    ok = _designated_all_worlds(root, lat)
+    worlds = _world_names(n_worlds)
+    bad = tuple(  # each sample is a block of its own
+        _witness(j, root, lat, vals, worlds, rels[j], schema.atoms, variant)
+        for j in _first_failures(ok, np.arange(samples + 1), max_counterexamples)
+    )
+    return SweepOutcome(samples, samples, bad)
 
 
 def reflexive_closure(rel, n):
@@ -502,68 +469,37 @@ def axiom_valid_on_frame(
     frame: Frame, schema: AxiomSchema, variant: str = "up", budget: CheckBudget | None = None
 ) -> CheckResult:
     """Check one schema on one concrete frame; exhaustive (<= 3 worlds) or
-    sampled valuations."""
+    sampled valuations of the schema's atoms."""
     budget = budget or CheckBudget()
-    if budget.atoms < len(schema.atoms):
-        raise BudgetError(f"schema {schema.id} needs {len(schema.atoms)} atoms")
     n = len(frame.worlds)
     windex = {w: i for i, w in enumerate(frame.worlds)}
     rel = frozenset((windex[u], windex[v]) for u, v in frame.relation)
-    succs = _succs(rel, n)
     interp = tuple(_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds)
     prog = compile_program(schema.template, variant, schema.atoms)
-    models = 0
-
-    def witness(vals, j, root):
-        for w in range(n):
-            if not DESIG_T[interp[w], root[w][j]]:
-                worlds = frame.worlds
-                valuation = {
-                    worlds[k]: {
-                        schema.atoms[a]: Value(int(vals[a][k][j]))
-                        for a in range(len(schema.atoms))
-                    }
-                    for k in range(n)
-                }
-                model = Model(worlds, frame.relation, dict(frame.logics), valuation, variant)
-                return Counterexample(model, worlds[w], Value(int(root[w][j])))
-        raise AssertionError("no failing world in witness")
-
     if budget.mode == "exhaustive":
         if n > 3:
             raise BudgetError("exhaustive mode is limited to 3 worlds")
-        axis = _build_axis(n, list(interp), len(schema.atoms))
-        # single interpretation: keep only its block
-        target = [blk for blk in axis.blocks if blk[0] == interp]
-        start, end = target[0][1], target[0][2]
-        vals = tuple(tuple(col[start:end] for col in row) for row in axis.vals)
-        lat = tuple(col[start:end] for col in axis.lat)
-        root = _eval_vec(prog, succs, lat, vals)
-        ok = _designated_all_worlds(root, lat)
-        models = end - start
-        if ok.all():
-            return CheckResult(True, None, 1, models)
-        j = int(np.argmin(ok))
-        return CheckResult(False, witness(vals, j, root), 1, models)
-
-    rng = Random(budget.seed)
-    k = budget.sample_count
-    vals = tuple(
-        tuple(
-            np.array(
-                [rng.choice(_PY_ELEMENTS[interp[w]]) for _ in range(k)], dtype=np.int8
+        axis = _build_axis(n, [interp], len(schema.atoms))
+        lat, vals = axis.lat, axis.vals
+    else:
+        _require_samples(budget.sample_count)
+        rng = Random(budget.seed)
+        k = budget.sample_count
+        vals = tuple(
+            tuple(
+                np.array([rng.choice(ELEMENT_CODES[interp[w]]) for _ in range(k)], dtype=np.int8)
+                for w in range(n)
             )
-            for w in range(n)
+            for _ in range(len(schema.atoms))
         )
-        for _ in range(len(schema.atoms))
-    )
-    lat = tuple(np.full(k, interp[w], dtype=np.int8) for w in range(n))
-    root = _eval_vec(prog, succs, lat, vals)
+        lat = tuple(np.full(k, interp[w], dtype=np.int8) for w in range(n))
+    root = _eval_slots(prog, _succs(rel, n), lat, vals)[-1]
     ok = _designated_all_worlds(root, lat)
-    if ok.all():
-        return CheckResult(True, None, 1, k)
-    j = int(np.argmin(ok))
-    return CheckResult(False, witness(vals, j, root), 1, k)
+    bad = [
+        _witness(j, root, lat, vals, frame.worlds, rel, schema.atoms, variant)
+        for j in _first_failures(ok, np.array([0, ok.size]), 1)
+    ]
+    return CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
 
 
 # ------------------------------------------------- characterisation runs
@@ -604,42 +540,31 @@ def five_c_characterization(
     failures: list[Counterexample] = []
     silently_valid: list[str] = []
     window_violations = 0
+    prog = compile_program(schema.template, "up", schema.atoms)
+    modal_nodes = [i for i, node in enumerate(prog) if node[0] in ("box", "dia_up")]
     for n in range(1, max_worlds + 1):
-        axis = _build_axis(n, logic_indices, 1)
-        prog = compile_program(schema.template, "up", schema.atoms)
-        modal_nodes = [i for i, node in enumerate(prog) if node[0] in ("box", "dia_up")]
+        axis = _build_axis(n, product(logic_indices, repeat=n), 1)
+        worlds = _world_names(n)
         for rel in _relations(n):
-            succs = _succs(rel, n)
-            eu = _rel_props(rel, n).euclidean
-            slots = _eval_slots(prog, succs, axis.lat, axis.vals)
+            slots = _eval_slots(prog, _succs(rel, n), axis.lat, axis.vals)
             root = slots[-1]
             for i in modal_nodes:
                 for w in range(n):
                     window_violations += int((~_CLASSICAL_WINDOW[slots[i][w]]).sum())
             ok = _designated_all_worlds(root, axis.lat)
-            for interp, start, end in axis.blocks:
-                frames += 1
-                models += end - start
-                frame_ok = bool(ok[start:end].all())
-                if eu and not frame_ok:
-                    if len(failures) < max_counterexamples:
-                        j = start + int(np.argmin(ok[start:end]))
-                        for w in range(n):
-                            if not DESIG_T[axis.lat[w][j], root[w][j]]:
-                                failures.append(
-                                    Counterexample(
-                                        _witness_model(
-                                            n, rel, interp, axis.vals, j, schema.atoms, "up"
-                                        ),
-                                        f"w{w + 1}",
-                                        Value(int(root[w][j])),
-                                    )
-                                )
-                                break
-                elif not eu and frame_ok:
-                    rel_text = ",".join(f"w{i+1}->w{j+1}" for i, j in sorted(rel))
-                    logic_text = ",".join(LOGIC_IDS[i] for i in interp)
-                    silently_valid.append(f"[{rel_text or 'empty'}] logics {logic_text}")
+            frames += len(axis.interps)
+            models += ok.size
+            if _rel_props(rel, n).euclidean:
+                for j in _first_failures(ok, axis.bounds, max_counterexamples - len(failures)):
+                    failures.append(
+                        _witness(j, root, axis.lat, axis.vals, worlds, rel, schema.atoms, "up")
+                    )
+                continue
+            rel_text = ",".join(f"w{i+1}->w{j+1}" for i, j in sorted(rel))
+            block_ok = np.logical_and.reduceat(ok, axis.bounds[:-1])
+            for interp in compress(axis.interps, block_ok):
+                logic_text = ",".join(LOGIC_IDS[i] for i in interp)
+                silently_valid.append(f"[{rel_text or 'empty'}] logics {logic_text}")
     return FiveCReport(
         tuple(logic_ids),
         frames,
@@ -676,7 +601,7 @@ def duality_check(
     """Value-level identity diamond A == !box!A on every model at the given
     world count, for every corpus formula."""
     logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
-    axis = _build_axis(n_worlds, logic_indices, 1)
+    axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), 1)
     mismatches: list[str] = []
     models = 0
     for text in corpus:
@@ -685,8 +610,8 @@ def duality_check(
         rhs = compile_program(Neg(Box(Neg(body))), variant, ("p",))
         for rel in _relations(n_worlds):
             succs = _succs(rel, n_worlds)
-            a = _eval_vec(lhs, succs, axis.lat, axis.vals)
-            c = _eval_vec(rhs, succs, axis.lat, axis.vals)
+            a = _eval_slots(lhs, succs, axis.lat, axis.vals)[-1]
+            c = _eval_slots(rhs, succs, axis.lat, axis.vals)[-1]
             models += axis.lat[0].size
             for w in range(n_worlds):
                 same = a[w] == c[w]
@@ -730,6 +655,58 @@ def describe_counterexample(ce: Counterexample) -> str:
     return f"world={ce.world} value={ce.value} model={json.dumps(model_to_dict(ce.model))}"
 
 
+@dataclass(frozen=True)
+class Theorem:
+    """A frame theorem and how it is checked: exhaustively at each world
+    count in exhaustive_worlds over the frames frame_pred accepts, then on
+    sampled models with sampled_worlds worlds whose drawn relation is
+    closed by closure.  A row that is not asserted only reports what it
+    observes."""
+
+    schema: AxiomSchema
+    description: str
+    frame_pred: Callable[[FrameProperties], bool] | None
+    closure: Callable | None
+    exhaustive_worlds: tuple[int, ...]
+    sampled_worlds: int | None
+    asserted: bool = True
+    note: str = ""
+
+
+THEOREMS: dict[str, Theorem] = {
+    "K": Theorem(SCHEMAS["K"], "valid on every frame", None, None, (1, 2), 3),
+    "T": Theorem(
+        SCHEMAS["T"], "valid on reflexive frames",
+        attrgetter("reflexive"), reflexive_closure, (1, 2), 3,
+    ),
+    "4": Theorem(
+        SCHEMAS["4"], "valid on transitive frames",
+        attrgetter("transitive"), transitive_closure, (1, 2), 3,
+        note="fails when an intermediate world's lattice forgets a designated value",
+    ),
+    "B": Theorem(SCHEMAS["B"], "observation only", None, None, (2,), None, asserted=False),
+    "D": Theorem(SCHEMAS["D"], "observation only", None, None, (2,), None, asserted=False),
+}
+
+
+def run_theorem(
+    theorem: Theorem, logic_ids, samples: int, seed: int = DEFAULT_SEED
+) -> tuple[SweepOutcome, SweepOutcome]:
+    """The exhaustive and the sampled outcome of one theorem row; the
+    sampled outcome is empty when the row samples nothing."""
+    exhaustive = _merge(
+        sweep_schema(theorem.schema, n, logic_ids, relation_pred=theorem.frame_pred)
+        for n in theorem.exhaustive_worlds
+    )
+    if theorem.sampled_worlds is None:
+        return exhaustive, SweepOutcome(0, 0, ())
+    sampled = sample_schema(
+        theorem.schema, theorem.sampled_worlds, logic_ids, samples=samples, seed=seed,
+        relation_transform=theorem.closure,
+    )
+    return exhaustive, sampled
+
+
 def theorem_suite(
     logic_ids=LOGIC_IDS,
     five_c_logic_ids=("FDE", "K3", "LP", "LJ4", "CLW"),
@@ -739,53 +716,20 @@ def theorem_suite(
     """The collected frame results: K everywhere, T on reflexive frames,
     4 on transitive frames, the Euclidean characterisation of 5c, duality,
     and observation-only runs for B and D."""
-    items = []
 
-    def outcome_pair(exh: SweepOutcome, samp: SweepOutcome):
-        return (
-            exh.frames_checked + samp.frames_checked,
-            exh.models_checked + samp.models_checked,
-            exh.counterexamples + samp.counterexamples,
+    def item(sid: str) -> SuiteItem:
+        thm = THEOREMS[sid]
+        out = _merge(run_theorem(thm, logic_ids, samples, seed))
+        ces = out.counterexamples
+        note = thm.note if thm.asserted else (
+            f"{len(ces)} counterexample(s) observed; no theorem asserted"
+        )
+        return SuiteItem(
+            sid, thm.description, out.frames_checked, out.models_checked, ces,
+            not (thm.asserted and ces), note,
         )
 
-    k2 = sweep_schema(SCHEMAS["K"], 2, logic_ids)
-    k1 = sweep_schema(SCHEMAS["K"], 1, logic_ids)
-    k3 = sample_schema(SCHEMAS["K"], 3, logic_ids, samples=samples, seed=seed)
-    frames, models, ces = (
-        k1.frames_checked + k2.frames_checked + k3.frames_checked,
-        k1.models_checked + k2.models_checked + k3.models_checked,
-        k1.counterexamples + k2.counterexamples + k3.counterexamples,
-    )
-    items.append(
-        SuiteItem("K", "valid on every frame", frames, models, ces, not ces)
-    )
-
-    t_exh = sweep_schema(
-        SCHEMAS["T"], 2, logic_ids, relation_pred=lambda p: p.reflexive
-    )
-    t_s = sample_schema(
-        SCHEMAS["T"], 3, logic_ids, samples=samples, seed=seed,
-        relation_transform=reflexive_closure,
-    )
-    frames, models, ces = outcome_pair(t_exh, t_s)
-    items.append(
-        SuiteItem("T", "valid on reflexive frames", frames, models, ces, not ces)
-    )
-
-    f_exh = sweep_schema(
-        SCHEMAS["4"], 2, logic_ids, relation_pred=lambda p: p.transitive
-    )
-    f_s = sample_schema(
-        SCHEMAS["4"], 3, logic_ids, samples=samples, seed=seed,
-        relation_transform=transitive_closure,
-    )
-    frames, models, ces = outcome_pair(f_exh, f_s)
-    items.append(
-        SuiteItem(
-            "4", "valid on transitive frames", frames, models, ces, not ces,
-            note="fails when an intermediate world's lattice forgets a designated value",
-        )
-    )
+    items = [item("K"), item("T"), item("4")]
 
     fc = five_c_characterization(five_c_logic_ids)
     items.append(
@@ -807,18 +751,5 @@ def theorem_suite(
         )
     )
 
-    for sid in ("B", "D"):
-        out = sweep_schema(SCHEMAS[sid], 2, logic_ids, max_counterexamples=1)
-        items.append(
-            SuiteItem(
-                sid,
-                "observation only",
-                out.frames_checked,
-                out.models_checked,
-                out.counterexamples,
-                True,
-                note=f"{len(out.counterexamples)} counterexample(s) observed; no theorem asserted",
-            )
-        )
-
+    items += [item("B"), item("D")]
     return SuiteReport(tuple(items), seed)

@@ -161,18 +161,6 @@ def get_lattice(lid: str) -> Lattice:
         raise LatticeError(f"unknown lattice id {lid!r}") from None
 
 
-def leq(x: Value, y: Value, lat: Lattice) -> bool:
-    return lat.leq(x, y)
-
-
-def meet_set(xs: Iterable[Value], lat: Lattice) -> Value:
-    return lat.meet_set(xs)
-
-
-def join_set(xs: Iterable[Value], lat: Lattice) -> Value:
-    return lat.join_set(xs)
-
-
 def down_interpret(x: Value, sub: Lattice) -> Value:
     return sub.down(x)
 

@@ -118,13 +118,6 @@ def get_logic(lid: str) -> MatrixLogic:
         raise LogicError(f"unknown logic id {lid!r}") from None
 
 
-def logic_for_lattice(lattice_id: str) -> MatrixLogic:
-    for logic in LOGICS.values():
-        if logic.lattice.id == lattice_id:
-            return logic
-    raise LogicError(f"no logic over lattice {lattice_id!r}")
-
-
 def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
     if conn not in CONNECTIVES:
         raise LogicError(f"unknown connective {conn!r}")

@@ -273,12 +273,11 @@ def _nabla(x: Formula) -> Formula:
     return Or(x, Neg(Circ(x)))
 
 
-def desugar(f: Formula, logic=None) -> Formula:
+def desugar(f: Formula) -> Formula:
     """Rewrite ~, N and => into the core signature; # stays a constant.
 
-    The expansions are the same in every logic (the reliability mark
-    inside them is interpreted per logic at evaluation time), so the
-    logic argument is accepted only for signature symmetry.
+    The expansions are the same in every logic: the reliability mark
+    inside them is interpreted per logic at evaluation time.
     """
     if isinstance(f, (Atom, Bottom)):
         return f

@@ -41,8 +41,6 @@ ILLEGAL_SNAPSHOTS = {(0, 0, 1), (1, 1, 1)}
 
 _BY_SNAPSHOT = {snap: val for val, snap in SNAPSHOTS.items()}
 
-CANONICAL_ORDER: tuple[Value, ...] = tuple(Value)
-
 
 class SnapshotError(ValueError):
     """A triple that names no semantic value."""

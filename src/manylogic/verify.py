@@ -21,6 +21,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 AC12_SEQUENT_COUNT = 200
 AC12_SEED = 0
+AC7_SAMPLES = 10000
 AC8_SAMPLES = 5000
 
 
@@ -269,14 +270,13 @@ def ac6_lemma_suite() -> CheckOutcome:
 
 
 def ac7_axiom_k() -> CheckOutcome:
-    k = frames.SCHEMAS["K"]
-    one = frames.sweep_schema(k, 1, LOGIC_IDS)
-    two = frames.sweep_schema(k, 2, LOGIC_IDS)
-    sampled = frames.sample_schema(k, 3, LOGIC_IDS, samples=10000, seed=frames.DEFAULT_SEED)
-    ces = one.counterexamples + two.counterexamples + sampled.counterexamples
+    theorem = frames.THEOREMS["K"]
+    exhaustive, sampled = frames.run_theorem(theorem, LOGIC_IDS, AC7_SAMPLES)
+    ces = exhaustive.counterexamples + sampled.counterexamples
     details = (
-        f"exhaustive: {one.frames_checked + two.frames_checked} frames, "
-        f"{one.models_checked + two.models_checked} models; sampled 3-world: 10000",
+        f"exhaustive: {exhaustive.frames_checked} frames, "
+        f"{exhaustive.models_checked} models; "
+        f"sampled {theorem.sampled_worlds}-world: {sampled.models_checked}",
     )
     return CheckOutcome(
         "AC7", "axiom K valid everywhere", not ces, details,
@@ -287,28 +287,17 @@ def ac7_axiom_k() -> CheckOutcome:
 def ac8_t_and_four() -> CheckOutcome:
     findings = []
     details = []
-    all_ok = True
-    for sid, pred, closure in (
-        ("T", lambda p: p.reflexive, frames.reflexive_closure),
-        ("4", lambda p: p.transitive, frames.transitive_closure),
-    ):
-        schema = frames.SCHEMAS[sid]
-        one = frames.sweep_schema(schema, 1, LOGIC_IDS, relation_pred=pred)
-        two = frames.sweep_schema(schema, 2, LOGIC_IDS, relation_pred=pred)
-        sampled = frames.sample_schema(
-            schema, 3, LOGIC_IDS, samples=AC8_SAMPLES, seed=frames.DEFAULT_SEED,
-            relation_transform=closure,
-        )
-        ces = one.counterexamples + two.counterexamples + sampled.counterexamples
+    for sid in ("T", "4"):
+        exhaustive, sampled = frames.run_theorem(frames.THEOREMS[sid], LOGIC_IDS, AC8_SAMPLES)
+        ces = exhaustive.counterexamples + sampled.counterexamples
         details.append(
-            f"axiom {sid}: {one.frames_checked + two.frames_checked} exhaustive frames, "
-            f"{AC8_SAMPLES} sampled; {len(ces)} counterexample(s)"
+            f"axiom {sid}: {exhaustive.frames_checked} exhaustive frames, "
+            f"{sampled.models_checked} sampled; {len(ces)} counterexample(s)"
         )
         if ces:
-            all_ok = False
             findings.append(f"axiom {sid}: " + frames.describe_counterexample(ces[0]))
     return CheckOutcome(
-        "AC8", "axioms T and 4 on matching frames", all_ok, tuple(details), tuple(findings)
+        "AC8", "axioms T and 4 on matching frames", not findings, tuple(details), tuple(findings)
     )
 
 

@@ -82,9 +82,9 @@ def test_check_frame_counterexample(capsys, fixtures):
 
 def test_check_frame_valid(capsys, fixtures):
     code, out, _ = run(capsys, "check-frame", str(fixtures / "euclid3.json"),
-                       "--axiom", "K", "--vars", "2", "--exhaustive")
+                       "--axiom", "K", "--exhaustive")
     assert code == 0
-    assert out.startswith("VALID")
+    assert out.startswith("VALID (1296 valuations, mode=exhaustive")
 
 
 def test_check_frame_sampled_seeded(capsys, fixtures):
@@ -92,6 +92,31 @@ def test_check_frame_sampled_seeded(capsys, fixtures):
                        "--axiom", "T", "--samples", "200", "--seed", "5")
     assert code == 0
     assert "seed=5" in out
+
+
+def test_sampled_checks_refuse_fewer_than_one_sample(capsys, fixtures):
+    frame = str(fixtures / "euclid3.json")
+    for samples in ("0", "-1"):
+        code, out, err = run(capsys, "check-frame", frame, "--axiom", "T", "--samples", samples)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "verify", "--logics", "K3", "--samples", samples)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_consequence_limits_exit_2(capsys):
+    code, out, err = run(capsys, "consequence", "K3", "--premises", "a,b,c,d",
+                         "--conclusion", "e | f | g | h | i")
+    assert code == 2 and out == "" and err == "error: 9 atoms exceed the cap of 8\n"
+    code, _, err = run(capsys, "consequence", "K3", "--conclusion", "[]p")
+    assert code == 2 and err.startswith("error: modal operator")
+
+
+def test_biv_consequence_limits_exit_2(capsys):
+    code, out, err = run(capsys, "biv-consequence", "K3", "--premises", "a,b,c,d",
+                         "--conclusion", "e | f | g | h | i")
+    assert code == 2 and out == "" and err == "error: 9 atoms exceed the cap of 8\n"
+    code, _, err = run(capsys, "biv-consequence", "K3", "--conclusion", "[]p")
+    assert code == 2 and err.startswith("error: modal operator")
 
 
 def test_verify_subset(capsys):

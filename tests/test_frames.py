@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from manylogic.frames import (
@@ -10,6 +11,7 @@ from manylogic.frames import (
     CheckBudget,
     axiom_valid_on_frame,
     duality_check,
+    describe_counterexample,
     five_c_characterization,
     frame_properties,
     reflexive_closure,
@@ -19,7 +21,7 @@ from manylogic.frames import (
     transitive_closure,
 )
 from manylogic.logics import LOGIC_IDS, LOGICS
-from manylogic.models import Frame, Model, eval_formula, holds, load_frame
+from manylogic.models import DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
 from manylogic.syntax import atoms, parse, substitute, to_text
 from manylogic.values import Value as V
 
@@ -116,6 +118,47 @@ def test_sampled_checks_are_deterministic_and_replayable():
     assert a == b
     for ce in a.counterexamples:
         assert eval_formula(ce.model, ce.world, SCHEMAS["4"].template) == ce.value
+
+
+# First counterexamples of two sampled runs, as the evaluator that
+# preceded the batched one found them; the draw order and the witness
+# order are part of the contract.
+SAMPLE_GOLDENS = {
+    "4": [
+        'world=w2 value=F0 model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "J3", "w2": "CLW", "w3": "J3"}, "relation": [["w1", "w1"], ["w2", "w2"], ["w2", "w3"], ["w3", "w2"], ["w3", "w3"]], "valuation": {"w1": {"p": "F"}, "w2": {"p": "T0"}, "w3": {"p": "T"}}, "diamond": "up"}',
+        'world=w1 value=F model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "LETK", "w2": "CLS", "w3": "CLS"}, "relation": [["w1", "w1"], ["w1", "w3"], ["w2", "w1"], ["w2", "w2"], ["w2", "w3"], ["w3", "w1"], ["w3", "w3"]], "valuation": {"w1": {"p": "b"}, "w2": {"p": "F"}, "w3": {"p": "T"}}, "diamond": "up"}',
+        'world=w2 value=F0 model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "CLS", "w2": "LP", "w3": "LJ4"}, "relation": [["w1", "w1"], ["w1", "w2"], ["w2", "w1"], ["w2", "w2"], ["w3", "w3"]], "valuation": {"w1": {"p": "T"}, "w2": {"p": "b"}, "w3": {"p": "T"}}, "diamond": "up"}',
+        'world=w1 value=F0 model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "LETK", "w2": "CLW", "w3": "K3"}, "relation": [["w1", "w1"], ["w1", "w2"], ["w2", "w1"], ["w2", "w2"], ["w3", "w3"]], "valuation": {"w1": {"p": "b"}, "w2": {"p": "T0"}, "w3": {"p": "F0"}}, "diamond": "up"}',
+    ],
+    "K": [],
+    "5": [
+        'world=w2 value=F model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "K3", "w2": "CLS", "w3": "LJ4"}, "relation": [["w1", "w3"], ["w2", "w1"], ["w2", "w3"], ["w3", "w2"], ["w3", "w3"]], "valuation": {"w1": {"p": "n"}, "w2": {"p": "T"}, "w3": {"p": "T"}}, "diamond": "down"}',
+        'world=w1 value=F0 model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "FDE", "w2": "J3", "w3": "LETK"}, "relation": [["w1", "w1"], ["w1", "w3"], ["w2", "w2"], ["w3", "w1"]], "valuation": {"w1": {"p": "F0"}, "w2": {"p": "b"}, "w3": {"p": "T0"}}, "diamond": "down"}',
+        'world=w3 value=F0 model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "LP", "w2": "CLS", "w3": "CLW"}, "relation": [["w1", "w3"], ["w2", "w2"], ["w3", "w1"], ["w3", "w3"]], "valuation": {"w1": {"p": "T0"}, "w2": {"p": "F"}, "w3": {"p": "F0"}}, "diamond": "down"}',
+    ],
+    # two atoms: pins the order in which a sample draws its valuation
+    "p -> []q": [
+        'world=w2 value=n model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "LJ4", "w2": "K3", "w3": "FDE"}, "relation": [["w1", "w1"], ["w1", "w2"], ["w2", "w1"], ["w2", "w2"]], "valuation": {"w1": {"p": "F", "q": "n"}, "w2": {"p": "T0", "q": "T0"}, "w3": {"p": "F0", "q": "n"}}, "diamond": "down"}',
+        'world=w2 value=n model={"worlds": ["w1", "w2", "w3"], "logics": {"w1": "J3", "w2": "FDE", "w3": "L3"}, "relation": [["w2", "w3"], ["w3", "w1"]], "valuation": {"w1": {"p": "F", "q": "b"}, "w2": {"p": "b", "q": "b"}, "w3": {"p": "n", "q": "n"}}, "diamond": "down"}',
+    ],
+}
+
+
+def test_sampled_counterexamples_match_the_goldens():
+    runs = {
+        "4": sample_schema(SCHEMAS["4"], 3, LOGIC_IDS, samples=5000,
+                           relation_transform=transitive_closure, max_counterexamples=4),
+        "K": sample_schema(SCHEMAS["K"], 3, LOGIC_IDS, "down", samples=2000,
+                           max_counterexamples=3),
+        "5": sample_schema(SCHEMAS["5"], 3, LOGIC_IDS, "down", samples=2000,
+                           max_counterexamples=3),
+        "p -> []q": sample_schema(AxiomSchema("pq", parse("p -> []q"), ("p", "q")), 3,
+                                  LOGIC_IDS, "down", samples=2000, seed=4,
+                                  max_counterexamples=2),
+    }
+    for sid, out in runs.items():
+        assert out.frames_checked == out.models_checked == (5000 if sid == "4" else 2000)
+        assert [describe_counterexample(c) for c in out.counterexamples] == SAMPLE_GOLDENS[sid]
 
 
 def test_axiom5_fixture_and_variants(fixtures):
@@ -223,7 +266,7 @@ def test_compound_instances_add_no_new_counterexamples():
             inst = substitute(SCHEMAS["T"].template, {"p": body})
             schema = AxiomSchema("T-instance", inst, tuple(sorted(atoms(inst))))
             res = axiom_valid_on_frame(
-                schema=schema, frame=fr, budget=CheckBudget("exhaustive", atoms=2)
+                schema=schema, frame=fr, budget=CheckBudget("exhaustive")
             )
             assert res.valid, (to_text(inst), lids)
 
@@ -232,9 +275,7 @@ def test_single_reflexive_world_validates_every_schema():
     for lid in LOGIC_IDS:
         fr = Frame(("w1",), frozenset({("w1", "w1")}), {"w1": lid})
         for sid, schema in SCHEMAS.items():
-            res = axiom_valid_on_frame(
-                fr, schema, budget=CheckBudget("exhaustive", atoms=len(schema.atoms))
-            )
+            res = axiom_valid_on_frame(fr, schema, budget=CheckBudget("exhaustive"))
             assert res.valid, (lid, sid)
 
 
@@ -244,46 +285,60 @@ def test_budget_errors():
     with pytest.raises(BudgetError):
         axiom_valid_on_frame(fr, SCHEMAS["T"], budget=CheckBudget("exhaustive"))
     small = Frame(("w1",), frozenset(), {"w1": "FDE"})
-    with pytest.raises(BudgetError):
-        axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("exhaustive", atoms=1))
+    for samples in (0, -1):
+        with pytest.raises(BudgetError):
+            axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("sampled", samples))
+        with pytest.raises(BudgetError):
+            sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
 
 
 def test_program_evaluator_agrees_with_the_model_evaluator():
-    # the int-coded sweep engine and the recursive evaluator are
-    # independent paths; they must agree value-for-value
-    from manylogic.frames import _LOGIC_INDEX, _eval_single, compile_program
+    # the compiled program evaluator behind every sweep and the recursive
+    # model evaluator are independent paths; they must agree value-for-value
+    # under every diamond variant, on a batch of valuations per model, with
+    # at least one world that has no successors
+    from manylogic.frames import _LOGIC_INDEX, _eval_slots, compile_program
 
     rng = Random(23)
     texts = ("p", "!q", "[]p", "<>q", "[](p -> q) -> ([]p -> []q)",
-             "<>~p -> []<>~p", "@p & <>(p | q)", "~[]~q")
+             "<>~p -> []<>~p", "@p & <>(p | q)", "~[]~q", "<>[]p -> []<>#")
+    progs = {
+        (variant, text): compile_program(parse(text), variant, ("p", "q"))
+        for variant in DIAMOND_VARIANTS for text in texts
+    }
+    batch = 3
     for _ in range(60):
         n = rng.randint(1, 3)
         worlds = tuple(f"w{i}" for i in range(1, n + 1))
         lids = [rng.choice(LOGIC_IDS) for _ in worlds]
-        rel_pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.5]
-        succs = [tuple(j for i, j in rel_pairs if i == w) for w in range(n)]
-        valuation = {
-            worlds[w]: {
-                a: rng.choice(LOGICS[lids[w]].lattice.elements) for a in ("p", "q")
-            }
-            for w in range(n)
-        }
-        model = Model(
-            worlds,
-            frozenset((worlds[i], worlds[j]) for i, j in rel_pairs),
-            dict(zip(worlds, lids)),
-            valuation,
-        )
-        lat = [_LOGIC_INDEX[l] for l in lids]
-        vals = [
-            [int(valuation[worlds[w]][a]) for w in range(n)] for a in ("p", "q")
+        dead_end = rng.randrange(n)
+        rel_pairs = [
+            (i, j) for i in range(n) for j in range(n) if i != dead_end and rng.random() < 0.5
         ]
-        for text in texts:
-            f = parse(text)
-            prog = compile_program(f, "up", ("p", "q"))
-            fast = _eval_single(prog, succs, lat, vals)
-            for w in range(n):
-                assert V(fast[w]) == eval_formula(model, worlds[w], f)
+        succs = [tuple(j for i, j in rel_pairs if i == w) for w in range(n)]
+        valuations = [
+            {
+                worlds[w]: {
+                    a: rng.choice(LOGICS[lids[w]].lattice.elements) for a in ("p", "q")
+                }
+                for w in range(n)
+            }
+            for _ in range(batch)
+        ]
+        lat = [np.full(batch, _LOGIC_INDEX[l], dtype=np.int8) for l in lids]
+        vals = [
+            [np.array([int(v[worlds[w]][a]) for v in valuations], dtype=np.int8) for w in range(n)]
+            for a in ("p", "q")
+        ]
+        relation = frozenset((worlds[i], worlds[j]) for i, j in rel_pairs)
+        for variant in DIAMOND_VARIANTS:
+            for text in texts:
+                fast = _eval_slots(progs[variant, text], succs, lat, vals)[-1]
+                for k, valuation in enumerate(valuations):
+                    model = Model(worlds, relation, dict(zip(worlds, lids)), valuation, variant)
+                    for w in range(n):
+                        want = eval_formula(model, worlds[w], parse(text))
+                        assert V(int(fast[w][k])) == want, (variant, text, model, worlds[w])
 
 
 def test_sweeps_are_deterministic():
@@ -300,7 +355,7 @@ def test_sampled_mode_handles_larger_frames():
     rel = frozenset((a, b) for a in worlds for b in worlds)
     fr = Frame(worlds, rel, {w: "FDE" for w in worlds})
     res = axiom_valid_on_frame(
-        fr, SCHEMAS["K"], budget=CheckBudget("sampled", sample_count=500, atoms=2)
+        fr, SCHEMAS["K"], budget=CheckBudget("sampled", sample_count=500)
     )
     assert res.valid and res.models_checked == 500
 
