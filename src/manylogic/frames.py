@@ -83,6 +83,10 @@ class CheckBudget:
     sample_count: int = 10000
     seed: int = DEFAULT_SEED
 
+    def __post_init__(self):
+        if self.mode not in ("exhaustive", "sampled"):
+            raise BudgetError(f"unknown check mode {self.mode!r}; expected 'exhaustive' or 'sampled'")
+
 
 @dataclass(frozen=True)
 class Counterexample:

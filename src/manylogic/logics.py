@@ -1,5 +1,5 @@
 """The nine matrix logics: designated sets, snapshot-algebra connectives,
-generated truth tables, and consequence by exhaustive valuation search.
+generated truth tables, and consequence over every valuation.
 
 Connectives are computed coordinatewise on snapshots, except that & and |
 are the lattice meet and join of the logic's own lattice.  The two agree
@@ -7,12 +7,19 @@ everywhere but in the four-element strong lattice, where the incomparable
 pair {b, n} has its bounds recomputed inside the subset; the coordinatewise
 result is then exactly the down-interpretation of that lattice's bound
 (pinned by tests).
+
+The snapshot formulas (`twist_*`) are written once.  `apply` runs them on
+one value; `evaluate` and `matrix_consequence` share one formula walk that
+runs them on bit-planes, a Python int per snapshot coordinate whose bit j
+is the coordinate under valuation j.  `matrix_consequence` thus evaluates
+each formula once over all |L|^k valuations, and `evaluate` is the case of
+a single valuation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import product
 
 from . import syntax
 from .lattices import Lattice, get_lattice
@@ -41,6 +48,10 @@ CONNECTIVES: dict[str, int] = {
 }
 
 
+# The paper's snapshot formulas.  A coordinate is 0 or 1, or a bit-plane
+# holding one bit per valuation, with `one` the plane of all valuations.
+
+
 def twist_and(z: tuple[int, int, int], w: tuple[int, int, int]) -> tuple[int, int, int]:
     z1, z2, z3 = z
     w1, w2, w3 = w
@@ -58,21 +69,21 @@ def twist_neg(z):
     return (z2, z1, z3)
 
 
-def twist_imp_material(z, w):
+def twist_imp_material(z, w, one: int = 1):
     z1, z2, z3 = z
     w1, w2, w3 = w
-    return ((1 - z1) | w1, z1 & w2, (z1 & w2 & w3) | (z2 & z3) | (w1 & w3))
+    return ((one ^ z1) | w1, z1 & w2, (z1 & w2 & w3) | (z2 & z3) | (w1 & w3))
 
 
-def twist_imp_chain(z, w):
+def twist_imp_chain(z, w, one: int = 1):
     z1, z2, z3 = z
     w1, w2, w3 = w
-    return ((1 - z1) | w1, z1 & w2, (1 - z1) | w3)
+    return ((one ^ z1) | w1, z1 & w2, (one ^ z1) | w3)
 
 
-def twist_circ(z, third: int):
+def twist_circ(z, third: int, one: int = 1):
     z3 = z[2]
-    return (z3, 1 - z3, third)
+    return (z3, one ^ z3, third)
 
 
 @dataclass(frozen=True)
@@ -190,32 +201,116 @@ def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
     return TruthTable(logic.id, conn, els, cells)
 
 
+def _walk(formulas: list) -> tuple[list, dict, dict]:
+    """The nodes of `formulas`, children first, each once as (node, ids of
+    its children); the atom names from left to right; and, by node id, how
+    often each node is used: once per argument position, and once more for
+    each of `formulas`.  Nodes are told apart by identity, so a shared
+    subformula is evaluated once."""
+    order: list = []
+    names: dict = {}
+    uses = dict.fromkeys(map(id, formulas), 1)
+    seen: set = set()
+    for f in formulas:
+        stack = [(f, None)]
+        while stack:
+            g, kids = stack.pop()
+            if kids is not None:
+                order.append((g, kids))
+                continue
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
+            kind = type(g)
+            if kind is Atom:
+                names.setdefault(g.name)
+                order.append((g, ()))
+            elif kind is Bottom:
+                order.append((g, ()))
+            elif kind is syntax.Box or kind is syntax.Diamond:
+                raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
+            else:
+                children = syntax.children(g)
+                stack.append((g, tuple(map(id, children))))
+                for c in reversed(children):
+                    uses[id(c)] = uses.get(id(c), 0) + 1
+                    stack.append((c, None))
+    return order, names, uses
+
+
+def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict) -> dict:
+    """Snapshots of the nodes in `order`, keyed by id, with each coordinate
+    a bit-plane: bit j is its value under valuation j.  `atoms` maps atom
+    names to planes; `one` has every valuation's bit set, so one=1 with 0/1
+    coordinates evaluates a single valuation.  `uses` comes from `_walk`
+    and is counted down: a node's planes are dropped with its last use, so
+    memory follows the widest cut of the formulas, not their size."""
+    bottom = tuple(one if c else 0 for c in SNAPSHOTS[logic.lattice.bottom])
+    third = one if logic.circ_third_coordinate else 0
+    imp = twist_imp_material if logic.implication_family == "material" else twist_imp_chain
+    # & and | are the base lattice's bounds taken down into the logic's
+    # lattice.  That moves a result only in L4s, whose b & n = F0 and
+    # b | n = T0 go down to F and T: the reliability bit becomes t xor f.
+    strong4 = logic.lattice.id == "L4s"
+
+    def meet(z, w):
+        t, f, r = twist_and(z, w)
+        return (t, f, r | (t ^ f)) if strong4 else (t, f, r)
+
+    def join(z, w):
+        t, f, r = twist_or(z, w)
+        return (t, f, r | (t ^ f)) if strong4 else (t, f, r)
+
+    def nabla(z):
+        return join(z, twist_neg(twist_circ(z, third, one)))
+
+    val: dict[int, tuple] = {}
+    for g, kids in order:
+        kind = type(g)
+        if kind is Atom:
+            out = atoms[g.name]
+        elif kind is Bottom:
+            out = bottom
+        elif kind is syntax.Neg:
+            out = twist_neg(val[kids[0]])
+        elif kind is syntax.Circ:
+            out = twist_circ(val[kids[0]], third, one)
+        elif kind is syntax.CNeg:
+            out = imp(val[kids[0]], bottom, one)
+        elif kind is syntax.Nabla:
+            out = nabla(val[kids[0]])
+        else:
+            z, w = val[kids[0]], val[kids[1]]
+            if kind is syntax.And:
+                out = meet(z, w)
+            elif kind is syntax.Or:
+                out = join(z, w)
+            elif kind is syntax.Imp:
+                out = imp(z, w, one)
+            else:  # ImpL
+                na = twist_neg(z)
+                out = meet(join(nabla(na), w), join(nabla(w), na))
+        val[id(g)] = out
+        for k in kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del val[k]
+    return val
+
+
 def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Value:
     """Value of a modal-free formula under an atom assignment."""
-    if isinstance(f, Atom):
+    order, names, uses = _walk([f])
+    atoms = {}
+    for name in names:
         try:
-            return assignment[f.name]
+            x = assignment[name]
         except KeyError:
-            raise LogicError(f"no value for atom {f.name!r}") from None
-    if isinstance(f, Bottom):
-        return logic.lattice.bottom
-    if isinstance(f, syntax.Neg):
-        return apply(logic, "neg", [evaluate(logic, f.child, assignment)])
-    if isinstance(f, syntax.Circ):
-        return apply(logic, "circ", [evaluate(logic, f.child, assignment)])
-    if isinstance(f, syntax.CNeg):
-        return apply(logic, "imp", [evaluate(logic, f.child, assignment), logic.lattice.bottom])
-    if isinstance(f, syntax.Nabla):
-        return apply(logic, "nabla", [evaluate(logic, f.child, assignment)])
-    if isinstance(f, syntax.And):
-        return apply(logic, "and", [evaluate(logic, f.left, assignment), evaluate(logic, f.right, assignment)])
-    if isinstance(f, syntax.Or):
-        return apply(logic, "or", [evaluate(logic, f.left, assignment), evaluate(logic, f.right, assignment)])
-    if isinstance(f, syntax.Imp):
-        return apply(logic, "imp", [evaluate(logic, f.left, assignment), evaluate(logic, f.right, assignment)])
-    if isinstance(f, syntax.ImpL):
-        return apply(logic, "impL", [evaluate(logic, f.left, assignment), evaluate(logic, f.right, assignment)])
-    raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
+            raise LogicError(f"no value for atom {name!r}") from None
+        if x not in logic.lattice.members:
+            raise LogicError(f"value {x} not in logic {logic.id}")
+        atoms[name] = SNAPSHOTS[x]
+    return from_snapshot(_evaluate(logic, order, atoms, 1, uses)[id(f)])
 
 
 @dataclass(frozen=True)
@@ -227,19 +322,60 @@ class Verdict:
         return self.valid
 
 
+@functools.cache
+def _atom_planes(lattice_id: str, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Snapshot planes of each of k atoms over the valuations of
+    product(elements, repeat=k): bit j of atom i's planes holds its value
+    under valuation j, where the last atom varies fastest.  Cached; all
+    nine lattices at every atom count up to MAX_ATOMS hold about 6.7 MB."""
+    elements = get_lattice(lattice_id).elements
+    m = len(elements)
+    total = m**k
+    full = (1 << total) - 1
+    out = []
+    for i in range(k):
+        run = m ** (k - 1 - i)  # consecutive valuations that agree on atom i
+        block = (1 << run) - 1
+        planes = []
+        for c in range(3):
+            plane = 0
+            for d, x in enumerate(elements):
+                if SNAPSHOTS[x][c]:
+                    plane |= block << (d * run)
+            width = m * run
+            while width < total:  # repeat the period by doubling, then trim
+                plane |= plane << width
+                width *= 2
+            planes.append(plane & full)
+        out.append(tuple(planes))
+    return tuple(out)
+
+
 def matrix_consequence(logic: MatrixLogic, premises, conclusion: Formula) -> Verdict:
     """Designation-preservation under every atom valuation; INVALID comes
-    with the first witnessing assignment in canonical value order."""
-    premises = list(premises)
-    for f in premises + [conclusion]:
-        if not syntax.is_modal_free(f):
-            raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
-    names = sorted(set().union(*[syntax.atoms(f) for f in premises + [conclusion]]) or set())
-    if len(names) > MAX_ATOMS:
-        raise TooManyAtomsError(f"{len(names)} atoms exceed the cap of {MAX_ATOMS}")
-    for combo in product(logic.lattice.elements, repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if all(logic.is_designated(evaluate(logic, p, assignment)) for p in premises):
-            if not logic.is_designated(evaluate(logic, conclusion, assignment)):
-                return Verdict(False, assignment)
-    return Verdict(True)
+    with the first witnessing assignment in canonical value order.
+
+    Each formula is evaluated once over all |L|^k valuations, held as
+    bit-planes; a value is designated iff its truth coordinate is 1."""
+    formulas = list(premises) + [conclusion]
+    order, names, uses = _walk(formulas)
+    names = sorted(names)
+    k = len(names)
+    if k > MAX_ATOMS:
+        raise TooManyAtomsError(f"{k} atoms exceed the cap of {MAX_ATOMS}")
+    elements = logic.lattice.elements
+    one = (1 << len(elements) ** k) - 1
+    atoms = dict(zip(names, _atom_planes(logic.lattice.id, k)))
+    val = _evaluate(logic, order, atoms, one, uses)
+    held = one
+    for p in formulas[:-1]:
+        held &= val[id(p)][0]
+    failed = held & ~val[id(conclusion)][0]
+    if not failed:
+        return Verdict(True)
+    j = (failed & -failed).bit_length() - 1
+    witness = {}
+    for name in reversed(names):
+        j, d = divmod(j, len(elements))
+        witness[name] = elements[d]
+    return Verdict(False, {name: witness[name] for name in names})

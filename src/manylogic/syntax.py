@@ -120,17 +120,28 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Deepest formula `parse` accepts, counted in nested operators and
+# parentheses.  The recursive walkers (parse itself, desugar, to_text, the
+# model and frame evaluators, and dataclass hashing) then stay well inside
+# Python's default recursion limit; parse's parenthesis rule is the
+# costliest, at five frames a level.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; every rule returns a node with its height, and a
+    formula deeper than MAX_DEPTH is refused before it is built."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text) + [(None, len(text))]  # end sentinel
         self.i = 0
+        self.level = 0  # rules entered through a unary, '(' or right-hand implication
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        return self.tokens[self.i][1]
 
     def take(self) -> str:
         tok = self.peek()
@@ -139,58 +150,82 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
-        left = self.disj()
+    def too_deep(self) -> ParseError:
+        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
+
+    def enter(self) -> None:
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise self.too_deep()
+
+    def build(self, cls, kids: tuple, height: int) -> tuple[Formula, int]:
+        if height >= MAX_DEPTH:
+            raise self.too_deep()
+        return cls(*kids), height + 1
+
+    def formula(self) -> tuple[Formula, int]:
+        left, lh = self.disj()
         if self.peek() in ("->", "=>"):
             op = self.take()
-            right = self.formula()
-            return Imp(left, right) if op == "->" else ImpL(left, right)
-        return left
+            self.enter()
+            right, rh = self.formula()
+            self.level -= 1
+            return self.build(Imp if op == "->" else ImpL, (left, right), max(lh, rh))
+        return left, lh
 
-    def disj(self) -> Formula:
-        node = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        node, h = self.conj()
         while self.peek() == "|":
             self.take()
-            node = Or(node, self.conj())
-        return node
+            right, rh = self.conj()
+            node, h = self.build(Or, (node, right), max(h, rh))
+        return node, h
 
-    def conj(self) -> Formula:
-        node = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        node, h = self.unary()
         while self.peek() == "&":
             self.take()
-            node = And(node, self.unary())
-        return node
+            right, rh = self.unary()
+            node, h = self.build(And, (node, right), max(h, rh))
+        return node, h
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok in _UNARY:
             self.take()
-            return _UNARY[tok](self.unary())
+            self.enter()
+            child, h = self.unary()
+            self.level -= 1
+            return self.build(_UNARY[tok], (child,), h)
         return self.atom()
 
-    def atom(self) -> Formula:
+    def atom(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.pos())
         if tok == "#":
             self.take()
-            return Bottom()
+            return Bottom(), 1
         if tok == "(":
             self.take()
-            node = self.formula()
+            self.enter()
+            inner = self.formula()
+            self.level -= 1
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos())
             self.take()
-            return node
+            return inner
         if re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
             self.take()
-            return Atom(tok)
+            return Atom(tok), 1
         raise ParseError(f"unexpected token {tok!r}", self.pos())
 
 
 def parse(text: str) -> Formula:
+    """Parse one formula; ParseError on bad input, including a formula
+    nested deeper than MAX_DEPTH."""
     p = _Parser(text)
-    node = p.formula()
+    node, _ = p.formula()
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.peek()!r}", p.pos())
     return node

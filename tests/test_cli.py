@@ -159,3 +159,13 @@ def test_malformed_inputs_exit_2(capsys, fixtures):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "NOPE"])
     assert exc.value.code == 2
+
+
+def test_formula_nested_too_deeply_exits_2(capsys, fixtures):
+    deep = "!" * 1000 + "p"
+    code, out, err = run(capsys, "eval", str(fixtures / "ex1.json"),
+                         "--world", "w1", "--formula", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad formula") and "nested deeper than" in err
+    code, _, err = run(capsys, "consequence", "LETK", "--conclusion", " & ".join(["p"] * 1200))
+    assert code == 2 and err.startswith("error: bad formula")

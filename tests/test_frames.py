@@ -290,6 +290,9 @@ def test_budget_errors():
             axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("sampled", samples))
         with pytest.raises(BudgetError):
             sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
+    for mode in ("exhaustve", "", "Sampled"):
+        with pytest.raises(BudgetError, match="unknown check mode"):
+            CheckBudget(mode, 5)
 
 
 def test_program_evaluator_agrees_with_the_model_evaluator():

@@ -1,4 +1,6 @@
-from itertools import product
+from collections import Counter
+from itertools import cycle, product
+from random import Random
 
 import pytest
 
@@ -16,7 +18,8 @@ from manylogic.logics import (
     twist_neg,
     twist_or,
 )
-from manylogic.syntax import Atom, parse
+from manylogic import syntax
+from manylogic.syntax import Atom, atoms, parse
 from manylogic.values import SNAPSHOTS, Value as V, from_snapshot
 
 
@@ -219,3 +222,119 @@ def test_consequence_rejects_modal_formulas_and_too_many_atoms():
 def test_evaluate_requires_atom_values():
     with pytest.raises(LogicError):
         evaluate(LOGICS["FDE"], Atom("p"), {})
+
+
+def test_evaluate_reproduces_every_truth_table():
+    p, q = Atom("p"), Atom("q")
+    nodes = {
+        "and": syntax.And(p, q), "or": syntax.Or(p, q), "imp": syntax.Imp(p, q),
+        "impL": syntax.ImpL(p, q), "neg": syntax.Neg(p), "circ": syntax.Circ(p),
+        "nabla": syntax.Nabla(p),
+    }
+    for lg in LOGICS.values():
+        for conn, f in nodes.items():
+            for args in product(lg.lattice.elements, repeat=CONNECTIVES[conn]):
+                assert evaluate(lg, f, dict(zip("pq", args))) == apply(lg, conn, list(args))
+
+
+def test_evaluate_rejects_values_outside_the_logic():
+    with pytest.raises(LogicError, match="not in logic K3"):
+        evaluate(LOGICS["K3"], parse("p"), {"p": V.T})
+    with pytest.raises(LogicError, match="not in logic CLS"):
+        evaluate(LOGICS["CLS"], parse("q | !p"), {"p": V.b, "q": V.T})
+
+
+def test_consequence_without_atoms():
+    for lg in LOGICS.values():
+        verdict = matrix_consequence(lg, [], parse("#"))
+        assert not verdict.valid and verdict.witness == {}
+        assert matrix_consequence(lg, [], parse("# -> #")).valid
+        assert matrix_consequence(lg, [parse("#")], parse("#")).valid
+
+
+def test_eight_atom_witness_deep_in_the_enumeration():
+    letk = LOGICS["LETK"]
+    names = "pqrstuvw"
+    verdict = matrix_consequence(letk, [], parse(" | ".join(names)))
+    # n is LETK's fourth element, so this is valuation 3 * (6^8 - 1) / 5
+    # of 6^8, the first at which no disjunct is designated
+    assert not verdict.valid
+    assert verdict.witness == dict.fromkeys(names, V.n)
+    assert matrix_consequence(letk, [], parse("(p & q & r & s & t & u & v & w) -> (w | p)")).valid
+
+
+# The per-valuation decision procedure that matrix_consequence replaced:
+# evaluate each formula under each valuation, one connective at a time
+# through apply, and stop at the first valuation that designates every
+# premise but not the conclusion.
+
+def _reference_value(logic, f, assignment):
+    if isinstance(f, syntax.Atom):
+        return assignment[f.name]
+    if isinstance(f, syntax.Bottom):
+        return logic.lattice.bottom
+    if isinstance(f, syntax.Neg):
+        return apply(logic, "neg", [_reference_value(logic, f.child, assignment)])
+    if isinstance(f, syntax.Circ):
+        return apply(logic, "circ", [_reference_value(logic, f.child, assignment)])
+    if isinstance(f, syntax.CNeg):
+        return apply(logic, "imp", [_reference_value(logic, f.child, assignment), logic.lattice.bottom])
+    if isinstance(f, syntax.Nabla):
+        return apply(logic, "nabla", [_reference_value(logic, f.child, assignment)])
+    conn = {syntax.And: "and", syntax.Or: "or", syntax.Imp: "imp", syntax.ImpL: "impL"}[type(f)]
+    return apply(logic, conn, [_reference_value(logic, f.left, assignment),
+                               _reference_value(logic, f.right, assignment)])
+
+
+def _reference_consequence(logic, premises, conclusion):
+    names = sorted(set().union(*[atoms(f) for f in premises + [conclusion]]))
+    for combo in product(logic.lattice.elements, repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        if all(logic.is_designated(_reference_value(logic, p, assignment)) for p in premises):
+            if not logic.is_designated(_reference_value(logic, conclusion, assignment)):
+                return False, assignment
+    return True, None
+
+
+_UNARIES = (syntax.Neg, syntax.Circ, syntax.CNeg, syntax.Nabla)
+_BINARIES = (syntax.And, syntax.Or, syntax.Imp, syntax.ImpL)
+
+
+def _random_formula(rng, names, depth):
+    """`names` cycles through the atom names (None: no atoms), so a
+    formula with enough leaves uses every atom."""
+    if depth == 0 or rng.random() < 0.2:
+        if names is None or rng.random() < 0.1:
+            return syntax.Bottom()
+        return Atom(next(names))
+    if rng.random() < 0.4:
+        return rng.choice(_UNARIES)(_random_formula(rng, names, depth - 1))
+    return rng.choice(_BINARIES)(_random_formula(rng, names, depth - 1),
+                                 _random_formula(rng, names, depth - 1))
+
+
+def test_consequence_matches_the_per_valuation_reference():
+    rng = Random(5)
+    seen = Counter()
+    for lid, logic in LOGICS.items():
+        for k in range(5):
+            for _ in range(10):
+                names = cycle(rng.sample("pqrs", k)) if k else None
+                premises = [_random_formula(rng, names, 3) for _ in range(rng.randrange(3))]
+                shape = rng.choice((0, 0, 1, 2))
+                if shape == 1 and premises:
+                    # a join with a premise: VALID, and shares the premise's nodes
+                    conclusion = syntax.Or(_random_formula(rng, names, 2), rng.choice(premises))
+                elif shape == 2:
+                    # A -> B | A holds in every logic
+                    a = _random_formula(rng, names, 2)
+                    conclusion = syntax.Imp(a, syntax.Or(_random_formula(rng, names, 2), a))
+                else:
+                    conclusion = _random_formula(rng, names, 4)
+                got = matrix_consequence(logic, premises, conclusion)
+                want = _reference_consequence(logic, premises, conclusion)
+                assert (got.valid, got.witness) == want, (lid, premises, conclusion)
+                used = len(set().union(*[atoms(f) for f in premises + [conclusion]]))
+                seen[used, got.valid, bool(premises)] += 1
+    # every atom count, each verdict, with and without premises
+    assert set(seen) == set(product(range(5), (False, True), (False, True))), seen

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from manylogic.logics import LOGICS, evaluate
+from manylogic import frames, models
+from manylogic.logics import LOGICS, evaluate, matrix_consequence
 from manylogic.syntax import (
     And,
     Atom,
@@ -15,6 +16,7 @@ from manylogic.syntax import (
     Diamond,
     Imp,
     ImpL,
+    MAX_DEPTH,
     ModalFormulaError,
     Nabla,
     Neg,
@@ -31,6 +33,7 @@ from manylogic.syntax import (
     substitute,
     to_text,
 )
+from manylogic.values import Value as V
 
 p, q = Atom("p"), Atom("q")
 
@@ -164,3 +167,55 @@ def test_printer_spot_forms():
 
 def test_size():
     assert size(parse("p & !p")) == 4
+
+
+# Formulas with `d` levels of nesting, one per worst shape of a recursive
+# walker: parse recurses five frames deep per parenthesis, once per prefix
+# operator and right-hand implication; & and | chains are built by a loop
+# but leave a tree as deep as they are long.
+SHAPES = {
+    "parentheses": lambda d: "(" * d + "p" + ")" * d,
+    "negations": lambda d: "!" * (d - 1) + "p",
+    "boxes": lambda d: "[]" * (d - 1) + "p",
+    "implications": lambda d: " -> ".join(["p"] * d),
+    "chain implications": lambda d: " => ".join(["p"] * d),
+    "conjunctions": lambda d: " & ".join(["p"] * d),
+    "disjunctions": lambda d: " | ".join(["q"] * d),
+    "mixed": lambda d: "!(" * (d // 2) + "!" * (d % 2) + "p" + ")" * (d // 2),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_parse_refuses_formulas_deeper_than_the_cap(shape):
+    parse(SHAPES[shape](MAX_DEPTH))
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+        parse(SHAPES[shape](MAX_DEPTH + 1))
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+        parse(SHAPES[shape](1000))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_formulas_at_the_cap_run_through_every_walker(shape):
+    f = parse(SHAPES[shape](MAX_DEPTH))
+    assert parse(to_text(f)) == f
+    core = desugar(f)
+    letk = LOGICS["LETK"]
+    if is_modal_free(f):
+        names = sorted(atoms(f))
+        assert evaluate(letk, f, dict.fromkeys(names, V.b)) == evaluate(letk, core, dict.fromkeys(names, V.b))
+        assert matrix_consequence(letk, [f], f).valid
+    else:
+        with pytest.raises(ModalFormulaError):
+            matrix_consequence(letk, [], f)
+    # Desugaring => repeats each argument three times, and the model and
+    # frame evaluators hash that tree without its sharing, in time
+    # exponential in the depth; they run on the other shapes.
+    if "=>" not in SHAPES[shape](2):
+        model = models.model_from_dict({
+            "worlds": ["w", "u"], "logics": {"w": "LETK", "u": "K3"},
+            "relation": [["w", "u"], ["u", "u"]],
+            "valuation": {"w": {"p": "b", "q": "T"}, "u": {"p": "T0", "q": "n"}},
+        })
+        assert models.eval_formula(model, "w", f) in set(V)
+        names = tuple(sorted(atoms(f)))
+        assert frames.compile_program(f, "up", names)
