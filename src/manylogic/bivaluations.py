@@ -291,7 +291,7 @@ def _search(
         if found and not collect_all:
             return
         if i == len(order):
-            found.append({f: vals[idx[f]] for f in order})
+            found.append(dict(zip(order, vals)))
             return
         seen += 1
         if seen > limit:
@@ -319,11 +319,15 @@ def biv_consequence(
 ) -> Verdict:
     """VALID iff no clause-satisfying assignment over the closure makes all
     premises 1 and the conclusion 0."""
+    given = [*premises, conclusion]
     premises = [syntax.desugar(p) for p in premises]
     conclusion = syntax.desugar(conclusion)
     names = set().union(*[syntax.atoms(f) for f in premises + [conclusion]])
     if len(names) > 8:
         raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
+    for f in given:  # named as given: desugaring nested => repeats text exponentially
+        if not syntax.is_modal_free(f):
+            raise syntax.ModalFormulaError(f"modal operator in {to_text(f)}")
     closure = syntax.subformula_closure(premises + [conclusion])
     if len(closure) > MAX_CLOSURE:
         raise ClosureTooLargeError(f"closure has {len(closure)} formulas (cap {MAX_CLOSURE})")
@@ -401,10 +405,7 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
         for name in rep.violations:
             induced.append(f"p={pv} q={qv}: {name}")
 
-    members = sorted(
-        {g for f in base for g in syntax.subformulas(f)},
-        key=lambda f: (syntax.size(f), to_text(f)),
-    )
+    members = _ordered({g for f in base for g in syntax.subformulas(f)})
     snap_bad, comm_bad = [], []
     assignments = satisfying_assignments(logic, closure, v14_reading)
     for rho in assignments:

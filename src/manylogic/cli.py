@@ -43,7 +43,7 @@ def _parse_premises(text: str | None):
 def _load_model(path: str) -> models.Model:
     try:
         model = models.load_model(path)
-    except (OSError, json.JSONDecodeError, models.ModelFormatError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load model {path}: {exc}") from None
     report = models.validate(model)
     for warning in report.warnings:
@@ -56,7 +56,7 @@ def _load_model(path: str) -> models.Model:
 def _load_frame(path: str) -> models.Frame:
     try:
         frame = models.load_frame(path)
-    except (OSError, json.JSONDecodeError, models.ModelFormatError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load frame {path}: {exc}") from None
     report = models.validate_frame(frame)
     if not report.ok:

@@ -152,55 +152,50 @@ MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fil
 # ------------------------------------------------------------- programs
 
 def _resolve(f: Formula, variant: str) -> Formula:
-    """Replace diamonds with their negation rewrites when requested."""
-    if isinstance(f, Diamond):
-        child = _resolve(f.child, variant)
-        if variant == "negbox":
-            return Neg(Box(Neg(child)))
-        if variant == "cnegbox":
-            return Imp(Box(Imp(child, Bottom())), Bottom())
-        return Diamond(child)
-    kids = tuple(_resolve(c, variant) for c in syntax.children(f))
-    return type(f)(*kids) if kids else f
+    """Replace diamonds with their negation rewrites when requested; the
+    other variants keep f as it is."""
+    if variant not in ("negbox", "cnegbox"):
+        return f
+    out: dict[Formula, Formula] = {}
+    for g in syntax.postorder(f):
+        kids = [out[c] for c in syntax.children(g)]
+        if isinstance(g, Diamond):
+            if variant == "negbox":
+                out[g] = Neg(Box(Neg(kids[0])))
+            else:
+                out[g] = Imp(Box(Imp(kids[0], Bottom())), Bottom())
+        else:
+            out[g] = type(g)(*kids) if kids else g
+    return out[f]
+
+
+_OPCODES = {
+    Bottom: "bottom", Neg: "neg", syntax.Circ: "circ",
+    syntax.And: "and", syntax.Or: "or", Imp: "imp", Box: "box",
+}
 
 
 def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
-    """Postfix program over value codes; shared subformulas are de-duplicated."""
+    """Postfix program over value codes, one node per distinct subformula,
+    children before parents."""
     if variant not in ("up", "down", "negbox", "cnegbox"):
         raise BudgetError(f"unknown diamond variant {variant!r}")
     f = _resolve(syntax.desugar(f), variant)
     dia_kind = "dia_up" if variant != "down" else "dia_down"
     index: dict[Formula, int] = {}
     prog: list[tuple] = []
-
-    def emit(g: Formula) -> int:
-        if g in index:
-            return index[g]
-        if isinstance(g, syntax.Atom):
+    for g in syntax.postorder(f):
+        kind = type(g)
+        if kind is syntax.Atom:
             node = ("atom", atom_names.index(g.name))
-        elif isinstance(g, Bottom):
-            node = ("bottom",)
-        elif isinstance(g, Neg):
-            node = ("neg", emit(g.child))
-        elif isinstance(g, syntax.Circ):
-            node = ("circ", emit(g.child))
-        elif isinstance(g, syntax.And):
-            node = ("and", emit(g.left), emit(g.right))
-        elif isinstance(g, syntax.Or):
-            node = ("or", emit(g.left), emit(g.right))
-        elif isinstance(g, Imp):
-            node = ("imp", emit(g.left), emit(g.right))
-        elif isinstance(g, Box):
-            node = ("box", emit(g.child))
-        elif isinstance(g, Diamond):
-            node = (dia_kind, emit(g.child))
+        elif kind is Diamond:
+            node = (dia_kind, index[g.child])
+        elif kind in _OPCODES:
+            node = (_OPCODES[kind], *[index[c] for c in syntax.children(g)])
         else:
-            raise BudgetError(f"cannot compile {type(g).__name__}")
+            raise BudgetError(f"cannot compile {kind.__name__}")
+        index[g] = len(prog)
         prog.append(node)
-        index[g] = len(prog) - 1
-        return index[g]
-
-    emit(f)
     return prog
 
 
@@ -350,9 +345,18 @@ def _witness(j, root, lat, vals, worlds, rel, atom_names, variant) -> Counterexa
     return Counterexample(model, worlds[w], Value(int(root[w][j])))
 
 
+# Most samples one sampled check draws.  Every draw is held in memory
+# until the batch is evaluated (about 1 kB a sample on three worlds), so
+# the cap keeps a check under about 100 MB; the checklist draws at most
+# 10,000 and the CLI defaults to that.
+MAX_SAMPLES = 100_000
+
+
 def _require_samples(samples: int) -> None:
     if samples < 1:
         raise BudgetError(f"sampled checks need at least one sample, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -698,6 +702,8 @@ def run_theorem(
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """The exhaustive and the sampled outcome of one theorem row; the
     sampled outcome is empty when the row samples nothing."""
+    if theorem.sampled_worlds is not None:
+        _require_samples(samples)  # before the sweeps, not after them
     exhaustive = _merge(
         sweep_schema(theorem.schema, n, logic_ids, relation_pred=theorem.frame_pred)
         for n in theorem.exhaustive_worlds

@@ -25,14 +25,27 @@ class ModelFormatError(ValueError):
     """Structurally malformed model or frame document."""
 
 
+def _adjacency(relation) -> dict[str, tuple[str, ...]]:
+    """Each source world's successors in ascending order, from one pass
+    over the sorted relation."""
+    succ: dict[str, list[str]] = {}
+    for u, v in sorted(relation):
+        succ.setdefault(u, []).append(v)
+    return {u: tuple(vs) for u, vs in succ.items()}
+
+
 @dataclass(frozen=True)
 class Frame:
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
     logics: dict[str, str]  # world -> logic id
+    _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._succ.update(_adjacency(self.relation))
 
     def successors(self, w: str) -> tuple[str, ...]:
-        return tuple(v for u, v in sorted(self.relation) if u == w)
+        return self._succ.get(w, ())
 
     def logic(self, w: str) -> MatrixLogic:
         return LOGICS[self.logics[w]]
@@ -48,8 +61,9 @@ class Model:
     _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        succ = _adjacency(self.relation)
         for w in self.worlds:
-            self._succ[w] = tuple(v for u, v in sorted(self.relation) if u == w)
+            self._succ[w] = succ.get(w, ())
 
     @property
     def frame(self) -> Frame:
@@ -209,6 +223,8 @@ def model_from_dict(data: dict) -> Model:
     for w, row in raw.items():
         parsed = {}
         for atom, token in row.items():
+            if not syntax.ATOM_RE.fullmatch(atom):
+                raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
             if not isinstance(token, str):
                 raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
             try:

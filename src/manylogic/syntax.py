@@ -8,12 +8,17 @@ Concrete syntax (one token per operator, no unicode):
     -> implication     => chain implication     [] box   <> diamond
 
 Precedence: unary > & > | > ->/=> (implications associate right).
+
+Formulas are hash-consed: constructing one returns the existing node with
+the same class and fields, if there is one.  Structurally equal formulas
+are therefore one object, `==` and `hash` are identity, and each node
+caches its size, whether it holds a box or diamond, its text and its
+desugared form.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class ParseError(ValueError):
@@ -28,81 +33,124 @@ class ModalFormulaError(ValueError):
     """A box or diamond where only propositional formulas are allowed."""
 
 
-@dataclass(frozen=True)
+# Every formula ever built, keyed by (class, *fields).  The children in a
+# key are interned already, so the key hashes in constant time.  A plain
+# dict keeps parsed formulas, and their cached text and desugaring, alive
+# between calls that parse the same text again.
+_TABLE: dict[tuple, Formula] = {}
+
+_set = object.__setattr__
+
+
 class Formula:
-    pass
+    """An immutable, interned formula node.  Subclasses name their fields
+    in `_fields`, in constructor order."""
+
+    __slots__ = ("_kids", "_size", "_modal", "_text", "_core")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__}() takes the fields {cls._fields}, got {len(args)} values")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                _set(node, name, value)
+            kids = () if cls is Atom else args
+            _set(node, "_kids", kids)
+            _set(node, "_size", 1 + sum(k._size for k in kids))
+            _set(node, "_modal", cls is Box or cls is Diamond or any(k._modal for k in kids))
+            _set(node, "_text", None)
+            _set(node, "_core", None)
+            # setdefault is one step under the GIL: threads that build the
+            # same formula at once all get the node stored first.
+            node = _TABLE.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned formula")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned formula")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
-    child: Formula
+class _Unary(Formula):
+    __slots__ = ("child",)
+    _fields = __match_args__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Circ(Formula):
-    child: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class CNeg(Formula):
-    child: Formula
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nabla(Formula):
-    child: Formula
+class Circ(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    child: Formula
+class CNeg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    child: Formula
+class Nabla(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Box(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Diamond(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ImpL(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Imp(_Binary):
+    __slots__ = ()
+
+
+class ImpL(_Binary):
+    __slots__ = ()
 
 
 _UNARY = {"!": Neg, "@": Circ, "~": CNeg, "N": Nabla, "[]": Box, "<>": Diamond}
 _UNARY_SYMBOL = {cls: sym for sym, cls in _UNARY.items()}
 _BINARY_SYMBOL = {And: "&", Or: "|", Imp: "->", ImpL: "=>"}
 
+# An atom name; model files are held to the same pattern.
+ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<op>\[\]|<>|->|=>|[!@~N#&|()])|(?P<ident>[a-z][a-zA-Z0-9_]*))"
+    rf"\s*(?:(?P<op>\[\]|<>|->|=>|[!@~N#&|()])|(?P<ident>{ATOM_RE.pattern}))"
 )
 
 
@@ -121,10 +169,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 # Deepest formula `parse` accepts, counted in nested operators and
-# parentheses.  The recursive walkers (parse itself, desugar, to_text, the
-# model and frame evaluators, and dataclass hashing) then stay well inside
-# Python's default recursion limit; parse's parenthesis rule is the
-# costliest, at five frames a level.
+# parentheses.  The recursive walkers (parse itself, desugar, to_text and
+# the model evaluator) then stay well inside Python's default recursion
+# limit; parse's parenthesis rule is the costliest, at five frames a level.
 MAX_DEPTH = 100
 
 
@@ -215,7 +262,7 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos())
             self.take()
             return inner
-        if re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
+        if ATOM_RE.fullmatch(tok):
             self.take()
             return Atom(tok), 1
         raise ParseError(f"unexpected token {tok!r}", self.pos())
@@ -231,77 +278,86 @@ def parse(text: str) -> Formula:
     return node
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Imp, ImpL)):
-        return 1
-    if isinstance(f, Or):
-        return 2
-    if isinstance(f, And):
-        return 3
-    return 4
+_PREC = {Imp: 1, ImpL: 1, Or: 2, And: 3}  # every other node binds tightest, at 4
 
 
 def to_text(f: Formula) -> str:
-    if isinstance(f, Atom):
+    """The formula in concrete syntax, with the fewest parentheses that
+    parse back to it; cached on the node."""
+    text = f._text
+    if text is None:
+        text = _render(f)
+        _set(f, "_text", text)
+    return text
+
+
+def _render(f: Formula) -> str:
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if isinstance(f, Bottom):
+    if kind is Bottom:
         return "#"
-    if isinstance(f, (Neg, Circ, CNeg, Nabla, Box, Diamond)):
+    if kind in _UNARY_SYMBOL:
         inner = to_text(f.child)
-        if _prec(f.child) < 4:
+        if _PREC.get(type(f.child), 4) < 4:
             inner = f"({inner})"
-        return _UNARY_SYMBOL[type(f)] + inner
-    sym = _BINARY_SYMBOL[type(f)]
-    lprec, rprec = _prec(f.left), _prec(f.right)
-    here = _prec(f)
-    left = to_text(f.left)
-    right = to_text(f.right)
+        return _UNARY_SYMBOL[kind] + inner
+    here = _PREC[kind]
+    lprec, rprec = _PREC.get(type(f.left), 4), _PREC.get(type(f.right), 4)
+    left, right = to_text(f.left), to_text(f.right)
     # implications associate right, & and | left
     if lprec < here or (lprec == here and here == 1):
         left = f"({left})"
     if rprec < here or (rprec == here and here > 1):
         right = f"({right})"
-    return f"{left} {sym} {right}"
+    return f"{left} {_BINARY_SYMBOL[kind]} {right}"
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Atom, Bottom)):
-        return ()
-    if isinstance(f, (Neg, Circ, CNeg, Nabla, Box, Diamond)):
-        return (f.child,)
-    return (f.left, f.right)
+    return f._kids
+
+
+def postorder(f: Formula) -> list[Formula]:
+    """The distinct subformulas of f, each once, children before parents,
+    in the order a left-to-right depth-first walk finishes them."""
+    out: list[Formula] = []
+    seen: set[Formula] = set()
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # (node,): its children are done
+            out.append(g[0])
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g,))
+            stack.extend(reversed(g._kids))
+    return out
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
-    out = {f}
-    for c in children(f):
-        out |= subformulas(c)
-    return frozenset(out)
+    return frozenset(postorder(f))
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    return frozenset(g.name for g in postorder(f) if type(g) is Atom)
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    inner = max(modal_depth(c) for c in children(f))
-    return inner + 1 if isinstance(f, (Box, Diamond)) else inner
+    depth: dict[Formula, int] = {}
+    for g in postorder(f):
+        inner = max((depth[c] for c in g._kids), default=0)
+        depth[g] = inner + 1 if isinstance(g, (Box, Diamond)) else inner
+    return depth[f]
 
 
 def size(f: Formula) -> int:
-    return 1 + sum(size(c) for c in children(f))
+    """Node count of f as a tree, shared subformulas counted at every
+    occurrence."""
+    return f._size
 
 
 def is_modal_free(f: Formula) -> bool:
-    return not any(isinstance(g, (Box, Diamond)) for g in subformulas(f))
-
-
-def _require_modal_free(fs) -> None:
-    for f in fs:
-        if not is_modal_free(f):
-            raise ModalFormulaError(f"modal operator in {to_text(f)}")
+    return not f._modal
 
 
 def _nabla(x: Formula) -> Formula:
@@ -312,37 +368,48 @@ def desugar(f: Formula) -> Formula:
     """Rewrite ~, N and => into the core signature; # stays a constant.
 
     The expansions are the same in every logic: the reliability mark
-    inside them is interpreted per logic at evaluation time.
+    inside them is interpreted per logic at evaluation time.  The result
+    is cached on f, and the result's own desugaring is itself.
     """
-    if isinstance(f, (Atom, Bottom)):
-        return f
-    if isinstance(f, CNeg):
-        return Imp(desugar(f.child), Bottom())
-    if isinstance(f, Nabla):
-        return _nabla(desugar(f.child))
-    if isinstance(f, ImpL):
-        a, c = desugar(f.left), desugar(f.right)
-        return And(Or(_nabla(Neg(a)), c), Or(_nabla(c), Neg(a)))
-    kids = tuple(desugar(c) for c in children(f))
-    return type(f)(*kids)
+    core = f._core
+    if core is None:
+        kind = type(f)
+        if kind is CNeg:
+            core = Imp(desugar(f.child), Bottom())
+        elif kind is Nabla:
+            core = _nabla(desugar(f.child))
+        elif kind is ImpL:
+            a, c = desugar(f.left), desugar(f.right)
+            core = And(Or(_nabla(Neg(a)), c), Or(_nabla(c), Neg(a)))
+        elif f._kids:
+            core = kind(*map(desugar, f._kids))
+        else:
+            core = f
+        _set(f, "_core", core)
+        _set(core, "_core", core)
+    return core
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
-    if isinstance(f, Atom):
-        return mapping.get(f.name, f)
-    kids = tuple(substitute(c, mapping) for c in children(f))
-    return type(f)(*kids) if kids else f
+    out: dict[Formula, Formula] = {}
+    for g in postorder(f):
+        if type(g) is Atom:
+            out[g] = mapping.get(g.name, g)
+        else:
+            out[g] = type(g)(*[out[c] for c in g._kids]) if g._kids else g
+    return out[f]
 
 
 def subformula_closure(fs) -> frozenset[Formula]:
     """Subformula set of `fs` plus one layer of the shapes the two-valued
     clauses mention: !B, @B, !@B, !!B for every subformula B."""
-    fs = list(fs)
-    _require_modal_free(fs)
     base: set[Formula] = set()
     for f in fs:
-        base |= subformulas(f)
-    extra: set[Formula] = set()
+        if f._modal:
+            raise ModalFormulaError(f"modal operator in {to_text(f)}")
+        base.update(postorder(f))
+    closure = set(base)
     for g in base:
-        extra |= {Neg(g), Circ(g), Neg(Circ(g)), Neg(Neg(g))}
-    return frozenset(base | extra)
+        circ = Circ(g)
+        closure.update((Neg(g), circ, Neg(circ), Neg(Neg(g))))
+    return frozenset(closure)

@@ -193,3 +193,14 @@ def test_disjunction_gap_in_classical_clause_sets():
     premises, conclusion = [p], parse("p | q")
     assert matrix_consequence(lg, premises, conclusion).valid
     assert not biv_consequence(lg, premises, conclusion, v14_reading="corrected").valid
+
+
+def test_modal_input_is_named_as_given():
+    from manylogic.syntax import ModalFormulaError
+
+    text = " => ".join(["[]p"] * 40)
+    with pytest.raises(ModalFormulaError) as err:
+        biv_consequence(LOGICS["K3"], [parse("p")], parse(text))
+    assert str(err.value) == f"modal operator in {text}"
+    with pytest.raises(ModalFormulaError, match=r"modal operator in ~\[\]p$"):
+        biv_consequence(LOGICS["K3"], [parse("~[]p")], p)

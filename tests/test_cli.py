@@ -169,3 +169,34 @@ def test_formula_nested_too_deeply_exits_2(capsys, fixtures):
     assert err.startswith("error: bad formula") and "nested deeper than" in err
     code, _, err = run(capsys, "consequence", "LETK", "--conclusion", " & ".join(["p"] * 1200))
     assert code == 2 and err.startswith("error: bad formula")
+
+
+def test_files_that_are_not_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"worlds": ["w1"]}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "eval", str(path), "--world", "w1", "--formula", "p")
+    assert code == 2 and out == "" and err.startswith(f"error: cannot load model {path}")
+    code, out, err = run(capsys, "check-frame", str(path), "--axiom", "T")
+    assert code == 2 and out == "" and err.startswith(f"error: cannot load frame {path}")
+
+
+def test_sample_counts_above_the_cap_exit_2(capsys, fixtures):
+    from manylogic.frames import MAX_SAMPLES
+
+    frame = str(fixtures / "euclid3.json")
+    for samples in (str(MAX_SAMPLES + 1), "99999999999999999999"):
+        code, out, err = run(capsys, "check-frame", frame, "--axiom", "T", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == f"error: sampled checks draw at most {MAX_SAMPLES} samples, got {samples}\n"
+        code, out, err = run(capsys, "verify", "--logics", "K3", "--samples", samples)
+        assert code == 2 and out == "" and err.startswith("error: sampled checks draw at most")
+
+
+def test_valuation_key_that_is_not_an_atom_exits_2(capsys, fixtures, tmp_path):
+    data = json.loads((fixtures / "ex1.json").read_text())
+    data["valuation"]["w1"]["P"] = "T"
+    path = tmp_path / "upper.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "eval", str(path), "--world", "w1", "--formula", "p")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot load model {path}") and "'P' is not an atom name" in err

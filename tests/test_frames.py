@@ -375,3 +375,17 @@ def test_theorem_suite_shape():
     assert by_name["duality"].passed
     assert by_name["B"].passed and by_name["D"].passed  # observation-only
     assert report.seed == DEFAULT_SEED
+
+
+def test_sampled_checks_refuse_more_than_the_cap():
+    from manylogic.frames import MAX_SAMPLES, THEOREMS, run_theorem
+
+    assert MAX_SAMPLES >= 10_000  # the largest budget the checklist and the CLI use
+    small = Frame(("w1",), frozenset(), {"w1": "FDE"})
+    for samples in (MAX_SAMPLES + 1, 10**20):
+        with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
+            axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("sampled", samples))
+        with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
+            sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
+        with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
+            run_theorem(THEOREMS["K"], LOGIC_IDS, samples)

@@ -273,3 +273,45 @@ def test_random_models_evaluate_inside_their_world_lattices():
                 value = eval_formula(model, w, parse(text))
                 assert value in lg.lattice.members
                 assert holds(model, w, parse(text)) == lg.is_designated(value)
+
+
+def test_successors_match_the_per_world_comprehension():
+    # The adjacency built in one pass over the sorted relation must list
+    # each world's successors exactly as filtering the whole sorted
+    # relation once per world does, dead ends included.
+    import random
+
+    from manylogic.models import Frame
+
+    def reference(relation, w):
+        return tuple(v for u, v in sorted(relation) if u == w)
+
+    rng = random.Random(11)
+    for n in (1, 2, 5, 12, 40):
+        worlds = tuple(f"w{i}" for i in rng.sample(range(100), n))
+        for density in (0.0, 0.1, 0.5, 1.0):
+            relation = frozenset(
+                (u, v) for u in worlds for v in worlds if rng.random() < density
+            )
+            model = Model(worlds, relation, dict.fromkeys(worlds, "K3"), {})
+            frame = Frame(worlds, relation | {("x", worlds[0])}, {})
+            for w in worlds:
+                assert model.successors(w) == reference(relation, w)
+                assert frame.successors(w) == reference(relation, w)
+                assert model.frame.successors(w) == model.successors(w)
+            assert frame.successors("x") == (worlds[0],)
+            assert frame.successors("nowhere") == ()
+            if density == 0.0:
+                assert all(model.successors(w) == () for w in worlds)
+
+
+def test_valuation_keys_must_be_atom_names(fixtures):
+    data = json.loads((fixtures / "ex1.json").read_text())
+    for key in ("P", "1p", "p q", "", "N", "[]p"):
+        bad = json.loads(json.dumps(data))
+        bad["valuation"]["w1"][key] = "T"
+        with pytest.raises(ModelFormatError, match="not an atom name"):
+            model_from_dict(bad)
+    good = json.loads(json.dumps(data))
+    good["valuation"]["w1"]["p_2Q"] = "T"
+    assert model_from_dict(good).valuation["w1"]["p_2Q"] == V.T

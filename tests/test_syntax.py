@@ -207,15 +207,174 @@ def test_formulas_at_the_cap_run_through_every_walker(shape):
     else:
         with pytest.raises(ModalFormulaError):
             matrix_consequence(letk, [], f)
-    # Desugaring => repeats each argument three times, and the model and
-    # frame evaluators hash that tree without its sharing, in time
-    # exponential in the depth; they run on the other shapes.
-    if "=>" not in SHAPES[shape](2):
-        model = models.model_from_dict({
-            "worlds": ["w", "u"], "logics": {"w": "LETK", "u": "K3"},
-            "relation": [["w", "u"], ["u", "u"]],
-            "valuation": {"w": {"p": "b", "q": "T"}, "u": {"p": "T0", "q": "n"}},
-        })
-        assert models.eval_formula(model, "w", f) in set(V)
-        names = tuple(sorted(atoms(f)))
-        assert frames.compile_program(f, "up", names)
+    model = models.model_from_dict({
+        "worlds": ["w", "u"], "logics": {"w": "LETK", "u": "K3"},
+        "relation": [["w", "u"], ["u", "u"]],
+        "valuation": {"w": {"p": "b", "q": "T"}, "u": {"p": "T0", "q": "n"}},
+    })
+    assert models.eval_formula(model, "w", f) in set(V)
+    names = tuple(sorted(atoms(f)))
+    assert frames.compile_program(f, "up", names)
+
+
+def test_structurally_equal_formulas_are_one_object():
+    assert parse("p -> q") is parse("p -> q")
+    assert Neg(Atom("p")) is Neg(Atom("p"))
+    assert parse("[](p & !q)") is Box(And(p, Neg(q)))
+    assert Bottom() is Bottom()
+
+
+def test_different_classes_with_equal_fields_stay_distinct():
+    assert Box(p) is not Diamond(p) and Box(p) != Diamond(p)
+    assert Imp(p, q) is not ImpL(p, q) and Imp(p, q) != ImpL(p, q)
+    assert Neg(p) != Circ(p)
+    assert len({Box(p), Diamond(p), Imp(p, q), ImpL(p, q), Neg(p), Circ(p)}) == 6
+
+
+def test_formulas_are_immutable():
+    f = parse("p -> q")
+    with pytest.raises(AttributeError):
+        f.left = q
+    with pytest.raises(AttributeError):
+        p.name = "r"
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f is Imp(p, q) and p.name == "p"
+
+
+def test_constructors_check_their_fields():
+    with pytest.raises(TypeError):
+        Neg()
+    with pytest.raises(TypeError):
+        Imp(p)
+    with pytest.raises(TypeError):
+        Imp(p, q, p)
+    with pytest.raises(TypeError):
+        Atom(name="p")
+
+
+def test_repr_is_the_dataclass_text():
+    assert repr(parse("p -> q")) == "Imp(left=Atom(name='p'), right=Atom(name='q'))"
+    assert repr(parse("!#")) == "Neg(child=Bottom())"
+    assert repr(parse("[]<>p")) == "Box(child=Diamond(child=Atom(name='p')))"
+
+
+def test_pickling_and_copying_return_the_interned_node():
+    import copy
+    import pickle
+
+    f = parse("N(p => q) & ~<>p")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+
+@given(formulas)
+def test_desugar_of_desugar_is_the_same_object(f):
+    core = desugar(f)
+    assert desugar(core) is core
+    assert desugar(f) is core
+
+
+# The recursive printer and size that formulas had before they cached both
+# on the node, kept as the reference the cached versions are checked against.
+def _reference_prec(f):
+    if isinstance(f, (Imp, ImpL)):
+        return 1
+    if isinstance(f, Or):
+        return 2
+    if isinstance(f, And):
+        return 3
+    return 4
+
+
+_REFERENCE_UNARY = {Neg: "!", Circ: "@", CNeg: "~", Nabla: "N", Box: "[]", Diamond: "<>"}
+_REFERENCE_BINARY = {And: "&", Or: "|", Imp: "->", ImpL: "=>"}
+
+
+def _reference_text(f):
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Bottom):
+        return "#"
+    if isinstance(f, (Neg, Circ, CNeg, Nabla, Box, Diamond)):
+        inner = _reference_text(f.child)
+        if _reference_prec(f.child) < 4:
+            inner = f"({inner})"
+        return _REFERENCE_UNARY[type(f)] + inner
+    sym = _REFERENCE_BINARY[type(f)]
+    lprec, rprec = _reference_prec(f.left), _reference_prec(f.right)
+    here = _reference_prec(f)
+    left = _reference_text(f.left)
+    right = _reference_text(f.right)
+    if lprec < here or (lprec == here and here == 1):
+        left = f"({left})"
+    if rprec < here or (rprec == here and here > 1):
+        right = f"({right})"
+    return f"{left} {sym} {right}"
+
+
+def _reference_size(f):
+    if isinstance(f, (Atom, Bottom)):
+        return 1
+    if isinstance(f, (Neg, Circ, CNeg, Nabla, Box, Diamond)):
+        return 1 + _reference_size(f.child)
+    return 1 + _reference_size(f.left) + _reference_size(f.right)
+
+
+@given(formulas)
+def test_cached_text_and_size_match_the_recursive_definitions(f):
+    assert to_text(f) == _reference_text(f)
+    assert size(f) == _reference_size(f)
+    core = desugar(f)
+    assert to_text(core) == _reference_text(core)
+    assert size(core) == _reference_size(core)
+
+
+def test_clause_order_matches_the_recursive_sort_key_on_the_ac12_corpus():
+    from manylogic.bivaluations import _ordered
+    from manylogic.verify import AC12_SEED, AC12_SEQUENT_COUNT, make_sequents
+
+    corpus = (make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or=True)
+              + make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or=False))
+    for premises, conclusion in corpus:
+        closure = subformula_closure([desugar(f) for f in premises + [conclusion]])
+        want = sorted(closure, key=lambda f: (_reference_size(f), _reference_text(f)))
+        assert _ordered(closure) == want
+
+
+def test_nested_chain_implications_share_their_desugared_arguments():
+    f = parse(" => ".join(["p"] * 12))
+    core = desugar(f)
+    assert size(core) > 3**11  # the tree repeats each argument three times
+    assert len(subformulas(core)) < 12 * 12  # the nodes do not
+    model = models.model_from_dict({
+        "worlds": ["w"], "logics": {"w": "LETK"}, "relation": [], "valuation": {"w": {"p": "b"}},
+    })
+    assert models.eval_formula(model, "w", f) in set(V)
+    assert len(frames.compile_program(f, "up", ("p",))) == len(subformulas(core))
+
+
+def test_threads_building_the_same_formulas_get_one_node_each():
+    import sys
+    import threading
+
+    texts = [f"(t{i} -> !u{i}) & @t{i} | [](u{i} => t{i})" for i in range(300)]
+    results: list[list] = [[] for _ in range(8)]
+
+    def build(out):
+        out.extend(parse(t) for t in texts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == len(texts)
+        assert all(a is b for a, b in zip(out, results[0]))
