@@ -8,6 +8,7 @@ input (flags, files, formulas).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,9 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every call of main reuses: building one costs more than
+    most requests.  Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # The package's own refusals (a budget, an atom or closure cap, a modal
     # formula where consequence takes none) are bad input as well.
     try:

@@ -20,8 +20,14 @@ import numpy as np
 
 from . import syntax
 from .logics import LOGIC_IDS, LOGICS
-from .models import Frame, Model
-from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg, parse
+from .models import (  # the value tables and the compiler live in models
+    _LOGIC_INDEX,
+    BOT_T, CIRC_T, DESIG_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T,
+    Frame,
+    Model,
+    compile_program,
+)
+from .syntax import Box, Diamond, Formula, Neg, parse
 from .values import Value
 
 DEFAULT_SEED = 0
@@ -105,99 +111,13 @@ class CheckResult:
 
 # ---------------------------------------------------------------- tables
 
-_N_LOGIC = len(LOGIC_IDS)
-_LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
-
 ELEMENT_CODES = [
     np.array([int(v) for v in LOGICS[lid].lattice.elements], dtype=np.int8)
     for lid in LOGIC_IDS
 ]
 
-def _fill_tables():
-    meet = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    join = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    imp = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    circ = np.full((_N_LOGIC, 6), -1, dtype=np.int8)
-    neg = np.zeros(6, dtype=np.int8)
-    down = np.zeros((_N_LOGIC, 6), dtype=np.int8)
-    up = np.zeros((_N_LOGIC, 6), dtype=np.int8)
-    desig = np.zeros((_N_LOGIC, 6), dtype=bool)
-    top = np.zeros(_N_LOGIC, dtype=np.int8)
-    bot = np.zeros(_N_LOGIC, dtype=np.int8)
-    from .logics import apply
-
-    letk = LOGICS["LETK"]
-    for x in Value:
-        neg[int(x)] = int(apply(letk, "neg", [x]))
-    for li, lid in enumerate(LOGIC_IDS):
-        logic = LOGICS[lid]
-        lat = logic.lattice
-        top[li], bot[li] = int(lat.top), int(lat.bottom)
-        for x in Value:
-            down[li][int(x)] = int(lat.down(x))
-            up[li][int(x)] = int(lat.up(x))
-        for x in lat.elements:
-            circ[li][int(x)] = int(apply(logic, "circ", [x]))
-            desig[li][int(x)] = logic.is_designated(x)
-            for y in lat.elements:
-                meet[li][int(x)][int(y)] = int(lat.meet(x, y))
-                join[li][int(x)][int(y)] = int(lat.join(x, y))
-                imp[li][int(x)][int(y)] = int(apply(logic, "imp", [x, y]))
-    return meet, join, imp, circ, neg, down, up, desig, top, bot
-
-
-MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fill_tables()
-
 
 # ------------------------------------------------------------- programs
-
-def _resolve(f: Formula, variant: str) -> Formula:
-    """Replace diamonds with their negation rewrites when requested; the
-    other variants keep f as it is."""
-    if variant not in ("negbox", "cnegbox"):
-        return f
-    out: dict[Formula, Formula] = {}
-    for g in syntax.postorder(f):
-        kids = [out[c] for c in syntax.children(g)]
-        if isinstance(g, Diamond):
-            if variant == "negbox":
-                out[g] = Neg(Box(Neg(kids[0])))
-            else:
-                out[g] = Imp(Box(Imp(kids[0], Bottom())), Bottom())
-        else:
-            out[g] = type(g)(*kids) if kids else g
-    return out[f]
-
-
-_OPCODES = {
-    Bottom: "bottom", Neg: "neg", syntax.Circ: "circ",
-    syntax.And: "and", syntax.Or: "or", Imp: "imp", Box: "box",
-}
-
-
-def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
-    """Postfix program over value codes, one node per distinct subformula,
-    children before parents."""
-    if variant not in ("up", "down", "negbox", "cnegbox"):
-        raise BudgetError(f"unknown diamond variant {variant!r}")
-    f = _resolve(syntax.desugar(f), variant)
-    dia_kind = "dia_up" if variant != "down" else "dia_down"
-    index: dict[Formula, int] = {}
-    prog: list[tuple] = []
-    for g in syntax.postorder(f):
-        kind = type(g)
-        if kind is syntax.Atom:
-            node = ("atom", atom_names.index(g.name))
-        elif kind is Diamond:
-            node = (dia_kind, index[g.child])
-        elif kind in _OPCODES:
-            node = (_OPCODES[kind], *[index[c] for c in syntax.children(g)])
-        else:
-            raise BudgetError(f"cannot compile {kind.__name__}")
-        index[g] = len(prog)
-        prog.append(node)
-    return prog
-
 
 def _eval_slots(prog, succs, lat, vals):
     """Evaluate a program over value-code arrays: lat[w] and vals[a][w]

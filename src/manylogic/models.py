@@ -5,6 +5,10 @@ A box value at a world is the meet, inside that world's lattice, of the
 down-interpreted values at its successors.  Diamonds come in four
 variants: joins of up-interpreted values (the default), joins of
 down-interpreted values, and the two negation rewrites !box! and ~box~.
+
+Formulas compile to a postfix program over integer value codes, run on
+the value tables below.  `eval_formula` runs it over a model's whole
+world axis; `frames` runs it over a batch of valuations per world.
 """
 
 from __future__ import annotations
@@ -12,9 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from . import syntax
-from .logics import LOGICS, MatrixLogic, apply
+from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
 from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
 from .values import Value, parse_value
 
@@ -34,14 +42,19 @@ def _adjacency(relation) -> dict[str, tuple[str, ...]]:
     return {u: tuple(vs) for u, vs in succ.items()}
 
 
+def _read_only(mapping) -> Mapping:
+    return MappingProxyType(dict(mapping))
+
+
 @dataclass(frozen=True)
 class Frame:
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
-    logics: dict[str, str]  # world -> logic id
+    logics: Mapping[str, str]  # world -> logic id, read-only
     _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "logics", _read_only(self.logics))
         self._succ.update(_adjacency(self.relation))
 
     def successors(self, w: str) -> tuple[str, ...]:
@@ -50,30 +63,46 @@ class Frame:
     def logic(self, w: str) -> MatrixLogic:
         return LOGICS[self.logics[w]]
 
+    def __reduce__(self):  # read-only mappings do not pickle; their contents do
+        return Frame, (self.worlds, self.relation, dict(self.logics))
+
 
 @dataclass(frozen=True)
 class Model:
+    """A Kripke model.  `logics` and every `valuation` row are read-only
+    copies, so the encoding `eval_formula` keeps on the model stays true
+    to it."""
+
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
-    logics: dict[str, str]
-    valuation: dict[str, dict[str, Value]]
+    logics: Mapping[str, str]
+    valuation: Mapping[str, Mapping[str, Value]]
     diamond: str = "up"
     _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
+    # worked out on first use, by validate and eval_formula
+    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
+    _encoding: _Encoding | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        succ = _adjacency(self.relation)
-        for w in self.worlds:
-            self._succ[w] = succ.get(w, ())
+        object.__setattr__(self, "logics", _read_only(self.logics))
+        object.__setattr__(self, "valuation", MappingProxyType(
+            {w: _read_only(row) for w, row in self.valuation.items()}
+        ))
+        self._succ.update(_adjacency(self.relation))
 
     @property
     def frame(self) -> Frame:
         return Frame(self.worlds, self.relation, self.logics)
 
     def successors(self, w: str) -> tuple[str, ...]:
-        return self._succ[w]
+        return self._succ.get(w, ())
 
     def logic(self, w: str) -> MatrixLogic:
         return LOGICS[self.logics[w]]
+
+    def __reduce__(self):  # read-only mappings do not pickle; their contents do
+        valuation = {w: dict(row) for w, row in self.valuation.items()}
+        return Model, (self.worlds, self.relation, dict(self.logics), valuation, self.diamond)
 
 
 @dataclass(frozen=True)
@@ -87,16 +116,25 @@ class ValidationReport:
 
 
 def validate(model: Model) -> ValidationReport:
+    """The model's errors and warnings, worked out once per model."""
+    if model._report is None:
+        object.__setattr__(model, "_report", _validate(model))
+    return model._report
+
+
+def _validate(model: Model) -> ValidationReport:
     errors, warnings = [], []
     if not model.worlds:
         errors.append("empty world set")
     seen = set(model.worlds)
     if len(seen) != len(model.worlds):
         errors.append("duplicate world names")
-    for (u, v) in sorted(model.relation):
-        for w in (u, v):
-            if w not in seen:
-                errors.append(f"relation names unknown world {w!r}")
+    succ = model._succ  # each source world of the relation -> its successors
+    if not (seen.issuperset(succ) and all(map(seen.issuperset, succ.values()))):
+        for (u, v) in sorted(model.relation):
+            for w in (u, v):
+                if w not in seen:
+                    errors.append(f"relation names unknown world {w!r}")
     for w in model.worlds:
         if w not in model.logics:
             errors.append(f"world {w!r} has no logic")
@@ -119,65 +157,199 @@ def validate(model: Model) -> ValidationReport:
                 if val not in lat.members:
                     errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
     for w in model.worlds:
-        missing = sorted(all_atoms - set(model.valuation.get(w, {})))
+        missing = all_atoms.difference(model.valuation.get(w, ()))
         if missing:
             warnings.append(
-                f"world {w!r} has no value for {', '.join(missing)}; defaulting to lattice bottom"
+                f"world {w!r} has no value for {', '.join(sorted(missing))}; "
+                "defaulting to lattice bottom"
             )
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
-def _atom_value(model: Model, w: str, name: str) -> Value:
-    row = model.valuation.get(w, {})
-    if name in row:
-        return row[name]
-    return model.logic(w).lattice.bottom
+# ---------------------------------------------------------------- tables
+#
+# Value codes are the `Value` integers.  Indexed by logic (its position in
+# LOGIC_IDS) and then by codes; -1 marks an argument outside the logic's
+# lattice.  NEG_T is the same in every logic.
+
+_N_LOGIC = len(LOGIC_IDS)
+_LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
+
+
+def _fill_tables():
+    meet = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
+    join = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
+    imp = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
+    circ = np.full((_N_LOGIC, 6), -1, dtype=np.int8)
+    neg = np.zeros(6, dtype=np.int8)
+    down = np.zeros((_N_LOGIC, 6), dtype=np.int8)
+    up = np.zeros((_N_LOGIC, 6), dtype=np.int8)
+    desig = np.zeros((_N_LOGIC, 6), dtype=bool)
+    top = np.zeros(_N_LOGIC, dtype=np.int8)
+    bot = np.zeros(_N_LOGIC, dtype=np.int8)
+
+    letk = LOGICS["LETK"]
+    for x in Value:
+        neg[int(x)] = int(apply(letk, "neg", [x]))
+    for li, lid in enumerate(LOGIC_IDS):
+        logic = LOGICS[lid]
+        lat = logic.lattice
+        top[li], bot[li] = int(lat.top), int(lat.bottom)
+        for x in Value:
+            down[li][int(x)] = int(lat.down(x))
+            up[li][int(x)] = int(lat.up(x))
+        for x in lat.elements:
+            circ[li][int(x)] = int(apply(logic, "circ", [x]))
+            desig[li][int(x)] = logic.is_designated(x)
+            for y in lat.elements:
+                meet[li][int(x)][int(y)] = int(lat.meet(x, y))
+                join[li][int(x)][int(y)] = int(lat.join(x, y))
+                imp[li][int(x)][int(y)] = int(apply(logic, "imp", [x, y]))
+    return meet, join, imp, circ, neg, down, up, desig, top, bot
+
+
+MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fill_tables()
+
+
+# ------------------------------------------------------------- programs
+
+def _resolve(f: Formula, variant: str) -> Formula:
+    """Replace diamonds with their negation rewrites when requested; the
+    other variants keep f as it is."""
+    if variant not in ("negbox", "cnegbox"):
+        return f
+    out: dict[Formula, Formula] = {}
+    for g in syntax.postorder(f):
+        kids = [out[c] for c in syntax.children(g)]
+        if isinstance(g, Diamond):
+            if variant == "negbox":
+                out[g] = Neg(Box(Neg(kids[0])))
+            else:
+                out[g] = Imp(Box(Imp(kids[0], Bottom())), Bottom())
+        else:
+            out[g] = type(g)(*kids) if kids else g
+    return out[f]
+
+
+_OPCODES = {
+    Bottom: "bottom", Neg: "neg", syntax.Circ: "circ",
+    syntax.And: "and", syntax.Or: "or", Imp: "imp", Box: "box",
+}
+
+
+def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
+    """Postfix program over value codes, one node per distinct subformula,
+    children before parents."""
+    if variant not in DIAMOND_VARIANTS:
+        raise ModelFormatError(f"unknown diamond variant {variant!r}")
+    f = _resolve(syntax.desugar(f), variant)
+    dia_kind = "dia_up" if variant != "down" else "dia_down"
+    index: dict[Formula, int] = {}
+    prog: list[tuple] = []
+    for g in syntax.postorder(f):
+        kind = type(g)
+        if kind is syntax.Atom:
+            node = ("atom", atom_names.index(g.name))
+        elif kind is Diamond:
+            node = (dia_kind, index[g.child])
+        elif kind in _OPCODES:
+            node = (_OPCODES[kind], *[index[c] for c in syntax.children(g)])
+        else:
+            raise ModelFormatError(f"cannot compile {kind.__name__}")
+        index[g] = len(prog)
+        prog.append(node)
+    return prog
+
+
+# ------------------------------------------------------------ evaluation
+
+_VALUES = tuple(Value)  # by code
+_MEET, _JOIN, _IMP, _CIRC, _NEG, _DOWN, _UP, _TOP, _BOT = (
+    t.tolist() for t in (MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, TOP_T, BOT_T)
+)
+_BINARY = {"and": _MEET, "or": _JOIN, "imp": _IMP}
+_FOLDS = {  # node kind -> (fold, interpretation map, unit of the fold)
+    "box": (_MEET, _DOWN, _TOP),
+    "dia_up": (_JOIN, _UP, _BOT),
+    "dia_down": (_JOIN, _DOWN, _BOT),
+}
+
+
+class _Encoding:
+    """A valid model on value codes along its world axis: each world's
+    logic index, successor positions and atom values, and the root row
+    of every formula evaluated so far."""
+
+    def __init__(self, model: Model):
+        report = validate(model)
+        if not report.ok:
+            raise ModelFormatError("invalid model: " + "; ".join(report.errors))
+        worlds, succ = model.worlds, model._succ
+        self.index = index = {w: i for i, w in enumerate(worlds)}
+        self.lat = lat = [_LOGIC_INDEX[model.logics[w]] for w in worlds]
+        self.succs = [[index[u] for u in succ.get(w, ())] for w in worlds]
+        self.variant = model.diamond
+        self.bot = [_BOT[li] for li in lat]
+        self.columns: dict[str, list[int]] = {}
+        for w, row in model.valuation.items():
+            i = index[w]
+            for name, v in row.items():
+                col = self.columns.get(name)
+                if col is None:  # an atom missing at a world is its bottom
+                    col = self.columns[name] = self.bot.copy()
+                col[i] = int(v)
+        self.roots: dict[Formula, list[int]] = {}
+
+    def root(self, f: Formula) -> list[int]:
+        """f's value code at every world."""
+        row = self.roots.get(f)
+        if row is None:
+            row = self.roots[f] = self._run(f)
+        return row
+
+    def _run(self, f: Formula) -> list[int]:
+        names = tuple(syntax.atoms(f))
+        lat, succs = self.lat, self.succs
+        slots: list[list[int]] = []
+        for node in compile_program(f, self.variant, names):
+            kind = node[0]
+            if kind == "atom":
+                row = self.columns.get(names[node[1]], self.bot)
+            elif kind == "bottom":
+                row = self.bot
+            elif kind == "neg":
+                row = [_NEG[x] for x in slots[node[1]]]
+            elif kind == "circ":
+                row = [_CIRC[li][x] for li, x in zip(lat, slots[node[1]])]
+            elif kind in _BINARY:
+                t = _BINARY[kind]
+                row = [t[li][x][y] for li, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+            else:  # box, dia_up, dia_down: fold from the unit over the successors
+                fold, interp, unit = _FOLDS[kind]
+                ch = slots[node[1]]
+                row = []
+                for li, ss in zip(lat, succs):
+                    op, to, acc = fold[li], interp[li], unit[li]
+                    for u in ss:
+                        acc = op[acc][to[ch[u]]]
+                    row.append(acc)
+            slots.append(row)
+        return slots[-1]
 
 
 def eval_formula(model: Model, world: str, f: Formula) -> Value:
-    if world not in model.worlds:
+    """The value of f at a world.  The first query of a model encodes it,
+    raising ModelFormatError if `validate` reports errors; the first
+    query of a formula evaluates it at every world and keeps that row on
+    the model, so later queries of it are lookups."""
+    enc = model._encoding
+    if enc is None:
+        enc = _Encoding(model)
+        object.__setattr__(model, "_encoding", enc)
+    i = enc.index.get(world)
+    if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    return _eval(model, world, syntax.desugar(f), {})
-
-
-def _eval(model: Model, w: str, f: Formula, memo: dict) -> Value:
-    key = (w, f)
-    if key in memo:
-        return memo[key]
-    logic = model.logic(w)
-    lat = logic.lattice
-    if isinstance(f, syntax.Atom):
-        out = _atom_value(model, w, f.name)
-    elif isinstance(f, Bottom):
-        out = lat.bottom
-    elif isinstance(f, Box):
-        vals = [
-            lat.down(_eval(model, u, f.child, memo)) for u in model.successors(w)
-        ]
-        out = lat.meet_set(vals)
-    elif isinstance(f, Diamond):
-        if model.diamond == "negbox":
-            out = _eval(model, w, Neg(Box(Neg(f.child))), memo)
-        elif model.diamond == "cnegbox":
-            out = _eval(model, w, Imp(Box(Imp(f.child, Bottom())), Bottom()), memo)
-        else:
-            interp = lat.up if model.diamond == "up" else lat.down
-            vals = [interp(_eval(model, u, f.child, memo)) for u in model.successors(w)]
-            out = lat.join_set(vals)
-    elif isinstance(f, syntax.Neg):
-        out = apply(logic, "neg", [_eval(model, w, f.child, memo)])
-    elif isinstance(f, syntax.Circ):
-        out = apply(logic, "circ", [_eval(model, w, f.child, memo)])
-    elif isinstance(f, syntax.And):
-        out = apply(logic, "and", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
-    elif isinstance(f, syntax.Or):
-        out = apply(logic, "or", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
-    elif isinstance(f, syntax.Imp):
-        out = apply(logic, "imp", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
-    else:
-        raise ModelFormatError(f"cannot evaluate node {type(f).__name__}")
-    memo[key] = out
-    return out
+    return _VALUES[enc.root(f)[i]]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:

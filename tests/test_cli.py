@@ -200,3 +200,37 @@ def test_valuation_key_that_is_not_an_atom_exits_2(capsys, fixtures, tmp_path):
     code, out, err = run(capsys, "eval", str(path), "--world", "w1", "--formula", "p")
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot load model {path}") and "'P' is not an atom name" in err
+
+
+def test_main_reuses_one_parser_with_the_same_output(capsys, monkeypatch, fixtures):
+    # main builds its parser once per process; every request, help and
+    # usage errors included, prints and exits as with a fresh parser
+    from manylogic import cli
+
+    requests = [
+        ("tables", "K3", "--conn", "and"),
+        ("eval", str(fixtures / "ex1.json"), "--world", "w1", "--formula", "<>p",
+         "--diamond", "negbox"),
+        ("tables", "NOPE"),
+        ("eval", str(fixtures / "ex1.json")),
+        ("check-frame", "--help"),
+        ("consequence", "LP", "--conclusion", "p -> p"),
+    ]
+
+    def outputs():
+        out = []
+        for argv in requests:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    reused = outputs()
+    assert cli._parser() is cli._parser()
+    assert outputs() == reused
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == reused
+    assert reused[1][:2] == (0, "T DESIGNATED\n")

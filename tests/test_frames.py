@@ -297,9 +297,12 @@ def test_budget_errors():
 
 def test_program_evaluator_agrees_with_the_model_evaluator():
     # the compiled program evaluator behind every sweep and the recursive
-    # model evaluator are independent paths; they must agree value-for-value
-    # under every diamond variant, on a batch of valuations per model, with
-    # at least one world that has no successors
+    # reference evaluator (the model evaluator eval_formula replaced) are
+    # independent paths; they must agree value-for-value under every
+    # diamond variant, on a batch of valuations per model, with at least
+    # one world that has no successors
+    from test_models import reference_eval
+
     from manylogic.frames import _LOGIC_INDEX, _eval_slots, compile_program
 
     rng = Random(23)
@@ -340,7 +343,7 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
                 for k, valuation in enumerate(valuations):
                     model = Model(worlds, relation, dict(zip(worlds, lids)), valuation, variant)
                     for w in range(n):
-                        want = eval_formula(model, worlds[w], parse(text))
+                        want = reference_eval(model, worlds[w], parse(text))
                         assert V(int(fast[w][k])) == want, (variant, text, model, worlds[w])
 
 

@@ -1,11 +1,17 @@
+import copy
 import json
+import pickle
 from itertools import product
+from random import Random
 
 import pytest
 
+from manylogic import syntax
 from manylogic.lattices import L6
-from manylogic.logics import LOGIC_IDS, LOGICS
+from manylogic.logics import LOGIC_IDS, LOGICS, apply
 from manylogic.models import (
+    DIAMOND_VARIANTS,
+    Frame,
     Model,
     ModelFormatError,
     eval_formula,
@@ -15,7 +21,9 @@ from manylogic.models import (
     model_to_dict,
     validate,
 )
-from manylogic.syntax import parse
+from manylogic.syntax import (
+    And, Atom, Bottom, Box, Circ, CNeg, Diamond, Imp, ImpL, Nabla, Neg, Or, modal_depth, parse,
+)
 from manylogic.values import Value as V
 
 
@@ -315,3 +323,170 @@ def test_valuation_keys_must_be_atom_names(fixtures):
     good = json.loads(json.dumps(data))
     good["valuation"]["w1"]["p_2Q"] = "T"
     assert model_from_dict(good).valuation["w1"]["p_2Q"] == V.T
+
+
+# ------------------------------------------------------------ reference
+#
+# The recursive, one-world-at-a-time evaluator that eval_formula replaced,
+# kept as the reference for the compiled one.
+
+
+def _atom_value(model, w, name):
+    row = model.valuation.get(w, {})
+    if name in row:
+        return row[name]
+    return model.logic(w).lattice.bottom
+
+
+def reference_eval(model, world, f):
+    return _eval(model, world, syntax.desugar(f), {})
+
+
+def _eval(model, w, f, memo):
+    key = (w, f)
+    if key in memo:
+        return memo[key]
+    logic = model.logic(w)
+    lat = logic.lattice
+    if isinstance(f, syntax.Atom):
+        out = _atom_value(model, w, f.name)
+    elif isinstance(f, Bottom):
+        out = lat.bottom
+    elif isinstance(f, Box):
+        vals = [
+            lat.down(_eval(model, u, f.child, memo)) for u in model.successors(w)
+        ]
+        out = lat.meet_set(vals)
+    elif isinstance(f, Diamond):
+        if model.diamond == "negbox":
+            out = _eval(model, w, Neg(Box(Neg(f.child))), memo)
+        elif model.diamond == "cnegbox":
+            out = _eval(model, w, Imp(Box(Imp(f.child, Bottom())), Bottom()), memo)
+        else:
+            interp = lat.up if model.diamond == "up" else lat.down
+            vals = [interp(_eval(model, u, f.child, memo)) for u in model.successors(w)]
+            out = lat.join_set(vals)
+    elif isinstance(f, syntax.Neg):
+        out = apply(logic, "neg", [_eval(model, w, f.child, memo)])
+    elif isinstance(f, syntax.Circ):
+        out = apply(logic, "circ", [_eval(model, w, f.child, memo)])
+    elif isinstance(f, syntax.And):
+        out = apply(logic, "and", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
+    elif isinstance(f, syntax.Or):
+        out = apply(logic, "or", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
+    elif isinstance(f, syntax.Imp):
+        out = apply(logic, "imp", [_eval(model, w, f.left, memo), _eval(model, w, f.right, memo)])
+    else:
+        raise ModelFormatError(f"cannot evaluate node {type(f).__name__}")
+    memo[key] = out
+    return out
+
+
+def _random_formula(rng, size, modal):
+    """A formula over p, q, r and # with about `size` connectives and at
+    most `modal` nested boxes and diamonds."""
+    if size <= 0:
+        return rng.choice((Atom("p"), Atom("q"), Atom("r"), Bottom()))
+    pick = rng.random()
+    if modal and pick < 0.35:
+        return rng.choice((Box, Diamond))(_random_formula(rng, size - 1, modal - 1))
+    if pick < 0.65:
+        return rng.choice((Neg, Circ, CNeg, Nabla))(_random_formula(rng, size - 1, modal))
+    split = rng.randrange(size)
+    return rng.choice((And, Or, Imp, ImpL))(
+        _random_formula(rng, split, modal), _random_formula(rng, size - 1 - split, modal)
+    )
+
+
+def test_eval_formula_agrees_with_the_reference_evaluator():
+    # Seeded random models: 1-12 worlds, every logic and diamond variant,
+    # dead ends and self-loops, p and q missing at some worlds and r at
+    # all.  Each model is queried formula-major and then world-major on
+    # the same object (the second pass reads the kept rows), and
+    # world-major on a fresh copy.
+    rng = Random(41)
+    depths, logics_seen, variants_seen = set(), set(), set()
+    for trial in range(160):
+        n = rng.randint(1, 12)
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        lids = {w: rng.choice(LOGIC_IDS) for w in worlds}
+        density = rng.choice((0.0, 0.15, 0.4, 0.8))
+        dead = rng.choice(worlds)
+        relation = frozenset(
+            (a, b) for a in worlds for b in worlds if a != dead and rng.random() < density
+        )
+        valuation = {
+            w: {a: rng.choice(LOGICS[lids[w]].lattice.elements)
+                for a in ("p", "q") if rng.random() < 0.8}
+            for w in worlds
+        }
+        variant = DIAMOND_VARIANTS[trial % len(DIAMOND_VARIANTS)]
+        model = Model(worlds, relation, lids, valuation, variant)
+        fs = [_random_formula(rng, rng.randint(0, 7), rng.randint(0, 3)) for _ in range(6)]
+        want = {(w, f): reference_eval(model, w, f) for f in fs for w in worlds}
+        for f in fs:
+            for w in worlds:
+                assert eval_formula(model, w, f) == want[w, f], (model, w, syntax.to_text(f))
+        fresh = Model(worlds, relation, lids, valuation, variant)
+        for m in (model, fresh):
+            for w in worlds:
+                for f in fs:
+                    assert eval_formula(m, w, f) == want[w, f], (m, w, syntax.to_text(f))
+        depths.update(modal_depth(f) for f in fs)
+        logics_seen.update(lids.values())
+        variants_seen.add(variant)
+    assert depths == {0, 1, 2, 3}
+    assert logics_seen == set(LOGIC_IDS) and variants_seen == set(DIAMOND_VARIANTS)
+
+
+# Models that validate rejects, and a formula each; construction accepts them.
+_INVALID_MODELS = {
+    "value-outside-the-world-lattice": (lambda: mk(["w"], {"w": "K3"}, [], {"w": {"p": V.T}}), "p"),
+    "negated-value-outside-the-world-lattice": (
+        lambda: mk(["w"], {"w": "K3"}, [], {"w": {"p": V.T}}), "!p",
+    ),
+    "relation-to-an-unknown-world": (lambda: mk(["w"], {"w": "K3"}, [("w", "v")], {}), "[]p"),
+    "unknown-logic": (lambda: mk(["w"], {"w": "XXX"}, [], {}), "p"),
+    "world-without-a-logic": (lambda: mk(["w"], {}, [], {}), "p"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID_MODELS))
+def test_eval_refuses_models_that_validate_rejects(case):
+    build, text = _INVALID_MODELS[case]
+    model = build()
+    errors = validate(model).errors
+    assert errors
+    for _ in range(2):  # a refused model stays refused
+        with pytest.raises(ModelFormatError) as exc:
+            eval_formula(model, "w", parse(text))
+        assert str(exc.value) == "invalid model: " + "; ".join(errors)
+
+
+def test_models_are_read_only(fixtures):
+    model = load_model(fixtures / "ex1.json")
+    before = eval_formula(model, "w1", parse("[]p"))
+    with pytest.raises(TypeError):
+        model.valuation["w1"]["p"] = V.F
+    with pytest.raises(TypeError):
+        model.logics["w1"] = "K3"
+    with pytest.raises(TypeError):
+        model.valuation["w9"] = {}
+    with pytest.raises(TypeError):
+        model.frame.logics["w1"] = "K3"
+    assert eval_formula(model, "w1", parse("[]p")) == before
+    # construction copies what it is given
+    logics, row = {"w": "K3"}, {"p": V.T0}
+    small = Model(("w",), frozenset(), logics, {"w": row})
+    logics["w"], row["p"] = "LP", V.F0
+    assert small.logics["w"] == "K3" and small.valuation["w"]["p"] == V.T0
+    assert eval_formula(small, "w", parse("p")) == V.T0
+    # what reads a model still works on the read-only copies
+    assert model_from_dict(model_to_dict(model)) == model
+    assert json.loads(json.dumps(model_to_dict(model)))["valuation"]["w3"] == {"p": "b"}
+    negbox = Model(model.worlds, model.relation, model.logics, model.valuation, "negbox")
+    assert eval_formula(negbox, "w1", parse("<>p")) == eval_formula(model, "w1", parse("![]!p"))
+    frame = Frame(model.worlds, model.relation, model.logics)
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone == model and eval_formula(clone, "w1", parse("[]p")) == before
+    assert pickle.loads(pickle.dumps(frame)) == frame == copy.copy(frame)
