@@ -1,6 +1,6 @@
 """The two-valued non-deterministic semantics: per-logic clause sets over
-finite subformula-closed domains, consequence by constrained search, and
-the snapshot bridge back to the many-valued side.
+finite subformula-closed domains, consequence by search with unit
+propagation, and the snapshot bridge back to the many-valued side.
 
 Clause 14 is implemented in two readings.  "printed" keeps the source
 text's biconditional rho(!A)=1 iff rho(A)=1, under which the classical
@@ -44,189 +44,155 @@ class ClosureTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class _Instance:
-    name: str
-    indices: tuple[int, ...]
-    # predicate over the full value list; True = satisfied
-    check: object
+class ReadingError(ValueError):
+    """A clause 14 reading outside V14_READINGS."""
 
-    def holds(self, vals) -> bool:
-        return self.check(vals)
+
+# Every clause, stated once, as a predicate over the values of the formulas
+# it mentions, the constrained formula last.  `_instances` says which
+# formulas each clause mentions; search and checking read only the masks.
+_CLAUSES = {
+    1: lambda a, b, t: t == a & b,
+    2: lambda a, b, t: t == a | b,
+    3: lambda a, b, t: t == (1 - a) | b,
+    4: lambda na, nb, t: t == na | nb,
+    5: lambda na, nb, t: t == na & nb,
+    6: lambda a, nb, t: t == a & nb,
+    7: lambda a, t: t == a,
+    8: lambda t: t == 0,
+    9: lambda t: t == 1,
+    10: lambda a, na, t: t == a ^ na,
+    11: lambda ca, t: t == 1 - ca,
+    12: lambda a, na: na == 1 or a == 1,
+    13: lambda a, na: na == 0 or a == 0,
+    15: lambda t: t == 1,
+    16: lambda a, na, t: t == 0 or a ^ na == 1,
+    17: lambda t: t == 1,
+    18: lambda ca, t: t == ca,
+    19: lambda ca, cb, a, b, na, nb, t: t == (ca & cb & a & b) | (ca & na) | (cb & nb),
+    20: lambda ca, cb, na, nb, a, b, t: t == (ca & cb & na & nb) | (ca & a) | (cb & b),
+    21: lambda a, cb, nb, ca, na, b, t: t == (a & cb & nb) | (ca & na) | (cb & b),
+    22: lambda a, cb, t: t == (1 - a) | cb,
+}
+_V14 = {"printed": lambda a, t: t == a, "corrected": lambda a, t: t == 1 - a}
+
+
+def _truth_table(clause) -> int:
+    """Bit r is set iff the clause holds on row r, where bit j of r is the
+    value of the j-th mentioned formula."""
+    arity = clause.__code__.co_argcount
+    return sum(
+        1 << r for r in range(1 << arity) if clause(*[r >> j & 1 for j in range(arity)])
+    )
+
+
+_MASKS = {num: _truth_table(clause) for num, clause in _CLAUSES.items()}
+_V14_MASKS = {reading: _truth_table(clause) for reading, clause in _V14.items()}
+
+
+def _project(ids: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], int]:
+    """The instance over its distinct formulas, when one is mentioned twice
+    (`@(p & p)` mentions `@p` and `!p` twice each)."""
+    distinct = tuple(dict.fromkeys(ids))
+    slots = [distinct.index(i) for i in ids]
+    out = 0
+    for r in range(1 << len(distinct)):
+        full = sum((r >> s & 1) << j for j, s in enumerate(slots))
+        out |= (mask >> full & 1) << r
+    return distinct, out
 
 
 def _ordered(domain) -> list[Formula]:
     return sorted(domain, key=lambda f: (syntax.size(f), to_text(f)))
 
 
-def _instances(
-    logic: MatrixLogic, order: list[Formula], v14_reading: str
-) -> list[_Instance]:
+def _check_reading(v14_reading: str) -> None:
+    if v14_reading not in V14_READINGS:
+        raise ReadingError(
+            f"unknown v14 reading {v14_reading!r} (expected one of {', '.join(V14_READINGS)})"
+        )
+
+
+def _instances(logic: MatrixLogic, order: list[Formula], v14_reading: str) -> list[tuple]:
+    """Every clause instance of the logic over the domain `order`, as
+    (clause number, main formula, indices into `order`, allowed-rows mask)."""
     clauses = CLAUSE_SETS[logic.id]
     idx = {f: i for i, f in enumerate(order)}
-    out: list[_Instance] = []
+    bottom = SNAPSHOTS[logic.lattice.bottom]
+    out: list[tuple] = []
+    masks = {**_MASKS, 14: _V14_MASKS[v14_reading]}
 
     def has(*fs) -> bool:
         return all(f in idx for f in fs)
 
-    def add(num, main, indices, check):
-        out.append(_Instance(f"v{num}[{to_text(main)}]", tuple(indices), check))
-
-    def equiv(num, main, target, fn, *mention):
-        ids = [idx[m] for m in mention]
-        t = idx[target]
-        add(num, main, ids + [t], lambda vals, t=t, ids=ids, fn=fn: vals[t] == fn(*[vals[i] for i in ids]))
+    def add(num, main, *mention):
+        ids = tuple([idx[m] for m in mention])
+        mask = masks[num]
+        # only an instance over three or more formulas can name one twice
+        if len(ids) > 2 and len(set(ids)) < len(ids):
+            ids, mask = _project(ids, mask)
+        out.append((num, main, ids, mask))
 
     for f in order:
-        if isinstance(f, Bottom):
-            snap = SNAPSHOTS[logic.lattice.bottom]
-            add("bot", f, [idx[f]], lambda vals, i=idx[f], v=snap[0]: vals[i] == v)
-        if isinstance(f, And) and 1 in clauses:
-            equiv(1, f, f, lambda a, c: a & c, f.left, f.right)
-        if isinstance(f, Or) and 2 in clauses:
-            equiv(2, f, f, lambda a, c: a | c, f.left, f.right)
-        if isinstance(f, Imp) and 3 in clauses:
-            equiv(3, f, f, lambda a, c: (1 - a) | c, f.left, f.right)
-        if isinstance(f, Neg):
+        kind = type(f)
+        if kind is Bottom:
+            out.append(("bot", f, (idx[f],), 1 << bottom[0]))
+        elif kind is And and 1 in clauses:
+            add(1, f, f.left, f.right, f)
+        elif kind is Or and 2 in clauses:
+            add(2, f, f.left, f.right, f)
+        elif kind is Imp and 3 in clauses:
+            add(3, f, f.left, f.right, f)
+        elif kind is Neg:
             g = f.child
-            if isinstance(g, Bottom):
-                add("bot", f, [idx[f]], lambda vals, i=idx[f], v=SNAPSHOTS[logic.lattice.bottom][1]: vals[i] == v)
-            if isinstance(g, And) and 4 in clauses and has(Neg(g.left), Neg(g.right)):
-                equiv(4, f, f, lambda a, c: a | c, Neg(g.left), Neg(g.right))
-            if isinstance(g, Or) and 5 in clauses and has(Neg(g.left), Neg(g.right)):
-                equiv(5, f, f, lambda a, c: a & c, Neg(g.left), Neg(g.right))
-            if isinstance(g, Imp) and 6 in clauses and has(g.left, Neg(g.right)):
-                equiv(6, f, f, lambda a, c: a & c, g.left, Neg(g.right))
-            if isinstance(g, Neg) and 7 in clauses:
-                equiv(7, g.child, f, lambda a: a, g.child)
-            if isinstance(g, Circ) and 9 in clauses:
-                add(9, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
-            if isinstance(g, Circ) and 11 in clauses:
-                equiv(11, g, f, lambda a: 1 - a, g)
+            sub = type(g)
+            if sub is Bottom:
+                out.append(("bot", f, (idx[f],), 1 << bottom[1]))
+            if sub is And and 4 in clauses and has(Neg(g.left), Neg(g.right)):
+                add(4, f, Neg(g.left), Neg(g.right), f)
+            if sub is Or and 5 in clauses and has(Neg(g.left), Neg(g.right)):
+                add(5, f, Neg(g.left), Neg(g.right), f)
+            if sub is Imp and 6 in clauses and has(Neg(g.right)):
+                add(6, f, g.left, Neg(g.right), f)
+            if sub is Neg and 7 in clauses:
+                add(7, g.child, g.child, f)
+            if sub is Circ and 9 in clauses:
+                add(9, f, f)
+            if sub is Circ and 11 in clauses:
+                add(11, g, g, f)
             if 14 in clauses:
-                if v14_reading == "printed":
-                    equiv(14, f, f, lambda a: a, g)
-                else:
-                    equiv(14, f, f, lambda a: 1 - a, g)
-        if isinstance(f, Circ):
+                add(14, f, g, f)
+            if 12 in clauses:
+                # If rho(!A)=0 then rho(A)=1, stated for the A with !A present
+                add(12, g, g, f)
+            if 13 in clauses:
+                add(13, g, g, f)
+        elif kind is Circ:
             g = f.child
-            if isinstance(g, Bottom):
-                add("bot", f, [idx[f]], lambda vals, i=idx[f], v=SNAPSHOTS[logic.lattice.bottom][2]: vals[i] == v)
+            sub = type(g)
+            if sub is Bottom:
+                out.append(("bot", f, (idx[f],), 1 << bottom[2]))
             if 8 in clauses:
-                add(8, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 0)
+                add(8, f, f)
             if 15 in clauses:
-                add(15, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
+                add(15, f, f)
             if 10 in clauses and has(Neg(g)):
-                equiv(10, f, f, lambda a, c: a ^ c, g, Neg(g))
+                add(10, f, g, Neg(g), f)
             if 16 in clauses and has(Neg(g)):
-                gi, ni, ci = idx[g], idx[Neg(g)], idx[f]
-                add(16, f, [gi, ni, ci],
-                    lambda vals, gi=gi, ni=ni, ci=ci: vals[ci] == 0 or (vals[gi] ^ vals[ni]))
-            if isinstance(g, Circ) and 17 in clauses:
-                add(17, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
-            if isinstance(g, Neg) and 18 in clauses and has(Circ(g.child)):
-                equiv(18, g.child, f, lambda a: a, Circ(g.child))
-            if isinstance(g, And) and 19 in clauses and has(
-                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
-            ):
-                equiv(
-                    19, f, f,
-                    lambda ca, cb, a, c, na, nb: (ca & cb & a & c) | (ca & na) | (cb & nb),
-                    Circ(g.left), Circ(g.right), g.left, g.right, Neg(g.left), Neg(g.right),
-                )
-            if isinstance(g, Or) and 20 in clauses and has(
-                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
-            ):
-                equiv(
-                    20, f, f,
-                    lambda ca, cb, na, nb, a, c: (ca & cb & na & nb) | (ca & a) | (cb & c),
-                    Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right), g.left, g.right,
-                )
-            if isinstance(g, Imp) and 21 in clauses and has(
-                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
-            ):
-                equiv(
-                    21, f, f,
-                    lambda a, cb, nb, ca, na, c: (a & cb & nb) | (ca & na) | (cb & c),
-                    g.left, Circ(g.right), Neg(g.right), Circ(g.left), Neg(g.left), g.right,
-                )
-            if isinstance(g, Imp) and 22 in clauses and has(Circ(g.right)):
-                equiv(22, f, f, lambda a, cb: (1 - a) | cb, g.left, Circ(g.right))
-        if isinstance(f, Neg) and 12 in clauses:
-            # If rho(!A)=0 then rho(A)=1, stated for the A with !A present
-            gi, ni = idx[f.child], idx[f]
-            add(12, f.child, [gi, ni], lambda vals, gi=gi, ni=ni: vals[ni] == 1 or vals[gi] == 1)
-        if isinstance(f, Neg) and 13 in clauses:
-            gi, ni = idx[f.child], idx[f]
-            add(13, f.child, [gi, ni], lambda vals, gi=gi, ni=ni: vals[ni] == 0 or vals[gi] == 0)
+                add(16, f, g, Neg(g), f)
+            if sub is Circ and 17 in clauses:
+                add(17, f, f)
+            if sub is Neg and 18 in clauses and has(Circ(g.child)):
+                add(18, g.child, Circ(g.child), f)
+            if sub is And and 19 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
+                add(19, f, Circ(g.left), Circ(g.right), g.left, g.right, Neg(g.left), Neg(g.right), f)
+            if sub is Or and 20 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
+                add(20, f, Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right), g.left, g.right, f)
+            if sub is Imp and 21 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
+                add(21, f, g.left, Circ(g.right), Neg(g.right), Circ(g.left), Neg(g.left), g.right, f)
+            if sub is Imp and 22 in clauses and has(Circ(g.right)):
+                add(22, f, g.left, Circ(g.right), f)
     return out
-
-
-def _definers(logic: MatrixLogic, order: list[Formula], v14_reading: str):
-    """idx -> function(vals) computing the forced value, where one exists.
-
-    Only clauses that define a formula outright from strictly earlier
-    formulas are used; everything else stays a search constraint.
-    """
-    clauses = CLAUSE_SETS[logic.id]
-    idx = {f: i for i, f in enumerate(order)}
-    defs: dict[int, object] = {}
-
-    def define(f, fn, *mention):
-        i = idx[f]
-        ids = [idx[m] for m in mention]
-        if any(j >= i for j in ids) or i in defs:
-            return
-        defs[i] = lambda vals, ids=ids, fn=fn: fn(*[vals[j] for j in ids])
-
-    bottom_snap = SNAPSHOTS[logic.lattice.bottom]
-    for f in order:
-        if isinstance(f, Bottom):
-            define(f, lambda: bottom_snap[0])
-        if isinstance(f, And) and 1 in clauses:
-            define(f, lambda a, c: a & c, f.left, f.right)
-        if isinstance(f, Or) and 2 in clauses:
-            define(f, lambda a, c: a | c, f.left, f.right)
-        if isinstance(f, Imp) and 3 in clauses:
-            define(f, lambda a, c: (1 - a) | c, f.left, f.right)
-        if isinstance(f, Neg):
-            g = f.child
-            if isinstance(g, Bottom):
-                define(f, lambda: bottom_snap[1])
-            elif isinstance(g, Circ) and 9 in clauses:
-                define(f, lambda: 1)
-            elif isinstance(g, Circ) and 11 in clauses and g in idx:
-                define(f, lambda a: 1 - a, g)
-            elif isinstance(g, And) and 4 in clauses and Neg(g.left) in idx and Neg(g.right) in idx:
-                define(f, lambda a, c: a | c, Neg(g.left), Neg(g.right))
-            elif isinstance(g, Or) and 5 in clauses and Neg(g.left) in idx and Neg(g.right) in idx:
-                define(f, lambda a, c: a & c, Neg(g.left), Neg(g.right))
-            elif isinstance(g, Imp) and 6 in clauses and Neg(g.right) in idx:
-                define(f, lambda a, c: a & c, g.left, Neg(g.right))
-            elif isinstance(g, Neg) and 7 in clauses:
-                define(f, lambda a: a, g.child)
-            elif 14 in clauses:
-                if v14_reading == "printed":
-                    define(f, lambda a: a, g)
-                else:
-                    define(f, lambda a: 1 - a, g)
-        if isinstance(f, Circ):
-            g = f.child
-            if isinstance(g, Bottom):
-                define(f, lambda: bottom_snap[2])
-            elif 8 in clauses:
-                define(f, lambda: 0)
-            elif 15 in clauses:
-                define(f, lambda: 1)
-            elif isinstance(g, Circ) and 17 in clauses:
-                define(f, lambda: 1)
-            elif 10 in clauses and Neg(g) in idx:
-                define(f, lambda a, c: a ^ c, g, Neg(g))
-            elif isinstance(g, Imp) and 22 in clauses and Circ(g.right) in idx:
-                define(f, lambda a, cb: (1 - a) | cb, g.left, Circ(g.right))
-            elif isinstance(g, Neg) and 18 in clauses and Circ(g.child) in idx:
-                define(f, lambda a: a, Circ(g.child))
-    return defs
 
 
 def _check_closed(domain) -> None:
@@ -248,11 +214,17 @@ def check_clauses(
 ) -> ClauseReport:
     """Check every applicable clause instance of the logic against a total
     0/1 assignment on a subformula-closed domain."""
+    _check_reading(v14_reading)
     _check_closed(assignment)
+    for f, v in assignment.items():
+        if v not in (0, 1):
+            raise DomainError(f"rho({to_text(f)}) = {v!r} is neither 0 nor 1")
     order = _ordered(assignment)
-    vals = [assignment[f] for f in order]
+    vals = [1 if assignment[f] else 0 for f in order]
     bad = tuple(
-        inst.name for inst in _instances(logic, order, v14_reading) if not inst.holds(vals)
+        f"v{num}[{to_text(main)}]"
+        for num, main, ids, mask in _instances(logic, order, v14_reading)
+        if not mask >> sum(vals[i] << j for j, i in enumerate(ids)) & 1
     )
     return ClauseReport(not bad, bad)
 
@@ -265,50 +237,110 @@ def _search(
     collect_all: bool = False,
     limit: int = 500000,
 ):
-    """Depth-first enumeration of clause-satisfying assignments.
+    """Depth-first search for clause-satisfying assignments, found in
+    lexicographic order of their values along `order`.
 
-    Formulas are visited smallest-first so clause-determined values are
-    computed, not branched on; each instance is checked as soon as its
-    last mentioned formula gets a value.
+    The pins and the one-formula instances are set at the root.  Every
+    value set is propagated through the instances that mention it: one
+    with a single unset formula forces it or fails, one with none is
+    checked.  Propagation only sets forced values, so branching on the
+    lowest unset index, 0 before 1, meets the solutions in order.  `limit`
+    bounds the work: one per branching node and one per assignment
+    collected for every MAX_CLOSURE formulas of the domain, so no domain
+    keeps more formula values than a capped closure could.
     """
     idx = {f: i for i, f in enumerate(order)}
     for f in pins:
         if f not in idx:
             raise DomainError(f"pinned formula {to_text(f)} outside domain")
-    instances = _instances(logic, order, v14_reading)
-    by_last: list[list[_Instance]] = [[] for _ in order]
-    for inst in instances:
-        by_last[max(inst.indices)].append(inst)
-    defs = _definers(logic, order, v14_reading)
-    pin_by_index = {idx[f]: v for f, v in pins.items()}
-
-    vals: list[int] = [0] * len(order)
-    found: list[dict[Formula, int]] = []
-    seen = 0
-
-    def rec(i: int):
-        nonlocal seen
-        if found and not collect_all:
-            return
-        if i == len(order):
-            found.append(dict(zip(order, vals)))
-            return
-        seen += 1
-        if seen > limit:
-            raise ClosureTooLargeError("assignment search exceeded its node limit")
-        if i in pin_by_index:
-            candidates = (pin_by_index[i],)
-        elif i in defs:
-            candidates = (defs[i](vals),)
+    n = len(order)
+    watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
+    forced = [(idx[f], v) for f, v in pins.items()]
+    for _, _, ids, mask in _instances(logic, order, v14_reading):
+        if len(ids) == 1:  # allows exactly one value: mask 0b01 or 0b10
+            forced.append((ids[0], mask >> 1))
         else:
-            candidates = (0, 1)
-        for v in candidates:
-            vals[i] = v
-            if all(inst.holds(vals) for inst in by_last[i]):
-                rec(i + 1)
+            entry = ids, mask
+            for i in ids:
+                watch[i].append(entry)
 
-    rec(0)
-    return found
+    vals = [-1] * n
+    trail: list[int] = []
+
+    def propagate(start: int) -> bool:
+        """Propagate the values set from trail[start] on; False on a conflict."""
+        q = start
+        while q < len(trail):
+            for ids, mask in watch[trail[q]]:
+                row = 0
+                free = 0
+                bit = 1
+                for i in ids:
+                    x = vals[i]
+                    if x < 0:
+                        if free:
+                            break
+                        free, var = bit, i
+                    elif x:
+                        row |= bit
+                    bit <<= 1
+                else:
+                    if not free:
+                        if not mask >> row & 1:
+                            return False
+                        continue
+                    lo = mask >> row & 1
+                    hi = mask >> (row | free) & 1
+                    if lo != hi:
+                        vals[var] = hi
+                        trail.append(var)
+                    elif not lo:
+                        return False
+            q += 1
+        return True
+
+    for i, v in forced:
+        if vals[i] < 0:
+            vals[i] = v
+            trail.append(i)
+        elif vals[i] != v:
+            return []
+    if not propagate(0):
+        return []
+
+    found: list[dict[Formula, int]] = []
+    work = 0
+    leaf_work = -(-n // MAX_CLOSURE)
+    branches: list[tuple[int, int]] = []  # (index set to 0, trail length before it)
+    lo = 0
+    while True:
+        while lo < n and vals[lo] >= 0:
+            lo += 1
+        if lo == n:
+            found.append(dict(zip(order, vals)))
+            if not collect_all:
+                return found
+            work += leaf_work
+            ok = False
+        else:
+            work += 1
+            mark = len(trail)
+            branches.append((lo, mark))
+            vals[lo] = 0
+            trail.append(lo)
+            ok = propagate(mark)
+        if work > limit:
+            raise ClosureTooLargeError("assignment search exceeded its node limit")
+        while not ok:
+            if not branches:
+                return found
+            lo, mark = branches.pop()
+            for i in trail[mark:]:
+                vals[i] = -1
+            del trail[mark:]
+            vals[lo] = 1
+            trail.append(lo)
+            ok = propagate(mark)
 
 
 def biv_consequence(
@@ -319,6 +351,7 @@ def biv_consequence(
 ) -> Verdict:
     """VALID iff no clause-satisfying assignment over the closure makes all
     premises 1 and the conclusion 0."""
+    _check_reading(v14_reading)
     given = [*premises, conclusion]
     premises = [syntax.desugar(p) for p in premises]
     conclusion = syntax.desugar(conclusion)
@@ -348,6 +381,7 @@ def satisfying_assignments(
     logic: MatrixLogic, closure, v14_reading: str = "printed", limit: int = 500000
 ) -> list[dict[Formula, int]]:
     """Every clause-satisfying assignment over a subformula-closed set."""
+    _check_reading(v14_reading)
     _check_closed(closure)
     return _search(logic, _ordered(closure), {}, v14_reading, collect_all=True, limit=limit)
 
@@ -390,6 +424,7 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
     assignment yields legal snapshots inside the logic's lattice that
     commute with the connective tables.
     """
+    _check_reading(v14_reading)
     base = [syntax.parse(s) for s in _BRIDGE_BASE]
     closure = syntax.subformula_closure(base)
     els = logic.lattice.elements

@@ -34,12 +34,13 @@ class ModelFormatError(ValueError):
 
 
 def _adjacency(relation) -> dict[str, tuple[str, ...]]:
-    """Each source world's successors in ascending order, from one pass
-    over the sorted relation."""
+    """Each source world's successors in ascending order, sources in
+    ascending order: the edges grouped by source in one pass, then each
+    group sorted on its own."""
     succ: dict[str, list[str]] = {}
-    for u, v in sorted(relation):
+    for u, v in relation:
         succ.setdefault(u, []).append(v)
-    return {u: tuple(vs) for u, vs in succ.items()}
+    return {u: tuple(sorted(succ[u])) for u in sorted(succ)}
 
 
 def _read_only(mapping) -> Mapping:

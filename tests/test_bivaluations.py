@@ -1,18 +1,41 @@
+from dataclasses import dataclass
+from itertools import product
+from random import Random
+
 import pytest
 
 from manylogic.bivaluations import (
+    _BRIDGE_BASE,
     CLAUSE_SETS,
+    MAX_CLOSURE,
+    V14_READINGS,
     ClosureTooLargeError,
     DomainError,
+    ReadingError,
+    _ordered,
     biv_consequence,
     check_clauses,
     correspondence_check,
     satisfying_assignments,
     snapshot_of,
 )
-from manylogic.logics import LOGIC_IDS, LOGICS, matrix_consequence
-from manylogic.syntax import Atom, Circ, Neg, parse, subformula_closure
-from manylogic.values import SnapshotError, Value as V
+from manylogic.logics import LOGIC_IDS, LOGICS, MatrixLogic, matrix_consequence
+from manylogic.syntax import (
+    And,
+    Atom,
+    Bottom,
+    Circ,
+    Formula,
+    Imp,
+    Neg,
+    Or,
+    desugar,
+    parse,
+    subformula_closure,
+    to_text,
+)
+from manylogic.values import SNAPSHOTS, SnapshotError, Value as V
+from manylogic.verify import AC12_SEED, AC12_SEQUENT_COUNT, make_sequents
 
 p = Atom("p")
 
@@ -204,3 +227,402 @@ def test_modal_input_is_named_as_given():
     assert str(err.value) == f"modal operator in {text}"
     with pytest.raises(ModalFormulaError, match=r"modal operator in ~\[\]p$"):
         biv_consequence(LOGICS["K3"], [parse("~[]p")], p)
+
+
+# ---------------------------------------------------------------- reference
+# The clause search as it was before the clause tables: one predicate per
+# instance, a definer table for values forced by earlier formulas, and a
+# size-ordered depth-first search that checks each instance at its last
+# formula.  The compiled search must find the same assignments in the
+# same order.
+
+@dataclass(frozen=True)
+class _RefInstance:
+    name: str
+    indices: tuple[int, ...]
+    # predicate over the full value list; True = satisfied
+    check: object
+
+    def holds(self, vals) -> bool:
+        return self.check(vals)
+
+
+def _ref_instances(
+    logic: MatrixLogic, order: list[Formula], v14_reading: str
+) -> list[_RefInstance]:
+    clauses = CLAUSE_SETS[logic.id]
+    idx = {f: i for i, f in enumerate(order)}
+    out: list[_RefInstance] = []
+
+    def has(*fs) -> bool:
+        return all(f in idx for f in fs)
+
+    def add(num, main, indices, check):
+        out.append(_RefInstance(f"v{num}[{to_text(main)}]", tuple(indices), check))
+
+    def equiv(num, main, target, fn, *mention):
+        ids = [idx[m] for m in mention]
+        t = idx[target]
+        add(num, main, ids + [t], lambda vals, t=t, ids=ids, fn=fn: vals[t] == fn(*[vals[i] for i in ids]))
+
+    for f in order:
+        if isinstance(f, Bottom):
+            snap = SNAPSHOTS[logic.lattice.bottom]
+            add("bot", f, [idx[f]], lambda vals, i=idx[f], v=snap[0]: vals[i] == v)
+        if isinstance(f, And) and 1 in clauses:
+            equiv(1, f, f, lambda a, c: a & c, f.left, f.right)
+        if isinstance(f, Or) and 2 in clauses:
+            equiv(2, f, f, lambda a, c: a | c, f.left, f.right)
+        if isinstance(f, Imp) and 3 in clauses:
+            equiv(3, f, f, lambda a, c: (1 - a) | c, f.left, f.right)
+        if isinstance(f, Neg):
+            g = f.child
+            if isinstance(g, Bottom):
+                add("bot", f, [idx[f]], lambda vals, i=idx[f], v=SNAPSHOTS[logic.lattice.bottom][1]: vals[i] == v)
+            if isinstance(g, And) and 4 in clauses and has(Neg(g.left), Neg(g.right)):
+                equiv(4, f, f, lambda a, c: a | c, Neg(g.left), Neg(g.right))
+            if isinstance(g, Or) and 5 in clauses and has(Neg(g.left), Neg(g.right)):
+                equiv(5, f, f, lambda a, c: a & c, Neg(g.left), Neg(g.right))
+            if isinstance(g, Imp) and 6 in clauses and has(g.left, Neg(g.right)):
+                equiv(6, f, f, lambda a, c: a & c, g.left, Neg(g.right))
+            if isinstance(g, Neg) and 7 in clauses:
+                equiv(7, g.child, f, lambda a: a, g.child)
+            if isinstance(g, Circ) and 9 in clauses:
+                add(9, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
+            if isinstance(g, Circ) and 11 in clauses:
+                equiv(11, g, f, lambda a: 1 - a, g)
+            if 14 in clauses:
+                if v14_reading == "printed":
+                    equiv(14, f, f, lambda a: a, g)
+                else:
+                    equiv(14, f, f, lambda a: 1 - a, g)
+        if isinstance(f, Circ):
+            g = f.child
+            if isinstance(g, Bottom):
+                add("bot", f, [idx[f]], lambda vals, i=idx[f], v=SNAPSHOTS[logic.lattice.bottom][2]: vals[i] == v)
+            if 8 in clauses:
+                add(8, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 0)
+            if 15 in clauses:
+                add(15, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
+            if 10 in clauses and has(Neg(g)):
+                equiv(10, f, f, lambda a, c: a ^ c, g, Neg(g))
+            if 16 in clauses and has(Neg(g)):
+                gi, ni, ci = idx[g], idx[Neg(g)], idx[f]
+                add(16, f, [gi, ni, ci],
+                    lambda vals, gi=gi, ni=ni, ci=ci: vals[ci] == 0 or (vals[gi] ^ vals[ni]))
+            if isinstance(g, Circ) and 17 in clauses:
+                add(17, f, [idx[f]], lambda vals, i=idx[f]: vals[i] == 1)
+            if isinstance(g, Neg) and 18 in clauses and has(Circ(g.child)):
+                equiv(18, g.child, f, lambda a: a, Circ(g.child))
+            if isinstance(g, And) and 19 in clauses and has(
+                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
+            ):
+                equiv(
+                    19, f, f,
+                    lambda ca, cb, a, c, na, nb: (ca & cb & a & c) | (ca & na) | (cb & nb),
+                    Circ(g.left), Circ(g.right), g.left, g.right, Neg(g.left), Neg(g.right),
+                )
+            if isinstance(g, Or) and 20 in clauses and has(
+                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
+            ):
+                equiv(
+                    20, f, f,
+                    lambda ca, cb, na, nb, a, c: (ca & cb & na & nb) | (ca & a) | (cb & c),
+                    Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right), g.left, g.right,
+                )
+            if isinstance(g, Imp) and 21 in clauses and has(
+                Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)
+            ):
+                equiv(
+                    21, f, f,
+                    lambda a, cb, nb, ca, na, c: (a & cb & nb) | (ca & na) | (cb & c),
+                    g.left, Circ(g.right), Neg(g.right), Circ(g.left), Neg(g.left), g.right,
+                )
+            if isinstance(g, Imp) and 22 in clauses and has(Circ(g.right)):
+                equiv(22, f, f, lambda a, cb: (1 - a) | cb, g.left, Circ(g.right))
+        if isinstance(f, Neg) and 12 in clauses:
+            # If rho(!A)=0 then rho(A)=1, stated for the A with !A present
+            gi, ni = idx[f.child], idx[f]
+            add(12, f.child, [gi, ni], lambda vals, gi=gi, ni=ni: vals[ni] == 1 or vals[gi] == 1)
+        if isinstance(f, Neg) and 13 in clauses:
+            gi, ni = idx[f.child], idx[f]
+            add(13, f.child, [gi, ni], lambda vals, gi=gi, ni=ni: vals[ni] == 0 or vals[gi] == 0)
+    return out
+
+
+def _ref_definers(logic: MatrixLogic, order: list[Formula], v14_reading: str):
+    """idx -> function(vals) computing the forced value, where one exists.
+
+    Only clauses that define a formula outright from strictly earlier
+    formulas are used; everything else stays a search constraint.
+    """
+    clauses = CLAUSE_SETS[logic.id]
+    idx = {f: i for i, f in enumerate(order)}
+    defs: dict[int, object] = {}
+
+    def define(f, fn, *mention):
+        i = idx[f]
+        ids = [idx[m] for m in mention]
+        if any(j >= i for j in ids) or i in defs:
+            return
+        defs[i] = lambda vals, ids=ids, fn=fn: fn(*[vals[j] for j in ids])
+
+    bottom_snap = SNAPSHOTS[logic.lattice.bottom]
+    for f in order:
+        if isinstance(f, Bottom):
+            define(f, lambda: bottom_snap[0])
+        if isinstance(f, And) and 1 in clauses:
+            define(f, lambda a, c: a & c, f.left, f.right)
+        if isinstance(f, Or) and 2 in clauses:
+            define(f, lambda a, c: a | c, f.left, f.right)
+        if isinstance(f, Imp) and 3 in clauses:
+            define(f, lambda a, c: (1 - a) | c, f.left, f.right)
+        if isinstance(f, Neg):
+            g = f.child
+            if isinstance(g, Bottom):
+                define(f, lambda: bottom_snap[1])
+            elif isinstance(g, Circ) and 9 in clauses:
+                define(f, lambda: 1)
+            elif isinstance(g, Circ) and 11 in clauses and g in idx:
+                define(f, lambda a: 1 - a, g)
+            elif isinstance(g, And) and 4 in clauses and Neg(g.left) in idx and Neg(g.right) in idx:
+                define(f, lambda a, c: a | c, Neg(g.left), Neg(g.right))
+            elif isinstance(g, Or) and 5 in clauses and Neg(g.left) in idx and Neg(g.right) in idx:
+                define(f, lambda a, c: a & c, Neg(g.left), Neg(g.right))
+            elif isinstance(g, Imp) and 6 in clauses and Neg(g.right) in idx:
+                define(f, lambda a, c: a & c, g.left, Neg(g.right))
+            elif isinstance(g, Neg) and 7 in clauses:
+                define(f, lambda a: a, g.child)
+            elif 14 in clauses:
+                if v14_reading == "printed":
+                    define(f, lambda a: a, g)
+                else:
+                    define(f, lambda a: 1 - a, g)
+        if isinstance(f, Circ):
+            g = f.child
+            if isinstance(g, Bottom):
+                define(f, lambda: bottom_snap[2])
+            elif 8 in clauses:
+                define(f, lambda: 0)
+            elif 15 in clauses:
+                define(f, lambda: 1)
+            elif isinstance(g, Circ) and 17 in clauses:
+                define(f, lambda: 1)
+            elif 10 in clauses and Neg(g) in idx:
+                define(f, lambda a, c: a ^ c, g, Neg(g))
+            elif isinstance(g, Imp) and 22 in clauses and Circ(g.right) in idx:
+                define(f, lambda a, cb: (1 - a) | cb, g.left, Circ(g.right))
+            elif isinstance(g, Neg) and 18 in clauses and Circ(g.child) in idx:
+                define(f, lambda a: a, Circ(g.child))
+    return defs
+
+
+def _ref_search(
+    logic: MatrixLogic,
+    order: list[Formula],
+    pins: dict[Formula, int],
+    v14_reading: str,
+    collect_all: bool = False,
+    limit: int = 500000,
+):
+    """Depth-first enumeration of clause-satisfying assignments.
+
+    Formulas are visited smallest-first so clause-determined values are
+    computed, not branched on; each instance is checked as soon as its
+    last mentioned formula gets a value.
+    """
+    idx = {f: i for i, f in enumerate(order)}
+    for f in pins:
+        if f not in idx:
+            raise DomainError(f"pinned formula {to_text(f)} outside domain")
+    instances = _ref_instances(logic, order, v14_reading)
+    by_last: list[list[_RefInstance]] = [[] for _ in order]
+    for inst in instances:
+        by_last[max(inst.indices)].append(inst)
+    defs = _ref_definers(logic, order, v14_reading)
+    pin_by_index = {idx[f]: v for f, v in pins.items()}
+
+    vals: list[int] = [0] * len(order)
+    found: list[dict[Formula, int]] = []
+    seen = 0
+
+    def rec(i: int):
+        nonlocal seen
+        if found and not collect_all:
+            return
+        if i == len(order):
+            found.append(dict(zip(order, vals)))
+            return
+        seen += 1
+        if seen > limit:
+            raise ClosureTooLargeError("assignment search exceeded its node limit")
+        if i in pin_by_index:
+            candidates = (pin_by_index[i],)
+        elif i in defs:
+            candidates = (defs[i](vals),)
+        else:
+            candidates = (0, 1)
+        for v in candidates:
+            vals[i] = v
+            if all(inst.holds(vals) for inst in by_last[i]):
+                rec(i + 1)
+
+    rec(0)
+    return found
+
+
+def _ref_consequence(logic, premises, conclusion, reading):
+    premises = [desugar(f) for f in premises]
+    conclusion = desugar(conclusion)
+    pins = dict.fromkeys(premises, 1)
+    if pins.get(conclusion) == 1:
+        return True, None
+    pins[conclusion] = 0
+    order = _ordered(subformula_closure(premises + [conclusion]))
+    found = _ref_search(logic, order, pins, reading)
+    return (False, found[0]) if found else (True, None)
+
+
+def _ref_check(logic, assignment, reading):
+    order = _ordered(assignment)
+    vals = [assignment[f] for f in order]
+    return tuple(inst.name for inst in _ref_instances(logic, order, reading) if not inst.holds(vals))
+
+
+def _assert_same_verdicts(sequents):
+    for lid in LOGIC_IDS:
+        for reading in V14_READINGS:
+            for premises, conclusion in sequents:
+                try:
+                    want = _ref_consequence(LOGICS[lid], premises, conclusion, reading)
+                except ClosureTooLargeError:
+                    continue  # past the reference's node limit: nothing to compare
+                got = biv_consequence(LOGICS[lid], premises, conclusion, v14_reading=reading)
+                assert (got.valid, got.witness) == want, (lid, reading, premises, conclusion)
+
+
+# Formulas whose clause instances mention one formula twice.
+DUPLICATED = ("@(p & p)", "!(q | q)", "@(p -> p)", "@(!q | !q)", "!(p & p) -> p", "@(q & q) & !(p -> p)")
+
+
+def test_search_matches_the_reference_on_the_ac12_corpus():
+    corpus = make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or=True)
+    corpus += make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or=False)
+    _assert_same_verdicts(corpus)
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return parse(rng.choice(("p", "q", "r", "#")))
+    kind = rng.choice(("!", "@", "~", "N", "&", "|", "->", "dup"))
+    if kind == "dup":
+        return parse(rng.choice(DUPLICATED))
+    child = _random_formula(rng, depth - 1)
+    if kind in ("&", "|", "->"):
+        return parse(f"({to_text(child)}) {kind} ({to_text(_random_formula(rng, depth - 1))})")
+    return parse(f"{kind}({to_text(child)})")
+
+
+def test_search_matches_the_reference_on_seeded_sequents():
+    rng = Random(8)
+    corpus = [([], parse(text)) for text in DUPLICATED]
+    corpus += [([parse(text)], parse("p")) for text in DUPLICATED]
+    while len(corpus) < 60:
+        premises = [_random_formula(rng, 2) for _ in range(rng.randint(0, 2))]
+        conclusion = _random_formula(rng, 2)
+        if len(subformula_closure([desugar(f) for f in premises + [conclusion]])) <= MAX_CLOSURE:
+            corpus.append((premises, conclusion))
+    _assert_same_verdicts(corpus)
+
+
+def test_satisfying_assignments_match_the_reference():
+    closures = [
+        subformula_closure([parse(s) for s in _BRIDGE_BASE]),
+        subformula_closure([parse("@(p & p)"), parse("!(q | q)")]),
+        subformula_closure([parse("~p"), parse("@#")]),
+    ]
+    for lid in LOGIC_IDS:
+        for reading in V14_READINGS:
+            for closure in closures:
+                want = _ref_search(LOGICS[lid], _ordered(closure), {}, reading, collect_all=True)
+                assert satisfying_assignments(LOGICS[lid], closure, reading) == want, (lid, reading)
+
+
+def test_check_clauses_matches_the_reference_on_every_assignment():
+    for roots in (["p & p"], ["#"]):
+        closure = _ordered(subformula_closure([parse(s) for s in roots]))
+        for bits in product((0, 1), repeat=len(closure)):
+            assignment = dict(zip(closure, bits))
+            for lid in LOGIC_IDS:
+                for reading in V14_READINGS:
+                    want = _ref_check(LOGICS[lid], assignment, reading)
+                    report = check_clauses(LOGICS[lid], assignment, reading)
+                    assert report.violations == want and report.ok == (not want)
+
+
+def test_check_clauses_matches_the_reference_on_sampled_assignments():
+    rng = Random(3)
+    closure = _ordered(subformula_closure([parse("@(p -> q) | !(q & q)"), parse("!!@p")]))
+    for _ in range(40):
+        assignment = {f: rng.randint(0, 1) for f in closure}
+        for lid in LOGIC_IDS:
+            for reading in V14_READINGS:
+                want = _ref_check(LOGICS[lid], assignment, reading)
+                assert check_clauses(LOGICS[lid], assignment, reading).violations == want
+
+
+def test_sequents_past_the_old_node_limit_are_decided():
+    letk = LOGICS["LETK"]
+    for premises, conclusion in (
+        (["!(p | q | r | s)"], "!p"),
+        (["p & q & r & s & t"], "t | p"),
+        (["p & q", "r & s"], "(s & p) | r"),
+    ):
+        premises = [parse(f) for f in premises]
+        conclusion = parse(conclusion)
+        assert biv_consequence(letk, premises, conclusion).valid
+        assert matrix_consequence(letk, premises, conclusion).valid
+
+
+def test_a_tiny_node_limit_still_raises():
+    closure = subformula_closure([parse(s) for s in _BRIDGE_BASE])
+    assert satisfying_assignments(LOGICS["LETK"], closure)
+    with pytest.raises(ClosureTooLargeError):
+        satisfying_assignments(LOGICS["LETK"], closure, limit=1)
+
+
+def test_large_domains_search_without_recursion():
+    # 1,500 formulas, 600 of them branched on before the first assignment
+    closure = subformula_closure([Atom(f"a{i}") for i in range(300)])
+    with pytest.raises(ClosureTooLargeError):
+        satisfying_assignments(LOGICS["K3"], closure, limit=2000)
+
+
+def test_unknown_v14_reading_is_refused():
+    fde = LOGICS["FDE"]
+    closure = subformula_closure([p])
+    assert issubclass(ReadingError, ValueError)
+    for call in (
+        lambda: biv_consequence(fde, [], p, v14_reading="bogus"),
+        lambda: biv_consequence(fde, [p], p, v14_reading="Printed"),
+        lambda: check_clauses(fde, dict.fromkeys(closure, 0), "bogus"),
+        lambda: satisfying_assignments(fde, closure, "bogus"),
+        lambda: correspondence_check(fde, "bogus"),
+    ):
+        with pytest.raises(ReadingError, match="unknown v14 reading"):
+            call()
+
+
+def test_check_clauses_refuses_values_other_than_0_and_1():
+    fde = LOGICS["FDE"]
+    closure = subformula_closure([p])
+    for bad in (2, -1, None, "1", 0.5):
+        assignment = dict.fromkeys(closure, 0)
+        assignment[Circ(p)] = bad
+        with pytest.raises(DomainError, match=r"rho\(@p\)"):
+            check_clauses(fde, assignment)
+    as_ints = dict.fromkeys(closure, 0)
+    as_ints[Neg(Circ(p))] = 1
+    as_bools = {f: bool(v) for f, v in as_ints.items()}
+    assert check_clauses(fde, as_bools) == check_clauses(fde, as_ints)
+    assert check_clauses(fde, as_bools).ok

@@ -284,9 +284,9 @@ def test_random_models_evaluate_inside_their_world_lattices():
 
 
 def test_successors_match_the_per_world_comprehension():
-    # The adjacency built in one pass over the sorted relation must list
-    # each world's successors exactly as filtering the whole sorted
-    # relation once per world does, dead ends included.
+    # The adjacency built by grouping the edges by source must list each
+    # world's successors exactly as filtering the whole sorted relation
+    # once per world does, dead ends included, with the sources in order.
     import random
 
     from manylogic.models import Frame
@@ -309,6 +309,7 @@ def test_successors_match_the_per_world_comprehension():
                 assert model.frame.successors(w) == model.successors(w)
             assert frame.successors("x") == (worlds[0],)
             assert frame.successors("nowhere") == ()
+            assert list(model._succ) == sorted({u for u, _ in relation})
             if density == 0.0:
                 assert all(model.successors(w) == () for w in worlds)
 
