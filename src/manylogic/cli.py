@@ -122,7 +122,8 @@ def _cmd_check_frame(args) -> int:
     schema = frames.SCHEMAS[args.axiom]
     mode = "exhaustive" if args.exhaustive else "sampled"
     budget = frames.CheckBudget(mode, args.samples, args.seed)
-    result = frames.axiom_valid_on_frame(frame, schema, args.diamond, budget)
+    variant = args.diamond or frame.diamond
+    result = frames.axiom_valid_on_frame(frame, schema, variant, budget)
     if result.valid:
         print(f"VALID ({result.models_checked} valuations, mode={mode}, seed={args.seed})")
         return 0
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-frame", help="check an axiom schema on a frame")
     p.add_argument("model", help="frame JSON file")
     p.add_argument("--axiom", required=True, choices=tuple(frames.SCHEMAS))
-    p.add_argument("--diamond", choices=DIAMOND_VARIANTS, default="up")
+    p.add_argument("--diamond", choices=DIAMOND_VARIANTS, help="override the frame's variant")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=frames.DEFAULT_SEED)

@@ -3,15 +3,18 @@ collected frame-correspondence results.
 
 Schema checks enumerate every valuation of every (relation, logic
 assignment) frame at a given world count.  The sweep is vectorised with
-numpy over a joint (assignment, valuation) axis so that exhaustive runs
-over all three-world frames stay in seconds; counterexamples are handed
-back as ordinary models that replay through the normal evaluator.
+numpy over a joint (assignment, valuation) axis, on 4-bit masks of the
+values, so that exhaustive runs over all three-world frames stay well
+under a second; counterexamples are handed back as ordinary models that
+replay through the normal evaluator.  Sampled checks draw what
+`Random(seed)` draws, decoded from its words in bulk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
+from math import isqrt
 from operator import attrgetter
 from random import Random
 from typing import Callable
@@ -19,10 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import syntax
+from .lattices import base_leq
 from .logics import LOGIC_IDS, LOGICS
-from .models import (  # the value tables and the compiler live in models
+from .models import (  # the code tables and the compiler live in models
     _LOGIC_INDEX,
-    BOT_T, CIRC_T, DESIG_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T,
+    BOT_T, JOIN_T, MEET_T, TOP_T,  # noqa: F401  re-exported; perfbench/record.py reads them here
+    CIRC_T, DESIG_T, DOWN_T, IMP_T, NEG_T, UP_T,
     Frame,
     Model,
     compile_program,
@@ -110,62 +115,132 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------- tables
+#
+# Inside frames a value is the 4-bit mask of the base join-irreducibles
+# {F0, n, b, T} beneath it (Birkhoff): F=0, F0=1, n=3, b=5, T0=7, T=15,
+# so the base meet is AND and the base join OR.  In every logic w the
+# meet of a multiset is down_w of the AND of its masks and the join is
+# up_w of the OR; down_w(15) is w's top and up_w(0) its bottom.  The
+# tables are models' code tables re-indexed by mask and laid out flat: a
+# world's row starts at 16 x its logic index (imp's at 256 x), so one
+# `take` of row | mask reads a map at every lane.  Box and the up diamond
+# need not interpret each successor first: down_w of the AND of the raw
+# masks is the meet in w of their down_w, and up_w of the OR the join of
+# their up_w.
 
-ELEMENT_CODES = [
-    np.array([int(v) for v in LOGICS[lid].lattice.elements], dtype=np.int8)
-    for lid in LOGIC_IDS
-]
+_IRREDUCIBLES = (Value.F0, Value.n, Value.b, Value.T)
+MASK_OF = np.array(  # by value code
+    [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value],
+    dtype=np.uint8,
+)
+CODE_OF = np.zeros(16, dtype=np.int8)  # by mask; masks that name no value read T
+CODE_OF[MASK_OF] = np.arange(len(Value))
+
+
+def _by_mask(table) -> np.ndarray:
+    """A code table (logic, code[, code]) as a flat mask table; entries
+    outside a logic's lattice read 0 and are never looked up."""
+    for axis in range(1, table.ndim):
+        table = table.take(CODE_OF, axis=axis)
+    return (table if table.dtype == bool else MASK_OF[table]).ravel()
+
+
+DOWN_M, UP_M, CIRC_M, IMP_M, DESIG_M = map(_by_mask, (DOWN_T, UP_T, CIRC_T, IMP_T, DESIG_T))
+NEG_M = MASK_OF[NEG_T[CODE_OF]]
+# logic index -> its row in the tables; 16-bit lanes index the tables
+# faster than 64-bit ones, and every index fits
+ROW_OF = 16 * np.arange(len(LOGIC_IDS), dtype=np.int16)
+ELEMENT_MASKS = [MASK_OF[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
+
+
+# ---------------------------------------------------------------- draws
+
+class _Words:
+    """The 32-bit words `Random(seed)` produces, in order, read in bulk
+    through getrandbits, and the draws `Random` makes of them, draw for
+    draw.  `choice` among n items reads words until one is below
+    n << (32 - k), k = n.bit_length(), and picks that word >> (32 - k);
+    `random() < 0.5` reads two words and holds when the first is below
+    2**31."""
+
+    def __init__(self, seed: int):
+        self._rng = Random(seed)
+        self._buf = np.empty(0, dtype=np.uint32)
+        self._pos = 0
+
+    @staticmethod
+    def choice_rule(n: int) -> tuple[int, int]:
+        """The words `choice` among n items accepts are those below the
+        first number; it picks them shifted right by the second."""
+        shift = 32 - n.bit_length()
+        return n << shift, shift
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next `count` words, drawing only those not yet drawn."""
+        short = self._pos + count - self._buf.size
+        if short > 0:
+            fresh = self._rng.getrandbits(32 * short).to_bytes(4 * short, "little")
+            self._buf = np.concatenate([self._buf[self._pos:], np.frombuffer(fresh, "<u4")])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + count]
+
+    def below(self, n: int, count: int) -> np.ndarray:
+        """The indices `count` successive `choice` calls on n items pick."""
+        limit, shift = self.choice_rule(n)
+        parts = []
+        while count:  # enough words for all of them, as a rule
+            w = self.peek(count * (1 << n.bit_length()) // n + 4 * isqrt(count) + 8)
+            hits = np.flatnonzero(w < limit)[:count]
+            parts.append(w[hits] >> shift)
+            self._pos += int(hits[-1]) + 1 if hits.size == count else w.size
+            count -= hits.size
+        return np.concatenate(parts)
 
 
 # ------------------------------------------------------------- programs
 
-def _eval_slots(prog, succs, lat, vals):
-    """Evaluate a program over value-code arrays: lat[w] and vals[a][w]
-    run along one batch axis, succs[w] lists the successors of w for the
-    whole batch.  Returns one row per program node, one array per world."""
-    n = len(lat)
+def _eval_slots(prog, edges, lat, vals):
+    """Evaluate a program over mask arrays along one batch axis: lat[w]
+    holds the table row of world w's logic, vals[a][w] the masks of atom
+    a, and edges[w] lists w's successors as (u, present, absent), with
+    present and absent None for an edge in every lane and otherwise uint8
+    arrays, 15 and 0 where the edge is there and 0 and 15 where not, so
+    an absent edge adds the unit of the fold.  Returns one row per program
+    node, one array per world."""
     slots = []
     for node in prog:
         kind = node[0]
         if kind == "atom":
-            row = [vals[node[1]][w] for w in range(n)]
+            row = vals[node[1]]
         elif kind == "bottom":
-            row = [BOT_T[lat[w]] for w in range(n)]
+            row = [UP_M.take(l) for l in lat]
         elif kind == "neg":
-            ch = slots[node[1]]
-            row = [NEG_T[ch[w]] for w in range(n)]
+            row = [NEG_M.take(x) for x in slots[node[1]]]
         elif kind == "circ":
-            ch = slots[node[1]]
-            row = [CIRC_T[lat[w], ch[w]] for w in range(n)]
-        elif kind in ("and", "or", "imp"):
-            tbl = {"and": MEET_T, "or": JOIN_T, "imp": IMP_T}[kind]
-            l, r = slots[node[1]], slots[node[2]]
-            row = [tbl[lat[w], l[w], r[w]] for w in range(n)]
-        elif kind == "box":
-            ch = slots[node[1]]
-            row = []
-            for w in range(n):
-                ss = succs[w]
-                if not ss:
-                    row.append(TOP_T[lat[w]])
-                    continue
-                acc = DOWN_T[lat[w], ch[ss[0]]]
-                for u in ss[1:]:
-                    acc = MEET_T[lat[w], acc, DOWN_T[lat[w], ch[u]]]
-                row.append(acc)
-        else:  # dia_up / dia_down
-            interp = UP_T if kind == "dia_up" else DOWN_T
+            row = [CIRC_M.take(l | x) for l, x in zip(lat, slots[node[1]])]
+        elif kind == "and":
+            row = [DOWN_M.take(l | x & y) for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+        elif kind == "or":
+            row = [UP_M.take(l | x | y) for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+        elif kind == "imp":
+            row = [IMP_M.take((l | x) << 4 | y) for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+        elif kind == "box":  # down_w(AND of the successors' masks)
             ch = slots[node[1]]
             row = []
-            for w in range(n):
-                ss = succs[w]
-                if not ss:
-                    row.append(BOT_T[lat[w]])
-                    continue
-                acc = interp[lat[w], ch[ss[0]]]
-                for u in ss[1:]:
-                    acc = JOIN_T[lat[w], acc, interp[lat[w], ch[u]]]
-                row.append(acc)
+            for l, es in zip(lat, edges):
+                acc = 15
+                for u, _, absent in es:
+                    acc = acc & (ch[u] if absent is None else ch[u] | absent)
+                row.append(DOWN_M.take(l | acc))
+        else:  # dia_up: up_w(OR of the masks); dia_down: up_w(OR of their down_w)
+            ch = slots[node[1]]
+            row = []
+            for l, es in zip(lat, edges):
+                acc = 0
+                for u, present, _ in es:
+                    x = ch[u] if kind == "dia_up" else DOWN_M.take(l | ch[u])
+                    acc = acc | (x if present is None else x & present)
+                row.append(UP_M.take(l | acc))
         slots.append(row)
     return slots
 
@@ -176,8 +251,8 @@ def _eval_slots(prog, succs, lat, vals):
 class _Axis:
     interps: tuple  # per block: the logic index of every world
     bounds: np.ndarray  # block b covers positions bounds[b]:bounds[b + 1]
-    lat: tuple  # per world: int8 array over the axis
-    vals: tuple  # vals[a][w]: int8 array over the axis
+    lat: tuple  # per world: its table rows over the axis
+    vals: tuple  # vals[a][w]: masks over the axis
 
 
 def _build_axis(n_worlds: int, interps, atoms: int) -> _Axis:
@@ -188,17 +263,17 @@ def _build_axis(n_worlds: int, interps, atoms: int) -> _Axis:
     val_parts = [[[] for _ in range(n_worlds)] for _ in range(atoms)]
     bounds = [0]
     for interp in interps:
-        dims = [ELEMENT_CODES[interp[w]] for _ in range(atoms) for w in range(n_worlds)]
+        dims = [ELEMENT_MASKS[interp[w]] for _ in range(atoms) for w in range(n_worlds)]
         count = int(np.prod([d.size for d in dims]))
         grids = np.meshgrid(*dims, indexing="ij") if dims else []
-        flat = [g.reshape(-1).astype(np.int8) for g in grids]
+        flat = [g.reshape(-1) for g in grids]
         k = 0
         for a in range(atoms):
             for w in range(n_worlds):
                 val_parts[a][w].append(flat[k])
                 k += 1
         for w in range(n_worlds):
-            lat_parts[w].append(np.full(count, interp[w], dtype=np.int8))
+            lat_parts[w].append(np.full(count, ROW_OF[interp[w]]))
         bounds.append(bounds[-1] + count)
     lat = tuple(np.concatenate(parts) for parts in lat_parts)
     vals = tuple(
@@ -219,21 +294,23 @@ def _relations(n: int):
         yield rel
 
 
-def _succs(rel, n: int):
-    return [tuple(j for j in range(n) if (i, j) in rel) for i in range(n)]
+def _edges(rel, n: int):
+    """Each world's successors in rel, present in every lane."""
+    return [[(j, None, None) for j in range(n) if (i, j) in rel] for i in range(n)]
+
+
+def _names(rel, worlds) -> frozenset:
+    return frozenset((worlds[i], worlds[j]) for i, j in rel)
 
 
 def _rel_props(rel, n: int) -> FrameProperties:
-    worlds = _world_names(n)
-    return frame_properties(
-        Frame(worlds, frozenset((worlds[i], worlds[j]) for i, j in rel), {})
-    )
+    return frame_properties(Frame(_world_names(n), _names(rel, _world_names(n)), {}))
 
 
 def _designated_all_worlds(root, lat):
-    ok = DESIG_T[lat[0], root[0]]
+    ok = DESIG_M.take(lat[0] | root[0])
     for w in range(1, len(lat)):
-        ok = ok & DESIG_T[lat[w], root[w]]
+        ok &= DESIG_M.take(lat[w] | root[w])
     return ok
 
 
@@ -247,28 +324,28 @@ def _first_failures(ok, bounds, limit: int) -> list[int]:
     ]
 
 
-def _witness(j, root, lat, vals, worlds, rel, atom_names, variant) -> Counterexample:
-    """The model at axis position j, over the named worlds and the index
-    relation rel, failing at its first world with an undesignated root."""
+def _witness(j, root, lat, vals, worlds, relation, atom_names, variant) -> Counterexample:
+    """The model at axis position j over the named worlds and relation,
+    failing at its first world with an undesignated root."""
     n = len(worlds)
     model = Model(
         worlds,
-        frozenset((worlds[u], worlds[v]) for u, v in rel),
-        {worlds[w]: LOGIC_IDS[lat[w][j]] for w in range(n)},
+        relation,
+        {worlds[w]: LOGIC_IDS[lat[w][j] >> 4] for w in range(n)},
         {
-            worlds[w]: {atom: Value(int(vals[a][w][j])) for a, atom in enumerate(atom_names)}
+            worlds[w]: {atom: Value(int(CODE_OF[vals[a][w][j]])) for a, atom in enumerate(atom_names)}
             for w in range(n)
         },
         variant,
     )
-    w = next(w for w in range(n) if not DESIG_T[lat[w][j], root[w][j]])
-    return Counterexample(model, worlds[w], Value(int(root[w][j])))
+    w = next(w for w in range(n) if not DESIG_M[lat[w][j] | root[w][j]])
+    return Counterexample(model, worlds[w], Value(int(CODE_OF[root[w][j]])))
 
 
 # Most samples one sampled check draws.  Every draw is held in memory
-# until the batch is evaluated (about 1 kB a sample on three worlds), so
-# the cap keeps a check under about 100 MB; the checklist draws at most
-# 10,000 and the CLI defaults to that.
+# until the batch is evaluated (about 0.4 kB a sample of two atoms on
+# three worlds, at the peak), so the cap keeps a check under about 40 MB;
+# the checklist draws at most 10,000 and the CLI defaults to that.
 MAX_SAMPLES = 100_000
 
 
@@ -317,15 +394,63 @@ def sweep_schema(
     for rel in _relations(n_worlds):
         if relation_pred is not None and not relation_pred(_rel_props(rel, n_worlds)):
             continue
-        root = _eval_slots(prog, _succs(rel, n_worlds), axis.lat, axis.vals)[-1]
+        root = _eval_slots(prog, _edges(rel, n_worlds), axis.lat, axis.vals)[-1]
         ok = _designated_all_worlds(root, axis.lat)
         frames += len(axis.interps)
         models += ok.size
         for j in _first_failures(ok, axis.bounds, max_counterexamples - len(bad)):
-            bad.append(
-                _witness(j, root, axis.lat, axis.vals, worlds, rel, schema.atoms, variant)
-            )
+            bad.append(_witness(
+                j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, variant,
+            ))
     return SweepOutcome(frames, models, tuple(bad))
+
+
+_CHUNK = 1 << 16  # words _sample_draws holds as Python ints at a time
+
+
+def _sample_draws(words: _Words, samples: int, n_worlds: int, sizes, n_atoms: int):
+    """What `samples` successive samples draw.  Each draws n_worlds**2
+    relation bits with `random() < 0.5`, one per world pair in row-major
+    order; then for every world a `choice` among len(sizes) logics; then
+    for every atom and world a `choice` among the sizes[c] elements of
+    that world's logic c.  Returns the relation bit patterns, the logic
+    choices (sample, world) and the element choices (sample, atom, world)."""
+    nn, n_logics = n_worlds * n_worlds, len(sizes)
+    logic_limit, logic_shift = _Words.choice_rule(n_logics)
+    rules = [_Words.choice_rule(m) for m in sizes]
+    # more words than a sample takes on average: a choice takes under two
+    per = 2 * (nn + n_worlds * (1 + n_atoms))
+    buf = words.peek(samples * per + 64)
+    off, seq = 0, buf[:_CHUNK].tolist()  # seq[i] is word off + i, as a Python int
+    starts, picks = [], []
+    q = 0
+    while len(starts) < samples:
+        p, q = q, q + 2 * nn
+        try:
+            row = []
+            for _ in range(n_worlds):
+                while seq[q] >= logic_limit:
+                    q += 1
+                row.append(seq[q] >> logic_shift)
+                q += 1
+            world_rules = [rules[c] for c in row]
+            for _ in range(n_atoms):
+                for limit, shift in world_rules:
+                    while seq[q] >= limit:
+                        q += 1
+                    row.append(seq[q] >> shift)
+                    q += 1
+        except IndexError:  # past the words in hand: take the next ones, redo the sample
+            end = off + len(seq)
+            if end == buf.size:
+                buf = words.peek(end + (samples - len(starts)) * per + 64)
+            off, seq, q = off + p, seq[p:] + buf[end:end + _CHUNK].tolist(), 0
+            continue
+        starts.append(off + p)
+        picks.extend(row)
+    bits = buf[np.array(starts)[:, None] + 2 * np.arange(nn)] < (1 << 31)
+    picks = np.array(picks, dtype=np.intp).reshape(samples, 1 + n_atoms, n_worlds)
+    return bits @ (1 << np.arange(nn)), picks[:, 0], picks[:, 1:]
 
 
 def sample_schema(
@@ -339,39 +464,43 @@ def sample_schema(
     max_counterexamples: int = 1,
 ) -> SweepOutcome:
     """Randomised schema check: each sample draws a relation (optionally
-    closed by relation_transform), a logic per world, and a valuation.
-    Samples that share a relation are evaluated together; counterexamples
-    are the first failing samples in draw order."""
+    closed by relation_transform), a logic per world, and a valuation,
+    as `Random(seed)` would.  All samples are evaluated in one batch;
+    counterexamples are the first failing samples in draw order."""
     _require_samples(samples)
-    rng = Random(seed)
     logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
     prog = compile_program(schema.template, variant, schema.atoms)
     n_atoms = len(schema.atoms)
+    sizes = [ELEMENT_MASKS[li].size for li in logic_indices]
+    patterns, choices, picks = _sample_draws(_Words(seed), samples, n_worlds, sizes, n_atoms)
+    # each distinct drawn relation closed once; bit i*n+j of a pattern is i->j
     pairs = [(i, j) for i in range(n_worlds) for j in range(n_worlds)]
-    rels, draws = [], []
-    for _ in range(samples):
-        rel = frozenset(p for p in pairs if rng.random() < 0.5)
-        if relation_transform is not None:
-            rel = relation_transform(rel, n_worlds)
-        rels.append(rel)
-        interp = [rng.choice(logic_indices) for _ in range(n_worlds)]
-        draws.append(interp + [
-            rng.choice(ELEMENT_CODES[interp[w]]) for _ in range(n_atoms) for w in range(n_worlds)
-        ])
-    table = np.array(draws, dtype=np.int8).T
-    lat = table[:n_worlds]
-    vals = table[n_worlds:].reshape(n_atoms, n_worlds, samples)
-    groups: dict[frozenset, list[int]] = {}
-    for s, rel in enumerate(rels):
-        groups.setdefault(rel, []).append(s)
-    root = np.empty((n_worlds, samples), dtype=np.int8)
-    for rel, idx in groups.items():
-        root[:, idx] = _eval_slots(prog, _succs(rel, n_worlds), lat[:, idx], vals[:, :, idx])[-1]
+    drawn, which = np.unique(patterns, return_inverse=True)
+    rels = [frozenset(p for t, p in enumerate(pairs) if pat >> t & 1) for pat in drawn.tolist()]
+    if relation_transform is not None:
+        rels = [relation_transform(rel, n_worlds) for rel in rels]
+    closed = np.array([sum(1 << (i * n_worlds + j) for i, j in rel) for rel in rels])[which]
+    edges = [[] for _ in range(n_worlds)]
+    for t, (i, j) in enumerate(pairs):
+        present = (closed >> t & 1).astype(np.uint8) * 15
+        if present.all():
+            edges[i].append((j, None, None))
+        elif present.any():
+            edges[i].append((j, present, present ^ 15))
+    masks = np.zeros((len(sizes), max(sizes)), dtype=np.uint8)
+    for c, li in enumerate(logic_indices):
+        masks[c, :sizes[c]] = ELEMENT_MASKS[li]
+    lat = tuple(ROW_OF[logic_indices][choices[:, w]] for w in range(n_worlds))
+    vals = tuple(
+        tuple(masks[choices[:, w], picks[:, a, w]] for w in range(n_worlds))
+        for a in range(n_atoms)
+    )
+    root = _eval_slots(prog, edges, lat, vals)[-1]
     ok = _designated_all_worlds(root, lat)
     worlds = _world_names(n_worlds)
-    bad = tuple(  # each sample is a block of its own
-        _witness(j, root, lat, vals, worlds, rels[j], schema.atoms, variant)
-        for j in _first_failures(ok, np.arange(samples + 1), max_counterexamples)
+    bad = tuple(
+        _witness(j, root, lat, vals, worlds, _names(rels[which[j]], worlds), schema.atoms, variant)
+        for j in np.flatnonzero(~ok)[:max_counterexamples]
     )
     return SweepOutcome(samples, samples, bad)
 
@@ -401,8 +530,8 @@ def axiom_valid_on_frame(
     budget = budget or CheckBudget()
     n = len(frame.worlds)
     windex = {w: i for i, w in enumerate(frame.worlds)}
-    rel = frozenset((windex[u], windex[v]) for u, v in frame.relation)
-    interp = tuple(_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds)
+    edges = [[(windex[u], None, None) for u in frame.successors(w)] for w in frame.worlds]
+    interp = [_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
     prog = compile_program(schema.template, variant, schema.atoms)
     if budget.mode == "exhaustive":
         if n > 3:
@@ -411,21 +540,17 @@ def axiom_valid_on_frame(
         lat, vals = axis.lat, axis.vals
     else:
         _require_samples(budget.sample_count)
-        rng = Random(budget.seed)
-        k = budget.sample_count
+        words, k = _Words(budget.seed), budget.sample_count
         vals = tuple(
-            tuple(
-                np.array([rng.choice(ELEMENT_CODES[interp[w]]) for _ in range(k)], dtype=np.int8)
-                for w in range(n)
-            )
-            for _ in range(len(schema.atoms))
+            tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, k)] for li in interp)
+            for _ in schema.atoms
         )
-        lat = tuple(np.full(k, interp[w], dtype=np.int8) for w in range(n))
-    root = _eval_slots(prog, _succs(rel, n), lat, vals)[-1]
+        lat = tuple(np.full(k, ROW_OF[li]) for li in interp)
+    root = _eval_slots(prog, edges, lat, vals)[-1]
     ok = _designated_all_worlds(root, lat)
     bad = [
-        _witness(j, root, lat, vals, frame.worlds, rel, schema.atoms, variant)
-        for j in _first_failures(ok, np.array([0, ok.size]), 1)
+        _witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, variant)
+        for j in np.flatnonzero(~ok)[:1]
     ]
     return CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
 
@@ -446,9 +571,8 @@ class FiveCReport:
         return not (self.euclidean_failures or self.non_euclidean_valid)
 
 
-_CLASSICAL_WINDOW = np.zeros(6, dtype=bool)
-for _v in (Value.T, Value.T0, Value.F0, Value.F):
-    _CLASSICAL_WINDOW[int(_v)] = True
+_CLASSICAL_WINDOW = np.zeros(16, dtype=bool)  # by mask
+_CLASSICAL_WINDOW[MASK_OF[[Value.T, Value.T0, Value.F0, Value.F]]] = True
 
 
 def five_c_characterization(
@@ -474,19 +598,19 @@ def five_c_characterization(
         axis = _build_axis(n, product(logic_indices, repeat=n), 1)
         worlds = _world_names(n)
         for rel in _relations(n):
-            slots = _eval_slots(prog, _succs(rel, n), axis.lat, axis.vals)
+            slots = _eval_slots(prog, _edges(rel, n), axis.lat, axis.vals)
             root = slots[-1]
             for i in modal_nodes:
                 for w in range(n):
-                    window_violations += int((~_CLASSICAL_WINDOW[slots[i][w]]).sum())
+                    window_violations += int((~_CLASSICAL_WINDOW.take(slots[i][w])).sum())
             ok = _designated_all_worlds(root, axis.lat)
             frames += len(axis.interps)
             models += ok.size
             if _rel_props(rel, n).euclidean:
                 for j in _first_failures(ok, axis.bounds, max_counterexamples - len(failures)):
-                    failures.append(
-                        _witness(j, root, axis.lat, axis.vals, worlds, rel, schema.atoms, "up")
-                    )
+                    failures.append(_witness(
+                        j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, "up",
+                    ))
                 continue
             rel_text = ",".join(f"w{i+1}->w{j+1}" for i, j in sorted(rel))
             block_ok = np.logical_and.reduceat(ok, axis.bounds[:-1])
@@ -537,9 +661,9 @@ def duality_check(
         lhs = compile_program(Diamond(body), variant, ("p",))
         rhs = compile_program(Neg(Box(Neg(body))), variant, ("p",))
         for rel in _relations(n_worlds):
-            succs = _succs(rel, n_worlds)
-            a = _eval_slots(lhs, succs, axis.lat, axis.vals)[-1]
-            c = _eval_slots(rhs, succs, axis.lat, axis.vals)[-1]
+            edges = _edges(rel, n_worlds)
+            a = _eval_slots(lhs, edges, axis.lat, axis.vals)[-1]
+            c = _eval_slots(rhs, edges, axis.lat, axis.vals)[-1]
             models += axis.lat[0].size
             for w in range(n_worlds):
                 same = a[w] == c[w]
@@ -548,7 +672,8 @@ def duality_check(
                         j = int(np.argmin(same))
                         mismatches.append(
                             f"A={text} rel={sorted(rel)} world=w{w + 1} "
-                            f"<>A={Value(int(a[w][j]))} !box!A={Value(int(c[w][j]))}"
+                            f"<>A={Value(int(CODE_OF[a[w][j]]))} "
+                            f"!box!A={Value(int(CODE_OF[c[w][j]]))}"
                         )
     return DualityReport(tuple(mismatches), models)
 

@@ -52,6 +52,7 @@ class Frame:
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
     logics: Mapping[str, str]  # world -> logic id, read-only
+    diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
     _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,7 +66,7 @@ class Frame:
         return LOGICS[self.logics[w]]
 
     def __reduce__(self):  # read-only mappings do not pickle; their contents do
-        return Frame, (self.worlds, self.relation, dict(self.logics))
+        return Frame, (self.worlds, self.relation, dict(self.logics), self.diamond)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class Model:
 
     @property
     def frame(self) -> Frame:
-        return Frame(self.worlds, self.relation, self.logics)
+        return Frame(self.worlds, self.relation, self.logics, self.diamond)
 
     def successors(self, w: str) -> tuple[str, ...]:
         return self._succ.get(w, ())
@@ -409,8 +410,7 @@ def model_from_dict(data: dict) -> Model:
 
 
 def frame_from_dict(data: dict) -> Frame:
-    worlds, relation, logics, _ = _parse_common(data, _FRAME_MEMBERS, "frame")
-    return Frame(worlds, relation, logics)
+    return Frame(*_parse_common(data, _FRAME_MEMBERS, "frame"))
 
 
 def load_model(path) -> Model:
@@ -435,5 +435,5 @@ def model_to_dict(model: Model) -> dict:
 
 
 def validate_frame(frame: Frame) -> ValidationReport:
-    dummy = Model(frame.worlds, frame.relation, frame.logics, {})
+    dummy = Model(frame.worlds, frame.relation, frame.logics, {}, frame.diamond)
     return validate(dummy)

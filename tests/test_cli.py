@@ -94,6 +94,23 @@ def test_check_frame_sampled_seeded(capsys, fixtures):
     assert "seed=5" in out
 
 
+def test_check_frame_uses_the_frames_diamond_unless_told_otherwise(capsys, fixtures, tmp_path):
+    # as eval does: the flag wins, then the file's diamond, then up
+    doc = json.loads((fixtures / "euclid3.json").read_text())
+    doc["diamond"] = "down"
+    down = tmp_path / "euclid3-down.json"
+    down.write_text(json.dumps(doc))
+    plain = str(fixtures / "euclid3.json")
+    for mode in (["--exhaustive"], []):
+        def check(*argv):
+            return run(capsys, "check-frame", *argv, "--axiom", "5", *mode)
+
+        assert check(str(down)) == check(plain, "--diamond", "down")
+        assert check(str(down))[1].startswith("COUNTEREXAMPLE world=w1 ")
+        assert check(str(down), "--diamond", "up") == check(plain)
+        assert check(plain)[1].startswith("COUNTEREXAMPLE world=w2 ")
+
+
 def test_sampled_checks_refuse_fewer_than_one_sample(capsys, fixtures):
     frame = str(fixtures / "euclid3.json")
     for samples in ("0", "-1"):

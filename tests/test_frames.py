@@ -20,6 +20,7 @@ from manylogic.frames import (
     theorem_suite,
     transitive_closure,
 )
+from manylogic.frames import _Words
 from manylogic.logics import LOGIC_IDS, LOGICS
 from manylogic.models import DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
 from manylogic.syntax import atoms, parse, substitute, to_text
@@ -303,7 +304,7 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
     # one world that has no successors
     from test_models import reference_eval
 
-    from manylogic.frames import _LOGIC_INDEX, _eval_slots, compile_program
+    from manylogic.frames import CODE_OF, MASK_OF, ROW_OF, _LOGIC_INDEX, _eval_slots, compile_program
 
     rng = Random(23)
     texts = ("p", "!q", "[]p", "<>q", "[](p -> q) -> ([]p -> []q)",
@@ -321,7 +322,7 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
         rel_pairs = [
             (i, j) for i in range(n) for j in range(n) if i != dead_end and rng.random() < 0.5
         ]
-        succs = [tuple(j for i, j in rel_pairs if i == w) for w in range(n)]
+        edges = [[(j, None, None) for i, j in rel_pairs if i == w] for w in range(n)]
         valuations = [
             {
                 worlds[w]: {
@@ -331,20 +332,20 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
             }
             for _ in range(batch)
         ]
-        lat = [np.full(batch, _LOGIC_INDEX[l], dtype=np.int8) for l in lids]
+        lat = [np.full(batch, ROW_OF[_LOGIC_INDEX[l]]) for l in lids]
         vals = [
-            [np.array([int(v[worlds[w]][a]) for v in valuations], dtype=np.int8) for w in range(n)]
+            [MASK_OF[[int(v[worlds[w]][a]) for v in valuations]] for w in range(n)]
             for a in ("p", "q")
         ]
         relation = frozenset((worlds[i], worlds[j]) for i, j in rel_pairs)
         for variant in DIAMOND_VARIANTS:
             for text in texts:
-                fast = _eval_slots(progs[variant, text], succs, lat, vals)[-1]
+                fast = _eval_slots(progs[variant, text], edges, lat, vals)[-1]
                 for k, valuation in enumerate(valuations):
                     model = Model(worlds, relation, dict(zip(worlds, lids)), valuation, variant)
                     for w in range(n):
                         want = reference_eval(model, worlds[w], parse(text))
-                        assert V(int(fast[w][k])) == want, (variant, text, model, worlds[w])
+                        assert V(int(CODE_OF[fast[w][k]])) == want, (variant, text, model, worlds[w])
 
 
 def test_sweeps_are_deterministic():
@@ -392,3 +393,188 @@ def test_sampled_checks_refuse_more_than_the_cap():
             sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
         with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
             run_theorem(THEOREMS["K"], LOGIC_IDS, samples)
+
+
+# ------------------------------------------- mask codes, draws, evaluator
+
+def test_birkhoff_masks_fold_like_every_lattice():
+    # a value's mask is the set of base join-irreducibles {F0, n, b, T}
+    # beneath it; in every lattice the meet of a multiset is down of the
+    # AND of its masks and the join is up of the OR, down(15) is the top
+    # and up(0) the bottom
+    from itertools import combinations_with_replacement
+
+    from manylogic.frames import CODE_OF, DOWN_M, MASK_OF, ROW_OF, UP_M
+
+    assert MASK_OF[[V.F, V.F0, V.n, V.b, V.T0, V.T]].tolist() == [0, 1, 3, 5, 7, 15]
+    for li, lid in enumerate(LOGIC_IDS):
+        lat = LOGICS[lid].lattice
+
+        def down(m):
+            return V(int(CODE_OF[DOWN_M[ROW_OF[li] | m]]))
+
+        def up(m):
+            return V(int(CODE_OF[UP_M[ROW_OF[li] | m]]))
+
+        assert down(15) == lat.top and up(0) == lat.bottom
+        for k in range(1, 5):
+            for xs in combinations_with_replacement(lat.elements, k):
+                masks = MASK_OF[list(xs)]
+                assert down(np.bitwise_and.reduce(masks)) == lat.meet_set(xs), (lid, xs)
+                assert up(np.bitwise_or.reduce(masks)) == lat.join_set(xs), (lid, xs)
+            # what the box and the up diamond fold: values from any lattice,
+            # interpreted into this one edge by edge, or all at once
+            for xs in combinations_with_replacement(tuple(V), k):
+                masks = MASK_OF[list(xs)]
+                assert down(np.bitwise_and.reduce(masks)) == lat.meet_set(map(lat.down, xs))
+                assert up(np.bitwise_or.reduce(masks)) == lat.join_set(map(lat.up, xs))
+
+
+class _Trickle(_Words):
+    """A word stream that hands out at most 17 more words per peek than
+    the time before, so every refill path of a decoder runs."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.step = 0
+
+    def peek(self, count):
+        self.step += 17
+        return super().peek(min(count, self.step))
+
+
+DRAW_SEEDS = (0, -1, 2**32 + 5, 2**70 + 3)
+
+
+def test_word_stream_draws_what_random_draws():
+    # the decoded draws are Random(seed)'s, draw for draw: if a Python
+    # changes Random's internals this fails, instead of every sampled
+    # witness changing without notice
+    runs = [(m, count) for count in (1, 2, 300, 5000) for m in (2, 3, 4, 6, 1, 9)]
+    for seed in DRAW_SEEDS:
+        rng = Random(seed)
+        want = [[rng.choice(range(m)) for _ in range(count)] for m, count in runs]
+        tail = [rng.choice(range(5)) for _ in range(3)]
+        for words in (_Words(seed), _Trickle(seed)):
+            assert [words.below(m, count).tolist() for m, count in runs] == want, seed
+            assert words.below(5, 3).tolist() == tail  # and it stops where Random stops
+
+
+def test_sample_draws_match_random_on_every_logic_set():
+    from manylogic.frames import ELEMENT_MASKS, _sample_draws
+
+    sizes_of = [m.size for m in ELEMENT_MASKS]  # lattice sizes 6, 4, 3 and 2
+    rng = Random(17)
+    for k in range(1, 10):
+        sizes = [sizes_of[i] for i in rng.sample(range(9), k)]
+        shapes = [(1, 1, 1), (2, 2, 7), (3, 1, 400), (3, 2, 60)]
+        if k == 9:
+            shapes.append((3, 2, 3000))  # past the first window of words held as ints
+        for n_worlds, n_atoms, samples in shapes:
+            for seed in DRAW_SEEDS[k % 2::2]:
+                ref = Random(seed)
+                want = []
+                for _ in range(samples):
+                    bits = [ref.random() < 0.5 for _ in range(n_worlds * n_worlds)]
+                    logic = [ref.choice(range(k)) for _ in range(n_worlds)]
+                    picks = [[ref.choice(range(sizes[c])) for c in logic] for _ in range(n_atoms)]
+                    want.append((sum(b << t for t, b in enumerate(bits)), logic, picks))
+                for words in (_Words(seed), _Trickle(seed))[:1 if samples > 1000 else 2]:
+                    patterns, logics, picks = _sample_draws(words, samples, n_worlds, sizes, n_atoms)
+                    got = list(zip(patterns.tolist(), logics.tolist(), picks.tolist()))
+                    assert got == want, (sizes, n_worlds, n_atoms, samples, seed)
+
+
+def _int8_eval_slots(prog, succs, lat, vals):
+    """The frame evaluator on int8 value codes that the mask evaluator
+    replaced, kept as its reference: lat[w] holds logic indices, succs[w]
+    the successors of w in every lane."""
+    from manylogic.models import BOT_T, CIRC_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T
+
+    n = len(lat)
+    slots = []
+    for node in prog:
+        kind = node[0]
+        if kind == "atom":
+            row = [vals[node[1]][w] for w in range(n)]
+        elif kind == "bottom":
+            row = [BOT_T[lat[w]] for w in range(n)]
+        elif kind == "neg":
+            row = [NEG_T[slots[node[1]][w]] for w in range(n)]
+        elif kind == "circ":
+            row = [CIRC_T[lat[w], slots[node[1]][w]] for w in range(n)]
+        elif kind in ("and", "or", "imp"):
+            tbl = {"and": MEET_T, "or": JOIN_T, "imp": IMP_T}[kind]
+            l, r = slots[node[1]], slots[node[2]]
+            row = [tbl[lat[w], l[w], r[w]] for w in range(n)]
+        else:
+            ch = slots[node[1]]
+            fold, interp, unit = {
+                "box": (MEET_T, DOWN_T, TOP_T),
+                "dia_up": (JOIN_T, UP_T, BOT_T),
+                "dia_down": (JOIN_T, DOWN_T, BOT_T),
+            }[kind]
+            row = []
+            for w in range(n):
+                acc = unit[lat[w]]
+                for u in succs[w]:
+                    acc = fold[lat[w], acc, interp[lat[w], ch[u]]]
+                row.append(acc)
+        slots.append(row)
+    return slots
+
+
+def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
+    # one batch mixes relations and logic assignments lane by lane, with
+    # dead ends; every node of the mask evaluator agrees with the int8
+    # evaluator run lane by lane, and every root with reference_eval
+    from test_models import reference_eval
+
+    from manylogic.frames import CODE_OF, MASK_OF, ROW_OF, _eval_slots, compile_program
+
+    rng = Random(31)
+    texts = ("!q", "@p & <>(p | q)", "[](p -> q) -> ([]p -> []q)", "<>~p -> []<>~p",
+             "~[]~q", "<>[]p -> []<>#", "p => <>q", "N[]p | <>@q")
+    batch = 8
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        lanes = []
+        for _ in range(batch):
+            lids = [rng.randrange(9) for _ in worlds]
+            dead_end = rng.randrange(n + 1)  # n: no dead end forced
+            rel = frozenset(
+                (i, j) for i in range(n) for j in range(n) if i != dead_end and rng.random() < 0.5
+            )
+            picks = [[rng.choice(LOGICS[LOGIC_IDS[l]].lattice.elements) for l in lids] for _ in "pq"]
+            lanes.append((lids, rel, picks))
+        lat = [np.array([ROW_OF[lane[0][w]] for lane in lanes]) for w in range(n)]
+        vals = [[MASK_OF[[int(lane[2][a][w]) for lane in lanes]] for w in range(n)] for a in range(2)]
+        edges = []
+        for i in range(n):
+            edges.append([])
+            for j in range(n):
+                present = np.array([15 * ((i, j) in lane[1]) for lane in lanes], dtype=np.uint8)
+                edges[i].append((j, present, present ^ np.uint8(15)))
+        for variant in DIAMOND_VARIANTS:
+            for text in texts:
+                prog = compile_program(parse(text), variant, ("p", "q"))
+                fast = _eval_slots(prog, edges, lat, vals)
+                for k, (lids, rel, picks) in enumerate(lanes):
+                    succs = [[j for j in range(n) if (i, j) in rel] for i in range(n)]
+                    old = _int8_eval_slots(
+                        prog, succs, np.array(lids, dtype=np.int8),
+                        [np.array([int(v) for v in picks[a]], dtype=np.int8) for a in range(2)],
+                    )
+                    for node in range(len(prog)):
+                        got = [int(CODE_OF[fast[node][w][k]]) for w in range(n)]
+                        assert got == [int(x) for x in old[node]], (variant, text, node, k)
+                    model = Model(
+                        worlds, frozenset((worlds[i], worlds[j]) for i, j in rel),
+                        {w: LOGIC_IDS[l] for w, l in zip(worlds, lids)},
+                        {w: {"p": picks[0][i], "q": picks[1][i]} for i, w in enumerate(worlds)},
+                        variant,
+                    )
+                    for w in range(n):
+                        want = reference_eval(model, worlds[w], parse(text))
+                        assert V(int(CODE_OF[fast[-1][w][k]])) == want, (variant, text, k, w)
