@@ -113,11 +113,11 @@ def _check_reading(v14_reading: str) -> None:
         )
 
 
-def _instances(logic: MatrixLogic, order: list[Formula], v14_reading: str) -> list[tuple]:
-    """Every clause instance of the logic over the domain `order`, as
-    (clause number, main formula, indices into `order`, allowed-rows mask)."""
+def _instances(logic: MatrixLogic, idx: dict[Formula, int], v14_reading: str) -> list[tuple]:
+    """Every clause instance of the logic over a domain, given as each
+    formula's index in its order, as (clause number, main formula,
+    indices, allowed-rows mask)."""
     clauses = CLAUSE_SETS[logic.id]
-    idx = {f: i for i, f in enumerate(order)}
     bottom = SNAPSHOTS[logic.lattice.bottom]
     out: list[tuple] = []
     masks = {**_MASKS, 14: _V14_MASKS[v14_reading]}
@@ -133,7 +133,7 @@ def _instances(logic: MatrixLogic, order: list[Formula], v14_reading: str) -> li
             ids, mask = _project(ids, mask)
         out.append((num, main, ids, mask))
 
-    for f in order:
+    for f in idx:
         kind = type(f)
         if kind is Bottom:
             out.append(("bot", f, (idx[f],), 1 << bottom[0]))
@@ -220,10 +220,11 @@ def check_clauses(
         if v not in (0, 1):
             raise DomainError(f"rho({to_text(f)}) = {v!r} is neither 0 nor 1")
     order = _ordered(assignment)
+    idx = {f: i for i, f in enumerate(order)}
     vals = [1 if assignment[f] else 0 for f in order]
     bad = tuple(
         f"v{num}[{to_text(main)}]"
-        for num, main, ids, mask in _instances(logic, order, v14_reading)
+        for num, main, ids, mask in _instances(logic, idx, v14_reading)
         if not mask >> sum(vals[i] << j for j, i in enumerate(ids)) & 1
     )
     return ClauseReport(not bad, bad)
@@ -256,7 +257,7 @@ def _search(
     n = len(order)
     watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
     forced = [(idx[f], v) for f, v in pins.items()]
-    for _, _, ids, mask in _instances(logic, order, v14_reading):
+    for _, _, ids, mask in _instances(logic, idx, v14_reading):
         if len(ids) == 1:  # allows exactly one value: mask 0b01 or 0b10
             forced.append((ids[0], mask >> 1))
         else:

@@ -3,11 +3,11 @@ collected frame-correspondence results.
 
 Schema checks enumerate every valuation of every (relation, logic
 assignment) frame at a given world count.  The sweep is vectorised with
-numpy over a joint (assignment, valuation) axis, on 4-bit masks of the
-values, so that exhaustive runs over all three-world frames stay well
-under a second; counterexamples are handed back as ordinary models that
-replay through the normal evaluator.  Sampled checks draw what
-`Random(seed)` draws, decoded from its words in bulk.
+numpy over a joint (assignment, valuation) axis, on the 4-bit mask
+tables `models` owns, so that exhaustive runs over all three-world
+frames stay well under a second; counterexamples are handed back as
+ordinary models that replay through the normal evaluator.  Sampled
+checks draw what `Random(seed)` draws, decoded from its words in bulk.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import syntax
-from .lattices import base_leq
-from .logics import LOGIC_IDS, LOGICS
-from .models import (  # the code tables and the compiler live in models
+from .logics import LOGIC_IDS
+from .models import (  # the value tables and the compiler live in models
     _LOGIC_INDEX,
-    BOT_T, JOIN_T, MEET_T, TOP_T,  # noqa: F401  re-exported; perfbench/record.py reads them here
-    CIRC_T, DESIG_T, DOWN_T, IMP_T, NEG_T, UP_T,
+    # re-exported; perfbench/record.py reads the code tables here
+    BOT_T, CIRC_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T,  # noqa: F401
+    CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
     Frame,
     Model,
     compile_program,
@@ -51,18 +51,26 @@ class FrameProperties:
     serial: bool
 
 
+def _properties(worlds, rel) -> FrameProperties:
+    """The properties of a relation, a collection of (source, target)
+    pairs, over `worlds`, read off each source's successor set: for each
+    edge a -> b, transitivity asks succ(b) <= succ(a) and euclideanness
+    succ(a) <= succ(b)."""
+    succ: dict = {}
+    for a, b in rel:
+        succ.setdefault(a, set()).add(b)
+    none, known = frozenset(), frozenset(worlds)
+    return FrameProperties(
+        reflexive=all(w in succ.get(w, none) for w in worlds),
+        transitive=all(succ.get(b, none) <= out for out in succ.values() for b in out),
+        euclidean=all(out <= succ.get(b, none) for out in succ.values() for b in out),
+        symmetric=all(a in succ.get(b, none) for a, b in rel),
+        serial=all(not succ.get(w, none).isdisjoint(known) for w in worlds),
+    )
+
+
 def frame_properties(frame: Frame) -> FrameProperties:
-    worlds, rel = frame.worlds, frame.relation
-    reflexive = all((w, w) in rel for w in worlds)
-    transitive = all(
-        (a, d) in rel for a, b in rel for c, d in rel if b == c
-    )
-    euclidean = all(
-        (b, d) in rel for a, b in rel for c, d in rel if a == c
-    )
-    symmetric = all((b, a) in rel for a, b in rel)
-    serial = all(any((w, u) in rel for u in worlds) for w in worlds)
-    return FrameProperties(reflexive, transitive, euclidean, symmetric, serial)
+    return _properties(frame.worlds, frame.relation)
 
 
 @dataclass(frozen=True)
@@ -112,45 +120,6 @@ class CheckResult:
     counterexample: Counterexample | None
     frames_checked: int
     models_checked: int
-
-
-# ---------------------------------------------------------------- tables
-#
-# Inside frames a value is the 4-bit mask of the base join-irreducibles
-# {F0, n, b, T} beneath it (Birkhoff): F=0, F0=1, n=3, b=5, T0=7, T=15,
-# so the base meet is AND and the base join OR.  In every logic w the
-# meet of a multiset is down_w of the AND of its masks and the join is
-# up_w of the OR; down_w(15) is w's top and up_w(0) its bottom.  The
-# tables are models' code tables re-indexed by mask and laid out flat: a
-# world's row starts at 16 x its logic index (imp's at 256 x), so one
-# `take` of row | mask reads a map at every lane.  Box and the up diamond
-# need not interpret each successor first: down_w of the AND of the raw
-# masks is the meet in w of their down_w, and up_w of the OR the join of
-# their up_w.
-
-_IRREDUCIBLES = (Value.F0, Value.n, Value.b, Value.T)
-MASK_OF = np.array(  # by value code
-    [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value],
-    dtype=np.uint8,
-)
-CODE_OF = np.zeros(16, dtype=np.int8)  # by mask; masks that name no value read T
-CODE_OF[MASK_OF] = np.arange(len(Value))
-
-
-def _by_mask(table) -> np.ndarray:
-    """A code table (logic, code[, code]) as a flat mask table; entries
-    outside a logic's lattice read 0 and are never looked up."""
-    for axis in range(1, table.ndim):
-        table = table.take(CODE_OF, axis=axis)
-    return (table if table.dtype == bool else MASK_OF[table]).ravel()
-
-
-DOWN_M, UP_M, CIRC_M, IMP_M, DESIG_M = map(_by_mask, (DOWN_T, UP_T, CIRC_T, IMP_T, DESIG_T))
-NEG_M = MASK_OF[NEG_T[CODE_OF]]
-# logic index -> its row in the tables; 16-bit lanes index the tables
-# faster than 64-bit ones, and every index fits
-ROW_OF = 16 * np.arange(len(LOGIC_IDS), dtype=np.int16)
-ELEMENT_MASKS = [MASK_OF[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
 
 
 # ---------------------------------------------------------------- draws
@@ -304,7 +273,7 @@ def _names(rel, worlds) -> frozenset:
 
 
 def _rel_props(rel, n: int) -> FrameProperties:
-    return frame_properties(Frame(_world_names(n), _names(rel, _world_names(n)), {}))
+    return _properties(range(n), rel)
 
 
 def _designated_all_worlds(root, lat):
@@ -643,23 +612,19 @@ DUALITY_CORPUS = (
 )
 
 
-def duality_check(
-    logic_ids=LOGIC_IDS,
-    n_worlds: int = 2,
-    corpus=DUALITY_CORPUS,
-    variant: str = "up",
-    max_mismatches: int = 5,
-) -> DualityReport:
-    """Value-level identity diamond A == !box!A on every model at the given
-    world count, for every corpus formula."""
+def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
+    """Value-level identity diamond A == !box!A under the up variant, on
+    every two-world model, for every corpus formula; at most five
+    mismatches are reported."""
+    n_worlds, max_mismatches = 2, 5
     logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), 1)
     mismatches: list[str] = []
     models = 0
-    for text in corpus:
+    for text in DUALITY_CORPUS:
         body = parse(text)
-        lhs = compile_program(Diamond(body), variant, ("p",))
-        rhs = compile_program(Neg(Box(Neg(body))), variant, ("p",))
+        lhs = compile_program(Diamond(body), "up", ("p",))
+        rhs = compile_program(Neg(Box(Neg(body))), "up", ("p",))
         for rel in _relations(n_worlds):
             edges = _edges(rel, n_worlds)
             a = _eval_slots(lhs, edges, axis.lat, axis.vals)[-1]

@@ -13,7 +13,9 @@ one value; `evaluate` and `matrix_consequence` share one formula walk that
 runs them on bit-planes, a Python int per snapshot coordinate whose bit j
 is the coordinate under valuation j.  `matrix_consequence` thus evaluates
 each formula once over all |L|^k valuations, and `evaluate` is the case of
-a single valuation.
+a single valuation.  The walk runs on `syntax.desugar`'s output, so `~`,
+`N` and `=>` are expanded there alone; `apply` keeps its own value-level
+`nabla` and `impL`, the per-valuation reference the tests check by.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class MatrixLogic:
     def is_designated(self, x: Value) -> bool:
         return x in self.designated
 
-    def apply(self, conn: str, *args: Value) -> Value:
-        return apply(self, conn, list(args))
-
 
 def _make(lid: str, lattice_id: str, family: str, third: int) -> MatrixLogic:
     lat = get_lattice(lattice_id)
@@ -120,13 +119,6 @@ LOGICS: dict[str, MatrixLogic] = {
 }
 
 LOGIC_IDS = tuple(LOGICS)
-
-
-def get_logic(lid: str) -> MatrixLogic:
-    try:
-        return LOGICS[lid]
-    except KeyError:
-        raise LogicError(f"unknown logic id {lid!r}") from None
 
 
 def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
@@ -201,17 +193,22 @@ def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
     return TruthTable(logic.id, conn, els, cells)
 
 
-def _walk(formulas: list) -> tuple[list, dict, dict]:
-    """The nodes of `formulas`, children first, each once as (node, ids of
-    its children); the atom names from left to right; and, by node id, how
-    often each node is used: once per argument position, and once more for
-    each of `formulas`.  Nodes are told apart by identity, so a shared
-    subformula is evaluated once."""
+def _walk(formulas: list) -> tuple[list, list, dict, dict]:
+    """The desugared `formulas`; their nodes, children first, each once as
+    (node, ids of its children); the atom names from left to right; and,
+    by node id, how often each node is used: once per argument position,
+    and once more for each formula.  Nodes are told apart by identity, so
+    a shared subformula is evaluated once.  A box or diamond is refused
+    before anything is walked, naming the formula as given."""
+    for f in formulas:
+        if not syntax.is_modal_free(f):
+            raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
+    roots = [syntax.desugar(f) for f in formulas]
     order: list = []
     names: dict = {}
-    uses = dict.fromkeys(map(id, formulas), 1)
+    uses = dict.fromkeys(map(id, roots), 1)
     seen: set = set()
-    for f in formulas:
+    for f in roots:
         stack = [(f, None)]
         while stack:
             g, kids = stack.pop()
@@ -227,24 +224,23 @@ def _walk(formulas: list) -> tuple[list, dict, dict]:
                 order.append((g, ()))
             elif kind is Bottom:
                 order.append((g, ()))
-            elif kind is syntax.Box or kind is syntax.Diamond:
-                raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
             else:
                 children = syntax.children(g)
                 stack.append((g, tuple(map(id, children))))
                 for c in reversed(children):
                     uses[id(c)] = uses.get(id(c), 0) + 1
                     stack.append((c, None))
-    return order, names, uses
+    return roots, order, names, uses
 
 
 def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict) -> dict:
-    """Snapshots of the nodes in `order`, keyed by id, with each coordinate
-    a bit-plane: bit j is its value under valuation j.  `atoms` maps atom
-    names to planes; `one` has every valuation's bit set, so one=1 with 0/1
-    coordinates evaluates a single valuation.  `uses` comes from `_walk`
-    and is counted down: a node's planes are dropped with its last use, so
-    memory follows the widest cut of the formulas, not their size."""
+    """Snapshots of the nodes in `order`, which `_walk` desugared, keyed by
+    id, with each coordinate a bit-plane: bit j is its value under
+    valuation j.  `atoms` maps atom names to planes; `one` has every
+    valuation's bit set, so one=1 with 0/1 coordinates evaluates a single
+    valuation.  `uses` comes from `_walk` and is counted down: a node's
+    planes are dropped with its last use, so memory follows the widest cut
+    of the formulas, not their size."""
     bottom = tuple(one if c else 0 for c in SNAPSHOTS[logic.lattice.bottom])
     third = one if logic.circ_third_coordinate else 0
     imp = twist_imp_material if logic.implication_family == "material" else twist_imp_chain
@@ -252,17 +248,6 @@ def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict
     # lattice.  That moves a result only in L4s, whose b & n = F0 and
     # b | n = T0 go down to F and T: the reliability bit becomes t xor f.
     strong4 = logic.lattice.id == "L4s"
-
-    def meet(z, w):
-        t, f, r = twist_and(z, w)
-        return (t, f, r | (t ^ f)) if strong4 else (t, f, r)
-
-    def join(z, w):
-        t, f, r = twist_or(z, w)
-        return (t, f, r | (t ^ f)) if strong4 else (t, f, r)
-
-    def nabla(z):
-        return join(z, twist_neg(twist_circ(z, third, one)))
 
     val: dict[int, tuple] = {}
     for g, kids in order:
@@ -275,21 +260,13 @@ def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict
             out = twist_neg(val[kids[0]])
         elif kind is syntax.Circ:
             out = twist_circ(val[kids[0]], third, one)
-        elif kind is syntax.CNeg:
-            out = imp(val[kids[0]], bottom, one)
-        elif kind is syntax.Nabla:
-            out = nabla(val[kids[0]])
         else:
             z, w = val[kids[0]], val[kids[1]]
-            if kind is syntax.And:
-                out = meet(z, w)
-            elif kind is syntax.Or:
-                out = join(z, w)
-            elif kind is syntax.Imp:
+            if kind is syntax.Imp:
                 out = imp(z, w, one)
-            else:  # ImpL
-                na = twist_neg(z)
-                out = meet(join(nabla(na), w), join(nabla(w), na))
+            else:
+                t, f, r = twist_and(z, w) if kind is syntax.And else twist_or(z, w)
+                out = (t, f, r | (t ^ f)) if strong4 else (t, f, r)
         val[id(g)] = out
         for k in kids:
             uses[k] -= 1
@@ -300,7 +277,7 @@ def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict
 
 def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Value:
     """Value of a modal-free formula under an atom assignment."""
-    order, names, uses = _walk([f])
+    (root,), order, names, uses = _walk([f])
     atoms = {}
     for name in names:
         try:
@@ -310,7 +287,7 @@ def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Va
         if x not in logic.lattice.members:
             raise LogicError(f"value {x} not in logic {logic.id}")
         atoms[name] = SNAPSHOTS[x]
-    return from_snapshot(_evaluate(logic, order, atoms, 1, uses)[id(f)])
+    return from_snapshot(_evaluate(logic, order, atoms, 1, uses)[id(root)])
 
 
 @dataclass(frozen=True)
@@ -357,8 +334,7 @@ def matrix_consequence(logic: MatrixLogic, premises, conclusion: Formula) -> Ver
 
     Each formula is evaluated once over all |L|^k valuations, held as
     bit-planes; a value is designated iff its truth coordinate is 1."""
-    formulas = list(premises) + [conclusion]
-    order, names, uses = _walk(formulas)
+    roots, order, names, uses = _walk(list(premises) + [conclusion])
     names = sorted(names)
     k = len(names)
     if k > MAX_ATOMS:
@@ -368,9 +344,9 @@ def matrix_consequence(logic: MatrixLogic, premises, conclusion: Formula) -> Ver
     atoms = dict(zip(names, _atom_planes(logic.lattice.id, k)))
     val = _evaluate(logic, order, atoms, one, uses)
     held = one
-    for p in formulas[:-1]:
+    for p in roots[:-1]:
         held &= val[id(p)][0]
-    failed = held & ~val[id(conclusion)][0]
+    failed = held & ~val[id(roots[-1])][0]
     if not failed:
         return Verdict(True)
     j = (failed & -failed).bit_length() - 1

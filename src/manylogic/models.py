@@ -6,9 +6,12 @@ down-interpreted values at its successors.  Diamonds come in four
 variants: joins of up-interpreted values (the default), joins of
 down-interpreted values, and the two negation rewrites !box! and ~box~.
 
-Formulas compile to a postfix program over integer value codes, run on
-the value tables below.  `eval_formula` runs it over a model's whole
-world axis; `frames` runs it over a batch of valuations per world.
+This module owns the value tables: code tables indexed by `Value`, and
+the 4-bit mask tables derived from them that every compiled program
+runs on.  Formulas compile to a postfix program; `eval_formula` runs it
+on the mask tables as Python lists over a model's whole world axis, and
+`frames` runs it on the same tables as numpy arrays over a batch of
+valuations per world.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from . import syntax
+from .lattices import base_leq
 from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
 from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
 from .values import Value, parse_value
@@ -172,7 +176,8 @@ def _validate(model: Model) -> ValidationReport:
 #
 # Value codes are the `Value` integers.  Indexed by logic (its position in
 # LOGIC_IDS) and then by codes; -1 marks an argument outside the logic's
-# lattice.  NEG_T is the same in every logic.
+# lattice.  NEG_T is the same in every logic.  These are the source of
+# the mask tables below and the int8 reference the tests check them by.
 
 _N_LOGIC = len(LOGIC_IDS)
 _LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
@@ -211,6 +216,42 @@ def _fill_tables():
 
 
 MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fill_tables()
+
+# A compiled program runs on 4-bit masks of the values: a value's mask is
+# the set of base join-irreducibles {F0, n, b, T} beneath it (Birkhoff):
+# F=0, F0=1, n=3, b=5, T0=7, T=15, so the base meet is AND and the base
+# join OR.  In every logic w the meet of a multiset is down_w of the AND
+# of its masks and the join is up_w of the OR; down_w(15) is w's top and
+# up_w(0) its bottom.  The tables are the code tables above re-indexed by
+# mask and laid out flat: a world's row starts at 16 x its logic index
+# (imp's at 256 x), so row | mask reads a map.  Box and the up diamond
+# need not interpret each successor first: down_w of the AND of the raw
+# masks is the meet in w of their down_w, and up_w of the OR the join of
+# their up_w.
+
+_IRREDUCIBLES = (Value.F0, Value.n, Value.b, Value.T)
+MASK_OF = np.array(  # by value code
+    [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value],
+    dtype=np.uint8,
+)
+CODE_OF = np.zeros(16, dtype=np.int8)  # by mask; masks that name no value read T
+CODE_OF[MASK_OF] = np.arange(len(Value))
+
+
+def _by_mask(table) -> np.ndarray:
+    """A code table (logic, code[, code]) as a flat mask table; entries
+    outside a logic's lattice read 0 and are never looked up."""
+    for axis in range(1, table.ndim):
+        table = table.take(CODE_OF, axis=axis)
+    return (table if table.dtype == bool else MASK_OF[table]).ravel()
+
+
+DOWN_M, UP_M, CIRC_M, IMP_M, DESIG_M = map(_by_mask, (DOWN_T, UP_T, CIRC_T, IMP_T, DESIG_T))
+NEG_M = MASK_OF[NEG_T[CODE_OF]]
+# logic index -> its row in the tables; 16-bit lanes index the tables
+# faster than 64-bit ones, and every index fits
+ROW_OF = 16 * np.arange(_N_LOGIC, dtype=np.int16)
+ELEMENT_MASKS = [MASK_OF[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
 
 
 # ------------------------------------------------------------- programs
@@ -265,22 +306,17 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
 
 # ------------------------------------------------------------ evaluation
 
-_VALUES = tuple(Value)  # by code
-_MEET, _JOIN, _IMP, _CIRC, _NEG, _DOWN, _UP, _TOP, _BOT = (
-    t.tolist() for t in (MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, TOP_T, BOT_T)
-)
-_BINARY = {"and": _MEET, "or": _JOIN, "imp": _IMP}
-_FOLDS = {  # node kind -> (fold, interpretation map, unit of the fold)
-    "box": (_MEET, _DOWN, _TOP),
-    "dia_up": (_JOIN, _UP, _BOT),
-    "dia_down": (_JOIN, _DOWN, _BOT),
-}
+_MASK, _DOWN, _UP, _NEG, _CIRC = (t.tolist() for t in (MASK_OF, DOWN_M, UP_M, NEG_M, CIRC_M))
+# imp's flat index outgrows the small ints Python keeps ready-made, so
+# the list runner reads it as rows: _IMP[row | x][y]
+_IMP = IMP_M.reshape(-1, 16).tolist()
+_VALUE_OF = [Value(c) for c in CODE_OF.tolist()]  # by mask
 
 
 class _Encoding:
-    """A valid model on value codes along its world axis: each world's
-    logic index, successor positions and atom values, and the root row
-    of every formula evaluated so far."""
+    """A valid model on value masks along its world axis: each world's
+    table row (16 x its logic index), successor positions and atom masks,
+    and the root row of every formula evaluated so far."""
 
     def __init__(self, model: Model):
         report = validate(model)
@@ -288,10 +324,10 @@ class _Encoding:
             raise ModelFormatError("invalid model: " + "; ".join(report.errors))
         worlds, succ = model.worlds, model._succ
         self.index = index = {w: i for i, w in enumerate(worlds)}
-        self.lat = lat = [_LOGIC_INDEX[model.logics[w]] for w in worlds]
+        self.lat = lat = [16 * _LOGIC_INDEX[model.logics[w]] for w in worlds]
         self.succs = [[index[u] for u in succ.get(w, ())] for w in worlds]
         self.variant = model.diamond
-        self.bot = [_BOT[li] for li in lat]
+        self.bot = [_UP[l] for l in lat]
         self.columns: dict[str, list[int]] = {}
         for w, row in model.valuation.items():
             i = index[w]
@@ -299,11 +335,11 @@ class _Encoding:
                 col = self.columns.get(name)
                 if col is None:  # an atom missing at a world is its bottom
                     col = self.columns[name] = self.bot.copy()
-                col[i] = int(v)
+                col[i] = _MASK[v]
         self.roots: dict[Formula, list[int]] = {}
 
     def root(self, f: Formula) -> list[int]:
-        """f's value code at every world."""
+        """f's value mask at every world."""
         row = self.roots.get(f)
         if row is None:
             row = self.roots[f] = self._run(f)
@@ -322,19 +358,37 @@ class _Encoding:
             elif kind == "neg":
                 row = [_NEG[x] for x in slots[node[1]]]
             elif kind == "circ":
-                row = [_CIRC[li][x] for li, x in zip(lat, slots[node[1]])]
-            elif kind in _BINARY:
-                t = _BINARY[kind]
-                row = [t[li][x][y] for li, x, y in zip(lat, slots[node[1]], slots[node[2]])]
-            else:  # box, dia_up, dia_down: fold from the unit over the successors
-                fold, interp, unit = _FOLDS[kind]
+                row = [_CIRC[l | x] for l, x in zip(lat, slots[node[1]])]
+            elif kind == "and":
+                row = [_DOWN[l | x & y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+            elif kind == "or":
+                row = [_UP[l | x | y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+            elif kind == "imp":
+                row = [_IMP[l | x][y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+            elif kind == "box":  # down_w(AND of the successors' masks)
                 ch = slots[node[1]]
                 row = []
-                for li, ss in zip(lat, succs):
-                    op, to, acc = fold[li], interp[li], unit[li]
+                for l, ss in zip(lat, succs):
+                    acc = 15
                     for u in ss:
-                        acc = op[acc][to[ch[u]]]
-                    row.append(acc)
+                        acc &= ch[u]
+                    row.append(_DOWN[l | acc])
+            elif kind == "dia_up":  # up_w(OR of the successors' masks)
+                ch = slots[node[1]]
+                row = []
+                for l, ss in zip(lat, succs):
+                    acc = 0
+                    for u in ss:
+                        acc |= ch[u]
+                    row.append(_UP[l | acc])
+            else:  # dia_down: up_w(OR of the successors' down_w)
+                ch = slots[node[1]]
+                row = []
+                for l, ss in zip(lat, succs):
+                    acc = 0
+                    for u in ss:
+                        acc |= _DOWN[l | ch[u]]
+                    row.append(_UP[l | acc])
             slots.append(row)
         return slots[-1]
 
@@ -351,7 +405,7 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    return _VALUES[enc.root(f)[i]]
+    return _VALUE_OF[enc.root(f)[i]]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:

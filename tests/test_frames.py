@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -54,6 +55,70 @@ def test_euclidean_closure_example():
     closed = base | {("w2", "w3"), ("w3", "w2"), ("w2", "w2"), ("w3", "w3")}
     assert not frame_properties(frame(("w1", "w2", "w3"), base, {})).euclidean
     assert frame_properties(frame(("w1", "w2", "w3"), closed, {})).euclidean
+
+
+def _pairwise_properties(worlds, rel) -> tuple:
+    """The frame properties as first defined: over every pair of edges."""
+    return (
+        all((w, w) in rel for w in worlds),
+        all((a, d) in rel for a, b in rel for c, d in rel if b == c),
+        all((b, d) in rel for a, b in rel for c, d in rel if a == c),
+        all((b, a) in rel for a, b in rel),
+        all(any((w, u) in rel for u in worlds) for w in worlds),
+    )
+
+
+def _random_relation(rng, worlds) -> frozenset:
+    """A seeded relation over worlds: plain random, or closed to be
+    reflexive, transitive, symmetric or euclidean; dead ends and
+    self-loops among them."""
+    density = rng.choice((0.0, 0.1, 0.3, 0.6, 0.9, 1.0))
+    dead = rng.choice(worlds) if rng.random() < 0.5 else None
+    rel = {(a, b) for a in worlds for b in worlds if a != dead and rng.random() < density}
+    shape = rng.choice(("plain", "reflexive", "transitive", "symmetric", "euclidean"))
+    if shape == "reflexive":
+        rel |= {(w, w) for w in worlds}
+    elif shape == "transitive":
+        rel = set(transitive_closure(rel, len(worlds)))
+    elif shape == "symmetric":
+        rel |= {(b, a) for a, b in rel}
+    elif shape == "euclidean":
+        # clusters related all to all; every other world sees all of one
+        # cluster or nothing
+        cluster = [w for w in worlds if rng.random() < 0.4]
+        rel = {(a, b) for a in cluster for b in cluster}
+        rel |= {(a, b) for a in worlds if a not in cluster and rng.random() < 0.5 for b in cluster}
+    return frozenset(rel)
+
+
+def test_frame_properties_match_the_pairwise_definition():
+    from dataclasses import astuple
+
+    from manylogic.frames import _rel_props, _relations
+
+    seen = set()
+    for rel in _relations(3):
+        want = _pairwise_properties(range(3), rel)
+        assert astuple(_rel_props(rel, 3)) == want, rel
+        named = frame(("w1", "w2", "w3"), [(f"w{i + 1}", f"w{j + 1}") for i, j in rel], {})
+        assert astuple(frame_properties(named)) == want, rel
+    rng = Random(17)
+    for trial in range(600):
+        n = rng.randint(1, 12)
+        worlds = tuple(f"w{i}" for i in range(1, n + 1))
+        rel = _random_relation(rng, worlds)
+        index = {w: i for i, w in enumerate(worlds)}
+        if trial % 10 == 0:  # an edge to or from a world the frame does not list
+            rel |= {rng.choice([("x", rng.choice(worlds)), (rng.choice(worlds), "x")])}
+        else:
+            want = _pairwise_properties(range(n), {(index[a], index[b]) for a, b in rel})
+            assert astuple(_rel_props({(index[a], index[b]) for a, b in rel}, n)) == want
+        want = _pairwise_properties(worlds, rel)
+        assert astuple(frame_properties(frame(worlds, rel, {}))) == want, (worlds, sorted(rel))
+        if n > 3:
+            seen.update((k, v) for k, v in enumerate(want))
+    # past three worlds, each property both holds and fails
+    assert seen == set(product(range(5), (False, True)))
 
 
 def test_relation_closures():

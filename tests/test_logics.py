@@ -314,8 +314,11 @@ def _random_formula(rng, names, depth):
 
 
 def test_consequence_matches_the_per_valuation_reference():
-    rng = Random(5)
+    # evaluate is checked on every formula too, at one valuation each,
+    # drawn from its own generator so the corpus stays as it was
+    rng, pick = Random(5), Random(6)
     seen = Counter()
+    derived = Counter()
     for lid, logic in LOGICS.items():
         for k in range(5):
             for _ in range(10):
@@ -336,5 +339,32 @@ def test_consequence_matches_the_per_valuation_reference():
                 assert (got.valid, got.witness) == want, (lid, premises, conclusion)
                 used = len(set().union(*[atoms(f) for f in premises + [conclusion]]))
                 seen[used, got.valid, bool(premises)] += 1
+                for f in premises + [conclusion]:
+                    assignment = {name: pick.choice(logic.lattice.elements) for name in atoms(f)}
+                    value = evaluate(logic, f, assignment)
+                    assert value == _reference_value(logic, f, assignment), (lid, f, assignment)
+                    derived.update(type(g) for g in syntax.postorder(f))
     # every atom count, each verdict, with and without premises
     assert set(seen) == set(product(range(5), (False, True), (False, True))), seen
+    # evaluate met every derived connective
+    assert derived[syntax.CNeg] and derived[syntax.Nabla] and derived[syntax.ImpL]
+
+
+def test_modal_input_is_refused_before_it_is_walked():
+    # named as given: the desugared text of the 40-deep => chain would be
+    # exponentially long
+    from manylogic.syntax import ModalFormulaError
+
+    chain = " => ".join(["[]p"] * 40)
+    k3 = LOGICS["K3"]
+    for text in ("~[]p", chain):
+        f = parse(text)
+        calls = (
+            lambda: matrix_consequence(k3, [parse("p")], f),
+            lambda: matrix_consequence(k3, [f, parse("q")], parse("p")),
+            lambda: evaluate(k3, f, {"p": k3.lattice.bottom}),
+        )
+        for call in calls:
+            with pytest.raises(ModalFormulaError) as err:
+                call()
+            assert str(err.value) == f"modal operator in {text}"
