@@ -2,6 +2,12 @@
 finite subformula-closed domains, consequence by search with unit
 propagation, and the snapshot bridge back to the many-valued side.
 
+A sequent's domain is the closure of its desugared formulas: their
+subformulas plus each one's clause layer (!B, @B, !@B, !!B), which
+`syntax.layer` caches on the node.  `_instances` is the one builder of
+clause instances; it finds the !A and @A a clause needs through A's
+cached layer.
+
 Clause 14 is implemented in two readings.  "printed" keeps the source
 text's biconditional rho(!A)=1 iff rho(A)=1, under which the classical
 logics collapse; "corrected" flips it to iff rho(A)=0, which is the
@@ -16,7 +22,7 @@ from itertools import product
 
 from . import syntax
 from .logics import MatrixLogic, Verdict, apply, evaluate
-from .syntax import And, Bottom, Circ, Formula, Imp, Neg, Or, to_text
+from .syntax import And, Atom, Bottom, Circ, Formula, Imp, Neg, Or, to_text
 from .values import SNAPSHOTS, Value, from_snapshot
 
 V14_READINGS = ("printed", "corrected")
@@ -70,8 +76,8 @@ _CLAUSES = {
     17: lambda t: t == 1,
     18: lambda ca, t: t == ca,
     19: lambda ca, cb, a, b, na, nb, t: t == (ca & cb & a & b) | (ca & na) | (cb & nb),
-    20: lambda ca, cb, na, nb, a, b, t: t == (ca & cb & na & nb) | (ca & a) | (cb & b),
-    21: lambda a, cb, nb, ca, na, b, t: t == (a & cb & nb) | (ca & na) | (cb & b),
+    20: lambda ca, cb, a, b, na, nb, t: t == (ca & cb & na & nb) | (ca & a) | (cb & b),
+    21: lambda ca, cb, a, b, na, nb, t: t == (a & cb & nb) | (ca & na) | (cb & b),
     22: lambda a, cb, t: t == (1 - a) | cb,
 }
 _V14 = {"printed": lambda a, t: t == a, "corrected": lambda a, t: t == 1 - a}
@@ -87,7 +93,17 @@ def _truth_table(clause) -> int:
 
 
 _MASKS = {num: _truth_table(clause) for num, clause in _CLAUSES.items()}
-_V14_MASKS = {reading: _truth_table(clause) for reading, clause in _V14.items()}
+# Per logic and reading, clause n's mask at position n; 0 where the logic
+# has no clause n.
+_LOGIC_MASKS = {
+    (lid, reading): tuple(
+        (_truth_table(_V14[reading]) if n == 14 else _MASKS[n]) if n in clauses else 0 for n in range(23)
+    )
+    for lid, clauses in CLAUSE_SETS.items()
+    for reading in V14_READINGS
+}
+# The clauses each binary connective heads: bare, under ! and under @.
+_BINARY_CLAUSES = {And: (1, 4, 19), Or: (2, 5, 20), Imp: (3, 6, 21)}
 
 
 def _project(ids: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], int]:
@@ -103,7 +119,7 @@ def _project(ids: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], int]:
 
 
 def _ordered(domain) -> list[Formula]:
-    return sorted(domain, key=lambda f: (syntax.size(f), to_text(f)))
+    return sorted(domain, key=lambda f: (f._size, f._text or to_text(f)))
 
 
 def _check_reading(v14_reading: str) -> None:
@@ -113,86 +129,78 @@ def _check_reading(v14_reading: str) -> None:
         )
 
 
-def _instances(logic: MatrixLogic, idx: dict[Formula, int], v14_reading: str) -> list[tuple]:
+def _instances(logic: MatrixLogic, idx: dict[Formula, int], v14_reading: str):
     """Every clause instance of the logic over a domain, given as each
     formula's index in its order, as (clause number, main formula,
-    indices, allowed-rows mask)."""
-    clauses = CLAUSE_SETS[logic.id]
+    indices, allowed-rows mask), yielded formula by formula in domain order.
+
+    An instance that mentions !A or @A exists only where the domain holds
+    it; that is looked up through A's cached clause layer."""
+    m = _LOGIC_MASKS[logic.id, v14_reading]
     bottom = SNAPSHOTS[logic.lattice.bottom]
-    out: list[tuple] = []
-    masks = {**_MASKS, 14: _V14_MASKS[v14_reading]}
-
-    def has(*fs) -> bool:
-        return all(f in idx for f in fs)
-
-    def add(num, main, *mention):
-        ids = tuple([idx[m] for m in mention])
-        mask = masks[num]
-        # only an instance over three or more formulas can name one twice
-        if len(ids) > 2 and len(set(ids)) < len(ids):
-            ids, mask = _project(ids, mask)
-        out.append((num, main, ids, mask))
-
-    for f in idx:
+    get, layer = idx.get, syntax.layer
+    for f, i in idx.items():
         kind = type(f)
         if kind is Bottom:
-            out.append(("bot", f, (idx[f],), 1 << bottom[0]))
-        elif kind is And and 1 in clauses:
-            add(1, f, f.left, f.right, f)
-        elif kind is Or and 2 in clauses:
-            add(2, f, f.left, f.right, f)
-        elif kind is Imp and 3 in clauses:
-            add(3, f, f.left, f.right, f)
+            yield "bot", f, (i,), 1 << bottom[0]
+        elif kind in _BINARY_CLAUSES:
+            n = _BINARY_CLAUSES[kind][0]
+            if m[n]:
+                yield n, f, (idx[f.left], idx[f.right], i), m[n]
         elif kind is Neg:
             g = f.child
-            sub = type(g)
+            sub, j = type(g), idx[g]
             if sub is Bottom:
-                out.append(("bot", f, (idx[f],), 1 << bottom[1]))
-            if sub is And and 4 in clauses and has(Neg(g.left), Neg(g.right)):
-                add(4, f, Neg(g.left), Neg(g.right), f)
-            if sub is Or and 5 in clauses and has(Neg(g.left), Neg(g.right)):
-                add(5, f, Neg(g.left), Neg(g.right), f)
-            if sub is Imp and 6 in clauses and has(Neg(g.right)):
-                add(6, f, g.left, Neg(g.right), f)
-            if sub is Neg and 7 in clauses:
-                add(7, g.child, g.child, f)
-            if sub is Circ and 9 in clauses:
-                add(9, f, f)
-            if sub is Circ and 11 in clauses:
-                add(11, g, g, f)
-            if 14 in clauses:
-                add(14, f, g, f)
-            if 12 in clauses:
-                # If rho(!A)=0 then rho(A)=1, stated for the A with !A present
-                add(12, g, g, f)
-            if 13 in clauses:
-                add(13, g, g, f)
+                yield "bot", f, (i,), 1 << bottom[1]
+            elif sub is Neg:
+                if m[7]:
+                    yield 7, g.child, (idx[g.child], i), m[7]
+            elif sub is Circ:
+                if m[9]:
+                    yield 9, f, (i,), m[9]
+                if m[11]:
+                    yield 11, g, (j, i), m[11]
+            elif sub in _BINARY_CLAUSES and m[n := _BINARY_CLAUSES[sub][1]]:
+                a = idx[g.left] if sub is Imp else get(layer(g.left)[0])
+                b = get(layer(g.right)[0])
+                if a is not None and b is not None:
+                    yield n, f, (a, b, i), m[n]
+            if m[14]:
+                yield 14, f, (j, i), m[14]
+            # 12: if rho(!A)=0 then rho(A)=1, stated for the A with !A present
+            if m[12]:
+                yield 12, g, (j, i), m[12]
+            if m[13]:
+                yield 13, g, (j, i), m[13]
         elif kind is Circ:
             g = f.child
-            sub = type(g)
+            sub, j = type(g), idx[g]
             if sub is Bottom:
-                out.append(("bot", f, (idx[f],), 1 << bottom[2]))
-            if 8 in clauses:
-                add(8, f, f)
-            if 15 in clauses:
-                add(15, f, f)
-            if 10 in clauses and has(Neg(g)):
-                add(10, f, g, Neg(g), f)
-            if 16 in clauses and has(Neg(g)):
-                add(16, f, g, Neg(g), f)
-            if sub is Circ and 17 in clauses:
-                add(17, f, f)
-            if sub is Neg and 18 in clauses and has(Circ(g.child)):
-                add(18, g.child, Circ(g.child), f)
-            if sub is And and 19 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
-                add(19, f, Circ(g.left), Circ(g.right), g.left, g.right, Neg(g.left), Neg(g.right), f)
-            if sub is Or and 20 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
-                add(20, f, Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right), g.left, g.right, f)
-            if sub is Imp and 21 in clauses and has(Circ(g.left), Circ(g.right), Neg(g.left), Neg(g.right)):
-                add(21, f, g.left, Circ(g.right), Neg(g.right), Circ(g.left), Neg(g.left), g.right, f)
-            if sub is Imp and 22 in clauses and has(Circ(g.right)):
-                add(22, f, g.left, Circ(g.right), f)
-    return out
+                yield "bot", f, (i,), 1 << bottom[2]
+            if m[8]:
+                yield 8, f, (i,), m[8]
+            if m[15]:
+                yield 15, f, (i,), m[15]
+            for n in (10, 16):
+                k = get(layer(g)[0]) if m[n] else None
+                if k is not None:
+                    yield n, f, (j, k, i), m[n]
+            if sub is Circ:
+                if m[17]:
+                    yield 17, f, (i,), m[17]
+            elif sub is Neg:
+                c = get(layer(g.child)[1]) if m[18] else None
+                if c is not None:
+                    yield 18, g.child, (c, i), m[18]
+            elif sub in _BINARY_CLAUSES and m[n := _BINARY_CLAUSES[sub][2]]:
+                (nl, cl), (nr, cr) = layer(g.left)[:2], layer(g.right)[:2]
+                ids = get(cl), get(cr), idx[g.left], idx[g.right], get(nl), get(nr), i
+                if None not in ids:
+                    yield n, f, ids, m[n]
+            if sub is Imp and m[22]:
+                c = get(layer(g.right)[1])
+                if c is not None:
+                    yield 22, f, (idx[g.left], c, i), m[22]
 
 
 def _check_closed(domain) -> None:
@@ -261,6 +269,9 @@ def _search(
         if len(ids) == 1:  # allows exactly one value: mask 0b01 or 0b10
             forced.append((ids[0], mask >> 1))
         else:
+            # only an instance over three or more formulas can name one twice
+            if len(ids) > 2 and len(set(ids)) < len(ids):
+                ids, mask = _project(ids, mask)
             entry = ids, mask
             for i in ids:
                 watch[i].append(entry)
@@ -354,15 +365,16 @@ def biv_consequence(
     premises 1 and the conclusion 0."""
     _check_reading(v14_reading)
     given = [*premises, conclusion]
-    premises = [syntax.desugar(p) for p in premises]
-    conclusion = syntax.desugar(conclusion)
-    names = set().union(*[syntax.atoms(f) for f in premises + [conclusion]])
-    if len(names) > 8:
-        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
     for f in given:  # named as given: desugaring nested => repeats text exponentially
+        if not isinstance(f, Formula):
+            raise TypeError(f"expected a Formula, got {type(f).__name__}")
         if not syntax.is_modal_free(f):
             raise syntax.ModalFormulaError(f"modal operator in {to_text(f)}")
-    closure = syntax.subformula_closure(premises + [conclusion])
+    *premises, conclusion = roots = [syntax.desugar(f) for f in given]
+    closure = syntax.subformula_closure(roots)
+    names = {f.name for f in closure if type(f) is Atom}
+    if len(names) > 8:
+        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
     if len(closure) > MAX_CLOSURE:
         raise ClosureTooLargeError(f"closure has {len(closure)} formulas (cap {MAX_CLOSURE})")
     pins: dict[Formula, int] = {}

@@ -30,7 +30,9 @@ from .models import (  # the value tables and the compiler live in models
     CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
     Frame,
     Model,
+    ModelFormatError,
     compile_program,
+    validate_frame,
 )
 from .syntax import Box, Diamond, Formula, Neg, parse
 from .values import Value
@@ -39,7 +41,9 @@ DEFAULT_SEED = 0
 
 
 class BudgetError(ValueError):
-    pass
+    """A frame check asked for what it cannot check: a world or sample
+    count out of range, or a logic set that is empty or names an unknown
+    logic."""
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,24 @@ def _witness(j, root, lat, vals, worlds, relation, atom_names, variant) -> Count
 MAX_SAMPLES = 100_000
 
 
+def _logic_indices(logic_ids) -> list[int]:
+    """Each logic's index into the value tables, refusing an empty or
+    unknown logic set before anything is built or drawn."""
+    indices = []
+    for lid in logic_ids:
+        if lid not in _LOGIC_INDEX:
+            raise BudgetError(f"unknown logic {lid!r}; expected one of {', '.join(LOGIC_IDS)}")
+        indices.append(_LOGIC_INDEX[lid])
+    if not indices:
+        raise BudgetError("a frame check needs at least one logic")
+    return indices
+
+
+def _require_worlds(n_worlds: int) -> None:
+    if n_worlds < 1:
+        raise BudgetError(f"a frame check needs at least one world, got {n_worlds}")
+
+
 def _require_samples(samples: int) -> None:
     if samples < 1:
         raise BudgetError(f"sampled checks need at least one sample, got {samples}")
@@ -352,9 +374,10 @@ def sweep_schema(
     """Exhaustively check a schema over every (relation, logic assignment,
     valuation) at a fixed world count; deterministic order, first
     counterexamples are minimal in that order."""
+    _require_worlds(n_worlds)
     if n_worlds > 3:
         raise BudgetError("exhaustive sweeps are limited to 3 worlds")
-    logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
+    logic_indices = _logic_indices(logic_ids)
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(schema.atoms))
     prog = compile_program(schema.template, variant, schema.atoms)
     worlds = _world_names(n_worlds)
@@ -437,7 +460,8 @@ def sample_schema(
     as `Random(seed)` would.  All samples are evaluated in one batch;
     counterexamples are the first failing samples in draw order."""
     _require_samples(samples)
-    logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
+    _require_worlds(n_worlds)
+    logic_indices = _logic_indices(logic_ids)
     prog = compile_program(schema.template, variant, schema.atoms)
     n_atoms = len(schema.atoms)
     sizes = [ELEMENT_MASKS[li].size for li in logic_indices]
@@ -497,6 +521,9 @@ def axiom_valid_on_frame(
     """Check one schema on one concrete frame; exhaustive (<= 3 worlds) or
     sampled valuations of the schema's atoms."""
     budget = budget or CheckBudget()
+    report = validate_frame(frame)
+    if not report.ok:
+        raise ModelFormatError("invalid frame: " + "; ".join(report.errors))
     n = len(frame.worlds)
     windex = {w: i for i, w in enumerate(frame.worlds)}
     edges = [[(windex[u], None, None) for u in frame.successors(w)] for w in frame.worlds]
@@ -556,7 +583,7 @@ def five_c_characterization(
     expected to fail (see the ledger).
     """
     schema = SCHEMAS["5c"]
-    logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
+    logic_indices = _logic_indices(logic_ids)
     frames = models = 0
     failures: list[Counterexample] = []
     silently_valid: list[str] = []
@@ -617,7 +644,7 @@ def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
     every two-world model, for every corpus formula; at most five
     mismatches are reported."""
     n_worlds, max_mismatches = 2, 5
-    logic_indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
+    logic_indices = _logic_indices(logic_ids)
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), 1)
     mismatches: list[str] = []
     models = 0
@@ -736,6 +763,8 @@ def theorem_suite(
     """The collected frame results: K everywhere, T on reflexive frames,
     4 on transitive frames, the Euclidean characterisation of 5c, duality,
     and observation-only runs for B and D."""
+    _logic_indices(logic_ids)  # both sets refused before the first sweep
+    _logic_indices(five_c_logic_ids)
 
     def item(sid: str) -> SuiteItem:
         thm = THEOREMS[sid]

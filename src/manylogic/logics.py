@@ -185,6 +185,8 @@ class TruthTable:
 
 
 def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
+    if conn not in CONNECTIVES:
+        raise LogicError(f"unknown connective {conn!r}; expected one of {', '.join(CONNECTIVES)}")
     els = logic.lattice.elements
     if CONNECTIVES[conn] == 1:
         cells = {x: apply(logic, conn, [x]) for x in els}
@@ -201,6 +203,8 @@ def _walk(formulas: list) -> tuple[list, list, dict, dict]:
     a shared subformula is evaluated once.  A box or diamond is refused
     before anything is walked, naming the formula as given."""
     for f in formulas:
+        if not isinstance(f, Formula):
+            raise TypeError(f"expected a Formula, got {type(f).__name__}")
         if not syntax.is_modal_free(f):
             raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
     roots = [syntax.desugar(f) for f in formulas]

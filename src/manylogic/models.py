@@ -58,6 +58,7 @@ class Frame:
     logics: Mapping[str, str]  # world -> logic id, read-only
     diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
     _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
+    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "logics", _read_only(self.logics))
@@ -342,6 +343,8 @@ class _Encoding:
         """f's value mask at every world."""
         row = self.roots.get(f)
         if row is None:
+            if not isinstance(f, Formula):  # checked here, off the path of a kept row
+                raise TypeError(f"expected a Formula, got {type(f).__name__}")
             row = self.roots[f] = self._run(f)
         return row
 
@@ -489,5 +492,8 @@ def model_to_dict(model: Model) -> dict:
 
 
 def validate_frame(frame: Frame) -> ValidationReport:
-    dummy = Model(frame.worlds, frame.relation, frame.logics, {}, frame.diamond)
-    return validate(dummy)
+    """The frame's errors and warnings, worked out once per frame."""
+    if frame._report is None:
+        dummy = Model(frame.worlds, frame.relation, frame.logics, {}, frame.diamond)
+        object.__setattr__(frame, "_report", validate(dummy))
+    return frame._report

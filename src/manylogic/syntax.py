@@ -12,8 +12,8 @@ Precedence: unary > & > | > ->/=> (implications associate right).
 Formulas are hash-consed: constructing one returns the existing node with
 the same class and fields, if there is one.  Structurally equal formulas
 are therefore one object, `==` and `hash` are identity, and each node
-caches its size, whether it holds a box or diamond, its text and its
-desugared form.
+caches its size, whether it holds a box or diamond, its text, its
+desugared form and the clause layer built on it (see `layer`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Formula:
     """An immutable, interned formula node.  Subclasses name their fields
     in `_fields`, in constructor order."""
 
-    __slots__ = ("_kids", "_size", "_modal", "_text", "_core")
+    __slots__ = ("_kids", "_size", "_modal", "_text", "_core", "_layer")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -64,6 +64,7 @@ class Formula:
             _set(node, "_modal", cls is Box or cls is Diamond or any(k._modal for k in kids))
             _set(node, "_text", None)
             _set(node, "_core", None)
+            _set(node, "_layer", None)
             # setdefault is one step under the GIL: threads that build the
             # same formula at once all get the node stored first.
             node = _TABLE.setdefault(key, node)
@@ -400,16 +401,24 @@ def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:
     return out[f]
 
 
+def layer(g: Formula) -> tuple[Formula, ...]:
+    """(!g, @g, !@g, !!g), the shapes the two-valued clauses mention on top
+    of g; built once and cached on g."""
+    if g._layer is None:
+        _set(g, "_layer", (Neg(g), Circ(g), Neg(Circ(g)), Neg(Neg(g))))
+    return g._layer
+
+
 def subformula_closure(fs) -> frozenset[Formula]:
     """Subformula set of `fs` plus one layer of the shapes the two-valued
     clauses mention: !B, @B, !@B, !!B for every subformula B."""
-    base: set[Formula] = set()
-    for f in fs:
+    stack, base = list(fs), set()
+    for f in stack:
         if f._modal:
             raise ModalFormulaError(f"modal operator in {to_text(f)}")
-        base.update(postorder(f))
-    closure = set(base)
-    for g in base:
-        circ = Circ(g)
-        closure.update((Neg(g), circ, Neg(circ), Neg(Neg(g))))
-    return frozenset(closure)
+    while stack:  # one walk over all the roots
+        g = stack.pop()
+        if g not in base:
+            base.add(g)
+            stack.extend(g._kids)
+    return frozenset().union(base, *[g._layer or layer(g) for g in base])

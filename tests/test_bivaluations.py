@@ -32,6 +32,7 @@ from manylogic.syntax import (
     desugar,
     parse,
     subformula_closure,
+    subformulas,
     to_text,
 )
 from manylogic.values import SNAPSHOTS, SnapshotError, Value as V
@@ -626,3 +627,73 @@ def test_check_clauses_refuses_values_other_than_0_and_1():
     as_bools = {f: bool(v) for f, v in as_ints.items()}
     assert check_clauses(fde, as_bools) == check_clauses(fde, as_ints)
     assert check_clauses(fde, as_bools).ok
+
+
+def test_biv_consequence_refuses_text_for_a_formula():
+    k3 = LOGICS["K3"]
+    for premises, conclusion in (([], "p"), (["p"], p), ([p, "q"], p)):
+        with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+            biv_consequence(k3, premises, conclusion)
+
+
+def test_modal_input_is_refused_before_the_atom_cap_as_in_matrix_consequence():
+    from manylogic.syntax import ModalFormulaError
+
+    wide = parse("[]a & b & c & d & e & f & g & h & i")
+    for decide in (biv_consequence, matrix_consequence):
+        with pytest.raises(ModalFormulaError):
+            decide(LOGICS["K3"], [], wide)
+
+
+# Subformula-closed domains that are not closures: each leaves out some of
+# the !A and @A that a clause's instance needs (4, 5, 6, 10, 16, 18, 19, 20,
+# 21, 22), or holds only part of them, so the builder's "missing" branches
+# are compared too.
+def _partial_domains():
+    def sub(*texts):
+        return frozenset().union(*[subformulas(parse(t)) for t in texts])
+
+    return [
+        sub("!(p & q)"),
+        sub("!(p & q)", "!p"),
+        sub("!(p | q)", "!q"),
+        sub("!(p -> q)"),
+        sub("!(p -> q)", "!q"),
+        sub("@p"),
+        sub("@p", "!p"),
+        sub("@!p"),
+        sub("@!p", "@p"),
+        sub("@(p -> q)", "!q"),
+        sub("@(p -> q)", "@q"),
+        sub("@(p & q)", "@p", "@q", "!p"),
+        sub("@(p | q)", "@p", "@q", "!p", "!q"),
+        sub("@(p & p)", "@p", "!p"),
+        sub("!(!q -> q)", "!!q"),
+        sub("@(@q -> q)", "@@q"),
+        sub("!(p & #)", "!#", "@#"),
+    ]
+
+
+def test_check_clauses_matches_the_reference_on_partial_domains():
+    rng = Random(11)
+    for domain in _partial_domains():
+        order = _ordered(domain)
+        rows = list(product((0, 1), repeat=len(order)))
+        if len(rows) > 48:
+            rows = rng.sample(rows, 48)
+        for bits in rows:
+            assignment = dict(zip(order, bits))
+            for lid in LOGIC_IDS:
+                for reading in V14_READINGS:
+                    want = _ref_check(LOGICS[lid], assignment, reading)
+                    got = check_clauses(LOGICS[lid], assignment, reading).violations
+                    assert got == want, (lid, reading, [to_text(f) for f in order], bits)
+
+
+def test_satisfying_assignments_match_the_reference_on_partial_domains():
+    for domain in _partial_domains():
+        for lid in LOGIC_IDS:
+            for reading in V14_READINGS:
+                want = _ref_search(LOGICS[lid], _ordered(domain), {}, reading, collect_all=True)
+                got = satisfying_assignments(LOGICS[lid], domain, reading)
+                assert got == want, (lid, reading, sorted(map(to_text, domain)))

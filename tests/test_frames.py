@@ -643,3 +643,61 @@ def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
                     for w in range(n):
                         want = reference_eval(model, worlds[w], parse(text))
                         assert V(int(CODE_OF[fast[-1][w][k]])) == want, (variant, text, k, w)
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail at once if a sampled check starts drawing: an empty logic set
+    used to make the draw loop run forever."""
+    import manylogic.frames as frames_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled check drew before refusing its arguments")
+
+    monkeypatch.setattr(frames_mod, "_sample_draws", refuse)
+
+
+def test_sample_schema_refuses_an_empty_logic_set_before_drawing(no_draws):
+    for logic_ids in ([], (), iter(())):
+        with pytest.raises(BudgetError, match="at least one logic"):
+            sample_schema(SCHEMAS["K"], 2, logic_ids, samples=10)
+
+
+@pytest.mark.parametrize("n_worlds", (0, -1))
+def test_sweeps_refuse_a_world_count_below_one(no_draws, n_worlds):
+    with pytest.raises(BudgetError, match="at least one world"):
+        sweep_schema(SCHEMAS["K"], n_worlds, LOGIC_IDS)
+    with pytest.raises(BudgetError, match="at least one world"):
+        sample_schema(SCHEMAS["K"], n_worlds, LOGIC_IDS, samples=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda ids: sweep_schema(SCHEMAS["K"], 1, ids),
+        lambda ids: sample_schema(SCHEMAS["K"], 2, ids, samples=10),
+        lambda ids: five_c_characterization(ids),
+        lambda ids: duality_check(ids),
+        lambda ids: theorem_suite(logic_ids=ids),
+        lambda ids: theorem_suite(five_c_logic_ids=ids),
+    ),
+    ids=("sweep", "sample", "five_c", "duality", "suite", "suite_five_c"),
+)
+def test_frame_checks_refuse_unknown_and_empty_logic_sets(no_draws, call):
+    with pytest.raises(BudgetError, match="unknown logic 'K4'; expected one of LETK, "):
+        call(("K3", "K4"))
+    with pytest.raises(BudgetError, match="at least one logic"):
+        call(())
+
+
+def test_axiom_valid_on_frame_refuses_an_invalid_frame():
+    from manylogic.models import ModelFormatError
+
+    for bad, error in (
+        (frame(("w1", "w2"), [("w1", "w3")], {"w1": "K3", "w2": "K3"}), "relation names unknown world 'w3'"),
+        (frame(("w1", "w2"), [("w1", "w2")], {"w1": "K3"}), "world 'w2' has no logic"),
+        (frame(("w1",), [], {"w1": "K4"}), "world 'w1' has unknown logic 'K4'"),
+    ):
+        for budget in (CheckBudget("exhaustive"), CheckBudget("sampled", 5)):
+            with pytest.raises(ModelFormatError, match=f"^invalid frame: .*{error}"):
+                axiom_valid_on_frame(bad, SCHEMAS["K"], budget=budget)

@@ -368,3 +368,21 @@ def test_modal_input_is_refused_before_it_is_walked():
             with pytest.raises(ModalFormulaError) as err:
                 call()
             assert str(err.value) == f"modal operator in {text}"
+
+
+def test_truth_table_refuses_an_unknown_connective_by_name():
+    for conn in ("xx", "AND", ""):
+        with pytest.raises(LogicError) as err:
+            truth_table(LOGICS["K3"], conn)
+        assert str(err.value) == f"unknown connective {conn!r}; expected one of {', '.join(CONNECTIVES)}"
+
+
+def test_matrix_side_refuses_text_for_a_formula():
+    k3, p = LOGICS["K3"], parse("p")
+    for call in (
+        lambda: matrix_consequence(k3, [], "p"),
+        lambda: matrix_consequence(k3, ["p"], p),
+        lambda: evaluate(k3, "p", {"p": V.T}),
+    ):
+        with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+            call()

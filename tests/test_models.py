@@ -491,3 +491,11 @@ def test_models_are_read_only(fixtures):
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model and eval_formula(clone, "w1", parse("[]p")) == before
     assert pickle.loads(pickle.dumps(frame)) == frame == copy.copy(frame)
+
+
+def test_eval_formula_refuses_text_for_a_formula(fixtures):
+    model = load_model(fixtures / "ex1.json")
+    for bad in ("[]p", None, 3):
+        with pytest.raises(TypeError, match=f"^expected a Formula, got {type(bad).__name__}$"):
+            eval_formula(model, "w1", bad)
+    assert eval_formula(model, "w1", parse("[]p")) == V.b

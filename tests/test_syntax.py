@@ -25,6 +25,7 @@ from manylogic.syntax import (
     atoms,
     desugar,
     is_modal_free,
+    layer,
     modal_depth,
     parse,
     size,
@@ -151,6 +152,31 @@ def test_closure_is_subformula_closed_and_bounded():
             for c in children(g):
                 assert c in clo
         assert len(clo) <= 5 * len(subformulas(f))
+
+
+def _closure_as_defined(fs):
+    """The closure by its definition, with no cached layer."""
+    base = set().union(*[subformulas(f) for f in fs])
+    return frozenset(base | {h for g in base for h in (Neg(g), Circ(g), Neg(Circ(g)), Neg(Neg(g)))})
+
+
+propositional = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        *[st.builds(cls, sub) for cls in (Neg, Circ, CNeg, Nabla)],
+        *[st.builds(cls, sub, sub) for cls in (And, Or, Imp, ImpL)],
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.lists(propositional, max_size=3))
+def test_closure_and_layer_match_their_definitions(fs):
+    for g in set().union(*[subformulas(f) for f in fs]):
+        assert layer(g) == (Neg(g), Circ(g), Neg(Circ(g)), Neg(Neg(g)))
+        assert layer(g) is layer(g)  # cached on the node
+    assert subformula_closure(fs) == _closure_as_defined(fs)
+    assert subformula_closure(iter(fs)) == _closure_as_defined(fs)
 
 
 def test_closure_rejects_modal_formulas():
