@@ -362,14 +362,12 @@ def biv_consequence(
     v14_reading: str = "printed",
 ) -> Verdict:
     """VALID iff no clause-satisfying assignment over the closure makes all
-    premises 1 and the conclusion 0."""
+    premises 1 and the conclusion 0.  An INVALID verdict's witness is the
+    first such assignment found, listing the whole closure in (size, text)
+    order."""
     _check_reading(v14_reading)
     given = [*premises, conclusion]
-    for f in given:  # named as given: desugaring nested => repeats text exponentially
-        if not isinstance(f, Formula):
-            raise TypeError(f"expected a Formula, got {type(f).__name__}")
-        if not syntax.is_modal_free(f):
-            raise syntax.ModalFormulaError(f"modal operator in {to_text(f)}")
+    syntax.require_propositional(given)
     *premises, conclusion = roots = [syntax.desugar(f) for f in given]
     closure = syntax.subformula_closure(roots)
     names = {f.name for f in closure if type(f) is Atom}

@@ -41,28 +41,19 @@ def _parse_premises(text: str | None):
     return [_parse_formula(part) for part in text.split(",")]
 
 
-def _load_model(path: str) -> models.Model:
+def _load(path: str, load, validate, noun: str):
+    """The valid model or frame in a file, its warnings printed (a frame
+    has none); a file that does not load or validate is bad input."""
     try:
-        model = models.load_model(path)
+        loaded = load(path)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
-        raise InputError(f"cannot load model {path}: {exc}") from None
-    report = models.validate(model)
+        raise InputError(f"cannot load {noun} {path}: {exc}") from None
+    report = validate(loaded)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
-        raise InputError("invalid model: " + "; ".join(report.errors))
-    return model
-
-
-def _load_frame(path: str) -> models.Frame:
-    try:
-        frame = models.load_frame(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
-        raise InputError(f"cannot load frame {path}: {exc}") from None
-    report = models.validate_frame(frame)
-    if not report.ok:
-        raise InputError("invalid frame: " + "; ".join(report.errors))
-    return frame
+        raise InputError(f"invalid {noun}: " + "; ".join(report.errors))
+    return loaded
 
 
 def _cmd_tables(args) -> int:
@@ -74,7 +65,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = _load(args.model, models.load_model, models.validate, "model")
     if args.diamond:
         model = models.Model(
             model.worlds, model.relation, model.logics, model.valuation, args.diamond
@@ -112,13 +103,13 @@ def _cmd_biv_consequence(args) -> int:
         print("VALID")
         return 0
     print("INVALID")
-    for f, v in sorted(verdict.witness.items(), key=lambda kv: (syntax.size(kv[0]), to_text(kv[0]))):
+    for f, v in verdict.witness.items():
         print(f"  rho({to_text(f)}) = {v}")
     return 1
 
 
 def _cmd_check_frame(args) -> int:
-    frame = _load_frame(args.model)
+    frame = _load(args.model, models.load_frame, models.validate_frame, "frame")
     schema = frames.SCHEMAS[args.axiom]
     mode = "exhaustive" if args.exhaustive else "sampled"
     budget = frames.CheckBudget(mode, args.samples, args.seed)

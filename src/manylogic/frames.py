@@ -31,6 +31,7 @@ from .models import (  # the value tables and the compiler live in models
     Frame,
     Model,
     ModelFormatError,
+    _world_axis,
     compile_program,
     validate_frame,
 )
@@ -41,9 +42,9 @@ DEFAULT_SEED = 0
 
 
 class BudgetError(ValueError):
-    """A frame check asked for what it cannot check: a world or sample
-    count out of range, or a logic set that is empty or names an unknown
-    logic."""
+    """A frame check asked for what it cannot check: a world, sample or
+    counterexample count out of range, or a logic set that is empty or
+    names an unknown logic."""
 
 
 @dataclass(frozen=True)
@@ -335,9 +336,16 @@ def _logic_indices(logic_ids) -> list[int]:
     return indices
 
 
-def _require_worlds(n_worlds: int) -> None:
+def _require_worlds(n_worlds: int, most: int | None = None) -> None:
     if n_worlds < 1:
         raise BudgetError(f"a frame check needs at least one world, got {n_worlds}")
+    if most is not None and n_worlds > most:
+        raise BudgetError(f"exhaustive sweeps are limited to {most} worlds")
+
+
+def _require_counterexamples(limit: int) -> None:  # below one a failing schema would pass
+    if limit < 1:
+        raise BudgetError(f"a frame check reports at least one counterexample, got {limit}")
 
 
 def _require_samples(samples: int) -> None:
@@ -374,9 +382,8 @@ def sweep_schema(
     """Exhaustively check a schema over every (relation, logic assignment,
     valuation) at a fixed world count; deterministic order, first
     counterexamples are minimal in that order."""
-    _require_worlds(n_worlds)
-    if n_worlds > 3:
-        raise BudgetError("exhaustive sweeps are limited to 3 worlds")
+    _require_worlds(n_worlds, most=3)
+    _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(schema.atoms))
     prog = compile_program(schema.template, variant, schema.atoms)
@@ -461,6 +468,7 @@ def sample_schema(
     counterexamples are the first failing samples in draw order."""
     _require_samples(samples)
     _require_worlds(n_worlds)
+    _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
     prog = compile_program(schema.template, variant, schema.atoms)
     n_atoms = len(schema.atoms)
@@ -525,8 +533,7 @@ def axiom_valid_on_frame(
     if not report.ok:
         raise ModelFormatError("invalid frame: " + "; ".join(report.errors))
     n = len(frame.worlds)
-    windex = {w: i for i, w in enumerate(frame.worlds)}
-    edges = [[(windex[u], None, None) for u in frame.successors(w)] for w in frame.worlds]
+    edges = [[(u, None, None) for u in succ] for succ in _world_axis(frame)[1]]
     interp = [_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
     prog = compile_program(schema.template, variant, schema.atoms)
     if budget.mode == "exhaustive":
@@ -575,13 +582,15 @@ def five_c_characterization(
     logic_ids, max_worlds: int = 3, max_counterexamples: int = 3
 ) -> FiveCReport:
     """Both directions of "frame satisfies 5c iff relation is Euclidean",
-    exhaustively over every frame with up to max_worlds worlds.
+    exhaustively over every frame with 1 to max_worlds (at most 3) worlds.
 
     The modal stack values over ~p are also checked against the classical
     window {T, T0, F0, F}; over lattices whose interpretation maps leave
     that window the count comes back nonzero and the characterization is
     expected to fail (see the ledger).
     """
+    _require_worlds(max_worlds, most=3)
+    _require_counterexamples(max_counterexamples)
     schema = SCHEMAS["5c"]
     logic_indices = _logic_indices(logic_ids)
     frames = models = 0

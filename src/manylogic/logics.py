@@ -202,11 +202,7 @@ def _walk(formulas: list) -> tuple[list, list, dict, dict]:
     and once more for each formula.  Nodes are told apart by identity, so
     a shared subformula is evaluated once.  A box or diamond is refused
     before anything is walked, naming the formula as given."""
-    for f in formulas:
-        if not isinstance(f, Formula):
-            raise TypeError(f"expected a Formula, got {type(f).__name__}")
-        if not syntax.is_modal_free(f):
-            raise syntax.ModalFormulaError(f"modal operator in {syntax.to_text(f)}")
+    syntax.require_propositional(formulas)
     roots = [syntax.desugar(f) for f in formulas]
     order: list = []
     names: dict = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -37,79 +38,75 @@ class ModelFormatError(ValueError):
     """Structurally malformed model or frame document."""
 
 
-def _adjacency(relation) -> dict[str, tuple[str, ...]]:
-    """Each source world's successors in ascending order, sources in
-    ascending order: the edges grouped by source in one pass, then each
-    group sorted on its own."""
-    succ: dict[str, list[str]] = {}
-    for u, v in relation:
-        succ.setdefault(u, []).append(v)
-    return {u: tuple(sorted(succ[u])) for u in sorted(succ)}
-
-
 def _read_only(mapping) -> Mapping:
     return MappingProxyType(dict(mapping))
 
 
 @dataclass(frozen=True)
-class Frame:
+class _Worlds:
+    """What a frame and a model share: worlds, relation, a read-only logic
+    per world, and what validation and `_world_axis` work out once."""
+
     worlds: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
     logics: Mapping[str, str]  # world -> logic id, read-only
-    diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
-    _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
     _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
+    _axis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "logics", _read_only(self.logics))
-        self._succ.update(_adjacency(self.relation))
 
     def successors(self, w: str) -> tuple[str, ...]:
-        return self._succ.get(w, ())
+        """w's successors in ascending order; each call scans the relation."""
+        return tuple(sorted([v for u, v in self.relation if u == w]))
 
     def logic(self, w: str) -> MatrixLogic:
         return LOGICS[self.logics[w]]
+
+
+@dataclass(frozen=True)
+class Frame(_Worlds):
+    diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
 
     def __reduce__(self):  # read-only mappings do not pickle; their contents do
         return Frame, (self.worlds, self.relation, dict(self.logics), self.diamond)
 
 
 @dataclass(frozen=True)
-class Model:
+class Model(_Worlds):
     """A Kripke model.  `logics` and every `valuation` row are read-only
     copies, so the encoding `eval_formula` keeps on the model stays true
     to it."""
 
-    worlds: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-    logics: Mapping[str, str]
     valuation: Mapping[str, Mapping[str, Value]]
     diamond: str = "up"
-    _succ: dict[str, tuple[str, ...]] = field(default_factory=dict, repr=False, compare=False)
-    # worked out on first use, by validate and eval_formula
-    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
     _encoding: _Encoding | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "logics", _read_only(self.logics))
+        super().__post_init__()
         object.__setattr__(self, "valuation", MappingProxyType(
             {w: _read_only(row) for w, row in self.valuation.items()}
         ))
-        self._succ.update(_adjacency(self.relation))
 
     @property
     def frame(self) -> Frame:
         return Frame(self.worlds, self.relation, self.logics, self.diamond)
 
-    def successors(self, w: str) -> tuple[str, ...]:
-        return self._succ.get(w, ())
-
-    def logic(self, w: str) -> MatrixLogic:
-        return LOGICS[self.logics[w]]
-
     def __reduce__(self):  # read-only mappings do not pickle; their contents do
         valuation = {w: dict(row) for w, row in self.valuation.items()}
         return Model, (self.worlds, self.relation, dict(self.logics), valuation, self.diamond)
+
+
+def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
+    """A valid x's world -> position map, and by position its successors'
+    positions in no set order: one pass over the relation, kept on x."""
+    if x._axis is None:
+        index = {w: i for i, w in enumerate(x.worlds)}
+        succs: list[list[int]] = [[] for _ in x.worlds]
+        for u, v in x.relation:
+            succs[index[u]].append(index[v])
+        object.__setattr__(x, "_axis", (index, succs))
+    return x._axis
 
 
 @dataclass(frozen=True)
@@ -124,20 +121,24 @@ class ValidationReport:
 
 def validate(model: Model) -> ValidationReport:
     """The model's errors and warnings, worked out once per model."""
-    if model._report is None:
-        object.__setattr__(model, "_report", _validate(model))
-    return model._report
+    return _validate(model, model.valuation)
 
 
-def _validate(model: Model) -> ValidationReport:
+def validate_frame(frame: Frame) -> ValidationReport:
+    """The frame's errors and warnings, worked out once per frame."""
+    return _validate(frame, {})
+
+
+def _validate(model: Frame | Model, valuation) -> ValidationReport:
+    if model._report is not None:
+        return model._report
     errors, warnings = [], []
     if not model.worlds:
         errors.append("empty world set")
     seen = set(model.worlds)
     if len(seen) != len(model.worlds):
         errors.append("duplicate world names")
-    succ = model._succ  # each source world of the relation -> its successors
-    if not (seen.issuperset(succ) and all(map(seen.issuperset, succ.values()))):
+    if not seen.issuperset(chain.from_iterable(model.relation)):
         for (u, v) in sorted(model.relation):
             for w in (u, v):
                 if w not in seen:
@@ -153,7 +154,7 @@ def _validate(model: Model) -> ValidationReport:
     if model.diamond not in DIAMOND_VARIANTS:
         errors.append(f"unknown diamond variant {model.diamond!r}")
     all_atoms = set()
-    for w, row in model.valuation.items():
+    for w, row in valuation.items():
         if w not in seen:
             errors.append(f"valuation names unknown world {w!r}")
             continue
@@ -164,13 +165,14 @@ def _validate(model: Model) -> ValidationReport:
                 if val not in lat.members:
                     errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
     for w in model.worlds:
-        missing = all_atoms.difference(model.valuation.get(w, ()))
+        missing = all_atoms.difference(valuation.get(w, ()))
         if missing:
             warnings.append(
                 f"world {w!r} has no value for {', '.join(sorted(missing))}; "
                 "defaulting to lattice bottom"
             )
-    return ValidationReport(tuple(errors), tuple(warnings))
+    object.__setattr__(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
+    return model._report
 
 
 # ---------------------------------------------------------------- tables
@@ -315,23 +317,21 @@ _VALUE_OF = [Value(c) for c in CODE_OF.tolist()]  # by mask
 
 
 class _Encoding:
-    """A valid model on value masks along its world axis: each world's
-    table row (16 x its logic index), successor positions and atom masks,
-    and the root row of every formula evaluated so far."""
+    """A valid model on value masks along its world axis (`_world_axis`):
+    each world's table row (16 x its logic index) and atom masks, and the
+    root row of every formula evaluated so far."""
 
     def __init__(self, model: Model):
         report = validate(model)
         if not report.ok:
             raise ModelFormatError("invalid model: " + "; ".join(report.errors))
-        worlds, succ = model.worlds, model._succ
-        self.index = index = {w: i for i, w in enumerate(worlds)}
-        self.lat = lat = [16 * _LOGIC_INDEX[model.logics[w]] for w in worlds]
-        self.succs = [[index[u] for u in succ.get(w, ())] for w in worlds]
+        self.index, self.succs = _world_axis(model)
+        self.lat = lat = [16 * _LOGIC_INDEX[model.logics[w]] for w in model.worlds]
         self.variant = model.diamond
         self.bot = [_UP[l] for l in lat]
         self.columns: dict[str, list[int]] = {}
         for w, row in model.valuation.items():
-            i = index[w]
+            i = self.index[w]
             for name, v in row.items():
                 col = self.columns.get(name)
                 if col is None:  # an atom missing at a world is its bottom
@@ -489,11 +489,3 @@ def model_to_dict(model: Model) -> dict:
         },
         "diamond": model.diamond,
     }
-
-
-def validate_frame(frame: Frame) -> ValidationReport:
-    """The frame's errors and warnings, worked out once per frame."""
-    if frame._report is None:
-        dummy = Model(frame.worlds, frame.relation, frame.logics, {}, frame.diamond)
-        object.__setattr__(frame, "_report", validate(dummy))
-    return frame._report

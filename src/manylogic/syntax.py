@@ -409,13 +409,21 @@ def layer(g: Formula) -> tuple[Formula, ...]:
     return g._layer
 
 
+def require_propositional(fs) -> None:
+    """Refuse, in order, a non-Formula (TypeError) or a modal formula, named
+    as given: desugaring nested => repeats text exponentially."""
+    for f in fs:
+        if not isinstance(f, Formula):
+            raise TypeError(f"expected a Formula, got {type(f).__name__}")
+        if f._modal:
+            raise ModalFormulaError(f"modal operator in {to_text(f)}")
+
+
 def subformula_closure(fs) -> frozenset[Formula]:
     """Subformula set of `fs` plus one layer of the shapes the two-valued
     clauses mention: !B, @B, !@B, !!B for every subformula B."""
     stack, base = list(fs), set()
-    for f in stack:
-        if f._modal:
-            raise ModalFormulaError(f"modal operator in {to_text(f)}")
+    require_propositional(stack)
     while stack:  # one walk over all the roots
         g = stack.pop()
         if g not in base:

@@ -31,6 +31,7 @@ from manylogic.syntax import (
     Or,
     desugar,
     parse,
+    size,
     subformula_closure,
     subformulas,
     to_text,
@@ -96,6 +97,9 @@ def test_consequence_examples():
     assert not verdict.valid
     assert verdict.witness[p] == 1 and verdict.witness[Neg(p)] == 1
     assert verdict.witness[Atom("q")] == 0
+    # the witness lists the whole closure in (size, text) order
+    closure = subformula_closure([p, Neg(p), Atom("q")])
+    assert list(verdict.witness) == sorted(closure, key=lambda f: (size(f), to_text(f)))
     for lid in LOGIC_IDS:
         assert biv_consequence(LOGICS[lid], [p], p).valid
 
@@ -500,6 +504,8 @@ def _assert_same_verdicts(sequents):
                     continue  # past the reference's node limit: nothing to compare
                 got = biv_consequence(LOGICS[lid], premises, conclusion, v14_reading=reading)
                 assert (got.valid, got.witness) == want, (lid, reading, premises, conclusion)
+                if not got.valid:  # a dict compares without its order
+                    assert list(got.witness) == _ordered(got.witness)
 
 
 # Formulas whose clause instances mention one formula twice.

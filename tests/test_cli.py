@@ -251,3 +251,19 @@ def test_main_reuses_one_parser_with_the_same_output(capsys, monkeypatch, fixtur
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert outputs() == reused
     assert reused[1][:2] == (0, "T DESIGNATED\n")
+
+
+def test_unknown_worlds_in_a_relation_exit_2_with_every_error(capsys, fixtures, tmp_path):
+    from test_models import UNKNOWN_EDGES, UNKNOWN_ERRORS
+
+    for fixture, noun, argv in (
+        ("ex1.json", "model", ("eval", "--world", "w1", "--formula", "[]p")),
+        ("euclid3.json", "frame", ("check-frame", "--axiom", "T")),
+    ):
+        data = json.loads((fixtures / fixture).read_text())  # worlds w1, w2, w3
+        data["relation"] += [list(e) for e in UNKNOWN_EDGES]
+        path = tmp_path / fixture
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid {noun}: " + "; ".join(UNKNOWN_ERRORS) + "\n"

@@ -647,14 +647,15 @@ def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Fail at once if a sampled check starts drawing: an empty logic set
-    used to make the draw loop run forever."""
+    """Fail at once if a frame check starts compiling, building its axis or
+    drawing: an empty logic set used to make the draw loop run forever."""
     import manylogic.frames as frames_mod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a sampled check drew before refusing its arguments")
+        raise AssertionError("a frame check built or drew before refusing its arguments")
 
-    monkeypatch.setattr(frames_mod, "_sample_draws", refuse)
+    for name in ("_sample_draws", "_build_axis", "compile_program"):
+        monkeypatch.setattr(frames_mod, name, refuse)
 
 
 def test_sample_schema_refuses_an_empty_logic_set_before_drawing(no_draws):
@@ -688,6 +689,32 @@ def test_frame_checks_refuse_unknown_and_empty_logic_sets(no_draws, call):
         call(("K3", "K4"))
     with pytest.raises(BudgetError, match="at least one logic"):
         call(())
+
+
+@pytest.mark.parametrize("max_worlds", (0, -1, 4, 5))
+def test_five_c_refuses_a_world_bound_outside_one_to_three(no_draws, max_worlds):
+    # 0 used to report a characterisation that held over no frame at all,
+    # and 4 would sweep all 2^16 four-world relations
+    with pytest.raises(BudgetError, match="at least one world|limited to 3 worlds"):
+        five_c_characterization(("K3",), max_worlds=max_worlds)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda k: sweep_schema(SCHEMAS["4"], 3, LOGIC_IDS, max_counterexamples=k),
+        lambda k: sample_schema(SCHEMAS["4"], 3, LOGIC_IDS, samples=10, max_counterexamples=k),
+        lambda k: five_c_characterization(LOGIC_IDS, max_counterexamples=k),
+    ),
+    ids=("sweep", "sample", "five_c"),
+)
+@pytest.mark.parametrize("limit", (0, -2))
+def test_frame_checks_refuse_fewer_than_one_counterexample(no_draws, call, limit):
+    # 0 used to report axiom 4, which fails, without a counterexample, and
+    # a negative limit sliced the failures from the end
+    message = f"^a frame check reports at least one counterexample, got {limit}$"
+    with pytest.raises(BudgetError, match=message):
+        call(limit)
 
 
 def test_axiom_valid_on_frame_refuses_an_invalid_frame():

@@ -284,9 +284,8 @@ def test_random_models_evaluate_inside_their_world_lattices():
 
 
 def test_successors_match_the_per_world_comprehension():
-    # The adjacency built by grouping the edges by source must list each
-    # world's successors exactly as filtering the whole sorted relation
-    # once per world does, dead ends included, with the sources in order.
+    # successors must list each world's successors exactly as filtering
+    # the whole sorted relation once per world does, dead ends included.
     import random
 
     from manylogic.models import Frame
@@ -309,9 +308,57 @@ def test_successors_match_the_per_world_comprehension():
                 assert model.frame.successors(w) == model.successors(w)
             assert frame.successors("x") == (worlds[0],)
             assert frame.successors("nowhere") == ()
-            assert list(model._succ) == sorted({u for u, _ in relation})
             if density == 0.0:
                 assert all(model.successors(w) == () for w in worlds)
+
+
+# An edge list naming unknown worlds several times, as source and as
+# target, and the errors validate reports for it: the edges in sorted
+# order, and for each its source then its target when unknown.
+UNKNOWN_EDGES = (("zz", "w1"), ("w1", "aa"), ("aa", "zz"), ("zz", "zz"), ("w2", "aa"), ("w1", "w2"))
+UNKNOWN_ERRORS = tuple(
+    f"relation names unknown world {w!r}" for w in ("aa", "zz", "aa", "aa", "zz", "zz", "zz")
+)
+
+
+def test_validate_names_each_unknown_end_of_each_edge():
+    from manylogic.models import validate_frame
+
+    logics = {"w1": "K3", "w2": "FDE"}
+    valuation = {w: {"p": LOGICS[lid].lattice.top} for w, lid in logics.items()}
+    model = mk(["w1", "w2"], logics, UNKNOWN_EDGES, valuation)
+    assert validate(model).errors == UNKNOWN_ERRORS
+    frame = Frame(("w1", "w2"), frozenset(UNKNOWN_EDGES), logics)
+    assert validate_frame(frame).errors == UNKNOWN_ERRORS
+    assert validate_frame(model.frame).errors == UNKNOWN_ERRORS
+
+
+def test_world_axis_matches_the_per_world_comprehension():
+    # the successor positions built in one pass over the relation must be,
+    # as sets, what filtering the sorted relation once per world gives
+    from manylogic.models import _world_axis
+
+    rng = Random(23)
+    loops = dead_ends = 0
+    for n in range(1, 41):
+        worlds = tuple(f"w{i}" for i in rng.sample(range(100), n))
+        for density in (0.0, 0.05, 0.25, 0.5, 0.75, 1.0):
+            relation = frozenset(
+                (u, v) for u in worlds for v in worlds if rng.random() < density
+            )
+            want = [{worlds.index(v) for u, v in sorted(relation) if u == w} for w in worlds]
+            loops += sum(i in succ for i, succ in enumerate(want))
+            dead_ends += want.count(set())
+            for x in (
+                Model(worlds, relation, dict.fromkeys(worlds, "K3"), {}),
+                Frame(worlds, relation, dict.fromkeys(worlds, "LP")),
+            ):
+                index, succs = _world_axis(x)
+                assert index == {w: i for i, w in enumerate(worlds)}
+                assert [set(s) for s in succs] == want
+                assert sum(map(len, succs)) == len(relation)  # each edge once
+                assert _world_axis(x) is x._axis  # built once, kept on x
+    assert loops and dead_ends
 
 
 def test_valuation_keys_must_be_atom_names(fixtures):
