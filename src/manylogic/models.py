@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -56,6 +56,9 @@ class _Worlds:
     def __post_init__(self):
         object.__setattr__(self, "logics", _read_only(self.logics))
 
+    def __hash__(self):  # equal frames and models share worlds and relation
+        return hash((self.worlds, self.relation))
+
     def successors(self, w: str) -> tuple[str, ...]:
         """w's successors in ascending order; each call scans the relation."""
         return tuple(sorted([v for u, v in self.relation if u == w]))
@@ -67,6 +70,7 @@ class _Worlds:
 @dataclass(frozen=True)
 class Frame(_Worlds):
     diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
+    __hash__ = _Worlds.__hash__
 
     def __reduce__(self):  # read-only mappings do not pickle; their contents do
         return Frame, (self.worlds, self.relation, dict(self.logics), self.diamond)
@@ -81,6 +85,7 @@ class Model(_Worlds):
     valuation: Mapping[str, Mapping[str, Value]]
     diamond: str = "up"
     _encoding: _Encoding | None = field(default=None, init=False, repr=False, compare=False)
+    __hash__ = _Worlds.__hash__
 
     def __post_init__(self):
         super().__post_init__()
@@ -99,13 +104,9 @@ class Model(_Worlds):
 
 def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
     """A valid x's world -> position map, and by position its successors'
-    positions in no set order: one pass over the relation, kept on x."""
-    if x._axis is None:
-        index = {w: i for i, w in enumerate(x.worlds)}
-        succs: list[list[int]] = [[] for _ in x.worlds]
-        for u, v in x.relation:
-            succs[index[u]].append(index[v])
-        object.__setattr__(x, "_axis", (index, succs))
+    positions in no set order, as validating x built them."""
+    if x._report is None:
+        (validate if isinstance(x, Model) else validate_frame)(x)
     return x._axis
 
 
@@ -129,48 +130,72 @@ def validate_frame(frame: Frame) -> ValidationReport:
     return _validate(frame, {})
 
 
+_MEMBERS = {lid: logic.lattice.members for lid, logic in LOGICS.items()}
+
+
 def _validate(model: Frame | Model, valuation) -> ValidationReport:
+    """One pass over the relation builds the world axis, and the other
+    checks are set and map passes; an error list is built only when its
+    check fails.  The axis is kept on a model that validates."""
     if model._report is not None:
         return model._report
+    worlds, logics = model.worlds, model.logics
+    index = dict(zip(worlds, range(len(worlds))))
+    succs: list[list[int]] | None = [[] for _ in worlds]
+    try:
+        for u, v in model.relation:
+            succs[index[u]].append(index[v])
+    except KeyError:  # the relation names an unknown world
+        succs = None
     errors, warnings = [], []
-    if not model.worlds:
+    if not worlds:
         errors.append("empty world set")
-    seen = set(model.worlds)
-    if len(seen) != len(model.worlds):
+    if len(index) != len(worlds):
         errors.append("duplicate world names")
-    if not seen.issuperset(chain.from_iterable(model.relation)):
-        for (u, v) in sorted(model.relation):
-            for w in (u, v):
-                if w not in seen:
-                    errors.append(f"relation names unknown world {w!r}")
-    for w in model.worlds:
-        if w not in model.logics:
-            errors.append(f"world {w!r} has no logic")
-        elif model.logics[w] not in LOGICS:
-            errors.append(f"world {w!r} has unknown logic {model.logics[w]!r}")
-    for w in model.logics:
-        if w not in seen:
-            errors.append(f"logic assignment names unknown world {w!r}")
+    if succs is None:
+        errors += [f"relation names unknown world {w!r}"
+                   for edge in sorted(model.relation) for w in edge if w not in index]
+    logics_ok = LOGICS.keys() >= set(map(logics.get, worlds))
+    if not logics_ok:
+        for w in worlds:
+            if w not in logics:
+                errors.append(f"world {w!r} has no logic")
+            elif logics[w] not in LOGICS:
+                errors.append(f"world {w!r} has unknown logic {logics[w]!r}")
+    if not index.keys() >= logics.keys():
+        errors += [f"logic assignment names unknown world {w!r}" for w in logics if w not in index]
     if model.diamond not in DIAMOND_VARIANTS:
         errors.append(f"unknown diamond variant {model.diamond!r}")
-    all_atoms = set()
-    for w, row in valuation.items():
-        if w not in seen:
-            errors.append(f"valuation names unknown world {w!r}")
-            continue
-        all_atoms |= set(row)
-        if model.logics.get(w) in LOGICS:
-            lat = LOGICS[model.logics[w]].lattice
-            for atom, val in row.items():
-                if val not in lat.members:
-                    errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
-    for w in model.worlds:
-        missing = all_atoms.difference(valuation.get(w, ()))
-        if missing:
-            warnings.append(
-                f"world {w!r} has no value for {', '.join(sorted(missing))}; "
-                "defaulting to lattice bottom"
-            )
+    rows = valuation.values()
+    if logics_ok and index.keys() >= valuation.keys() and all(map(
+        frozenset.issuperset, map(_MEMBERS.__getitem__, map(logics.__getitem__, valuation)),
+        map(MappingProxyType.values, rows),
+    )):
+        all_atoms = set().union(*rows)
+    else:
+        all_atoms = set()
+        for w, row in valuation.items():
+            if w not in index:
+                errors.append(f"valuation names unknown world {w!r}")
+                continue
+            all_atoms |= set(row)
+            if logics.get(w) in LOGICS:
+                lat = LOGICS[logics[w]].lattice
+                for atom, val in row.items():
+                    if val not in lat.members:
+                        errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
+    if all_atoms and not (valuation.keys() >= index.keys() and all(map(
+        len(all_atoms).__eq__, map(len, map(valuation.__getitem__, index)),
+    ))):
+        for w in worlds:
+            missing = all_atoms.difference(valuation.get(w, ()))
+            if missing:
+                warnings.append(
+                    f"world {w!r} has no value for {', '.join(sorted(missing))}; "
+                    "defaulting to lattice bottom"
+                )
+    if not errors:
+        object.__setattr__(model, "_axis", (index, succs))
     object.__setattr__(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
 
@@ -283,6 +308,11 @@ _OPCODES = {
 }
 
 
+# (formula, variant) -> (atom names, program), compiled once per process
+# and kept as long as the interned formula (syntax._TABLE keeps them all)
+_PROGRAMS: dict[tuple[Formula, str], tuple] = {}
+
+
 def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
     """Postfix program over value codes, one node per distinct subformula,
     children before parents."""
@@ -349,10 +379,15 @@ class _Encoding:
         return row
 
     def _run(self, f: Formula) -> list[int]:
-        names = tuple(syntax.atoms(f))
+        key = (f, self.variant)
+        entry = _PROGRAMS.get(key)
+        if entry is None:  # setdefault: threads that compile f at once share one entry
+            names = tuple(syntax.atoms(f))
+            entry = _PROGRAMS.setdefault(key, (names, tuple(compile_program(f, self.variant, names))))
+        names, program = entry
         lat, succs = self.lat, self.succs
         slots: list[list[int]] = []
-        for node in compile_program(f, self.variant, names):
+        for node in program:
             kind = node[0]
             if kind == "atom":
                 row = self.columns.get(names[node[1]], self.bot)
@@ -400,7 +435,8 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     """The value of f at a world.  The first query of a model encodes it,
     raising ModelFormatError if `validate` reports errors; the first
     query of a formula evaluates it at every world and keeps that row on
-    the model, so later queries of it are lookups."""
+    the model, so later queries of it are lookups.  Its program is
+    compiled once per process and diamond variant (`_PROGRAMS`)."""
     enc = model._encoding
     if enc is None:
         enc = _Encoding(model)
@@ -408,11 +444,13 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    return _VALUE_OF[enc.root(f)[i]]
+    row = enc.roots.get(f)
+    return _VALUE_OF[(enc.root(f) if row is None else row)[i]]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:
-    return model.logic(world).is_designated(eval_formula(model, world, f))
+    value = eval_formula(model, world, f)  # first, so bad input raises its typed error
+    return model.logic(world).is_designated(value)
 
 
 _MODEL_MEMBERS = {"worlds", "logics", "relation", "valuation", "diamond"}
@@ -426,43 +464,61 @@ def _parse_common(data: dict, allowed: set[str], what: str):
     if unknown:
         raise ModelFormatError(f"unknown members: {', '.join(sorted(unknown))}")
     worlds = data.get("worlds")
-    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+    if not isinstance(worlds, list) or not _all_str(worlds):
         raise ModelFormatError("worlds must be an array of strings")
     logics = data.get("logics")
-    if not isinstance(logics, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in logics.items()
-    ):
+    if not isinstance(logics, dict) or not (_all_str(logics) and _all_str(logics.values())):
         raise ModelFormatError("logics must map world to logic token")
     relation = data.get("relation")
-    if not isinstance(relation, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-        for p in relation
+    if not (
+        isinstance(relation, list)
+        and all(map(isinstance, relation, repeat(list)))
+        and all(map((2).__eq__, map(len, relation)))
+        and _all_str(chain.from_iterable(relation))
     ):
         raise ModelFormatError("relation must be an array of 2-element arrays")
     diamond = data.get("diamond", "up")
     if diamond not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"diamond must be one of {', '.join(DIAMOND_VARIANTS)}")
-    return tuple(worlds), frozenset((u, v) for u, v in relation), dict(logics), diamond
+    return tuple(worlds), frozenset(map(tuple, relation)), dict(logics), diamond
+
+
+def _all_str(xs) -> bool:
+    return all(map(isinstance, xs, repeat(str)))
+
+
+_TOKENS = Value.__members__  # value token -> Value, as parse_value reads it
 
 
 def model_from_dict(data: dict) -> Model:
     worlds, relation, logics, diamond = _parse_common(data, _MODEL_MEMBERS, "model")
     raw = data.get("valuation")
-    if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
+    if not isinstance(raw, dict) or not all(map(isinstance, raw.values(), repeat(dict))):
         raise ModelFormatError("valuation must map world to an atom/value object")
-    valuation: dict[str, dict[str, Value]] = {}
-    for w, row in raw.items():
-        parsed = {}
-        for atom, token in row.items():
-            if not syntax.ATOM_RE.fullmatch(atom):
-                raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
-            if not isinstance(token, str):
-                raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
-            try:
-                parsed[atom] = parse_value(token)
-            except ValueError as exc:
-                raise ModelFormatError(str(exc)) from None
-        valuation[w] = parsed
+    rows, valuation = raw.values(), None
+    try:  # C-level passes; the per-entry loop below runs only to name what they refuse
+        if all(map(syntax.ATOM_RE.fullmatch, chain.from_iterable(rows))) and _all_str(
+            chain.from_iterable(map(dict.values, rows))
+        ):
+            valuation = {
+                w: dict(zip(row, map(_TOKENS.__getitem__, row.values()))) for w, row in raw.items()
+            }
+    except (KeyError, TypeError):  # an unknown or unhashable token, a non-str atom name
+        pass
+    if valuation is None:
+        valuation = {}
+        for w, row in raw.items():
+            parsed = {}
+            for atom, token in row.items():
+                if not syntax.ATOM_RE.fullmatch(atom):
+                    raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
+                if not isinstance(token, str):
+                    raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
+                try:
+                    parsed[atom] = parse_value(token)
+                except ValueError as exc:
+                    raise ModelFormatError(str(exc)) from None
+            valuation[w] = parsed
     return Model(worlds, relation, logics, valuation, diamond)
 
 

@@ -14,6 +14,7 @@ from manylogic.models import (
     Frame,
     Model,
     ModelFormatError,
+    ValidationReport,
     eval_formula,
     holds,
     load_model,
@@ -546,3 +547,265 @@ def test_eval_formula_refuses_text_for_a_formula(fixtures):
         with pytest.raises(TypeError, match=f"^expected a Formula, got {type(bad).__name__}$"):
             eval_formula(model, "w1", bad)
     assert eval_formula(model, "w1", parse("[]p")) == V.b
+
+
+# ------------------------------------------------------ load and validate
+#
+# The messages a malformed document and an invalid model get, pinned
+# verbatim.
+
+_DOC = {
+    "worlds": ["w1", "w2"],
+    "logics": {"w1": "K3", "w2": "LP"},
+    "relation": [["w1", "w2"]],
+    "valuation": {"w1": {"p": "T0"}, "w2": {"p": "b"}},
+}
+
+
+@pytest.mark.parametrize("relation", [
+    5, [None], ["w1w2"], [["w1"]], [["w1", 3]], [[1, 2]], [["w1", "w2", "w3"]], [("w1", "w2")],
+], ids=repr)
+def test_malformed_relations_are_refused_by_name(relation):
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(dict(_DOC, relation=relation))
+    assert str(exc.value) == "relation must be an array of 2-element arrays"
+
+
+@pytest.mark.parametrize("member, value, message", [
+    ("worlds", ["w1", 2], "worlds must be an array of strings"),
+    ("worlds", [None], "worlds must be an array of strings"),
+    ("worlds", "w1", "worlds must be an array of strings"),
+    ("logics", {"w1": "K3", "w2": 3}, "logics must map world to logic token"),
+    ("logics", {"w1": None}, "logics must map world to logic token"),
+    ("logics", {1: "K3"}, "logics must map world to logic token"),
+    ("logics", ["w1", "K3"], "logics must map world to logic token"),
+    ("valuation", {"w1": {"p": 1}}, "valuation('w1','p') must be a value token"),
+    ("valuation", {"w1": {"p": ["T"]}}, "valuation('w1','p') must be a value token"),
+    ("valuation", {"w1": {"p": "T0", "Q": "X"}}, "valuation('w1','Q'): 'Q' is not an atom name"),
+    ("valuation", {"w1": {"p": "T0"}, "w2": {"q": "X"}}, "unknown value token 'X'"),
+    ("valuation", {"w1": ["p"]}, "valuation must map world to an atom/value object"),
+], ids=repr)
+def test_malformed_members_are_refused_by_name(member, value, message):
+    with pytest.raises(ModelFormatError) as exc:
+        model_from_dict(dict(_DOC, **{member: value}))
+    assert str(exc.value) == message
+
+
+def test_string_subclasses_load_as_strings():
+    class Name(str):
+        pass
+
+    doc = {
+        "worlds": [Name("w1"), Name("w2")],
+        "logics": {Name("w1"): Name("K3"), Name("w2"): Name("LP")},
+        "relation": [[Name("w1"), Name("w2")]],
+        "valuation": {Name("w1"): {Name("p"): Name("T0")}, Name("w2"): {Name("p"): Name("b")}},
+    }
+    model = model_from_dict(doc)
+    assert model == model_from_dict(_DOC)
+    assert validate(model).ok
+    assert eval_formula(model, "w1", parse("[]p")) == V.F0
+
+
+# One model with every defect validate reports, and its full report.
+_ALL_DEFECTS = dict(
+    worlds=("w1", "w2", "w1", "w3", "w4"),
+    relation=frozenset({("w1", "zz"), ("aa", "w2"), ("w1", "w2"), ("w4", "w4")}),
+    logics={"w1": "K3", "w2": "XXX", "ghost": "LP", "w4": "FDE"},
+    valuation={
+        "w1": {"p": V.T, "q": V.n}, "w4": {"p": V.b, "q": V.F},
+        "nowhere": {"s": V.T}, "w2": {"r": V.T},
+    },
+    diamond="sideways",
+)
+_FRAME_ERRORS = (
+    "duplicate world names",
+    "relation names unknown world 'aa'",
+    "relation names unknown world 'zz'",
+    "world 'w2' has unknown logic 'XXX'",
+    "world 'w3' has no logic",
+    "logic assignment names unknown world 'ghost'",
+    "unknown diamond variant 'sideways'",
+)
+_MODEL_ERRORS = _FRAME_ERRORS + (
+    "valuation('w1','p') = T not in N3w",
+    "valuation('w4','q') = F not in L4w",
+    "valuation names unknown world 'nowhere'",
+)
+_MODEL_WARNINGS = tuple(
+    f"world {w!r} has no value for {atoms}; defaulting to lattice bottom"
+    for w, atoms in (("w1", "r"), ("w2", "p, q"), ("w1", "r"), ("w3", "p, q, r"), ("w4", "r"))
+)
+
+
+def test_validate_reports_every_defect_in_order():
+    from manylogic.models import validate_frame
+
+    model = Model(**_ALL_DEFECTS)
+    report = validate(model)
+    assert report.errors == _MODEL_ERRORS
+    assert report.warnings == _MODEL_WARNINGS
+    assert validate(model) is report and model._axis is None  # no axis for an invalid model
+    for frame in (model.frame, Frame(*(_ALL_DEFECTS[k] for k in ("worlds", "relation", "logics", "diamond")))):
+        assert validate_frame(frame).errors == _FRAME_ERRORS
+        assert validate_frame(frame).warnings == ()
+    with pytest.raises(ModelFormatError) as exc:
+        eval_formula(model, "w1", parse("p"))
+    assert str(exc.value) == "invalid model: " + "; ".join(_MODEL_ERRORS)
+    # each defect on its own is the only error or warning reported
+    clean = dict(
+        worlds=("w1", "w2"), relation=frozenset({("w1", "w2")}), logics={"w1": "K3", "w2": "FDE"},
+        valuation={"w1": {"p": V.n}, "w2": {"p": V.b}}, diamond="up",
+    )
+    assert validate(Model(**clean)) == ValidationReport((), ())
+    for change, errors, warnings in (
+        (dict(worlds=("w1", "w2", "w2")), ("duplicate world names",), ()),
+        (dict(worlds=()), ("empty world set", "relation names unknown world 'w1'",
+                           "relation names unknown world 'w2'", "logic assignment names unknown world 'w1'",
+                           "logic assignment names unknown world 'w2'",
+                           "valuation names unknown world 'w1'", "valuation names unknown world 'w2'"), ()),
+        (dict(logics={"w1": "K3"}), ("world 'w2' has no logic",), ()),
+        (dict(logics={"w1": "K3", "w2": None}), ("world 'w2' has unknown logic None",), ()),
+        (dict(valuation={"w1": {"p": V.n}}), (), ("world 'w2' has no value for p; defaulting to lattice bottom",)),
+        (dict(valuation={"w1": {"p": V.n}, "w2": {"q": V.b}}), (), (
+            "world 'w1' has no value for q; defaulting to lattice bottom",
+            "world 'w2' has no value for p; defaulting to lattice bottom",
+        )),
+        (dict(valuation={"w1": {}, "w2": {}}), (), ()),
+        (dict(valuation={}), (), ()),
+        (dict(valuation={"w1": {"p": V.n}, "w2": {"p": V.F}}), ("valuation('w2','p') = F not in L4w",), ()),
+    ):
+        report = validate(Model(**dict(clean, **change)))
+        assert (report.errors, report.warnings) == (errors, warnings), change
+
+
+# ---------------------------------------------------------- program memo
+
+
+def _mixed_model(seed, n=7, variant="up"):
+    rng = Random(seed)
+    worlds = tuple(f"w{i}" for i in range(n))
+    lids = {w: LOGIC_IDS[(i + seed) % len(LOGIC_IDS)] for i, w in enumerate(worlds)}
+    relation = frozenset((a, b) for a in worlds for b in worlds if a != worlds[-1] and rng.random() < 0.4)
+    valuation = {w: {a: rng.choice(LOGICS[lids[w]].lattice.elements) for a in "pqr"} for w in worlds}
+    return Model(worlds, relation, lids, valuation, variant)
+
+
+def test_one_formula_evaluates_under_every_variant_in_turn():
+    # the same formula objects under each variant on one base model; a
+    # program kept per formula alone would answer negbox with up's program
+    base = _mixed_model(5)
+    rng = Random(43)
+    fs = [parse("<>p"), parse("<>(p & ~q)"), parse("[]<>p -> <>[]q")]
+    fs += [_random_formula(rng, 6, 2) for _ in range(12)]
+    seen = {}
+    for variant in ("up", "negbox", "down", "cnegbox", "up"):
+        model = Model(base.worlds, base.relation, base.logics, base.valuation, variant)
+        for f in fs:
+            for w in model.worlds:
+                got = eval_formula(model, w, f)
+                assert got == reference_eval(model, w, f), (variant, w, syntax.to_text(f))
+                seen.setdefault((f, w), set()).add(got)
+    assert any(len(values) > 1 for values in seen.values())  # the variants disagree somewhere
+
+
+def test_a_kept_program_is_what_compile_program_builds(monkeypatch):
+    from manylogic import models
+
+    monkeypatch.setattr(models, "_PROGRAMS", {})
+    fs = [parse(t) for t in ("[]p", "<>~q", "N<>p", "[]<>p => p", "@[]!p", "~[]p | <>~q")]
+    for variant in DIAMOND_VARIANTS:
+        model = _mixed_model(2, variant=variant)
+        for f in fs:
+            eval_formula(model, "w0", f)
+    assert set(models._PROGRAMS) == {(f, v) for f in fs for v in DIAMOND_VARIANTS}
+    for (f, variant), (names, program) in models._PROGRAMS.items():
+        assert sorted(names) == sorted(syntax.atoms(f))
+        assert program == tuple(models.compile_program(f, variant, names))
+
+
+def test_each_formula_compiles_once_per_variant(monkeypatch):
+    from manylogic import models
+
+    calls = []
+
+    def counted(f, variant, names):
+        calls.append((f, variant))
+        return compile_program(f, variant, names)
+
+    compile_program = models.compile_program
+    monkeypatch.setattr(models, "_PROGRAMS", {})
+    monkeypatch.setattr(models, "compile_program", counted)
+    fs = [parse(t) for t in ("[]p", "<>q", "[](p -> q)", "<>[]<>r", "N<>p & @q")]
+    for variant in DIAMOND_VARIANTS:
+        for seed in range(5):
+            model = _mixed_model(seed, variant=variant)
+            for f in fs:
+                for w in model.worlds:
+                    assert eval_formula(model, w, f) == reference_eval(model, w, f)
+    assert sorted(calls, key=repr) == sorted(((f, v) for f in fs for v in DIAMOND_VARIANTS), key=repr)
+
+
+def test_threads_compiling_one_formula_agree(monkeypatch):
+    # more threads than cores fill one memo with the same formulas at once;
+    # each must read its own variant's program, whichever thread stored it
+    import sys
+    import threading
+
+    from manylogic import models
+
+    monkeypatch.setattr(models, "_PROGRAMS", {})
+    fs = [parse(f"[](p -> <>q) | <>~{'@' * i}p") for i in range(25)]
+    jobs = [_mixed_model(seed, variant=DIAMOND_VARIANTS[seed % 4]) for seed in range(8)]
+    want = [{(f, w): reference_eval(m, w, f) for f in fs for w in m.worlds} for m in jobs]
+    got = [{} for _ in jobs]
+
+    def run(k):
+        for f in fs:
+            for w in jobs[k].worlds:
+                got[k][f, w] = eval_formula(jobs[k], w, f)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert set(models._PROGRAMS) == {(f, v) for f in fs for v in DIAMOND_VARIANTS}
+    for (f, variant), (names, program) in models._PROGRAMS.items():
+        assert program == tuple(models.compile_program(f, variant, names))
+
+
+# ------------------------------------------------------- holds and hashing
+
+
+def test_holds_raises_what_eval_formula_raises():
+    model = mk(["w1"], {"w1": "K3"}, [], {"w1": {"p": V.T0}})
+    with pytest.raises(ModelFormatError, match="^unknown world 'w9'$"):
+        holds(model, "w9", parse("p"))
+    bad = mk(["w1"], {"w1": "XXX"}, [], {})
+    with pytest.raises(ModelFormatError, match="^invalid model: world 'w1' has unknown logic 'XXX'$"):
+        holds(bad, "w1", parse("p"))
+    with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+        holds(model, "w1", "p")
+    assert holds(model, "w1", parse("p"))
+
+
+def test_models_and_frames_hash_by_value(fixtures):
+    model = load_model(fixtures / "ex4.json")
+    eval_formula(model, "w1", parse("[]p"))  # kept encoding and report play no part
+    copies = [model_from_dict(model_to_dict(model)), pickle.loads(pickle.dumps(model)), copy.deepcopy(model)]
+    for other in copies:
+        assert other == model and hash(other) == hash(model)
+        assert other.frame == model.frame and hash(other.frame) == hash(model.frame)
+    assert len({model, *copies}) == 1 and copies[0] in {model}
+    assert len({model.frame, *(c.frame for c in copies)}) == 1
+    other = Model(model.worlds, model.relation, model.logics, model.valuation, "down")
+    assert other != model and len({model, other}) == 2
+    assert {model: 1}[copies[1]] == 1
