@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -103,10 +102,14 @@ class Model(_Worlds):
 
 
 def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
-    """A valid x's world -> position map, and by position its successors'
-    positions in no set order, as validating x built them."""
-    if x._report is None:
-        (validate if isinstance(x, Model) else validate_frame)(x)
+    """x's world -> position map, and by position its successors' positions
+    in no set order, as validating x built them; ModelFormatError if x
+    does not validate."""
+    is_model = isinstance(x, Model)
+    report = validate(x) if is_model else validate_frame(x)
+    if not report.ok:
+        noun = "model" if is_model else "frame"
+        raise ModelFormatError(f"invalid {noun}: " + "; ".join(report.errors))
     return x._axis
 
 
@@ -130,72 +133,58 @@ def validate_frame(frame: Frame) -> ValidationReport:
     return _validate(frame, {})
 
 
-_MEMBERS = {lid: logic.lattice.members for lid, logic in LOGICS.items()}
-
-
 def _validate(model: Frame | Model, valuation) -> ValidationReport:
-    """One pass over the relation builds the world axis, and the other
-    checks are set and map passes; an error list is built only when its
-    check fails.  The axis is kept on a model that validates."""
+    """One pass over the relation builds the world axis, kept on a model
+    that validates; an unknown world shows up as a failed lookup there."""
     if model._report is not None:
         return model._report
-    worlds, logics = model.worlds, model.logics
-    index = dict(zip(worlds, range(len(worlds))))
-    succs: list[list[int]] | None = [[] for _ in worlds]
+    seen = {w: i for i, w in enumerate(model.worlds)}  # world -> position
+    succs: list[list[int]] | None = [[] for _ in model.worlds]
     try:
         for u, v in model.relation:
-            succs[index[u]].append(index[v])
+            succs[seen[u]].append(seen[v])
     except KeyError:  # the relation names an unknown world
         succs = None
     errors, warnings = [], []
-    if not worlds:
+    if not model.worlds:
         errors.append("empty world set")
-    if len(index) != len(worlds):
+    if len(seen) != len(model.worlds):
         errors.append("duplicate world names")
     if succs is None:
-        errors += [f"relation names unknown world {w!r}"
-                   for edge in sorted(model.relation) for w in edge if w not in index]
-    logics_ok = LOGICS.keys() >= set(map(logics.get, worlds))
-    if not logics_ok:
-        for w in worlds:
-            if w not in logics:
-                errors.append(f"world {w!r} has no logic")
-            elif logics[w] not in LOGICS:
-                errors.append(f"world {w!r} has unknown logic {logics[w]!r}")
-    if not index.keys() >= logics.keys():
-        errors += [f"logic assignment names unknown world {w!r}" for w in logics if w not in index]
+        for (u, v) in sorted(model.relation):
+            for w in (u, v):
+                if w not in seen:
+                    errors.append(f"relation names unknown world {w!r}")
+    for w in model.worlds:
+        if w not in model.logics:
+            errors.append(f"world {w!r} has no logic")
+        elif model.logics[w] not in LOGICS:
+            errors.append(f"world {w!r} has unknown logic {model.logics[w]!r}")
+    for w in model.logics:
+        if w not in seen:
+            errors.append(f"logic assignment names unknown world {w!r}")
     if model.diamond not in DIAMOND_VARIANTS:
         errors.append(f"unknown diamond variant {model.diamond!r}")
-    rows = valuation.values()
-    if logics_ok and index.keys() >= valuation.keys() and all(map(
-        frozenset.issuperset, map(_MEMBERS.__getitem__, map(logics.__getitem__, valuation)),
-        map(MappingProxyType.values, rows),
-    )):
-        all_atoms = set().union(*rows)
-    else:
-        all_atoms = set()
-        for w, row in valuation.items():
-            if w not in index:
-                errors.append(f"valuation names unknown world {w!r}")
-                continue
-            all_atoms |= set(row)
-            if logics.get(w) in LOGICS:
-                lat = LOGICS[logics[w]].lattice
-                for atom, val in row.items():
-                    if val not in lat.members:
-                        errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
-    if all_atoms and not (valuation.keys() >= index.keys() and all(map(
-        len(all_atoms).__eq__, map(len, map(valuation.__getitem__, index)),
-    ))):
-        for w in worlds:
-            missing = all_atoms.difference(valuation.get(w, ()))
-            if missing:
-                warnings.append(
-                    f"world {w!r} has no value for {', '.join(sorted(missing))}; "
-                    "defaulting to lattice bottom"
-                )
+    all_atoms = set()
+    for w, row in valuation.items():
+        if w not in seen:
+            errors.append(f"valuation names unknown world {w!r}")
+            continue
+        all_atoms |= set(row)
+        if model.logics.get(w) in LOGICS:
+            lat = LOGICS[model.logics[w]].lattice
+            for atom, val in row.items():
+                if val not in lat.members:
+                    errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
+    for w in model.worlds:
+        missing = all_atoms.difference(valuation.get(w, ()))
+        if missing:
+            warnings.append(
+                f"world {w!r} has no value for {', '.join(sorted(missing))}; "
+                "defaulting to lattice bottom"
+            )
     if not errors:
-        object.__setattr__(model, "_axis", (index, succs))
+        object.__setattr__(model, "_axis", (seen, succs))
     object.__setattr__(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
 
@@ -352,9 +341,6 @@ class _Encoding:
     root row of every formula evaluated so far."""
 
     def __init__(self, model: Model):
-        report = validate(model)
-        if not report.ok:
-            raise ModelFormatError("invalid model: " + "; ".join(report.errors))
         self.index, self.succs = _world_axis(model)
         self.lat = lat = [16 * _LOGIC_INDEX[model.logics[w]] for w in model.worlds]
         self.variant = model.diamond
@@ -444,8 +430,7 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    row = enc.roots.get(f)
-    return _VALUE_OF[(enc.root(f) if row is None else row)[i]]
+    return _VALUE_OF[enc.root(f)[i]]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:
@@ -464,61 +449,43 @@ def _parse_common(data: dict, allowed: set[str], what: str):
     if unknown:
         raise ModelFormatError(f"unknown members: {', '.join(sorted(unknown))}")
     worlds = data.get("worlds")
-    if not isinstance(worlds, list) or not _all_str(worlds):
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ModelFormatError("worlds must be an array of strings")
     logics = data.get("logics")
-    if not isinstance(logics, dict) or not (_all_str(logics) and _all_str(logics.values())):
+    if not isinstance(logics, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in logics.items()
+    ):
         raise ModelFormatError("logics must map world to logic token")
     relation = data.get("relation")
-    if not (
-        isinstance(relation, list)
-        and all(map(isinstance, relation, repeat(list)))
-        and all(map((2).__eq__, map(len, relation)))
-        and _all_str(chain.from_iterable(relation))
+    if not isinstance(relation, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in relation
     ):
         raise ModelFormatError("relation must be an array of 2-element arrays")
     diamond = data.get("diamond", "up")
     if diamond not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"diamond must be one of {', '.join(DIAMOND_VARIANTS)}")
-    return tuple(worlds), frozenset(map(tuple, relation)), dict(logics), diamond
-
-
-def _all_str(xs) -> bool:
-    return all(map(isinstance, xs, repeat(str)))
-
-
-_TOKENS = Value.__members__  # value token -> Value, as parse_value reads it
+    return tuple(worlds), frozenset((u, v) for u, v in relation), dict(logics), diamond
 
 
 def model_from_dict(data: dict) -> Model:
     worlds, relation, logics, diamond = _parse_common(data, _MODEL_MEMBERS, "model")
     raw = data.get("valuation")
-    if not isinstance(raw, dict) or not all(map(isinstance, raw.values(), repeat(dict))):
+    if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
         raise ModelFormatError("valuation must map world to an atom/value object")
-    rows, valuation = raw.values(), None
-    try:  # C-level passes; the per-entry loop below runs only to name what they refuse
-        if all(map(syntax.ATOM_RE.fullmatch, chain.from_iterable(rows))) and _all_str(
-            chain.from_iterable(map(dict.values, rows))
-        ):
-            valuation = {
-                w: dict(zip(row, map(_TOKENS.__getitem__, row.values()))) for w, row in raw.items()
-            }
-    except (KeyError, TypeError):  # an unknown or unhashable token, a non-str atom name
-        pass
-    if valuation is None:
-        valuation = {}
-        for w, row in raw.items():
-            parsed = {}
-            for atom, token in row.items():
-                if not syntax.ATOM_RE.fullmatch(atom):
-                    raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
-                if not isinstance(token, str):
-                    raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
-                try:
-                    parsed[atom] = parse_value(token)
-                except ValueError as exc:
-                    raise ModelFormatError(str(exc)) from None
-            valuation[w] = parsed
+    valuation: dict[str, dict[str, Value]] = {}
+    for w, row in raw.items():
+        parsed = {}
+        for atom, token in row.items():
+            if not syntax.ATOM_RE.fullmatch(atom):
+                raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
+            if not isinstance(token, str):
+                raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
+            try:
+                parsed[atom] = parse_value(token)
+            except ValueError as exc:
+                raise ModelFormatError(str(exc)) from None
+        valuation[w] = parsed
     return Model(worlds, relation, logics, valuation, diamond)
 
 

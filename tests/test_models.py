@@ -362,6 +362,17 @@ def test_world_axis_matches_the_per_world_comprehension():
     assert loops and dead_ends
 
 
+def test_world_axis_refuses_what_validate_rejects():
+    from manylogic.models import _world_axis, validate_frame
+
+    model = Model(**_ALL_DEFECTS)
+    for x, noun, report in ((model, "model", validate), (model.frame, "frame", validate_frame)):
+        with pytest.raises(ModelFormatError) as exc:
+            _world_axis(x)
+        assert str(exc.value) == f"invalid {noun}: " + "; ".join(report(x).errors)
+        assert x._axis is None
+
+
 def test_valuation_keys_must_be_atom_names(fixtures):
     data = json.loads((fixtures / "ex1.json").read_text())
     for key in ("P", "1p", "p q", "", "N", "[]p"):
