@@ -207,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=frames.DEFAULT_SEED)
     p.set_defaults(fn=_cmd_verify)
 
+    parser.commands = sub.choices  # name -> subcommand parser, for main
     return parser
 
 
@@ -218,7 +219,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no subcommand first: the top-level parser explains
+        args = parser.parse_args(argv)
+    else:
+        # The subcommand's parser alone classifies its arguments, as the
+        # top-level parser would hand them over; what it leaves is the
+        # top-level parser's error, as before.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     # The package's own refusals (a budget, an atom or closure cap, a modal
     # formula where consequence takes none) are bad input as well.
     try:

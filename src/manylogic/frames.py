@@ -346,11 +346,21 @@ def _require_counterexamples(limit: int) -> None:  # below one a failing schema 
         raise BudgetError(f"a frame check reports at least one counterexample, got {limit}")
 
 
+def _require_int(value, noun: str) -> None:  # a bool is an int to Python, not here
+    if type(value) is bool or not isinstance(value, int):
+        raise BudgetError(f"{noun} must be an int, got {value!r}")
+
+
 def _require_samples(samples: int) -> None:
+    _require_int(samples, "a sample count")
     if samples < 1:
         raise BudgetError(f"sampled checks need at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
         raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
+
+
+def _require_seed(seed: int) -> None:  # None would seed Random from the OS, unrepeatably
+    _require_int(seed, "a seed")
 
 
 @dataclass(frozen=True)
@@ -465,6 +475,7 @@ def sample_schema(
     as `Random(seed)` would.  All samples are evaluated in one batch;
     counterexamples are the first failing samples in draw order."""
     _require_samples(samples)
+    _require_seed(seed)
     _require_worlds(n_worlds)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
@@ -539,6 +550,7 @@ def axiom_valid_on_frame(
         lat, vals = axis.lat, axis.vals
     else:
         _require_samples(budget.sample_count)
+        _require_seed(budget.seed)
         words, k = _Words(budget.seed), budget.sample_count
         vals = tuple(
             tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, k)] for li in interp)
@@ -746,6 +758,7 @@ def run_theorem(
     sampled outcome is empty when the row samples nothing."""
     if theorem.sampled_worlds is not None:
         _require_samples(samples)  # before the sweeps, not after them
+        _require_seed(seed)
     exhaustive = _merge(
         sweep_schema(theorem.schema, n, logic_ids, relation_pred=theorem.frame_pred)
         for n in theorem.exhaustive_worlds

@@ -19,6 +19,7 @@ desugared form and the clause layer built on it (see `layer`).
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 
 class ParseError(ValueError):
@@ -150,133 +151,121 @@ _BINARY_SYMBOL = {And: "&", Or: "|", Imp: "->", ImpL: "=>"}
 # An atom name; model files are held to the same pattern.
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<op>\[\]|<>|->|=>|[!@~N#&|()])|(?P<ident>{ATOM_RE.pattern}))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unknown token {stripped[0]!r}", len(text) - len(stripped))
-        tokens.append((m.group("op") or m.group("ident"), m.start()))
-        pos = m.end()
-    return tokens
-
+# One token per match: an operator, an atom name, or any other visible
+# character, which is an unknown token.  Whitespace between tokens matches
+# nothing and is skipped.
+_TOKEN_RE = re.compile(rf"\[\]|<>|->|=>|{ATOM_RE.pattern}|\S")
 
 # Deepest formula `parse` accepts, counted in nested operators and
-# parentheses.  The recursive walkers (parse itself, desugar, to_text and
-# the model evaluator) then stay well inside Python's default recursion
-# limit; parse's parenthesis rule is the costliest, at five frames a level.
+# parentheses.  The walkers that still recurse, desugar and to_text, then
+# stay well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
+# What a token does where an operand is expected: a prefix operator or an
+# open parenthesis, as its entry on the operator stack (binding strength,
+# class).  Strength 4 is a unary operator, 0 a parenthesis.
+_PREFIX = {**{tok: (4, cls) for tok, cls in _UNARY.items()}, "(": (0, None)}
+# What a token does where an operator is expected: the strength it pushes,
+# its class, and the least strength it reduces first.  & and | associate
+# left and reduce their own kind; implications associate right.  Any
+# other token ends the operand list, reducing everything down to the
+# innermost open parenthesis.
+_INFIX = {"&": (3, And, 3), "|": (2, Or, 2), "->": (1, Imp, 2), "=>": (1, ImpL, 2)}
+_END = (0, None, 1)
+_KNOWN = {*_PREFIX, *_INFIX, ")", "#"}
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
-class _Parser:
-    """Recursive descent; every rule returns a node with its height, and a
-    formula deeper than MAX_DEPTH is refused before it is built."""
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text) + [(None, len(text))]  # end sentinel
-        self.i = 0
-        self.level = 0  # rules entered through a unary, '(' or right-hand implication
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0]
-
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
-        self.i += 1
-        return tok
-
-    def too_deep(self) -> ParseError:
-        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
-
-    def enter(self) -> None:
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            raise self.too_deep()
-
-    def build(self, cls, kids: tuple, height: int) -> tuple[Formula, int]:
-        if height >= MAX_DEPTH:
-            raise self.too_deep()
-        return cls(*kids), height + 1
-
-    def formula(self) -> tuple[Formula, int]:
-        left, lh = self.disj()
-        if self.peek() in ("->", "=>"):
-            op = self.take()
-            self.enter()
-            right, rh = self.formula()
-            self.level -= 1
-            return self.build(Imp if op == "->" else ImpL, (left, right), max(lh, rh))
-        return left, lh
-
-    def disj(self) -> tuple[Formula, int]:
-        node, h = self.conj()
-        while self.peek() == "|":
-            self.take()
-            right, rh = self.conj()
-            node, h = self.build(Or, (node, right), max(h, rh))
-        return node, h
-
-    def conj(self) -> tuple[Formula, int]:
-        node, h = self.unary()
-        while self.peek() == "&":
-            self.take()
-            right, rh = self.unary()
-            node, h = self.build(And, (node, right), max(h, rh))
-        return node, h
-
-    def unary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok in _UNARY:
-            self.take()
-            self.enter()
-            child, h = self.unary()
-            self.level -= 1
-            return self.build(_UNARY[tok], (child,), h)
-        return self.atom()
-
-    def atom(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos())
-        if tok == "#":
-            self.take()
-            return Bottom(), 1
-        if tok == "(":
-            self.take()
-            self.enter()
-            inner = self.formula()
-            self.level -= 1
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos())
-            self.take()
-            return inner
-        if ATOM_RE.fullmatch(tok):
-            self.take()
-            return Atom(tok), 1
-        raise ParseError(f"unexpected token {tok!r}", self.pos())
+def _error(text: str, tokens: list, i: int, message: str) -> ParseError:
+    """The ParseError for `message` at token i (None: the end of input),
+    unless text holds an unknown character anywhere: the first one is the
+    error then.  Token positions are found here, on failure only."""
+    for j, tok in enumerate(tokens):
+        if tok is not None and tok not in _KNOWN and not "a" <= tok[0] <= "z":
+            i, message = j, f"unknown token {tok!r}"
+            break
+    if tokens[i] is None:
+        return ParseError(message, len(text))
+    return ParseError(message, next(islice(_TOKEN_RE.finditer(text), i, None)).start())
 
 
 def parse(text: str) -> Formula:
     """Parse one formula; ParseError on bad input, including a formula
-    nested deeper than MAX_DEPTH."""
-    p = _Parser(text)
-    node, _ = p.formula()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
-    return node
+    nested deeper than MAX_DEPTH.
+
+    One scan splits the text into tokens; one operator-precedence loop
+    builds the formula bottom-up.  A formula is too deep when it enters
+    more than MAX_DEPTH unary operators, parentheses and right-hand sides
+    of implications at once, or when a node would stand more than
+    MAX_DEPTH levels tall; each check fails at the token where nesting
+    into the rest of the formula would have failed.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(None)  # end of input
+    ops: list = []  # pending (strength, class); (0, None) is an open '('
+    operands: list = []  # left operands of pending binary operators, with heights
+    level = 0  # pending unary operators, open parentheses and implications
+    i = 0
+    while True:
+        tok = tokens[i]
+        entry = _PREFIX.get(tok)
+        while entry is not None:
+            ops.append(entry)
+            level += 1
+            i += 1
+            if level > MAX_DEPTH:
+                raise _error(text, tokens, i, _TOO_DEEP)
+            tok = tokens[i]
+            entry = _PREFIX.get(tok)
+        if tok is None:
+            raise _error(text, tokens, i, "unexpected end of input")
+        if tok == "#":
+            node = Bottom()
+        elif "a" <= tok[0] <= "z":
+            node = Atom(tok)
+        else:
+            raise _error(text, tokens, i, f"unexpected token {tok!r}")
+        height = 1
+        i += 1
+        while True:
+            tok = tokens[i]
+            strength, cls, least = _INFIX.get(tok, _END)
+            while ops and ops[-1][0] >= least:
+                top, kind = ops.pop()
+                if top == 4:
+                    level -= 1
+                    if height >= MAX_DEPTH:
+                        raise _error(text, tokens, i, _TOO_DEEP)
+                    node = kind(node)
+                else:
+                    left, lh = operands.pop()
+                    if top == 1:
+                        level -= 1
+                    if lh > height:
+                        height = lh
+                    if height >= MAX_DEPTH:
+                        raise _error(text, tokens, i, _TOO_DEEP)
+                    node = kind(left, node)
+                height += 1
+            if cls is not None:
+                operands.append((node, height))
+                ops.append((strength, cls))
+                i += 1
+                if strength == 1:
+                    level += 1
+                    if level > MAX_DEPTH:
+                        raise _error(text, tokens, i, _TOO_DEEP)
+                break
+            if ops:  # the innermost open '(' is on top
+                if tok != ")":
+                    raise _error(text, tokens, i, "expected ')'")
+                ops.pop()
+                level -= 1
+                i += 1
+            elif tok is None:
+                return node
+            else:
+                raise _error(text, tokens, i, f"trailing input {tok!r}")
 
 
 _PREC = {Imp: 1, ImpL: 1, Or: 2, And: 3}  # every other node binds tightest, at 4

@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +274,86 @@ def test_unknown_worlds_in_a_relation_exit_2_with_every_error(capsys, fixtures, 
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out) == (2, "")
         assert err == f"error: invalid {noun}: " + "; ".join(UNKNOWN_ERRORS) + "\n"
+
+
+def reference_main(argv=None) -> int:
+    """`main` as it was when the top-level parser classified every argument
+    and handed the rest to the subcommand's parser, which classified them
+    again; kept as the reference the one-pass dispatch is checked against."""
+    from manylogic import bivaluations, frames, syntax
+    from manylogic.cli import InputError, TooManyAtomsError, _parser
+
+    args = _parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (
+        InputError,
+        frames.BudgetError,
+        TooManyAtomsError,
+        bivaluations.ClosureTooLargeError,
+        syntax.ModalFormulaError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _answer(entry, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Arguments inserted into well-formed and malformed requests: unknown,
+# help and separator options, a negative number, an option with its value
+# attached, and abbreviations of --world and --help.
+INSERTIONS = ("--bogus", "-h", "--help", "--", "-1", "--samples=2", "--wor", "--he")
+
+
+def _dispatch_corpus(fixtures):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import bad_inputs, cli_catalogue
+    finally:
+        sys.path.pop(0)
+    base = [argv for entries in cli_catalogue(fixtures).values() for _, argv in entries]
+    base += [argv for _, argv in bad_inputs(fixtures)]
+    base += [["verify", "--only", "AC3"], ["verify", "--logics", "NOPE"], ["nope", "K3"], ["tables"]]
+    rng = random.Random(14)
+    argvs = [[]] + base
+    for argv in base:
+        for token in rng.sample(INSERTIONS, 3):
+            at = rng.randint(0, len(argv))
+            argvs.append(argv[:at] + [token] + argv[at:])
+        options = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        if options:  # an option and its value moved in front of the subcommand
+            i = rng.choice(options)
+            argvs.append(argv[i:i + 2] + argv[:i] + argv[i + 2:])
+    return argvs
+
+
+def test_dispatch_matches_the_reference_main(fixtures):
+    argvs = _dispatch_corpus(fixtures)
+    assert len(argvs) > 2000
+    for argv in argvs:
+        assert _answer(main, argv) == _answer(reference_main, argv), argv
+
+
+def test_the_console_entry_point_reads_sys_argv():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "manylogic.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run_module("tables", "K3", "--conn", "and")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "K3  &\n     T0  n   F0\n T0  T0  n   F0\n n   n   n   F0\n F0  F0  F0  F0\n"
+    done = run_module("tables", "K4")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: manylogic tables")
+    assert "invalid choice: 'K4'" in done.stderr

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from random import Random
 
@@ -458,6 +459,47 @@ def test_sampled_checks_refuse_more_than_the_cap():
             sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
         with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
             run_theorem(THEOREMS["K"], LOGIC_IDS, samples)
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail at once if a sampled check draws or starts sweeping."""
+    import manylogic.frames as frames_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled check drew or swept before refusing its budget")
+
+    for name in ("_Words", "_sample_draws", "sweep_schema"):
+        monkeypatch.setattr(frames_mod, name, refuse)
+
+
+def _sampled_calls(fixtures, samples, seed):
+    from manylogic.frames import THEOREMS, run_theorem
+
+    euclid3 = load_frame(fixtures / "euclid3.json")
+    return (
+        lambda: axiom_valid_on_frame(euclid3, SCHEMAS["5"], "up", CheckBudget("sampled", samples, seed)),
+        lambda: sample_schema(SCHEMAS["5"], 3, LOGIC_IDS, samples=samples, seed=seed),
+        lambda: run_theorem(THEOREMS["K"], LOGIC_IDS, samples, seed),
+        lambda: theorem_suite(("K3",), ("K3",), samples, seed),
+    )
+
+
+@pytest.mark.parametrize("samples", (3.0, 2.5, True, "3", None))
+def test_sampled_checks_refuse_a_sample_count_that_is_not_an_int(no_sampling, fixtures, samples):
+    # a float, bool or str used to fail deep inside numpy with a bare TypeError
+    for call in _sampled_calls(fixtures, samples, DEFAULT_SEED):
+        with pytest.raises(BudgetError, match=f"^a sample count must be an int, got {re.escape(repr(samples))}$"):
+            call()
+
+
+@pytest.mark.parametrize("seed", (None, 1.0, False, "7"))
+def test_sampled_checks_refuse_a_seed_that_is_not_an_int(no_sampling, fixtures, seed):
+    # None seeded the draws from the operating system: the same call gave
+    # different verdicts from one run to the next
+    for call in _sampled_calls(fixtures, 3, seed):
+        with pytest.raises(BudgetError, match=f"^a seed must be an int, got {re.escape(repr(seed))}$"):
+            call()
 
 
 # ------------------------------------------- mask codes, draws, evaluator

@@ -1,3 +1,5 @@
+import random
+import re
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from manylogic.syntax import (
     Circ,
     CNeg,
     Diamond,
+    Formula,
     Imp,
     ImpL,
     MAX_DEPTH,
@@ -404,3 +407,230 @@ def test_threads_building_the_same_formulas_get_one_node_each():
     for out in results:
         assert len(out) == len(texts)
         assert all(a is b for a, b in zip(out, results[0]))
+
+
+# The recursive-descent parser `parse` had before its single scan and
+# operator-precedence loop, kept as the reference the loop is checked
+# against.  It reports an error at the offending token's own start, not
+# at the whitespace before it.
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(?P<op>\[\]|<>|->|=>|[!@~N#&|()])|(?P<ident>[a-z][a-zA-Z0-9_]*))")
+_REFERENCE_PREFIX = {"!": Neg, "@": Circ, "~": CNeg, "N": Nabla, "[]": Box, "<>": Diamond}
+
+
+def _reference_tokens(text):
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unknown token {stripped[0]!r}", len(text) - len(stripped))
+        tok = m.group("op") or m.group("ident")
+        tokens.append((tok, m.end() - len(tok)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = _reference_tokens(text) + [(None, len(text))]
+        self.i = 0
+        self.level = 0
+
+    def peek(self):
+        return self.tokens[self.i][0]
+
+    def pos(self):
+        return self.tokens[self.i][1]
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos())
+        self.i += 1
+        return tok
+
+    def too_deep(self):
+        return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", self.pos())
+
+    def enter(self):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise self.too_deep()
+
+    def build(self, cls, kids, height):
+        if height >= MAX_DEPTH:
+            raise self.too_deep()
+        return cls(*kids), height + 1
+
+    def formula(self):
+        left, lh = self.disj()
+        if self.peek() in ("->", "=>"):
+            op = self.take()
+            self.enter()
+            right, rh = self.formula()
+            self.level -= 1
+            return self.build(Imp if op == "->" else ImpL, (left, right), max(lh, rh))
+        return left, lh
+
+    def disj(self):
+        node, h = self.conj()
+        while self.peek() == "|":
+            self.take()
+            right, rh = self.conj()
+            node, h = self.build(Or, (node, right), max(h, rh))
+        return node, h
+
+    def conj(self):
+        node, h = self.unary()
+        while self.peek() == "&":
+            self.take()
+            right, rh = self.unary()
+            node, h = self.build(And, (node, right), max(h, rh))
+        return node, h
+
+    def unary(self):
+        tok = self.peek()
+        if tok in _REFERENCE_PREFIX:
+            self.take()
+            self.enter()
+            child, h = self.unary()
+            self.level -= 1
+            return self.build(_REFERENCE_PREFIX[tok], (child,), h)
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.pos())
+        if tok == "#":
+            self.take()
+            return Bottom(), 1
+        if tok == "(":
+            self.take()
+            self.enter()
+            inner = self.formula()
+            self.level -= 1
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos())
+            self.take()
+            return inner
+        if re.fullmatch(r"[a-z][a-zA-Z0-9_]*", tok):
+            self.take()
+            return Atom(tok), 1
+        raise ParseError(f"unexpected token {tok!r}", self.pos())
+
+
+def reference_parse(text):
+    p = _ReferenceParser(text)
+    node, _ = p.formula()
+    if p.peek() is not None:
+        raise ParseError(f"trailing input {p.peek()!r}", p.pos())
+    return node
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+def _assert_parsers_agree(texts):
+    for text in texts:
+        want, got = _outcome(reference_parse, text), _outcome(parse, text)
+        assert got is want if isinstance(want, Formula) else got == want, text
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("p q", "trailing input 'q'", 2),
+    ("  ->p", "unexpected token '->'", 2),
+    ("p &", "unexpected end of input", 3),
+    ("p &   ", "unexpected end of input", 6),
+    ("(p  q)", "expected ')'", 4),
+    ("(p", "expected ')'", 2),
+    ("p\t)", "trailing input ')'", 2),
+    ("p $ q", "unknown token '$'", 2),
+    ("p q $", "unknown token '$'", 4),
+    ("!  Q", "unknown token 'Q'", 3),
+])
+def test_parse_errors_point_at_the_offending_token(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+    assert _outcome(reference_parse, text) == (str(err.value), pos)
+
+
+def test_parse_reports_the_depth_error_where_nesting_fails():
+    with pytest.raises(ParseError) as err:
+        parse("!" * 1000 + "p")
+    assert err.value.pos == MAX_DEPTH + 1  # at the token after the 101st '!'
+    with pytest.raises(ParseError) as err:
+        parse(" & ".join(["p"] * 1000))
+    assert err.value.pos == 4 * MAX_DEPTH + 2  # the '&' after the 101st p
+
+
+# Tokens of the concrete syntax, near misses of its operators, characters
+# it has no token for, and whitespace, a no-break space among it.
+_ALPHABET = (
+    ["!", "@", "~", "N", "#", "&", "|", "->", "=>", "[]", "<>", "(", ")"] * 3
+    + ["p", "q", "r", "p1", "pN", "x_Y"] * 3
+    + ["-", "=", ">", "<", "[", "]", "$", "A", "0", "_", "é"]
+    + [" ", "  ", "\t", "\n", " ", ""]
+)
+
+
+def _random_text(rng, depth):
+    """A formula's text with random spacing and parentheses."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["p", "q", "r", "#", "p1"])
+    sp = rng.choice(["", " ", "  ", "\t"])
+    if rng.random() < 0.4:
+        text = rng.choice(["!", "@", "~", "N", "[]", "<>"]) + sp + _random_text(rng, depth - 1)
+    else:
+        op = rng.choice(["&", "|", "->", "=>"])
+        text = _random_text(rng, depth - 1) + sp + op + sp + _random_text(rng, depth - 1)
+    return f"({sp}{text}{sp})" if rng.random() < 0.3 else text
+
+
+def test_parse_matches_the_reference_on_seeded_strings():
+    rng = random.Random(14)
+    texts = []
+    for k in range(200_000):
+        if k % 2:
+            texts.append("".join(rng.choices(_ALPHABET, k=rng.randint(0, 12))))
+            continue
+        text = _random_text(rng, rng.randint(0, 4))
+        if rng.random() < 0.5:  # one token inserted, deleted or replaced
+            at = rng.randint(0, len(text))
+            cut = rng.choice([0, 0, 1, 2])
+            text = text[:at] + rng.choice(_ALPHABET) + text[at + cut:]
+        texts.append(text)
+    _assert_parsers_agree(texts)
+
+
+def test_parse_matches_the_reference_on_the_benchmark_and_ac12_corpora():
+    import sys
+    from pathlib import Path
+
+    from manylogic.verify import AC12_SEED, AC12_SEQUENT_COUNT, make_sequents
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import consequence_corpus
+    finally:
+        sys.path.pop(0)
+    texts = []
+    for seed in range(4):
+        for item in consequence_corpus(seed):
+            texts += item["premise_texts"] + [item["conclusion_text"]]
+    for allow_or in (True, False):
+        for premises, conclusion in make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or):
+            texts += [to_text(f) for f in premises + [conclusion]]
+    _assert_parsers_agree(texts)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_parse_matches_the_reference_at_the_depth_cap(shape):
+    _assert_parsers_agree([SHAPES[shape](d) for d in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 1000)])
