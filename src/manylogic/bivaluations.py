@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
 from . import syntax
 from .logics import MatrixLogic, Verdict, apply, evaluate
@@ -119,7 +120,9 @@ def _project(ids: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], int]:
 
 
 def _ordered(domain) -> list[Formula]:
-    return sorted(domain, key=lambda f: (f._size, f._text or to_text(f)))
+    """The domain by size, then text: sorting by text first and then,
+    stably, by size."""
+    return sorted(sorted(domain, key=to_text), key=attrgetter("_size"))
 
 
 def _check_reading(v14_reading: str) -> None:
@@ -355,6 +358,28 @@ def _search(
             ok = propagate(mark)
 
 
+# The formulas given to `biv_consequence`, premises then conclusion ->
+# their desugared roots and the ordered closure the search runs over,
+# worked out once per process for every logic and reading.  A sequent
+# over the atom or closure cap is refused before it is kept, so it is
+# refused again the same way.  Entries live as long as the interned
+# formulas (syntax._TABLE keeps them all).
+_DOMAINS: dict[tuple, tuple] = {}
+
+
+def _domain(given: tuple) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+    """The desugared roots of a checked sequent and its closure in (size,
+    text) order; ClosureTooLargeError over the atom or closure cap."""
+    roots = tuple(syntax.desugar(f) for f in given)
+    closure = syntax.subformula_closure(roots)
+    names = {f.name for f in closure if type(f) is Atom}
+    if len(names) > 8:
+        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
+    if len(closure) > MAX_CLOSURE:
+        raise ClosureTooLargeError(f"closure has {len(closure)} formulas (cap {MAX_CLOSURE})")
+    return roots, tuple(_ordered(closure))
+
+
 def biv_consequence(
     logic: MatrixLogic,
     premises,
@@ -364,25 +389,22 @@ def biv_consequence(
     """VALID iff no clause-satisfying assignment over the closure makes all
     premises 1 and the conclusion 0.  An INVALID verdict's witness is the
     first such assignment found, listing the whole closure in (size, text)
-    order."""
+    order.  Each sequent's closure is worked out once per process
+    (`_DOMAINS`); the clause instances and the search run on every call."""
     _check_reading(v14_reading)
-    given = [*premises, conclusion]
+    given = (*premises, conclusion)
     syntax.require_propositional(given)
-    *premises, conclusion = roots = [syntax.desugar(f) for f in given]
-    closure = syntax.subformula_closure(roots)
-    names = {f.name for f in closure if type(f) is Atom}
-    if len(names) > 8:
-        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
-    if len(closure) > MAX_CLOSURE:
-        raise ClosureTooLargeError(f"closure has {len(closure)} formulas (cap {MAX_CLOSURE})")
+    entry = _DOMAINS.get(given)
+    if entry is None:  # setdefault: threads that analyse one sequent at once share one entry
+        entry = _DOMAINS.setdefault(given, _domain(given))
+    *premises, conclusion = entry[0]
     pins: dict[Formula, int] = {}
     for p in premises:
         pins[p] = 1
     if pins.get(conclusion) == 1:
         return Verdict(True)
     pins[conclusion] = 0
-    order = _ordered(closure)
-    found = _search(logic, order, pins, v14_reading)
+    found = _search(logic, entry[1], pins, v14_reading)
     if found:
         return Verdict(False, found[0])
     return Verdict(True)

@@ -335,6 +335,7 @@ def _logic_indices(logic_ids) -> list[int]:
 
 
 def _require_worlds(n_worlds: int, most: int | None = None) -> None:
+    _require_int(n_worlds, "a world count")
     if n_worlds < 1:
         raise BudgetError(f"a frame check needs at least one world, got {n_worlds}")
     if most is not None and n_worlds > most:
@@ -342,6 +343,7 @@ def _require_worlds(n_worlds: int, most: int | None = None) -> None:
 
 
 def _require_counterexamples(limit: int) -> None:  # below one a failing schema would pass
+    _require_int(limit, "a counterexample limit")
     if limit < 1:
         raise BudgetError(f"a frame check reports at least one counterexample, got {limit}")
 

@@ -195,15 +195,32 @@ def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
     return TruthTable(logic.id, conn, els, cells)
 
 
-def _walk(formulas: list) -> tuple[list, list, dict, dict]:
+# The tuple of formulas `_walk` was given -> what it returned, worked out
+# once per process and kept as long as the interned formulas
+# (syntax._TABLE keeps them all); `_evaluate` counts down a copy of the
+# use counts, so an entry serves every logic.
+_WALKS: dict[tuple, tuple] = {}
+
+
+def _walk(formulas: list) -> tuple[tuple, list, dict, dict]:
     """The desugared `formulas`; their nodes, children first, each once as
     (node, ids of its children); the atom names from left to right; and,
     by node id, how often each node is used: once per argument position,
     and once more for each formula.  Nodes are told apart by identity, so
     a shared subformula is evaluated once.  A box or diamond is refused
-    before anything is walked, naming the formula as given."""
+    before anything is walked, naming the formula as given.  Each tuple
+    of formulas is walked once per process (`_WALKS`)."""
     syntax.require_propositional(formulas)
-    roots = [syntax.desugar(f) for f in formulas]
+    key = tuple(formulas)
+    entry = _WALKS.get(key)
+    if entry is None:  # setdefault: threads that walk one tuple at once share one entry
+        entry = _WALKS.setdefault(key, _analyse(key))
+    return entry
+
+
+def _analyse(formulas: tuple) -> tuple[tuple, list, dict, dict]:
+    """`_walk` without the table, on formulas already checked."""
+    roots = tuple(syntax.desugar(f) for f in formulas)
     order: list = []
     names: dict = {}
     uses = dict.fromkeys(map(id, roots), 1)
@@ -238,9 +255,10 @@ def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict
     id, with each coordinate a bit-plane: bit j is its value under
     valuation j.  `atoms` maps atom names to planes; `one` has every
     valuation's bit set, so one=1 with 0/1 coordinates evaluates a single
-    valuation.  `uses` comes from `_walk` and is counted down: a node's
-    planes are dropped with its last use, so memory follows the widest cut
-    of the formulas, not their size."""
+    valuation.  `uses` comes from `_walk`, and a copy of it is counted
+    down: a node's planes are dropped with its last use, so memory follows
+    the widest cut of the formulas, not their size."""
+    uses = uses.copy()
     bottom = tuple(one if c else 0 for c in SNAPSHOTS[logic.lattice.bottom])
     third = one if logic.circ_third_coordinate else 0
     imp = twist_imp_material if logic.implication_family == "material" else twist_imp_chain

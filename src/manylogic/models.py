@@ -135,7 +135,8 @@ def validate_frame(frame: Frame) -> ValidationReport:
 
 def _validate(model: Frame | Model, valuation) -> ValidationReport:
     """One pass over the relation builds the world axis, kept on a model
-    that validates; an unknown world shows up as a failed lookup there."""
+    that validates; an unknown world or an entry that is not a pair shows
+    up as a failed lookup or unpacking there."""
     if model._report is not None:
         return model._report
     seen = {w: i for i, w in enumerate(model.worlds)}  # world -> position
@@ -143,7 +144,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
     try:
         for u, v in model.relation:
             succs[seen[u]].append(seen[v])
-    except KeyError:  # the relation names an unknown world
+    except (KeyError, TypeError, ValueError):  # an unknown world, or not a pair
         succs = None
     errors, warnings = [], []
     if not model.worlds:
@@ -151,10 +152,15 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
     if len(seen) != len(model.worlds):
         errors.append("duplicate world names")
     if succs is None:
-        for (u, v) in sorted(model.relation):
+        pairs, others = [], []
+        for entry in model.relation:
+            (pairs if type(entry) is tuple and len(entry) == 2 else others).append(entry)
+        for (u, v) in sorted(pairs):
             for w in (u, v):
                 if w not in seen:
                     errors.append(f"relation names unknown world {w!r}")
+        for entry in sorted(others, key=repr):
+            errors.append(f"relation entry {entry!r} is not a pair of worlds")
     for w in model.worlds:
         if w not in model.logics:
             errors.append(f"world {w!r} has no logic")
@@ -456,16 +462,29 @@ def _parse_common(data: dict, allowed: set[str], what: str):
         isinstance(k, str) and isinstance(v, str) for k, v in logics.items()
     ):
         raise ModelFormatError("logics must map world to logic token")
-    relation = data.get("relation")
-    if not isinstance(relation, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-        for p in relation
-    ):
+    relation = _pairs(data.get("relation"))
+    if relation is None:
         raise ModelFormatError("relation must be an array of 2-element arrays")
     diamond = data.get("diamond", "up")
     if diamond not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"diamond must be one of {', '.join(DIAMOND_VARIANTS)}")
-    return tuple(worlds), frozenset((u, v) for u, v in relation), dict(logics), diamond
+    return tuple(worlds), relation, dict(logics), diamond
+
+
+def _pairs(relation) -> frozenset[tuple[str, str]] | None:
+    """A document's relation as a set of pairs, checked and collected in
+    one loop; None unless it is an array of 2-element arrays of strings."""
+    if not isinstance(relation, list):
+        return None
+    pairs = []
+    for p in relation:
+        if not isinstance(p, list) or len(p) != 2:
+            return None
+        u, v = p
+        if not isinstance(u, str) or not isinstance(v, str):
+            return None
+        pairs.append((u, v))
+    return frozenset(pairs)
 
 
 def model_from_dict(data: dict) -> Model:

@@ -189,9 +189,26 @@ def _error(text: str, tokens: list, i: int, message: str) -> ParseError:
     return ParseError(message, next(islice(_TOKEN_RE.finditer(text), i, None)).start())
 
 
+# Every text `parse` has accepted, mapped to its formula: a text parsed
+# again is one lookup.  Kept as long as the formulas (`_TABLE`); a text
+# that fails to parse is not kept, so it fails again the same way.
+_PARSED: dict[str, Formula] = {}
+
+
 def parse(text: str) -> Formula:
     """Parse one formula; ParseError on bad input, including a formula
-    nested deeper than MAX_DEPTH.
+    nested deeper than MAX_DEPTH.  Each text is parsed once per process
+    (`_PARSED`)."""
+    if type(text) is not str:  # parsed or refused without the table, as before
+        return _parse(text)
+    node = _PARSED.get(text)
+    if node is None:  # setdefault: threads that parse one text at once share one entry
+        node = _PARSED.setdefault(text, _parse(text))
+    return node
+
+
+def _parse(text: str) -> Formula:
+    """`parse` without the table.
 
     One scan splits the text into tokens; one operator-precedence loop
     builds the formula bottom-up.  A formula is too deep when it enters

@@ -53,8 +53,11 @@ def from_snapshot(triple: tuple[int, int, int]) -> Value:
         raise SnapshotError(f"{triple} is not a legal snapshot") from None
 
 
+_BY_NAME = {val.name: val for val in Value}
+
+
 def parse_value(token: str) -> Value:
     try:
-        return Value[token]
+        return _BY_NAME[token]
     except KeyError:
         raise ValueError(f"unknown value token {token!r}") from None

@@ -508,6 +508,14 @@ def _assert_same_verdicts(sequents):
                     assert list(got.witness) == _ordered(got.witness)
 
 
+def test_ordered_sorts_by_size_then_text_on_every_ac12_closure():
+    # two stable sorts, by text and then by size, give the (size, text) key's order
+    for allow_or in (True, False):
+        for premises, conclusion in make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or):
+            closure = subformula_closure([desugar(f) for f in premises + [conclusion]])
+            assert _ordered(closure) == sorted(closure, key=lambda f: (size(f), to_text(f)))
+
+
 # Formulas whose clause instances mention one formula twice.
 DUPLICATED = ("@(p & p)", "!(q | q)", "@(p -> p)", "@(!q | !q)", "!(p & p) -> p", "@(q & q) & !(p -> p)")
 

@@ -759,6 +759,37 @@ def test_frame_checks_refuse_fewer_than_one_counterexample(no_draws, call, limit
         call(limit)
 
 
+# Each public check with a world count or a counterexample limit; a value
+# that is not an int used to fail inside range() or a numpy slice with a
+# bare TypeError, and True counted as 1.
+_WORLD_COUNT_CALLS = {
+    "sweep": lambda n: sweep_schema(SCHEMAS["K"], n, ["K3"]),
+    "sample": lambda n: sample_schema(SCHEMAS["K"], n, ["K3"], samples=10),
+    "five_c": lambda n: five_c_characterization(("K3",), max_worlds=n),
+}
+_LIMIT_CALLS = {
+    "sweep": lambda k: sweep_schema(SCHEMAS["4"], 3, LOGIC_IDS, max_counterexamples=k),
+    "sample": lambda k: sample_schema(SCHEMAS["4"], 3, LOGIC_IDS, samples=10, max_counterexamples=k),
+    "five_c": lambda k: five_c_characterization(LOGIC_IDS, max_counterexamples=k),
+}
+
+
+@pytest.mark.parametrize("check", _WORLD_COUNT_CALLS)
+@pytest.mark.parametrize("n_worlds", (1.0, 2.0, True, "2", None))
+def test_frame_checks_refuse_a_world_count_that_is_not_an_int(no_draws, check, n_worlds):
+    message = f"^a world count must be an int, got {re.escape(repr(n_worlds))}$"
+    with pytest.raises(BudgetError, match=message):
+        _WORLD_COUNT_CALLS[check](n_worlds)
+
+
+@pytest.mark.parametrize("check", _LIMIT_CALLS)
+@pytest.mark.parametrize("limit", (1.5, 1.0, True, "3", None))
+def test_frame_checks_refuse_a_counterexample_limit_that_is_not_an_int(no_draws, check, limit):
+    message = f"^a counterexample limit must be an int, got {re.escape(repr(limit))}$"
+    with pytest.raises(BudgetError, match=message):
+        _LIMIT_CALLS[check](limit)
+
+
 def test_axiom_valid_on_frame_refuses_an_invalid_frame():
     from manylogic.models import ModelFormatError
 

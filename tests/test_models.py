@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import re
 from itertools import product
 from random import Random
 
@@ -334,6 +335,26 @@ def test_validate_names_each_unknown_end_of_each_edge():
     assert validate_frame(model.frame).errors == UNKNOWN_ERRORS
 
 
+@pytest.mark.parametrize("entry", (("w1",), ("w1", "w1", "w1"), 5), ids=repr)
+def test_a_relation_entry_that_is_not_a_pair_is_a_validation_error(entry):
+    # built directly, such a relation used to make validate, eval_formula
+    # and axiom_valid_on_frame raise a bare ValueError or TypeError
+    from manylogic.frames import SCHEMAS, axiom_valid_on_frame
+    from manylogic.models import validate_frame
+
+    error = f"relation entry {entry!r} is not a pair of worlds"
+    relation = frozenset({("w1", "w2"), entry, ("w2", "nowhere")})
+    logics = {"w1": "K3", "w2": "LP"}
+    model = Model(("w1", "w2"), relation, logics, {"w1": {"p": V.n}, "w2": {"p": V.b}})
+    assert validate(model).errors == ("relation names unknown world 'nowhere'", error)
+    with pytest.raises(ModelFormatError, match=f"^invalid model: .*{re.escape(error)}$"):
+        eval_formula(model, "w1", parse("[]p"))
+    frame = Frame(("w1", "w2"), frozenset({entry}), logics)
+    assert validate_frame(frame).errors == (error,)
+    with pytest.raises(ModelFormatError, match=f"^invalid frame: {re.escape(error)}$"):
+        axiom_valid_on_frame(frame, SCHEMAS["K"])
+
+
 def test_world_axis_matches_the_per_world_comprehension():
     # the successor positions built in one pass over the relation must be,
     # as sets, what filtering the sorted relation once per world gives
@@ -600,6 +621,23 @@ def test_malformed_members_are_refused_by_name(member, value, message):
     with pytest.raises(ModelFormatError) as exc:
         model_from_dict(dict(_DOC, **{member: value}))
     assert str(exc.value) == message
+
+
+def test_document_errors_come_in_member_order():
+    # worlds, then logics, then relation, then diamond: fixing each member
+    # in turn brings up the next one's message
+    doc = dict(_DOC, worlds="w1", logics=["w1"], relation=[["w1", "w2"], ["w1"]], diamond="sideways")
+    for member, message in (
+        ("worlds", "worlds must be an array of strings"),
+        ("logics", "logics must map world to logic token"),
+        ("relation", "relation must be an array of 2-element arrays"),
+        ("diamond", "diamond must be one of up, down, negbox, cnegbox"),
+    ):
+        with pytest.raises(ModelFormatError) as exc:
+            model_from_dict(doc)
+        assert str(exc.value) == message
+        doc[member] = _DOC.get(member, "up")
+    assert model_from_dict(doc).relation == frozenset({("w1", "w2")})
 
 
 def test_string_subclasses_load_as_strings():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from manylogic.values import (
@@ -44,3 +46,11 @@ def test_parse_value():
     assert parse_value("b") is Value.b
     with pytest.raises(ValueError):
         parse_value("B")
+
+
+def test_parse_value_reads_member_names_only():
+    for v in Value:
+        assert parse_value(v.name) is v
+    for token in ("name", "value", "_value_", "snapshot", "t", "", " T", 0, None):
+        with pytest.raises(ValueError, match=f"^unknown value token {re.escape(repr(token))}$"):
+            parse_value(token)
