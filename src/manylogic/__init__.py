@@ -18,7 +18,7 @@ from .frames import (
     theorem_suite,
 )
 from .syntax import Formula, desugar, parse, subformula_closure, to_text
-from .values import Value
+from .values import ManylogicError, Value
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "Formula",
     "Frame",
     "Lattice",
+    "ManylogicError",
     "MatrixLogic",
     "Model",
     "Value",

@@ -17,14 +17,15 @@ the correspondence report records what each reading does.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 
 from . import syntax
-from .logics import MatrixLogic, Verdict, apply, evaluate
+from .logics import MAX_ATOMS, MatrixLogic, Verdict, apply, evaluate, require_logic
 from .syntax import And, Atom, Bottom, Circ, Formula, Imp, Neg, Or, to_text
-from .values import SNAPSHOTS, Value, from_snapshot
+from .values import SNAPSHOTS, ManylogicError, Value, from_snapshot, require_type
 
 V14_READINGS = ("printed", "corrected")
 
@@ -43,15 +44,15 @@ CLAUSE_SETS: dict[str, frozenset[int]] = {
 MAX_CLOSURE = 64
 
 
-class DomainError(ValueError):
+class DomainError(ManylogicError):
     """Assignment domain is not subformula-closed, or misses a formula."""
 
 
-class ClosureTooLargeError(ValueError):
+class ClosureTooLargeError(ManylogicError):
     pass
 
 
-class ReadingError(ValueError):
+class ReadingError(ManylogicError):
     """A clause 14 reading outside V14_READINGS."""
 
 
@@ -209,6 +210,7 @@ def _instances(logic: MatrixLogic, idx: dict[Formula, int], v14_reading: str):
 def _check_closed(domain) -> None:
     dom = set(domain)
     for f in dom:
+        require_type(f, Formula, "a Formula")
         for c in syntax.children(f):
             if c not in dom:
                 raise DomainError(f"domain not subformula-closed: missing {to_text(c)}")
@@ -225,6 +227,8 @@ def check_clauses(
 ) -> ClauseReport:
     """Check every applicable clause instance of the logic against a total
     0/1 assignment on a subformula-closed domain."""
+    require_logic(logic)
+    require_type(assignment, Mapping, "a mapping as the assignment")
     _check_reading(v14_reading)
     _check_closed(assignment)
     for f, v in assignment.items():
@@ -373,8 +377,8 @@ def _domain(given: tuple) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
     roots = tuple(syntax.desugar(f) for f in given)
     closure = syntax.subformula_closure(roots)
     names = {f.name for f in closure if type(f) is Atom}
-    if len(names) > 8:
-        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of 8")
+    if len(names) > MAX_ATOMS:
+        raise ClosureTooLargeError(f"{len(names)} atoms exceed the cap of {MAX_ATOMS}")
     if len(closure) > MAX_CLOSURE:
         raise ClosureTooLargeError(f"closure has {len(closure)} formulas (cap {MAX_CLOSURE})")
     return roots, tuple(_ordered(closure))
@@ -391,6 +395,7 @@ def biv_consequence(
     first such assignment found, listing the whole closure in (size, text)
     order.  Each sequent's closure is worked out once per process
     (`_DOMAINS`); the clause instances and the search run on every call."""
+    require_logic(logic)
     _check_reading(v14_reading)
     given = (*premises, conclusion)
     syntax.require_propositional(given)
@@ -414,6 +419,7 @@ def satisfying_assignments(
     logic: MatrixLogic, closure, v14_reading: str = "printed", limit: int = 500000
 ) -> list[dict[Formula, int]]:
     """Every clause-satisfying assignment over a subformula-closed set."""
+    require_logic(logic)
     _check_reading(v14_reading)
     _check_closed(closure)
     return _search(logic, _ordered(closure), {}, v14_reading, collect_all=True, limit=limit)
@@ -428,7 +434,7 @@ def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:
     return from_snapshot((assignment[f], assignment[Neg(f)], assignment[Circ(f)]))
 
 
-_CONN_OF = {And: "and", Or: "or", Imp: "imp"}
+_CONN_OF = {And: "and", Or: "or", Imp: "imp", Neg: "neg", Circ: "circ"}
 
 
 @dataclass(frozen=True)
@@ -457,6 +463,7 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
     assignment yields legal snapshots inside the logic's lattice that
     commute with the connective tables.
     """
+    require_logic(logic)
     _check_reading(v14_reading)
     base = [syntax.parse(s) for s in _BRIDGE_BASE]
     closure = syntax.subformula_closure(base)
@@ -482,7 +489,7 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
         for f in members:
             try:
                 val = snapshot_of(rho, f)
-            except ValueError as exc:
+            except ManylogicError as exc:
                 snap_bad.append(f"{to_text(f)}: {exc}")
                 broken = True
                 continue
@@ -494,17 +501,9 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
         if broken:
             continue
         for f in members:
-            if type(f) in _CONN_OF and f.left in snaps and f.right in snaps:
-                got = snaps[f]
-                want = apply(logic, _CONN_OF[type(f)], [snaps[f.left], snaps[f.right]])
-                if got != want:
-                    comm_bad.append(f"{to_text(f)}: snapshot {got} != table {want}")
-            elif isinstance(f, Neg) and f.child in snaps:
-                want = apply(logic, "neg", [snaps[f.child]])
-                if snaps[f] != want:
-                    comm_bad.append(f"{to_text(f)}: snapshot {snaps[f]} != table {want}")
-            elif isinstance(f, Circ) and f.child in snaps:
-                want = apply(logic, "circ", [snaps[f.child]])
+            kids = syntax.children(f)
+            if type(f) in _CONN_OF and all(k in snaps for k in kids):
+                want = apply(logic, _CONN_OF[type(f)], [snaps[k] for k in kids])
                 if snaps[f] != want:
                     comm_bad.append(f"{to_text(f)}: snapshot {snaps[f]} != table {want}")
     return CorrespondenceReport(

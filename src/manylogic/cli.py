@@ -13,19 +13,14 @@ import json
 import sys
 
 from . import bivaluations, frames, models, syntax, verify
-from .logics import CONNECTIVES, LOGIC_IDS, LOGICS, TooManyAtomsError, matrix_consequence, truth_table
+from .logics import CONNECTIVES, LOGIC_IDS, LOGICS, matrix_consequence, truth_table
 from .models import DIAMOND_VARIANTS
 from .syntax import ParseError, to_text
+from .values import ManylogicError
 
 
-class InputError(Exception):
+class InputError(ManylogicError):
     pass
-
-
-def _logic(token: str):
-    if token not in LOGICS:
-        raise InputError(f"unknown logic {token!r}; expected one of {', '.join(LOGIC_IDS)}")
-    return LOGICS[token]
 
 
 def _parse_formula(text: str):
@@ -57,7 +52,7 @@ def _load(path: str, load, validate, noun: str):
 
 
 def _cmd_tables(args) -> int:
-    logic = _logic(args.logic)
+    logic = LOGICS[args.logic]
     conns = [args.conn] if args.conn else list(CONNECTIVES)
     blocks = [truth_table(logic, c).render() for c in conns]
     print("\n\n".join(blocks))
@@ -80,7 +75,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_consequence(args) -> int:
-    logic = _logic(args.logic)
+    logic = LOGICS[args.logic]
     premises = _parse_premises(args.premises)
     conclusion = _parse_formula(args.conclusion)
     verdict = matrix_consequence(logic, premises, conclusion)
@@ -93,7 +88,7 @@ def _cmd_consequence(args) -> int:
 
 
 def _cmd_biv_consequence(args) -> int:
-    logic = _logic(args.logic)
+    logic = LOGICS[args.logic]
     premises = _parse_premises(args.premises)
     conclusion = _parse_formula(args.conclusion)
     verdict = bivaluations.biv_consequence(
@@ -127,8 +122,6 @@ def _cmd_check_frame(args) -> int:
 def _cmd_verify(args) -> int:
     if args.logics:
         tokens = tuple(t.strip() for t in args.logics.split(","))
-        for t in tokens:
-            _logic(t)
         report = frames.theorem_suite(
             logic_ids=tokens, five_c_logic_ids=tokens,
             samples=args.samples, seed=args.seed,
@@ -231,17 +224,12 @@ def main(argv=None) -> int:
         args, extras = command.parse_known_args(argv[1:])
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    # The package's own refusals (a budget, an atom or closure cap, a modal
-    # formula where consequence takes none) are bad input as well.
+    # The package's own refusals (a budget, an unknown logic, an atom or
+    # closure cap, a modal formula where consequence takes none) are bad
+    # input as well.
     try:
         return args.fn(args)
-    except (
-        InputError,
-        frames.BudgetError,
-        TooManyAtomsError,
-        bivaluations.ClosureTooLargeError,
-        syntax.ModalFormulaError,
-    ) as exc:
+    except ManylogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ checks draw what `Random(seed)` draws, decoded from its words in bulk.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import compress, product
 from math import isqrt
@@ -22,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import syntax
+from .lattices import transitive_closure
 from .logics import LOGIC_IDS
 from .models import (  # the value tables and the compiler live in models
     _LOGIC_INDEX,
@@ -30,16 +32,18 @@ from .models import (  # the value tables and the compiler live in models
     CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
     Frame,
     Model,
+    ModelFormatError,
     _world_axis,
     compile_program,
+    model_to_dict,
 )
 from .syntax import Box, Diamond, Formula, Neg, parse
-from .values import Value
+from .values import ManylogicError, Value, require_type
 
 DEFAULT_SEED = 0
 
 
-class BudgetError(ValueError):
+class BudgetError(ManylogicError):
     """A frame check asked for what it cannot check: a world, sample or
     counterexample count out of range, or a logic set that is empty or
     names an unknown logic."""
@@ -73,6 +77,12 @@ def _properties(worlds, rel) -> FrameProperties:
 
 
 def frame_properties(frame: Frame) -> FrameProperties:
+    """The frame's properties; ModelFormatError for a relation entry that
+    is not a pair, as `models.validate_frame` reports it."""
+    require_type(frame, Frame, "a Frame")
+    others = sorted((e for e in frame.relation if type(e) is not tuple or len(e) != 2), key=repr)
+    if others:
+        raise ModelFormatError(f"relation entry {others[0]!r} is not a pair of worlds")
     return _properties(frame.worlds, frame.relation)
 
 
@@ -348,7 +358,9 @@ def _require_counterexamples(limit: int) -> None:  # below one a failing schema 
         raise BudgetError(f"a frame check reports at least one counterexample, got {limit}")
 
 
-def _require_int(value, noun: str) -> None:  # a bool is an int to Python, not here
+# A bool is an int to Python, not here; a None seed would seed Random from
+# the OS, unrepeatably.
+def _require_int(value, noun: str) -> None:
     if type(value) is bool or not isinstance(value, int):
         raise BudgetError(f"{noun} must be an int, got {value!r}")
 
@@ -359,10 +371,6 @@ def _require_samples(samples: int) -> None:
         raise BudgetError(f"sampled checks need at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
         raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
-
-
-def _require_seed(seed: int) -> None:  # None would seed Random from the OS, unrepeatably
-    _require_int(seed, "a seed")
 
 
 @dataclass(frozen=True)
@@ -392,6 +400,7 @@ def sweep_schema(
     """Exhaustively check a schema over every (relation, logic assignment,
     valuation) at a fixed world count; deterministic order, first
     counterexamples are minimal in that order."""
+    require_type(schema, AxiomSchema, "an AxiomSchema")
     _require_worlds(n_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
@@ -476,8 +485,9 @@ def sample_schema(
     closed by relation_transform), a logic per world, and a valuation,
     as `Random(seed)` would.  All samples are evaluated in one batch;
     counterexamples are the first failing samples in draw order."""
+    require_type(schema, AxiomSchema, "an AxiomSchema")
     _require_samples(samples)
-    _require_seed(seed)
+    _require_int(seed, "a seed")
     _require_worlds(n_worlds)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
@@ -521,25 +531,15 @@ def reflexive_closure(rel, n):
     return frozenset(rel) | frozenset((i, i) for i in range(n))
 
 
-def transitive_closure(rel, n):
-    rel = set(rel)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    return frozenset(rel)
-
-
 def axiom_valid_on_frame(
     frame: Frame, schema: AxiomSchema, variant: str = "up", budget: CheckBudget | None = None
 ) -> CheckResult:
     """Check one schema on one concrete frame; exhaustive (<= 3 worlds) or
     sampled valuations of the schema's atoms."""
+    require_type(frame, Frame, "a Frame")
+    require_type(schema, AxiomSchema, "an AxiomSchema")
     budget = budget or CheckBudget()
+    require_type(budget, CheckBudget, "a CheckBudget")
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
     n = len(frame.worlds)
     edges = [[(u, None, None) for u in succ] for succ in succs]
@@ -552,7 +552,7 @@ def axiom_valid_on_frame(
         lat, vals = axis.lat, axis.vals
     else:
         _require_samples(budget.sample_count)
-        _require_seed(budget.seed)
+        _require_int(budget.seed, "a seed")
         words, k = _Words(budget.seed), budget.sample_count
         vals = tuple(
             tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, k)] for li in interp)
@@ -713,9 +713,6 @@ class SuiteReport:
 
 
 def describe_counterexample(ce: Counterexample) -> str:
-    from .models import model_to_dict
-    import json
-
     return f"world={ce.world} value={ce.value} model={json.dumps(model_to_dict(ce.model))}"
 
 
@@ -760,7 +757,7 @@ def run_theorem(
     sampled outcome is empty when the row samples nothing."""
     if theorem.sampled_worlds is not None:
         _require_samples(samples)  # before the sweeps, not after them
-        _require_seed(seed)
+        _require_int(seed, "a seed")
     exhaustive = _merge(
         sweep_schema(theorem.schema, n, logic_ids, relation_pred=theorem.frame_pred)
         for n in theorem.exhaustive_worlds

@@ -10,35 +10,38 @@ pair {b, n} has meet F and join T, not F0 and T0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations
 from typing import Iterable
 
-from .values import Value
+from .values import ManylogicError, Value
 
 V = Value
 
 
-class LatticeError(ValueError):
+class LatticeError(ManylogicError):
     """Element outside the lattice, or a subset without bounds in it."""
 
 
 _COVERS = [(V.F, V.F0), (V.F0, V.n), (V.F0, V.b), (V.n, V.T0), (V.b, V.T0), (V.T0, V.T)]
 
 
-def _base_order() -> frozenset[tuple[Value, Value]]:
-    pairs = {(x, x) for x in Value} | set(_COVERS)
+def transitive_closure(rel, n=None) -> frozenset:
+    """The least transitive relation holding the pairs in `rel`; `n`, a
+    world count, is unused and lets frame checks pass it as a closure."""
+    rel = set(rel)
     changed = True
     while changed:
         changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
                     changed = True
-    return frozenset(pairs)
+    return frozenset(rel)
 
 
-BASE_LEQ = _base_order()
+BASE_LEQ: frozenset[tuple[Value, Value]] = transitive_closure({(x, x) for x in Value} | set(_COVERS))
 
 
 def base_leq(x: Value, y: Value) -> bool:
@@ -83,16 +86,10 @@ class Lattice:
         return self._join[(x, y)]
 
     def meet_set(self, xs: Iterable[Value]) -> Value:
-        acc = self.top
-        for x in xs:
-            acc = self.meet(acc, x)
-        return acc
+        return reduce(self.meet, xs, self.top)
 
     def join_set(self, xs: Iterable[Value]) -> Value:
-        acc = self.bottom
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
+        return reduce(self.join, xs, self.bottom)
 
     def down(self, x: Value) -> Value:
         """Join of the element's lower set inside this lattice."""
@@ -120,18 +117,9 @@ def _build(lid: str, members: tuple[Value, ...]) -> Lattice:
     join = {(x, y): _bound(members, (x, y), lower=False) for x in members for y in members}
     top = _bound(members, members, lower=False)
     bottom = _bound(members, members, lower=True)
-    down, up = {}, {}
-    for x in Value:
-        lower_set = [y for y in members if base_leq(y, x)]
-        upper_set = [y for y in members if base_leq(x, y)]
-        acc = bottom
-        for y in lower_set:
-            acc = join[(acc, y)]
-        down[x] = acc
-        acc = top
-        for y in upper_set:
-            acc = meet[(acc, y)]
-        up[x] = acc
+    # down(x) joins x's lower set inside the lattice, up(x) meets its upper set
+    down = {x: _bound(members, tuple(y for y in members if base_leq(y, x)), lower=False) for x in Value}
+    up = {x: _bound(members, tuple(y for y in members if base_leq(x, y)), lower=True) for x in Value}
     return Lattice(lid, members, frozenset(members), meet, join, top, bottom, down, up)
 
 
@@ -152,13 +140,6 @@ LATTICES: dict[str, Lattice] = {lid: _build(lid, members) for lid, members in _M
 L6 = LATTICES["L6"]
 
 SUBLATTICE_IDS = tuple(lid for lid in LATTICES if lid != "L6")
-
-
-def get_lattice(lid: str) -> Lattice:
-    try:
-        return LATTICES[lid]
-    except KeyError:
-        raise LatticeError(f"unknown lattice id {lid!r}") from None
 
 
 def down_interpret(x: Value, sub: Lattice) -> Value:

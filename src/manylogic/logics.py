@@ -24,14 +24,14 @@ import functools
 from dataclasses import dataclass
 
 from . import syntax
-from .lattices import Lattice, get_lattice
+from .lattices import LATTICES, Lattice
 from .syntax import Atom, Bottom, Formula
-from .values import SNAPSHOTS, Value, from_snapshot
+from .values import SNAPSHOTS, ManylogicError, Value, from_snapshot, require_type
 
 MAX_ATOMS = 8
 
 
-class LogicError(ValueError):
+class LogicError(ManylogicError):
     pass
 
 
@@ -101,7 +101,7 @@ class MatrixLogic:
 
 
 def _make(lid: str, lattice_id: str, family: str, third: int) -> MatrixLogic:
-    lat = get_lattice(lattice_id)
+    lat = LATTICES[lattice_id]
     designated = frozenset(x for x in lat.elements if SNAPSHOTS[x][0] == 1)
     return MatrixLogic(lid, lat, designated, family, third)
 
@@ -121,7 +121,12 @@ LOGICS: dict[str, MatrixLogic] = {
 LOGIC_IDS = tuple(LOGICS)
 
 
+def require_logic(logic) -> None:
+    require_type(logic, MatrixLogic, "a MatrixLogic")
+
+
 def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
+    require_logic(logic)
     if conn not in CONNECTIVES:
         raise LogicError(f"unknown connective {conn!r}")
     if len(args) != CONNECTIVES[conn]:
@@ -185,6 +190,7 @@ class TruthTable:
 
 
 def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
+    require_logic(logic)
     if conn not in CONNECTIVES:
         raise LogicError(f"unknown connective {conn!r}; expected one of {', '.join(CONNECTIVES)}")
     els = logic.lattice.elements
@@ -295,6 +301,7 @@ def _evaluate(logic: MatrixLogic, order: list, atoms: dict, one: int, uses: dict
 
 def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Value:
     """Value of a modal-free formula under an atom assignment."""
+    require_logic(logic)
     (root,), order, names, uses = _walk([f])
     atoms = {}
     for name in names:
@@ -323,7 +330,7 @@ def _atom_planes(lattice_id: str, k: int) -> tuple[tuple[int, int, int], ...]:
     product(elements, repeat=k): bit j of atom i's planes holds its value
     under valuation j, where the last atom varies fastest.  Cached; all
     nine lattices at every atom count up to MAX_ATOMS hold about 6.7 MB."""
-    elements = get_lattice(lattice_id).elements
+    elements = LATTICES[lattice_id].elements
     m = len(elements)
     total = m**k
     full = (1 << total) - 1
@@ -352,6 +359,7 @@ def matrix_consequence(logic: MatrixLogic, premises, conclusion: Formula) -> Ver
 
     Each formula is evaluated once over all |L|^k valuations, held as
     bit-planes; a value is designated iff its truth coordinate is 1."""
+    require_logic(logic)
     roots, order, names, uses = _walk(list(premises) + [conclusion])
     names = sorted(names)
     k = len(names)

@@ -17,10 +17,10 @@ valuations per world.
 from __future__ import annotations
 
 import json
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -28,16 +28,17 @@ from . import syntax
 from .lattices import base_leq
 from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
 from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
-from .values import Value, parse_value
+from .values import ManylogicError, Value, parse_value, require_type
 
 DIAMOND_VARIANTS = ("up", "down", "negbox", "cnegbox")
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(ManylogicError):
     """Structurally malformed model or frame document."""
 
 
-def _read_only(mapping) -> Mapping:
+def _read_only(mapping, noun: str) -> Mapping:
+    require_type(mapping, Mapping, noun)
     return MappingProxyType(dict(mapping))
 
 
@@ -53,7 +54,9 @@ class _Worlds:
     _axis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "logics", _read_only(self.logics))
+        require_type(self.worlds, Collection, "a collection of worlds")
+        require_type(self.relation, Collection, "a collection of pairs as the relation")
+        object.__setattr__(self, "logics", _read_only(self.logics, "a mapping as the logics"))
 
     def __hash__(self):  # equal frames and models share worlds and relation
         return hash((self.worlds, self.relation))
@@ -88,8 +91,9 @@ class Model(_Worlds):
 
     def __post_init__(self):
         super().__post_init__()
+        require_type(self.valuation, Mapping, "a mapping as the valuation")
         object.__setattr__(self, "valuation", MappingProxyType(
-            {w: _read_only(row) for w, row in self.valuation.items()}
+            {w: _read_only(row, "a mapping as a world's valuation") for w, row in self.valuation.items()}
         ))
 
     @property
@@ -125,11 +129,13 @@ class ValidationReport:
 
 def validate(model: Model) -> ValidationReport:
     """The model's errors and warnings, worked out once per model."""
+    require_type(model, Model, "a Model")
     return _validate(model, model.valuation)
 
 
 def validate_frame(frame: Frame) -> ValidationReport:
     """The frame's errors and warnings, worked out once per frame."""
+    require_type(frame, Frame, "a Frame")
     return _validate(frame, {})
 
 
@@ -155,7 +161,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
         pairs, others = [], []
         for entry in model.relation:
             (pairs if type(entry) is tuple and len(entry) == 2 else others).append(entry)
-        for (u, v) in sorted(pairs):
+        for (u, v) in sorted(pairs, key=_pair_order):
             for w in (u, v):
                 if w not in seen:
                     errors.append(f"relation names unknown world {w!r}")
@@ -176,7 +182,11 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
         if w not in seen:
             errors.append(f"valuation names unknown world {w!r}")
             continue
-        all_atoms |= set(row)
+        for atom in row:
+            if isinstance(atom, str):
+                all_atoms.add(atom)
+            else:
+                errors.append(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
         if model.logics.get(w) in LOGICS:
             lat = LOGICS[model.logics[w]].lattice
             for atom, val in row.items():
@@ -193,6 +203,12 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
         object.__setattr__(model, "_axis", (seen, succs))
     object.__setattr__(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
+
+
+def _pair_order(pair: tuple) -> tuple:
+    """Pairs of strings first, in their own order; then any others by repr,
+    which orders names of mixed types too."""
+    return (0, pair) if all(isinstance(w, str) for w in pair) else (1, repr(pair))
 
 
 # ---------------------------------------------------------------- tables
@@ -365,8 +381,7 @@ class _Encoding:
         """f's value mask at every world."""
         row = self.roots.get(f)
         if row is None:
-            if not isinstance(f, Formula):  # checked here, off the path of a kept row
-                raise TypeError(f"expected a Formula, got {type(f).__name__}")
+            require_type(f, Formula, "a Formula")  # checked here, off the path of a kept row
             row = self.roots[f] = self._run(f)
         return row
 
@@ -502,7 +517,7 @@ def model_from_dict(data: dict) -> Model:
                 raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
             try:
                 parsed[atom] = parse_value(token)
-            except ValueError as exc:
+            except ManylogicError as exc:
                 raise ModelFormatError(str(exc)) from None
         valuation[w] = parsed
     return Model(worlds, relation, logics, valuation, diamond)

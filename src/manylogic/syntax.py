@@ -21,8 +21,10 @@ from __future__ import annotations
 import re
 from itertools import islice
 
+from .values import ManylogicError, require_type
 
-class ParseError(ValueError):
+
+class ParseError(ManylogicError):
     """Bad token or structure; carries the offending position."""
 
     def __init__(self, message: str, pos: int):
@@ -30,7 +32,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class ModalFormulaError(ValueError):
+class ModalFormulaError(ManylogicError):
     """A box or diamond where only propositional formulas are allowed."""
 
 
@@ -60,6 +62,8 @@ class Formula:
             for name, value in zip(cls._fields, args):
                 _set(node, name, value)
             kids = () if cls is Atom else args
+            for k in kids:
+                require_type(k, Formula, "a Formula")
             _set(node, "_kids", kids)
             _set(node, "_size", 1 + sum(k._size for k in kids))
             _set(node, "_modal", cls is Box or cls is Diamond or any(k._modal for k in kids))
@@ -419,8 +423,7 @@ def require_propositional(fs) -> None:
     """Refuse, in order, a non-Formula (TypeError) or a modal formula, named
     as given: desugaring nested => repeats text exponentially."""
     for f in fs:
-        if not isinstance(f, Formula):
-            raise TypeError(f"expected a Formula, got {type(f).__name__}")
+        require_type(f, Formula, "a Formula")
         if f._modal:
             raise ModalFormulaError(f"modal operator in {to_text(f)}")
 

@@ -42,7 +42,18 @@ ILLEGAL_SNAPSHOTS = {(0, 0, 1), (1, 1, 1)}
 _BY_SNAPSHOT = {snap: val for val, snap in SNAPSHOTS.items()}
 
 
-class SnapshotError(ValueError):
+class ManylogicError(ValueError):
+    """The package's refusal of bad input: every typed error subclasses it.
+    A wrong argument type is a TypeError instead (see `require_type`)."""
+
+
+def require_type(value, kind, noun: str) -> None:
+    """Refuse a `value` that is not a `kind`, naming what was expected."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {noun}, got {type(value).__name__}")
+
+
+class SnapshotError(ManylogicError):
     """A triple that names no semantic value."""
 
 
@@ -60,4 +71,4 @@ def parse_value(token: str) -> Value:
     try:
         return _BY_NAME[token]
     except KeyError:
-        raise ValueError(f"unknown value token {token!r}") from None
+        raise ManylogicError(f"unknown value token {token!r}") from None

@@ -38,10 +38,6 @@ def _rows(text: str) -> list[list[Value]]:
     return [[parse_value(tok) for tok in line.split()] for line in text.strip().splitlines()]
 
 
-def _col(text: str) -> list[Value]:
-    return [parse_value(tok) for tok in text.split()]
-
-
 # Frozen connective tables, keyed (logic, connective); rows follow
 # the canonical element order of each logic's lattice.
 GOLDEN_BINARY = {
@@ -121,7 +117,7 @@ def ac1_truth_tables() -> CheckOutcome:
                     mismatches.append(f"{lid} {conn} [{x},{y}]: {table.cells[(x, y)]} != {want[i][j]}")
     for (lid, conn), text in GOLDEN_UNARY.items():
         logic = LOGICS[lid]
-        want = _col(text)
+        (want,) = _rows(text)
         table = truth_table(logic, conn)
         for i, x in enumerate(logic.lattice.elements):
             checked += 1
@@ -354,23 +350,19 @@ def ac11_euclidean_suite() -> CheckOutcome:
     )
 
 
-def _random_formula(rng: Random, depth: int, binaries: tuple[str, ...]) -> syntax.Formula:
+def _random_formula(rng: Random, depth: int, binaries: tuple[type, ...]) -> syntax.Formula:
     if depth == 0 or rng.random() < 0.3:
         return Atom(rng.choice("pq"))
-    if rng.random() < 0.45:
-        kind = rng.choice(("neg", "circ"))
-        child = _random_formula(rng, depth - 1, binaries)
-        return syntax.Neg(child) if kind == "neg" else syntax.Circ(child)
-    kind = rng.choice(binaries)
+    if rng.random() < 0.45:  # the class is drawn before the operands
+        return rng.choice((syntax.Neg, syntax.Circ))(_random_formula(rng, depth - 1, binaries))
+    cls = rng.choice(binaries)
     left = _random_formula(rng, depth - 1, binaries)
-    right = _random_formula(rng, depth - 1, binaries)
-    cls = {"and": syntax.And, "or": syntax.Or, "imp": syntax.Imp}[kind]
-    return cls(left, right)
+    return cls(left, _random_formula(rng, depth - 1, binaries))
 
 
 def make_sequents(count: int, seed: int, allow_or: bool = True):
     rng = Random(seed)
-    binaries = ("and", "or", "imp") if allow_or else ("and", "imp")
+    binaries = (syntax.And, syntax.Or, syntax.Imp) if allow_or else (syntax.And, syntax.Imp)
     out = []
     for _ in range(count):
         premises = [_random_formula(rng, 2, binaries) for _ in range(rng.randint(0, 2))]

@@ -281,7 +281,8 @@ def reference_main(argv=None) -> int:
     and handed the rest to the subcommand's parser, which classified them
     again; kept as the reference the one-pass dispatch is checked against."""
     from manylogic import bivaluations, frames, syntax
-    from manylogic.cli import InputError, TooManyAtomsError, _parser
+    from manylogic.cli import InputError, _parser
+    from manylogic.logics import TooManyAtomsError
 
     args = _parser().parse_args(argv)
     try:

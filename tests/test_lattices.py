@@ -44,6 +44,13 @@ def test_base_order_shape():
     assert sum(base_leq(x, y) for x in V for y in V) == 20
 
 
+def test_the_base_order_and_frame_checks_share_one_transitive_closure():
+    from manylogic import frames, lattices
+
+    assert frames.transitive_closure is lattices.transitive_closure
+    assert lattices.transitive_closure({(1, 2), (2, 3), (3, 1)}, 3) == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
+
+
 def test_leq_examples():
     assert L6.leq(V.b, V.T0)
     assert not L6.leq(V.n, V.b)
