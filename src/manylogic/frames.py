@@ -8,6 +8,10 @@ tables `models` owns, so that exhaustive runs over all three-world
 frames stay well under a second; counterexamples are handed back as
 ordinary models that replay through the normal evaluator.  Sampled
 checks draw what `Random(seed)` draws, decoded from its words in bulk.
+
+Importing this module does not import numpy: the first frame check
+binds numpy and the numpy tables, which `models` builds on first use
+(`_load`).  The table names stay readable here as module attributes.
 """
 
 from __future__ import annotations
@@ -20,16 +24,11 @@ from operator import attrgetter
 from random import Random
 from typing import Callable
 
-import numpy as np
-
-from . import syntax
+from . import models, syntax
 from .lattices import transitive_closure
 from .logics import LOGIC_IDS
 from .models import (  # the value tables and the compiler live in models
     _LOGIC_INDEX,
-    # re-exported; perfbench/record.py reads the code tables here
-    BOT_T, CIRC_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T,  # noqa: F401
-    CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
     Frame,
     Model,
     ModelFormatError,
@@ -41,6 +40,36 @@ from .syntax import Box, Diamond, Formula, Neg, parse
 from .values import ManylogicError, Value, require_type
 
 DEFAULT_SEED = 0
+
+# Bound by _load on the first frame check, with numpy and the mask tables.
+_CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}
+
+
+def _load() -> None:
+    """Bind numpy and the numpy tables of `models` here; every frame check
+    calls this first, and after the first one it returns at once."""
+    global np, CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M
+    global _CLASSICAL_WINDOW
+    if _CLASSICAL_WINDOW is not None:
+        return
+    import numpy as np
+
+    from .models import (
+        CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
+    )
+
+    window = np.zeros(16, dtype=bool)
+    window[MASK_OF[[Value.T, Value.T0, Value.F0, Value.F]]] = True
+    _CLASSICAL_WINDOW = window  # bound last: a thread that sees it sees the rest
+
+
+def __getattr__(name: str):
+    # the numpy tables under their names in models (perfbench/record.py
+    # reads the code tables here); the name is checked before numpy loads
+    if name not in models._NUMPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return getattr(models, name)
 
 
 class BudgetError(ManylogicError):
@@ -146,6 +175,7 @@ class _Words:
     2**31."""
 
     def __init__(self, seed: int):
+        _load()
         self._rng = Random(seed)
         self._buf = np.empty(0, dtype=np.uint32)
         self._pos = 0
@@ -404,6 +434,7 @@ def sweep_schema(
     _require_worlds(n_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
+    _load()
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(schema.atoms))
     prog = compile_program(schema.template, variant, schema.atoms)
     worlds = _world_names(n_worlds)
@@ -491,6 +522,7 @@ def sample_schema(
     _require_worlds(n_worlds)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
+    _load()
     prog = compile_program(schema.template, variant, schema.atoms)
     n_atoms = len(schema.atoms)
     sizes = [ELEMENT_MASKS[li].size for li in logic_indices]
@@ -541,6 +573,7 @@ def axiom_valid_on_frame(
     budget = budget or CheckBudget()
     require_type(budget, CheckBudget, "a CheckBudget")
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
+    _load()
     n = len(frame.worlds)
     edges = [[(u, None, None) for u in succ] for succ in succs]
     interp = [_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
@@ -584,10 +617,6 @@ class FiveCReport:
         return not (self.euclidean_failures or self.non_euclidean_valid)
 
 
-_CLASSICAL_WINDOW = np.zeros(16, dtype=bool)  # by mask
-_CLASSICAL_WINDOW[MASK_OF[[Value.T, Value.T0, Value.F0, Value.F]]] = True
-
-
 def five_c_characterization(
     logic_ids, max_worlds: int = 3, max_counterexamples: int = 3
 ) -> FiveCReport:
@@ -603,6 +632,7 @@ def five_c_characterization(
     _require_counterexamples(max_counterexamples)
     schema = SCHEMAS["5c"]
     logic_indices = _logic_indices(logic_ids)
+    _load()
     frames = models = 0
     failures: list[Counterexample] = []
     silently_valid: list[str] = []
@@ -664,6 +694,7 @@ def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
     mismatches are reported."""
     n_worlds, max_mismatches = 2, 5
     logic_indices = _logic_indices(logic_ids)
+    _load()
     axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), 1)
     mismatches: list[str] = []
     models = 0

@@ -11,18 +11,19 @@ the 4-bit mask tables derived from them that every compiled program
 runs on.  Formulas compile to a postfix program; `eval_formula` runs it
 on the mask tables as Python lists over a model's whole world axis, and
 `frames` runs it on the same tables as numpy arrays over a batch of
-valuations per world.
+valuations per world.  The tables are built as lists at import; their
+numpy forms (`MEET_T`, `MASK_OF`, `DOWN_M`, ...) are built from those
+lists on first access, so numpy loads only when a frame check needs it.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-
-import numpy as np
 
 from . import syntax
 from .lattices import base_leq
@@ -187,11 +188,12 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 all_atoms.add(atom)
             else:
                 errors.append(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
-        if model.logics.get(w) in LOGICS:
-            lat = LOGICS[model.logics[w]].lattice
-            for atom, val in row.items():
-                if val not in lat.members:
-                    errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
+        lat = LOGICS[model.logics[w]].lattice if model.logics.get(w) in LOGICS else None
+        for atom, val in row.items():
+            if not isinstance(val, Value):  # a bool or int would index the tables as a code
+                errors.append(f"valuation({w!r},{atom!r}) = {val!r} is not a Value")
+            elif lat is not None and val not in lat.members:
+                errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
     for w in model.worlds:
         missing = all_atoms.difference(valuation.get(w, ()))
         if missing:
@@ -223,38 +225,37 @@ _LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
 
 
 def _fill_tables():
-    meet = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    join = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    imp = np.full((_N_LOGIC, 6, 6), -1, dtype=np.int8)
-    circ = np.full((_N_LOGIC, 6), -1, dtype=np.int8)
-    neg = np.zeros(6, dtype=np.int8)
-    down = np.zeros((_N_LOGIC, 6), dtype=np.int8)
-    up = np.zeros((_N_LOGIC, 6), dtype=np.int8)
-    desig = np.zeros((_N_LOGIC, 6), dtype=bool)
-    top = np.zeros(_N_LOGIC, dtype=np.int8)
-    bot = np.zeros(_N_LOGIC, dtype=np.int8)
+    """The code tables as nested lists, in the order of _CODE_TABLES."""
+    logics = range(_N_LOGIC)
+    meet, join, imp = ([[[-1] * 6 for _ in range(6)] for _ in logics] for _ in range(3))
+    circ = [[-1] * 6 for _ in logics]
+    down, up, desig = ([[0] * 6 for _ in logics] for _ in range(3))
+    neg, top, bot = [0] * 6, [0] * _N_LOGIC, [0] * _N_LOGIC
 
     letk = LOGICS["LETK"]
     for x in Value:
-        neg[int(x)] = int(apply(letk, "neg", [x]))
+        neg[x] = int(apply(letk, "neg", [x]))
     for li, lid in enumerate(LOGIC_IDS):
         logic = LOGICS[lid]
         lat = logic.lattice
         top[li], bot[li] = int(lat.top), int(lat.bottom)
         for x in Value:
-            down[li][int(x)] = int(lat.down(x))
-            up[li][int(x)] = int(lat.up(x))
+            down[li][x] = int(lat.down(x))
+            up[li][x] = int(lat.up(x))
         for x in lat.elements:
-            circ[li][int(x)] = int(apply(logic, "circ", [x]))
-            desig[li][int(x)] = logic.is_designated(x)
+            circ[li][x] = int(apply(logic, "circ", [x]))
+            desig[li][x] = logic.is_designated(x)
             for y in lat.elements:
-                meet[li][int(x)][int(y)] = int(lat.meet(x, y))
-                join[li][int(x)][int(y)] = int(lat.join(x, y))
-                imp[li][int(x)][int(y)] = int(apply(logic, "imp", [x, y]))
+                meet[li][x][y] = int(lat.meet(x, y))
+                join[li][x][y] = int(lat.join(x, y))
+                imp[li][x][y] = int(apply(logic, "imp", [x, y]))
     return meet, join, imp, circ, neg, down, up, desig, top, bot
 
 
-MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fill_tables()
+_CODE_TABLES = dict(zip(
+    ("MEET_T", "JOIN_T", "IMP_T", "CIRC_T", "NEG_T", "DOWN_T", "UP_T", "DESIG_T", "TOP_T", "BOT_T"),
+    _fill_tables(),
+))
 
 # A compiled program runs on 4-bit masks of the values: a value's mask is
 # the set of base join-irreducibles {F0, n, b, T} beneath it (Birkhoff):
@@ -266,31 +267,64 @@ MEET_T, JOIN_T, IMP_T, CIRC_T, NEG_T, DOWN_T, UP_T, DESIG_T, TOP_T, BOT_T = _fil
 # (imp's at 256 x), so row | mask reads a map.  Box and the up diamond
 # need not interpret each successor first: down_w of the AND of the raw
 # masks is the meet in w of their down_w, and up_w of the OR the join of
-# their up_w.
+# their up_w.  Entries outside a logic's lattice read the mask of -1, the
+# last code, and are never looked up.
 
 _IRREDUCIBLES = (Value.F0, Value.n, Value.b, Value.T)
-MASK_OF = np.array(  # by value code
-    [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value],
-    dtype=np.uint8,
-)
-CODE_OF = np.zeros(16, dtype=np.int8)  # by mask; masks that name no value read T
-CODE_OF[MASK_OF] = np.arange(len(Value))
+_MASK = [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value]  # by code
+_CODE = [_MASK.index(m) if m in _MASK else int(Value.T) for m in range(16)]  # by mask; others read T
 
 
-def _by_mask(table) -> np.ndarray:
-    """A code table (logic, code[, code]) as a flat mask table; entries
-    outside a logic's lattice read 0 and are never looked up."""
-    for axis in range(1, table.ndim):
-        table = table.take(CODE_OF, axis=axis)
-    return (table if table.dtype == bool else MASK_OF[table]).ravel()
+def _by_mask(table) -> list[int]:
+    """A code table (logic, code) as a flat mask table."""
+    return [_MASK[row[c]] for row in table for c in _CODE]
 
 
-DOWN_M, UP_M, CIRC_M, IMP_M, DESIG_M = map(_by_mask, (DOWN_T, UP_T, CIRC_T, IMP_T, DESIG_T))
-NEG_M = MASK_OF[NEG_T[CODE_OF]]
-# logic index -> its row in the tables; 16-bit lanes index the tables
-# faster than 64-bit ones, and every index fits
-ROW_OF = 16 * np.arange(_N_LOGIC, dtype=np.int16)
-ELEMENT_MASKS = [MASK_OF[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
+_DOWN, _UP, _CIRC = (_by_mask(_CODE_TABLES[name]) for name in ("DOWN_T", "UP_T", "CIRC_T"))
+_NEG = [_MASK[_CODE_TABLES["NEG_T"][c]] for c in _CODE]
+# imp's flat index outgrows the small ints Python keeps ready-made, so
+# the list runner reads it as rows: _IMP[row | x][y]
+_IMP = [[_MASK[sq[x][y]] for y in _CODE] for sq in _CODE_TABLES["IMP_T"] for x in _CODE]
+_VALUE_OF = [Value(c) for c in _CODE]  # by mask
+
+# The same tables as numpy arrays, for the batched runner in `frames`.
+# They are built from the lists above on first access (PEP 562), so that
+# importing the package, evaluating models and deciding consequence never
+# load numpy.  ROW_OF maps a logic index to its row in the flat tables;
+# 16-bit lanes index the tables faster than 64-bit ones, and every index
+# fits.
+_NUMPY_NAMES = frozenset(_CODE_TABLES) | {
+    "MASK_OF", "CODE_OF", "DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M",
+    "ROW_OF", "ELEMENT_MASKS",
+}
+_NUMPY_LOCK = threading.Lock()
+
+
+def _numpy_tables() -> dict:
+    import numpy as np
+
+    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8)
+           for name, t in _CODE_TABLES.items()}
+    mask_of = out["MASK_OF"] = np.array(_MASK, dtype=np.uint8)
+    out["CODE_OF"] = np.array(_CODE, dtype=np.int8)
+    for name, flat in (("DOWN_M", _DOWN), ("UP_M", _UP), ("CIRC_M", _CIRC), ("NEG_M", _NEG)):
+        out[name] = np.array(flat, dtype=np.uint8)
+    out["IMP_M"] = np.array(_IMP, dtype=np.uint8).ravel()
+    out["DESIG_M"] = np.array([row[c] for row in _CODE_TABLES["DESIG_T"] for c in _CODE], dtype=bool)
+    out["ROW_OF"] = 16 * np.arange(_N_LOGIC, dtype=np.int16)
+    out["ELEMENT_MASKS"] = [mask_of[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
+    return out
+
+
+def __getattr__(name: str):
+    # the name is checked first: the import system probes names such as
+    # __path__ here, and those must not load numpy
+    if name not in _NUMPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    with _NUMPY_LOCK:
+        if name not in globals():
+            globals().update(_numpy_tables())
+    return globals()[name]
 
 
 # ------------------------------------------------------------- programs
@@ -349,13 +383,6 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
 
 
 # ------------------------------------------------------------ evaluation
-
-_MASK, _DOWN, _UP, _NEG, _CIRC = (t.tolist() for t in (MASK_OF, DOWN_M, UP_M, NEG_M, CIRC_M))
-# imp's flat index outgrows the small ints Python keeps ready-made, so
-# the list runner reads it as rows: _IMP[row | x][y]
-_IMP = IMP_M.reshape(-1, 16).tolist()
-_VALUE_OF = [Value(c) for c in CODE_OF.tolist()]  # by mask
-
 
 class _Encoding:
     """A valid model on value masks along its world axis (`_world_axis`):

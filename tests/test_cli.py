@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -314,14 +315,19 @@ def _answer(entry, argv):
 INSERTIONS = ("--bogus", "-h", "--help", "--", "-1", "--samples=2", "--wor", "--he")
 
 
-def _dispatch_corpus(fixtures):
+def _catalogue(fixtures) -> list[list[str]]:
+    """The benchmark's well-formed and malformed CLI requests."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         from workloads import bad_inputs, cli_catalogue
     finally:
         sys.path.pop(0)
     base = [argv for entries in cli_catalogue(fixtures).values() for _, argv in entries]
-    base += [argv for _, argv in bad_inputs(fixtures)]
+    return base + [argv for _, argv in bad_inputs(fixtures)]
+
+
+def _dispatch_corpus(fixtures):
+    base = _catalogue(fixtures)
     base += [["verify", "--only", "AC3"], ["verify", "--logics", "NOPE"], ["nope", "K3"], ["tables"]]
     rng = random.Random(14)
     argvs = [[]] + base
@@ -341,6 +347,115 @@ def test_dispatch_matches_the_reference_main(fixtures):
     assert len(argvs) > 2000
     for argv in argvs:
         assert _answer(main, argv) == _answer(reference_main, argv), argv
+
+
+# ------------------------------------------------------- mutation fuzz
+
+FLAGS = ("--world", "--formula", "--diamond", "--premises", "--conclusion", "--v14", "--axiom",
+         "--exhaustive", "--samples", "--seed", "--conn", "--only", "--bogus", "-h", "--")
+COMMANDS = ("tables", "eval", "check-frame", "consequence", "biv-consequence", "nope", "")
+NUMBERS = ("-1", "0", "1", "7", "1_0", "2.5", "", "x", "-0", "0x1f", " 3", "99999999999999999999")
+TOKENS = ("K4", "k3", "LETK", "CLS", "up", "sideways", "5c", "Z", "printed", "other", "w1", "w9", "")
+FORMULA_CHARS = "()[]<>!@~N#&|->=, pqr"
+
+
+def _junk_files(tmp_path, fixtures) -> list[str]:
+    """Files a path may be swapped for: the other fixtures, a directory, a
+    missing file, and documents that are not JSON, not UTF-8, not an
+    object, or an object with junk members."""
+    ex1 = json.loads((fixtures / "ex1.json").read_text())
+    docs = {
+        "empty.json": b"",
+        "broken.json": b'{"worlds": [',
+        "utf16.json": b"\xff\xfe" + json.dumps(ex1).encode("utf-16-le"),
+        "array.json": b"[1, 2]",
+        "float-value.json": json.dumps(ex1 | {"valuation": {"w1": {"p": 1.0}}}).encode(),
+        "four-worlds.json": json.dumps({
+            "worlds": ["w1", "w2", "w3", "w4"], "relation": [["w1", "w4"]],
+            "logics": dict.fromkeys(("w1", "w2", "w3", "w4"), "LP"),
+        }).encode(),
+        "null-relation.json": json.dumps(ex1 | {"relation": None}).encode(),
+        "short-pair.json": json.dumps(ex1 | {"relation": [["w1"]]}).encode(),
+    }
+    for name, data in docs.items():
+        (tmp_path / name).write_bytes(data)
+    return ([str(tmp_path / name) for name in docs] + [str(tmp_path), str(tmp_path / "missing.json")]
+            + [str(path) for path in sorted(fixtures.glob("*.json"))])
+
+
+def _mutate_formula(rng: random.Random, text: str) -> str:
+    at = rng.randint(0, len(text))
+    roll = rng.random()
+    if roll < 0.2:
+        return text[:at] + rng.choice(FORMULA_CHARS) + text[at:]
+    if roll < 0.35:
+        return text[:at] + text[at + 1:]
+    if roll < 0.45:
+        return text[:at]
+    if roll < 0.65:
+        return rng.choice(("!", "@", "N", "!@")) * rng.randint(1, 40) + text
+    if roll < 0.8:
+        return rng.choice(("[]", "<>", "~")) * rng.randint(1, 40) + text
+    if roll < 0.95:
+        return text.replace("p", rng.choice(("q", "r", "p1", "p_2")))
+    return f"{text},{text}" if rng.random() < 0.5 else "(" * 300 + "p" + ")" * rng.randint(298, 301)
+
+
+def _mutate(rng: random.Random, argv: list[str], files: list[str]) -> list[str]:
+    """argv with one change to its flags, a file, a formula or a number."""
+    argv = list(argv)
+    where = {
+        "file": [i for i, a in enumerate(argv) if a.endswith(".json")],
+        "formula": [i for i in range(1, len(argv)) if argv[i - 1] in ("--formula", "--premises", "--conclusion")],
+        "number": [i for i in range(1, len(argv)) if argv[i - 1] in ("--samples", "--seed")],
+    }
+    kind = rng.choice(("flag", "file", "formula", "number"))
+    if kind == "file" and where["file"]:
+        argv[rng.choice(where["file"])] = rng.choice(files)
+    elif kind == "formula" and where["formula"]:
+        i = rng.choice(where["formula"])
+        argv[i] = _mutate_formula(rng, argv[i])
+    elif kind == "number" and where["number"]:
+        argv[rng.choice(where["number"])] = rng.choice(NUMBERS)
+    elif kind == "number":
+        argv += [rng.choice(("--samples", "--seed")), rng.choice(NUMBERS)]
+    else:  # flags: one inserted, dropped, doubled, retyped, or given a value
+        i = rng.randrange(len(argv)) if argv else 0
+        roll = rng.random()
+        if not argv or roll < 0.3:
+            argv.insert(rng.randint(0, len(argv)), rng.choice(FLAGS + TOKENS))
+        elif roll < 0.5:
+            del argv[i]
+        elif roll < 0.6:
+            argv.insert(i, argv[i])
+        elif roll < 0.7:
+            argv[0] = rng.choice(COMMANDS)
+        elif roll < 0.85:
+            argv[i] = rng.choice(TOKENS)
+        else:
+            argv[i] = f"{argv[i]}={rng.choice(NUMBERS + TOKENS)}" if argv[i].startswith("--") else rng.choice(FLAGS)
+    return argv
+
+
+def test_mutated_requests_exit_0_1_or_2(fixtures, tmp_path):
+    # every mutated request ends in an exit code; no exception other than
+    # SystemExit (argparse's usage errors and help) leaves main
+    rng = random.Random(17)
+    base = _catalogue(fixtures)
+    files = _junk_files(tmp_path, fixtures)
+    codes = collections.Counter()
+    for _ in range(3000):
+        argv = rng.choice(base)
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            argv = _mutate(rng, argv, files)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        codes[code] += 1
+    assert codes[2] > codes[0] > codes[1] > 0, codes  # every outcome reached
 
 
 def test_the_console_entry_point_reads_sys_argv():

@@ -98,6 +98,26 @@ def test_an_atom_key_that_is_not_a_string_is_a_validation_error():
         models.eval_formula(model, "w2", parse("p"))
 
 
+@pytest.mark.parametrize("val", (1.0, True, 1), ids=repr)
+def test_a_valuation_value_that_is_not_a_value_is_a_validation_error(val):
+    # 1 and True equal the code of T0, and 1.0 hashes like it: each would
+    # pass a membership test in the lattice, so the type is checked first
+    model = Model(("w1",), frozenset(), {"w1": "K3"}, {"w1": {"p": val}})
+    report = models.validate(model)
+    assert report.errors == (f"valuation('w1','p') = {val!r} is not a Value",)
+    with pytest.raises(models.ModelFormatError, match=r"^invalid model: valuation\('w1','p'\) = .* is not a Value$"):
+        models.eval_formula(model, "w1", parse("p"))
+    with pytest.raises(models.ModelFormatError):
+        models.holds(model, "w1", parse("[]p"))
+
+
+def test_a_value_is_checked_at_a_world_with_an_unknown_logic_too():
+    model = Model(("w1",), frozenset(), {"w1": "K4"}, {"w1": {"p": 1}})
+    assert models.validate(model).errors == (
+        "world 'w1' has unknown logic 'K4'", "valuation('w1','p') = 1 is not a Value",
+    )
+
+
 # ------------------------------------------------------------------ fuzz
 
 _JUNK = (None, 5, -1, 2.5, True, "", "w1", "K3", "p", "[]p", (), [], {}, ("w1",), ["w1", "w2"],
@@ -127,7 +147,7 @@ def _junk_model(rng: Random) -> dict:
     valuation = {
         w: {rng.choice(("p", "q")) if rng.random() < 0.9 else rng.choice((1, None)):
             rng.choice(LOGICS[lid].lattice.elements) if lid in LOGICS and rng.random() < 0.9
-            else rng.choice((*V, "T", 7, None))}
+            else rng.choice((*V, "T", 7, None, 1.0, True, 1))}
         for w, lid in logics.items()
     }
     diamond = rng.choice(("up", "down", "negbox", "cnegbox")) if rng.random() < 0.9 else rng.choice(("x", None))
@@ -170,16 +190,20 @@ def test_fuzzed_models_and_frames_raise_only_typed_errors():
             continue
         # once the constructor accepts its arguments, validation reports
         # every defect and raises nothing
-        valid += models.validate(model).ok
+        ok = models.validate(model).ok
+        valid += ok
         models.validate_frame(frame)
         f = parse(rng.choice(_FORMULAS)) if rng.random() < 0.9 else _junk(rng)
         world = _name(rng)
         schema = SCHEMAS[rng.choice(tuple(SCHEMAS))]
         budget = rng.choice((None, CheckBudget("sampled", 50, 1), CheckBudget("exhaustive")))
         variant = rng.choice(("up", "down", "x"))
+        for call in (lambda: models.eval_formula(model, world, f), lambda: models.holds(model, world, f)):
+            outcome = _outcome(call)
+            seen[outcome] += 1
+            # a model that validates answers a formula or refuses the world
+            assert not (ok and isinstance(f, syntax.Formula) and outcome == "wrong type"), kw
         for call in (
-            lambda: models.eval_formula(model, world, f),
-            lambda: models.holds(model, world, f),
             lambda: frames.frame_properties(frame),
             lambda: frames.axiom_valid_on_frame(frame, schema, variant, budget),
         ):
