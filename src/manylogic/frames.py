@@ -4,19 +4,21 @@ collected frame-correspondence results.
 Schema checks enumerate every valuation of every (relation, logic
 assignment) frame at a given world count.  The sweep is vectorised with
 numpy over a joint (assignment, valuation) axis, on the 4-bit mask
-tables `models` owns, so that exhaustive runs over all three-world
+tables of `models`, so that exhaustive runs over all three-world
 frames stay well under a second; counterexamples are handed back as
 ordinary models that replay through the normal evaluator.  Sampled
 checks draw what `Random(seed)` draws, decoded from its words in bulk.
 
-Importing this module does not import numpy: the first frame check
-binds numpy and the numpy tables, which `models` builds on first use
-(`_load`).  The table names stay readable here as module attributes.
+This module owns the numpy forms of the value tables, which `models`
+keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing it does
+not import numpy: the first frame check imports numpy and builds the
+arrays (`_load`).  Their names stay readable here as module attributes.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from itertools import compress, product
 from math import isqrt
@@ -26,8 +28,8 @@ from typing import Callable
 
 from . import models, syntax
 from .lattices import transitive_closure
-from .logics import LOGIC_IDS
-from .models import (  # the value tables and the compiler live in models
+from .logics import LOGIC_IDS, LOGICS
+from .models import (  # the value tables, as lists, and the compiler live in models
     _LOGIC_INDEX,
     Frame,
     Model,
@@ -41,35 +43,56 @@ from .values import ManylogicError, Value, require_type
 
 DEFAULT_SEED = 0
 
-# Bound by _load on the first frame check, with numpy and the mask tables.
-_CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}
+# The value tables as numpy arrays, for the batched runner.  ROW_OF maps
+# a logic index to its row in the flat tables; 16-bit lanes index the
+# tables faster than 64-bit ones, and every index fits.
+_NUMPY_NAMES = frozenset(models._CODE_TABLES) | {
+    "MASK_OF", "CODE_OF", "DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M",
+    "ROW_OF", "ELEMENT_MASKS",
+}
+_NUMPY_LOCK = threading.Lock()
+_CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}; bound by _load
+
+
+def _numpy_tables() -> dict:
+    """numpy and the numpy tables by name, built from the lists in
+    `models`, with `_CLASSICAL_WINDOW` last."""
+    import numpy as np
+
+    tables, code = models._CODE_TABLES, models._CODE
+    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8) for name, t in tables.items()}
+    mask_of = out["MASK_OF"] = np.array(models._MASK, dtype=np.uint8)
+    out["CODE_OF"] = np.array(code, dtype=np.int8)
+    for name, flat in (("DOWN_M", models._DOWN), ("UP_M", models._UP),
+                       ("CIRC_M", models._CIRC), ("NEG_M", models._NEG)):
+        out[name] = np.array(flat, dtype=np.uint8)
+    out["IMP_M"] = np.array(models._IMP, dtype=np.uint8).ravel()
+    out["DESIG_M"] = np.array([row[c] for row in tables["DESIG_T"] for c in code], dtype=bool)
+    out["ROW_OF"] = 16 * np.arange(len(LOGIC_IDS), dtype=np.int16)
+    out["ELEMENT_MASKS"] = [mask_of[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
+    out["np"] = np
+    window = np.zeros(16, dtype=bool)
+    window[mask_of[[Value.T, Value.T0, Value.F0, Value.F]]] = True
+    out["_CLASSICAL_WINDOW"] = window  # bound last: a thread that sees it sees the rest
+    return out
 
 
 def _load() -> None:
-    """Bind numpy and the numpy tables of `models` here; every frame check
-    calls this first, and after the first one it returns at once."""
-    global np, CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M
-    global _CLASSICAL_WINDOW
-    if _CLASSICAL_WINDOW is not None:
-        return
-    import numpy as np
-
-    from .models import (
-        CIRC_M, CODE_OF, DESIG_M, DOWN_M, ELEMENT_MASKS, IMP_M, MASK_OF, NEG_M, ROW_OF, UP_M,
-    )
-
-    window = np.zeros(16, dtype=bool)
-    window[MASK_OF[[Value.T, Value.T0, Value.F0, Value.F]]] = True
-    _CLASSICAL_WINDOW = window  # bound last: a thread that sees it sees the rest
+    """Bind numpy and the numpy tables here, once; every frame check calls
+    this first, and after the first one it returns at once."""
+    if _CLASSICAL_WINDOW is None:
+        with _NUMPY_LOCK:
+            if _CLASSICAL_WINDOW is None:
+                globals().update(_numpy_tables())
 
 
 def __getattr__(name: str):
-    # the numpy tables under their names in models (perfbench/record.py
-    # reads the code tables here); the name is checked before numpy loads
-    if name not in models._NUMPY_NAMES:
+    # the name is checked first: the import system probes names such as
+    # __path__ here, and those must not load numpy
+    if name not in _NUMPY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load()
-    return getattr(models, name)
+    return globals()[name]
 
 
 class BudgetError(ManylogicError):

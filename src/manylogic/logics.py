@@ -125,6 +125,13 @@ def require_logic(logic) -> None:
     require_type(logic, MatrixLogic, "a MatrixLogic")
 
 
+def _require_member(x, logic: MatrixLogic) -> None:
+    if not isinstance(x, Value):  # 1, True and 1.0 would pass as T0
+        raise LogicError(f"{x!r} is not a Value")
+    if x not in logic.lattice.members:
+        raise LogicError(f"value {x} not in logic {logic.id}")
+
+
 def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
     require_logic(logic)
     if conn not in CONNECTIVES:
@@ -133,8 +140,7 @@ def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
         raise LogicError(f"{conn} expects {CONNECTIVES[conn]} arguments")
     lat = logic.lattice
     for x in args:
-        if x not in lat.members:
-            raise LogicError(f"value {x} not in logic {logic.id}")
+        _require_member(x, logic)
     if conn == "and":
         return lat.meet(args[0], args[1])
     if conn == "or":
@@ -309,8 +315,7 @@ def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Va
             x = assignment[name]
         except KeyError:
             raise LogicError(f"no value for atom {name!r}") from None
-        if x not in logic.lattice.members:
-            raise LogicError(f"value {x} not in logic {logic.id}")
+        _require_member(x, logic)
         atoms[name] = SNAPSHOTS[x]
     return from_snapshot(_evaluate(logic, order, atoms, 1, uses)[id(root)])
 

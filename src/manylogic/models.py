@@ -6,20 +6,18 @@ down-interpreted values at its successors.  Diamonds come in four
 variants: joins of up-interpreted values (the default), joins of
 down-interpreted values, and the two negation rewrites !box! and ~box~.
 
-This module owns the value tables: code tables indexed by `Value`, and
-the 4-bit mask tables derived from them that every compiled program
-runs on.  Formulas compile to a postfix program; `eval_formula` runs it
-on the mask tables as Python lists over a model's whole world axis, and
-`frames` runs it on the same tables as numpy arrays over a batch of
-valuations per world.  The tables are built as lists at import; their
-numpy forms (`MEET_T`, `MASK_OF`, `DOWN_M`, ...) are built from those
-lists on first access, so numpy loads only when a frame check needs it.
+This module owns the value tables, as Python lists: code tables indexed
+by `Value`, and the 4-bit mask tables derived from them that every
+compiled program runs on.  Formulas compile to a postfix program;
+`eval_formula` runs it on the mask tables over a model's whole world
+axis, one int lane per world.  `frames` builds numpy arrays from the
+same lists on the first frame check and runs the program over a batch of
+valuations per world, so only the frame checks load numpy.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +55,13 @@ class _Worlds:
     def __post_init__(self):
         require_type(self.worlds, Collection, "a collection of worlds")
         require_type(self.relation, Collection, "a collection of pairs as the relation")
+        try:  # stored as a tuple and a frozenset, so that equal ones hash alike
+            worlds, relation = tuple(self.worlds), frozenset(self.relation)
+            hash(worlds)
+        except TypeError as exc:
+            raise TypeError(f"world names and relation entries must be hashable: {exc}") from None
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "logics", _read_only(self.logics, "a mapping as the logics"))
 
     def __hash__(self):  # equal frames and models share worlds and relation
@@ -286,45 +291,6 @@ _NEG = [_MASK[_CODE_TABLES["NEG_T"][c]] for c in _CODE]
 # the list runner reads it as rows: _IMP[row | x][y]
 _IMP = [[_MASK[sq[x][y]] for y in _CODE] for sq in _CODE_TABLES["IMP_T"] for x in _CODE]
 _VALUE_OF = [Value(c) for c in _CODE]  # by mask
-
-# The same tables as numpy arrays, for the batched runner in `frames`.
-# They are built from the lists above on first access (PEP 562), so that
-# importing the package, evaluating models and deciding consequence never
-# load numpy.  ROW_OF maps a logic index to its row in the flat tables;
-# 16-bit lanes index the tables faster than 64-bit ones, and every index
-# fits.
-_NUMPY_NAMES = frozenset(_CODE_TABLES) | {
-    "MASK_OF", "CODE_OF", "DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M",
-    "ROW_OF", "ELEMENT_MASKS",
-}
-_NUMPY_LOCK = threading.Lock()
-
-
-def _numpy_tables() -> dict:
-    import numpy as np
-
-    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8)
-           for name, t in _CODE_TABLES.items()}
-    mask_of = out["MASK_OF"] = np.array(_MASK, dtype=np.uint8)
-    out["CODE_OF"] = np.array(_CODE, dtype=np.int8)
-    for name, flat in (("DOWN_M", _DOWN), ("UP_M", _UP), ("CIRC_M", _CIRC), ("NEG_M", _NEG)):
-        out[name] = np.array(flat, dtype=np.uint8)
-    out["IMP_M"] = np.array(_IMP, dtype=np.uint8).ravel()
-    out["DESIG_M"] = np.array([row[c] for row in _CODE_TABLES["DESIG_T"] for c in _CODE], dtype=bool)
-    out["ROW_OF"] = 16 * np.arange(_N_LOGIC, dtype=np.int16)
-    out["ELEMENT_MASKS"] = [mask_of[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
-    return out
-
-
-def __getattr__(name: str):
-    # the name is checked first: the import system probes names such as
-    # __path__ here, and those must not load numpy
-    if name not in _NUMPY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    with _NUMPY_LOCK:
-        if name not in globals():
-            globals().update(_numpy_tables())
-    return globals()[name]
 
 
 # ------------------------------------------------------------- programs

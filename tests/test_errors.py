@@ -111,6 +111,23 @@ def test_a_valuation_value_that_is_not_a_value_is_a_validation_error(val):
         models.holds(model, "w1", parse("[]p"))
 
 
+def test_models_and_frames_built_from_lists_hash_and_compare_like_tuple_built_ones():
+    row = {"w1": {"p": V.T0}}
+    for build, extra in ((Model, (row,)), (Frame, ())):
+        listed = build(["w1"], [("w1", "w1")], {"w1": "K3"}, *extra)
+        tupled = build(("w1",), frozenset({("w1", "w1")}), {"w1": "K3"}, *extra)
+        assert (listed.worlds, listed.relation) == (("w1",), frozenset({("w1", "w1")}))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert {listed, tupled} == {tupled} and listed in {tupled}
+    assert models.eval_formula(Model(["w1"], [], {"w1": "K3"}, row), "w1", parse("[]!p")) == V.T0  # K3's top
+
+
+@pytest.mark.parametrize("worlds, relation", [((["a"],), ()), (("a",), [("a", ["a"])])], ids=("world", "pair"))
+def test_an_unhashable_world_name_or_relation_entry_is_a_type_error(worlds, relation):
+    with pytest.raises(TypeError, match=r"^world names and relation entries must be hashable: unhashable type: 'list'$"):
+        Model(worlds, relation, {}, {})
+
+
 def test_a_value_is_checked_at_a_world_with_an_unknown_logic_too():
     model = Model(("w1",), frozenset(), {"w1": "K4"}, {"w1": {"p": 1}})
     assert models.validate(model).errors == (

@@ -596,7 +596,7 @@ def _int8_eval_slots(prog, succs, lat, vals):
     """The frame evaluator on int8 value codes that the mask evaluator
     replaced, kept as its reference: lat[w] holds logic indices, succs[w]
     the successors of w in every lane."""
-    from manylogic.models import BOT_T, CIRC_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T
+    from manylogic.frames import BOT_T, CIRC_T, DOWN_T, IMP_T, JOIN_T, MEET_T, NEG_T, TOP_T, UP_T
 
     n = len(lat)
     slots = []

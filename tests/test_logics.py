@@ -244,6 +244,18 @@ def test_evaluate_rejects_values_outside_the_logic():
         evaluate(LOGICS["CLS"], parse("q | !p"), {"p": V.b, "q": V.T})
 
 
+@pytest.mark.parametrize("val", (1, True, 1.0), ids=repr)
+def test_apply_and_evaluate_refuse_what_only_equals_a_value(val):
+    # each equals T0's code and hashes like it, so the lattice's member
+    # set alone would take it for T0
+    with pytest.raises(LogicError, match=f"^{val!r} is not a Value$"):
+        apply(LOGICS["K3"], "neg", [val])
+    with pytest.raises(LogicError, match=f"^{val!r} is not a Value$"):
+        apply(LOGICS["LETK"], "and", [V.T, val])
+    with pytest.raises(LogicError, match=f"^{val!r} is not a Value$"):
+        evaluate(LOGICS["K3"], parse("p"), {"p": val})
+
+
 def test_consequence_without_atoms():
     for lg in LOGICS.values():
         verdict = matrix_consequence(lg, [], parse("#"))

@@ -1,6 +1,6 @@
 """numpy stays off the import path: importing the package, evaluating
 models, deciding consequence and the clause search run on plain Python,
-and numpy loads on the first frame check.  The numpy tables `models`
+and numpy loads on the first frame check.  The numpy tables `frames`
 builds on first use are checked here against the eager build they
 replaced, and the first frame checks against each other when threads
 start them at once."""
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from manylogic import models
+from manylogic import frames, models
 from manylogic.lattices import base_leq
 from manylogic.logics import LOGIC_IDS, LOGICS, apply
 from manylogic.values import Value
@@ -73,11 +73,11 @@ def test_numpy_loads_on_the_first_frame_check():
         "check-frame", str(FIXTURES / "euclid3.json"), "--axiom", "5", "--samples", "300", returncode=1,
     )
     assert got["check"] == [1, alone.stdout]
-    assert got["tables"] == {name: getattr(models, name).tolist() for name in CODE_TABLES}
+    assert got["tables"] == {name: getattr(frames, name).tolist() for name in CODE_TABLES}
 
 
 def _eager_tables() -> dict:
-    """The numpy tables as models built them at import before they were
+    """The numpy tables as `models` built them at import before they were
     built on first use: code tables filled in place, and the mask tables
     re-indexed from them by numpy."""
     n = len(LOGIC_IDS)
@@ -126,12 +126,12 @@ def _eager_tables() -> dict:
 
 def test_lazy_tables_match_the_eager_build():
     want = _eager_tables()
-    assert set(want) | {"ELEMENT_MASKS"} == models._NUMPY_NAMES
+    assert set(want) | {"ELEMENT_MASKS"} == frames._NUMPY_NAMES
     for name, ref in want.items():
-        got = getattr(models, name)
+        got = getattr(frames, name)
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
         assert got.tobytes() == ref.tobytes(), name
-    for got, lid in zip(models.ELEMENT_MASKS, LOGIC_IDS):
+    for got, lid in zip(frames.ELEMENT_MASKS, LOGIC_IDS):
         ref = want["MASK_OF"][[int(v) for v in LOGICS[lid].lattice.elements]]
         assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), lid
     # the list runner reads the same tables
@@ -145,6 +145,9 @@ def test_first_frame_checks_from_four_threads_agree():
         import sys, threading
         from manylogic import frames, models
 
+        build = frames._numpy_tables
+        builds = []
+        frames._numpy_tables = lambda: builds.append(1) or build()
         frame = models.load_frame(sys.argv[1])
         budgets = (frames.CheckBudget("exhaustive"), frames.CheckBudget("sampled", 500, 3))
 
@@ -180,7 +183,8 @@ def test_first_frame_checks_from_four_threads_agree():
         assert not errors, errors
         assert all(r == results[0] for r in results)
         assert results[0] == checks()  # and a check after the first ones
-        assert all(getattr(frames, n) is getattr(models, n) for n in ("MASK_OF", "ROW_OF", "IMP_M"))
+        assert len(builds) == 1  # one build, shared by every thread
+        assert not any(hasattr(models, n) for n in frames._NUMPY_NAMES)
         print("ok")
     """
     assert _python(code, str(FIXTURES / "euclid3.json")).stdout == "ok\n"
