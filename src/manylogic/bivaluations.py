@@ -207,13 +207,19 @@ def _instances(logic: MatrixLogic, idx: dict[Formula, int], v14_reading: str):
                     yield 22, f, (idx[g.left], c, i), m[22]
 
 
-def _check_closed(domain) -> None:
+def _check_closed(domain) -> list[Formula]:
+    """The domain in `_ordered` order.  Refuses first a member that is not
+    a formula, then a missing child, each picked the same way in every run."""
     dom = set(domain)
-    for f in dom:
-        require_type(f, Formula, "a Formula")
+    junk = [f for f in dom if not isinstance(f, Formula)]
+    if junk:
+        require_type(min(junk, key=lambda f: type(f).__name__), Formula, "a Formula")
+    order = _ordered(dom)
+    for f in order:
         for c in syntax.children(f):
             if c not in dom:
                 raise DomainError(f"domain not subformula-closed: missing {to_text(c)}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -230,11 +236,10 @@ def check_clauses(
     require_logic(logic)
     require_type(assignment, Mapping, "a mapping as the assignment")
     _check_reading(v14_reading)
-    _check_closed(assignment)
+    order = _check_closed(assignment)
     for f, v in assignment.items():
         if v not in (0, 1):
             raise DomainError(f"rho({to_text(f)}) = {v!r} is neither 0 nor 1")
-    order = _ordered(assignment)
     idx = {f: i for i, f in enumerate(order)}
     vals = [1 if assignment[f] else 0 for f in order]
     bad = tuple(
@@ -421,8 +426,7 @@ def satisfying_assignments(
     """Every clause-satisfying assignment over a subformula-closed set."""
     require_logic(logic)
     _check_reading(v14_reading)
-    _check_closed(closure)
-    return _search(logic, _ordered(closure), {}, v14_reading, collect_all=True, limit=limit)
+    return _search(logic, _check_closed(closure), {}, v14_reading, collect_all=True, limit=limit)
 
 
 def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:

@@ -8,6 +8,8 @@ tables of `models`, so that exhaustive runs over all three-world
 frames stay well under a second; counterexamples are handed back as
 ordinary models that replay through the normal evaluator.  Sampled
 checks draw what `Random(seed)` draws, decoded from its words in bulk.
+Every sweep goes through one relation loop (`_sweep`), and every check
+picks the lanes it reports by one failing-lane rule (`_failures`).
 
 This module owns the numpy forms of the value tables, which `models`
 keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing it does
@@ -38,7 +40,7 @@ from .models import (  # the value tables, as lists, and the compiler live in mo
     compile_program,
     model_to_dict,
 )
-from .syntax import Box, Diamond, Formula, Neg, parse
+from .syntax import Box, Diamond, Formula, Imp, Neg, parse
 from .values import ManylogicError, Value, require_type
 
 DEFAULT_SEED = 0
@@ -329,11 +331,6 @@ def _relations(n: int):
         yield rel
 
 
-def _edges(rel, n: int):
-    """Each world's successors in rel, present in every lane."""
-    return [[(j, None, None) for j in range(n) if (i, j) in rel] for i in range(n)]
-
-
 def _names(rel, worlds) -> frozenset:
     return frozenset((worlds[i], worlds[j]) for i, j in rel)
 
@@ -342,21 +339,27 @@ def _rel_props(rel, n: int) -> FrameProperties:
     return _properties(range(n), rel)
 
 
-def _designated_all_worlds(root, lat):
+def _sweep(prog, n: int, axis: _Axis, relation_pred=None):
+    """(relation, the program's rows on it over the axis) for each relation
+    on n worlds in `_relations` order whose properties relation_pred
+    accepts: the one loop over the 2**(n*n) relations."""
+    for rel in _relations(n):
+        if relation_pred is None or relation_pred(_rel_props(rel, n)):
+            edges = [[(j, None, None) for j in range(n) if (i, j) in rel] for i in range(n)]
+            yield rel, _eval_slots(prog, edges, axis.lat, axis.vals)
+
+
+def _failures(root, lat, bounds, limit: int):
+    """(ok, block_ok, first): whether the root row is designated at every
+    world, by position and by block bounds[b]:bounds[b + 1], and the first
+    failing position of each of the first `limit` failing blocks.  The one
+    rule that picks the failing lanes a check reports."""
     ok = DESIG_M.take(lat[0] | root[0])
     for w in range(1, len(lat)):
         ok &= DESIG_M.take(lat[w] | root[w])
-    return ok
-
-
-def _first_failures(ok, bounds, limit: int) -> list[int]:
-    """The first failing position of each block that fails, for the first
-    `limit` such blocks in block order."""
     block_ok = np.logical_and.reduceat(ok, bounds[:-1])
-    return [
-        int(bounds[b] + np.argmin(ok[bounds[b]:bounds[b + 1]]))
-        for b in np.flatnonzero(~block_ok)[:limit]
-    ]
+    failing = np.flatnonzero(~block_ok)[:limit]
+    return ok, block_ok, [int(bounds[b] + np.argmin(ok[bounds[b]:bounds[b + 1]])) for b in failing]
 
 
 def _witness(j, root, lat, vals, worlds, relation, atom_names, variant) -> Counterexample:
@@ -463,14 +466,12 @@ def sweep_schema(
     worlds = _world_names(n_worlds)
     frames = models = 0
     bad: list[Counterexample] = []
-    for rel in _relations(n_worlds):
-        if relation_pred is not None and not relation_pred(_rel_props(rel, n_worlds)):
-            continue
-        root = _eval_slots(prog, _edges(rel, n_worlds), axis.lat, axis.vals)[-1]
-        ok = _designated_all_worlds(root, axis.lat)
+    for rel, slots in _sweep(prog, n_worlds, axis, relation_pred):
+        root = slots[-1]
+        ok, _, first = _failures(root, axis.lat, axis.bounds, max_counterexamples - len(bad))
         frames += len(axis.interps)
         models += ok.size
-        for j in _first_failures(ok, axis.bounds, max_counterexamples - len(bad)):
+        for j in first:
             bad.append(_witness(
                 j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, variant,
             ))
@@ -573,11 +574,10 @@ def sample_schema(
         for a in range(n_atoms)
     )
     root = _eval_slots(prog, edges, lat, vals)[-1]
-    ok = _designated_all_worlds(root, lat)
     worlds = _world_names(n_worlds)
     bad = tuple(
         _witness(j, root, lat, vals, worlds, _names(rels[which[j]], worlds), schema.atoms, variant)
-        for j in np.flatnonzero(~ok)[:max_counterexamples]
+        for j in _failures(root, lat, np.arange(samples + 1), max_counterexamples)[2]  # a block a sample
     )
     return SweepOutcome(samples, samples, bad)
 
@@ -616,11 +616,8 @@ def axiom_valid_on_frame(
         )
         lat = tuple(np.full(k, ROW_OF[li]) for li in interp)
     root = _eval_slots(prog, edges, lat, vals)[-1]
-    ok = _designated_all_worlds(root, lat)
-    bad = [
-        _witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, variant)
-        for j in np.flatnonzero(~ok)[:1]
-    ]
+    ok, _, first = _failures(root, lat, np.array([0, lat[0].size]), 1)  # one block
+    bad = [_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, variant) for j in first]
     return CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
 
 
@@ -665,23 +662,23 @@ def five_c_characterization(
     for n in range(1, max_worlds + 1):
         axis = _build_axis(n, product(logic_indices, repeat=n), 1)
         worlds = _world_names(n)
-        for rel in _relations(n):
-            slots = _eval_slots(prog, _edges(rel, n), axis.lat, axis.vals)
+        for rel, slots in _sweep(prog, n, axis):
             root = slots[-1]
             for i in modal_nodes:
                 for w in range(n):
                     window_violations += int((~_CLASSICAL_WINDOW.take(slots[i][w])).sum())
-            ok = _designated_all_worlds(root, axis.lat)
+            euclidean = _rel_props(rel, n).euclidean
+            limit = max_counterexamples - len(failures) if euclidean else 0
+            ok, block_ok, first = _failures(root, axis.lat, axis.bounds, limit)
             frames += len(axis.interps)
             models += ok.size
-            if _rel_props(rel, n).euclidean:
-                for j in _first_failures(ok, axis.bounds, max_counterexamples - len(failures)):
+            if euclidean:
+                for j in first:
                     failures.append(_witness(
                         j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, "up",
                     ))
                 continue
             rel_text = ",".join(f"w{i+1}->w{j+1}" for i, j in sorted(rel))
-            block_ok = np.logical_and.reduceat(ok, axis.bounds[:-1])
             for interp in compress(axis.interps, block_ok):
                 logic_text = ",".join(LOGIC_IDS[i] for i in interp)
                 silently_valid.append(f"[{rel_text or 'empty'}] logics {logic_text}")
@@ -722,13 +719,11 @@ def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
     mismatches: list[str] = []
     models = 0
     for text in DUALITY_CORPUS:
-        body = parse(text)
-        lhs = compile_program(Diamond(body), "up", ("p",))
-        rhs = compile_program(Neg(Box(Neg(body))), "up", ("p",))
-        for rel in _relations(n_worlds):
-            edges = _edges(rel, n_worlds)
-            a = _eval_slots(lhs, edges, axis.lat, axis.vals)[-1]
-            c = _eval_slots(rhs, edges, axis.lat, axis.vals)[-1]
+        body = parse(text)  # both sides in one program: the root's children are <>A and !box!A
+        prog = compile_program(Imp(Diamond(body), Neg(Box(Neg(body)))), "up", ("p",))
+        _, lhs, rhs = prog[-1]
+        for rel, slots in _sweep(prog, n_worlds, axis):
+            a, c = slots[lhs], slots[rhs]
             models += axis.lat[0].size
             for w in range(n_worlds):
                 same = a[w] == c[w]

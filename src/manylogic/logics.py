@@ -13,9 +13,10 @@ one value; `evaluate` and `matrix_consequence` share one formula walk that
 runs them on bit-planes, a Python int per snapshot coordinate whose bit j
 is the coordinate under valuation j.  `matrix_consequence` thus evaluates
 each formula once over all |L|^k valuations, and `evaluate` is the case of
-a single valuation.  The walk runs on `syntax.desugar`'s output, so `~`,
-`N` and `=>` are expanded there alone; `apply` keeps its own value-level
-`nabla` and `impL`, the per-valuation reference the tests check by.
+a single valuation.  The walk follows `syntax.postorder` over all the
+formulas at once, on `syntax.desugar`'s output, so `~`, `N` and `=>` are
+expanded there alone; `apply` keeps its own value-level `nabla` and
+`impL`, the per-valuation reference the tests check by.
 """
 
 from __future__ import annotations
@@ -233,32 +234,12 @@ def _walk(formulas: list) -> tuple[tuple, list, dict, dict]:
 def _analyse(formulas: tuple) -> tuple[tuple, list, dict, dict]:
     """`_walk` without the table, on formulas already checked."""
     roots = tuple(syntax.desugar(f) for f in formulas)
-    order: list = []
-    names: dict = {}
+    order = [(g, tuple(map(id, syntax.children(g)))) for g in syntax.postorder(*roots)]
+    names = dict.fromkeys(g.name for g, _ in order if type(g) is Atom)
     uses = dict.fromkeys(map(id, roots), 1)
-    seen: set = set()
-    for f in roots:
-        stack = [(f, None)]
-        while stack:
-            g, kids = stack.pop()
-            if kids is not None:
-                order.append((g, kids))
-                continue
-            if id(g) in seen:
-                continue
-            seen.add(id(g))
-            kind = type(g)
-            if kind is Atom:
-                names.setdefault(g.name)
-                order.append((g, ()))
-            elif kind is Bottom:
-                order.append((g, ()))
-            else:
-                children = syntax.children(g)
-                stack.append((g, tuple(map(id, children))))
-                for c in reversed(children):
-                    uses[id(c)] = uses.get(id(c), 0) + 1
-                    stack.append((c, None))
+    for _, kids in order:
+        for k in kids:
+            uses[k] = uses.get(k, 0) + 1
     return roots, order, names, uses
 
 

@@ -53,8 +53,9 @@ class _Worlds:
     _axis: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_type(self.worlds, Collection, "a collection of worlds")
-        require_type(self.relation, Collection, "a collection of pairs as the relation")
+        for value, noun in ((self.worlds, "worlds"), (self.relation, "pairs as the relation")):
+            if not isinstance(value, Collection) or isinstance(value, (str, bytes)):  # not one per char
+                raise TypeError(f"expected a collection of {noun}, got {type(value).__name__}")
         try:  # stored as a tuple and a frozenset, so that equal ones hash alike
             worlds, relation = tuple(self.worlds), frozenset(self.relation)
             hash(worlds)

@@ -13,7 +13,8 @@ Formulas are hash-consed: constructing one returns the existing node with
 the same class and fields, if there is one.  Structurally equal formulas
 are therefore one object, `==` and `hash` are identity, and each node
 caches its size, whether it holds a box or diamond, its text, its
-desugared form and the clause layer built on it (see `layer`).
+desugared form and the clause layer built on it (see `layer`).  Every
+full walk, over one formula or the formulas of a sequent, is `postorder`.
 """
 
 from __future__ import annotations
@@ -328,12 +329,14 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return f._kids
 
 
-def postorder(f: Formula) -> list[Formula]:
-    """The distinct subformulas of f, each once, children before parents,
-    in the order a left-to-right depth-first walk finishes them."""
+def postorder(*fs: Formula) -> list[Formula]:
+    """The distinct subformulas of the roots fs, each once, children before
+    parents, in the order a left-to-right depth-first walk finishes them.
+    The roots are walked in turn and share one set of the nodes reached.
+    This is the one full walk over a formula."""
     out: list[Formula] = []
     seen: set[Formula] = set()
-    stack: list = [f]
+    stack: list = list(reversed(fs))
     while stack:
         g = stack.pop()
         if type(g) is tuple:  # (node,): its children are done
@@ -431,11 +434,7 @@ def require_propositional(fs) -> None:
 def subformula_closure(fs) -> frozenset[Formula]:
     """Subformula set of `fs` plus one layer of the shapes the two-valued
     clauses mention: !B, @B, !@B, !!B for every subformula B."""
-    stack, base = list(fs), set()
-    require_propositional(stack)
-    while stack:  # one walk over all the roots
-        g = stack.pop()
-        if g not in base:
-            base.add(g)
-            stack.extend(g._kids)
+    roots = tuple(fs)
+    require_propositional(roots)
+    base = postorder(*roots)
     return frozenset().union(base, *[g._layer or layer(g) for g in base])

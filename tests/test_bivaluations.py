@@ -711,3 +711,24 @@ def test_satisfying_assignments_match_the_reference_on_partial_domains():
                 want = _ref_search(LOGICS[lid], _ordered(domain), {}, reading, collect_all=True)
                 got = satisfying_assignments(LOGICS[lid], domain, reading)
                 assert got == want, (lid, reading, sorted(map(to_text, domain)))
+
+
+def test_a_domain_that_is_not_closed_is_refused_the_same_way_in_every_run():
+    # the members' set order follows memory addresses; the error must not
+    k3 = LOGICS["K3"]
+    for trial in range(12):
+        junk = [Neg(Atom(f"junk{trial}_{i}")) for i in range(trial * 7)]
+        x, y = Atom(f"x{trial}"), Atom(f"y{trial}")
+        members = [Neg(y), Neg(x), Circ(Neg(y))] if trial % 2 else [Circ(Neg(y)), Neg(x), Neg(y)]
+        domain = set()
+        for f in members:
+            domain.add(f)
+        for refuse in (lambda: satisfying_assignments(k3, domain),
+                       lambda: check_clauses(k3, dict.fromkeys(members, 0))):
+            with pytest.raises(DomainError, match=f"^domain not subformula-closed: missing x{trial}$"):
+                refuse()
+        # a member that is not a formula is a TypeError, before any missing child
+        for extra in ([5, "q"], ["q", 5], ["q"], [None, "q"]):
+            want = min(type(e).__name__ for e in extra)
+            with pytest.raises(TypeError, match=f"^expected a Formula, got {want}$"):
+                satisfying_assignments(k3, set(members + extra + junk))

@@ -166,6 +166,20 @@ def test_verify_reports_ac8_refuted_with_its_witness(capsys):
     assert f"! axiom 4: world=w1 value=F0 model={witness}" in lines
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("verify.txt", ["verify"]),
+    ("verify-all-logics.txt", ["verify", "--logics", "LETK,FDE,LJ4,K3,L3,LP,J3,CLW,CLS"]),
+], ids=("checklist", "all-logics"))
+def test_verify_prints_its_golden_output(capsys, golden, argv):
+    # every detail line: frame and model counts and each counterexample
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_logics_subset_runs_theorem_suite(capsys):
     code, out, _ = run(capsys, "verify", "--logics", "K3,LP", "--samples", "100")
     assert "5c-euclidean" in out and "duality" in out

@@ -54,6 +54,11 @@ P = parse("p")
     (lambda: Model(("w1",), frozenset(), {"w1": "K3"}, {"w1": "p"}),
      "expected a mapping as a world's valuation, got str"),
     (lambda: Frame(None, frozenset(), {}), "expected a collection of worlds, got NoneType"),
+    # a str or bytes is a collection too, of one-character worlds or pairs
+    (lambda: Model("w1", frozenset(), {"w1": "K3"}, {}), "expected a collection of worlds, got str"),
+    (lambda: Model(("w1",), "w1", {"w1": "K3"}, {}), "expected a collection of pairs as the relation, got str"),
+    (lambda: Frame(("a", "b"), "ab", {"a": "K3", "b": "K3"}), "expected a collection of pairs as the relation, got str"),
+    (lambda: Frame(b"ab", frozenset(), {}), "expected a collection of worlds, got bytes"),
     (lambda: logics.evaluate("K3", P, {"p": V.n}), "expected a MatrixLogic, got str"),
     (lambda: logics.matrix_consequence("K3", [], P), "expected a MatrixLogic, got str"),
     (lambda: logics.apply("K3", "neg", [V.n]), "expected a MatrixLogic, got str"),

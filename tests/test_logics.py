@@ -398,3 +398,84 @@ def test_matrix_side_refuses_text_for_a_formula():
     ):
         with pytest.raises(TypeError, match="^expected a Formula, got str$"):
             call()
+
+
+# ------------------------------------------- walks against their references
+# `logics._analyse` and `syntax.subformula_closure` read `syntax.postorder`;
+# these are the stack walks each of them had of its own before.
+
+def _reference_analyse(formulas):
+    roots = tuple(syntax.desugar(f) for f in formulas)
+    order, names = [], {}
+    uses = dict.fromkeys(map(id, roots), 1)
+    seen = set()
+    for f in roots:
+        stack = [(f, None)]
+        while stack:
+            g, kids = stack.pop()
+            if kids is not None:
+                order.append((g, kids))
+                continue
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
+            if type(g) is Atom:
+                names.setdefault(g.name)
+                order.append((g, ()))
+            elif type(g) is syntax.Bottom:
+                order.append((g, ()))
+            else:
+                children = syntax.children(g)
+                stack.append((g, tuple(map(id, children))))
+                for c in reversed(children):
+                    uses[id(c)] = uses.get(id(c), 0) + 1
+                    stack.append((c, None))
+    return roots, order, names, uses
+
+
+def _reference_closure(fs):
+    stack, base = list(fs), set()
+    while stack:
+        g = stack.pop()
+        if g not in base:
+            base.add(g)
+            stack.extend(syntax.children(g))
+    return frozenset().union(base, *[syntax.layer(g) for g in base])
+
+
+def _walk_corpus():
+    """The AC12 corpus, seeded sequents, repeated roots and shared
+    subformulas, each as the formulas of one sequent."""
+    from manylogic.verify import AC12_SEED, AC12_SEQUENT_COUNT, make_sequents
+
+    out = [ps + [c] for allow_or in (True, False)
+           for ps, c in make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or)]
+    rng = Random(20)
+    for k in range(5):
+        for _ in range(40):
+            names = cycle(rng.sample("pqrs", k)) if k else None
+            out.append([_random_formula(rng, names, rng.randrange(1, 5)) for _ in range(rng.randint(1, 4))])
+    p, q, shared = parse("p"), parse("q"), parse("(p & q) -> !(p & q)")
+    out += [
+        [p], [p, p], [p, p, q], [q, syntax.And(p, q), p],  # [p], p and [p, p], q among them
+        [shared, shared.left, parse("@(p & q)")],
+        [parse("p => q => p"), parse("~(p => q)"), parse("N(p => q)")],
+        [syntax.Bottom(), p, syntax.Bottom()],
+    ]
+    return out
+
+
+def test_the_walks_match_the_stack_walks_they_replaced():
+    from manylogic.logics import _analyse
+
+    for fs in _walk_corpus():
+        roots, order, names, uses = _analyse(tuple(fs))
+        want_roots, want_order, want_names, want_uses = _reference_analyse(fs)
+        assert roots == want_roots and order == want_order, fs
+        assert list(names) == list(want_names) and uses == want_uses, fs
+        assert syntax.subformula_closure(fs) == _reference_closure(fs), fs
+        # the roots in turn, each skipping what an earlier one reached
+        want = []
+        for f in fs:
+            want += [g for g in syntax.postorder(f) if g not in want]
+        assert syntax.postorder(*fs) == want, fs
