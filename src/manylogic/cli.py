@@ -47,7 +47,7 @@ def _load(path: str, load, validate, noun: str):
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not report.ok:
-        raise InputError(f"invalid {noun}: " + "; ".join(report.errors))
+        raise InputError(report.refusal(noun))
     return loaded
 
 

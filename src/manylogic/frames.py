@@ -418,7 +418,7 @@ def _require_counterexamples(limit: int) -> None:  # below one a failing schema 
 # the OS, unrepeatably.
 def _require_int(value, noun: str) -> None:
     if type(value) is bool or not isinstance(value, int):
-        raise BudgetError(f"{noun} must be an int, got {value!r}")
+        raise TypeError(f"expected an int as {noun}, got {type(value).__name__}")
 
 
 def _require_samples(samples: int) -> None:

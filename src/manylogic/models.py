@@ -4,7 +4,8 @@ JSON format, validation, and evaluation of box/diamond formulas.
 A box value at a world is the meet, inside that world's lattice, of the
 down-interpreted values at its successors.  Diamonds come in four
 variants: joins of up-interpreted values (the default), joins of
-down-interpreted values, and the two negation rewrites !box! and ~box~.
+down-interpreted values, and the negations !box! and ~box~, which the
+compiler emits in place of the diamond.
 
 This module owns the value tables, as Python lists: code tables indexed
 by `Value`, and the 4-bit mask tables derived from them that every
@@ -119,8 +120,7 @@ def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
     is_model = isinstance(x, Model)
     report = validate(x) if is_model else validate_frame(x)
     if not report.ok:
-        noun = "model" if is_model else "frame"
-        raise ModelFormatError(f"invalid {noun}: " + "; ".join(report.errors))
+        raise ModelFormatError(report.refusal("model" if is_model else "frame"))
     return x._axis
 
 
@@ -132,6 +132,13 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+    def refusal(self, noun: str) -> str:
+        """"invalid <noun>: " and the first 10 errors, then how many more:
+        a large invalid model gives a short line, not every error."""
+        more = len(self.errors) - 10
+        tail = f"; … and {more} more" if more > 0 else ""
+        return f"invalid {noun}: " + "; ".join(self.errors[:10]) + tail
 
 
 def validate(model: Model) -> ValidationReport:
@@ -296,24 +303,6 @@ _VALUE_OF = [Value(c) for c in _CODE]  # by mask
 
 # ------------------------------------------------------------- programs
 
-def _resolve(f: Formula, variant: str) -> Formula:
-    """Replace diamonds with their negation rewrites when requested; the
-    other variants keep f as it is."""
-    if variant not in ("negbox", "cnegbox"):
-        return f
-    out: dict[Formula, Formula] = {}
-    for g in syntax.postorder(f):
-        kids = [out[c] for c in syntax.children(g)]
-        if isinstance(g, Diamond):
-            if variant == "negbox":
-                out[g] = Neg(Box(Neg(kids[0])))
-            else:
-                out[g] = Imp(Box(Imp(kids[0], Bottom())), Bottom())
-        else:
-            out[g] = type(g)(*kids) if kids else g
-    return out[f]
-
-
 _OPCODES = {
     Bottom: "bottom", Neg: "neg", syntax.Circ: "circ",
     syntax.And: "and", syntax.Or: "or", Imp: "imp", Box: "box",
@@ -327,26 +316,30 @@ _PROGRAMS: dict[tuple[Formula, str], tuple] = {}
 
 def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
     """Postfix program over value codes, one node per distinct subformula,
-    children before parents."""
+    children before parents.  Under negbox a diamond <>x compiles as
+    ![]!x, under cnegbox as [](x -> #) -> #; up and down fold it."""
     if variant not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"unknown diamond variant {variant!r}")
-    f = _resolve(syntax.desugar(f), variant)
     dia_kind = "dia_up" if variant != "down" else "dia_down"
     index: dict[Formula, int] = {}
-    prog: list[tuple] = []
-    for g in syntax.postorder(f):
+    prog: dict[tuple, int] = {}  # node -> its position: equal nodes are one
+    for g in syntax.postorder(syntax.desugar(f)):
         kind = type(g)
         if kind is syntax.Atom:
             node = ("atom", atom_names.index(g.name))
-        elif kind is Diamond:
-            node = (dia_kind, index[g.child])
-        elif kind in _OPCODES:
+        elif kind is not Diamond:
             node = (_OPCODES[kind], *[index[c] for c in syntax.children(g)])
+        elif variant == "negbox":
+            x = prog.setdefault(("neg", index[g.child]), len(prog))
+            node = ("neg", prog.setdefault(("box", x), len(prog)))
+        elif variant == "cnegbox":
+            bottom = prog.setdefault(("bottom",), len(prog))
+            x = prog.setdefault(("imp", index[g.child], bottom), len(prog))
+            node = ("imp", prog.setdefault(("box", x), len(prog)), bottom)
         else:
-            raise ModelFormatError(f"cannot compile {kind.__name__}")
-        index[g] = len(prog)
-        prog.append(node)
-    return prog
+            node = (dia_kind, index[g.child])
+        index[g] = prog.setdefault(node, len(prog))
+    return list(prog)
 
 
 # ------------------------------------------------------------ evaluation

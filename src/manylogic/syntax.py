@@ -13,8 +13,9 @@ Formulas are hash-consed: constructing one returns the existing node with
 the same class and fields, if there is one.  Structurally equal formulas
 are therefore one object, `==` and `hash` are identity, and each node
 caches its size, whether it holds a box or diamond, its text, its
-desugared form and the clause layer built on it (see `layer`).  Every
-full walk, over one formula or the formulas of a sequent, is `postorder`.
+desugared form and the clause layer built on it (see `layer`).  All but
+the text and layer are set from the children's when a node is built, so
+only `to_text`, `repr` and `pickle` recurse.  Every full walk is `postorder`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class ModalFormulaError(ManylogicError):
 
 # Every formula ever built, keyed by (class, *fields).  The children in a
 # key are interned already, so the key hashes in constant time.  A plain
-# dict keeps parsed formulas, and their cached text and desugaring, alive
-# between calls that parse the same text again.
+# dict keeps parsed formulas, and their cached text, alive between calls
+# that parse the same text again.
 _TABLE: dict[tuple, Formula] = {}
 
 _set = object.__setattr__
@@ -69,8 +70,16 @@ class Formula:
             _set(node, "_size", 1 + sum(k._size for k in kids))
             _set(node, "_modal", cls is Box or cls is Diamond or any(k._modal for k in kids))
             _set(node, "_text", None)
-            _set(node, "_core", None)
             _set(node, "_layer", None)
+            # The desugared form, from the children's, which are set already:
+            # a node is its own unless it or a node below it is ~, N or =>.
+            core = None if cls in _EXPAND else node
+            for k in kids:
+                if k._core is not k:
+                    core = None
+            if core is None:
+                core = _EXPAND.get(cls, cls)(*[k._core for k in kids])
+            _set(node, "_core", core)
             # setdefault is one step under the GIL: threads that build the
             # same formula at once all get the node stored first.
             node = _TABLE.setdefault(key, node)
@@ -84,6 +93,11 @@ class Formula:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __deepcopy__(self, memo=None):  # interned and immutable: a copy is the node itself
+        return self
+
+    __copy__ = __deepcopy__
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -162,8 +176,8 @@ ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 _TOKEN_RE = re.compile(rf"\[\]|<>|->|=>|{ATOM_RE.pattern}|\S")
 
 # Deepest formula `parse` accepts, counted in nested operators and
-# parentheses.  The walkers that still recurse, desugar and to_text, then
-# stay well inside Python's default recursion limit.
+# parentheses.  The one walker that still recurses, to_text, then stays
+# well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
 # What a token does where an operand is expected: a prefix operator or an
@@ -378,6 +392,14 @@ def _nabla(x: Formula) -> Formula:
     return Or(x, Neg(Circ(x)))
 
 
+def _implies(a: Formula, c: Formula) -> Formula:
+    return And(Or(_nabla(Neg(a)), c), Or(_nabla(c), Neg(a)))
+
+
+# ~, N and => in the core signature, one level deep on core arguments
+_EXPAND = {CNeg: lambda a: Imp(a, Bottom()), Nabla: _nabla, ImpL: _implies}
+
+
 def desugar(f: Formula) -> Formula:
     """Rewrite ~, N and => into the core signature; # stays a constant.
 
@@ -385,23 +407,7 @@ def desugar(f: Formula) -> Formula:
     inside them is interpreted per logic at evaluation time.  The result
     is cached on f, and the result's own desugaring is itself.
     """
-    core = f._core
-    if core is None:
-        kind = type(f)
-        if kind is CNeg:
-            core = Imp(desugar(f.child), Bottom())
-        elif kind is Nabla:
-            core = _nabla(desugar(f.child))
-        elif kind is ImpL:
-            a, c = desugar(f.left), desugar(f.right)
-            core = And(Or(_nabla(Neg(a)), c), Or(_nabla(c), Neg(a)))
-        elif f._kids:
-            core = kind(*map(desugar, f._kids))
-        else:
-            core = f
-        _set(f, "_core", core)
-        _set(core, "_core", core)
-    return core
+    return f._core
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:

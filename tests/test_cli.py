@@ -291,6 +291,20 @@ def test_unknown_worlds_in_a_relation_exit_2_with_every_error(capsys, fixtures, 
         assert err == f"error: invalid {noun}: " + "; ".join(UNKNOWN_ERRORS) + "\n"
 
 
+def test_a_large_invalid_model_exits_2_with_a_short_line(capsys, tmp_path):
+    # every one of 10^5 values lies outside its lattice: the message lists
+    # the first ten errors and counts the rest, not 4 MB of them
+    worlds = [f"w{i}" for i in range(10**5)]
+    doc = {"worlds": worlds, "logics": dict.fromkeys(worlds, "K3"), "relation": [],
+           "valuation": {w: {"p": "b"} for w in worlds}}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", str(path), "--world", "w0", "--formula", "p")
+    shown = "; ".join(f"valuation('w{i}','p') = b not in N3w" for i in range(10))
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid model: {shown}; … and 99990 more\n"
+
+
 def reference_main(argv=None) -> int:
     """`main` as it was when the top-level parser classified every argument
     and handed the rest to the subcommand's parser, which classified them

@@ -279,3 +279,50 @@ def test_fuzzed_entry_points_raise_only_typed_errors():
         for call in _entry_calls(rng):
             seen[_outcome(call)] += 1
     assert len(seen) == 3, seen  # every outcome was reached
+
+
+# ------------------------------------------------------------ deep formulas
+# Built directly, past parse's MAX_DEPTH and five times Python's default
+# recursion limit: each chain gets a value or a typed error, never a
+# RecursionError.
+
+DEEP = 5000
+_STEPS = {
+    "!": syntax.Neg,
+    "@": syntax.Circ,
+    "~": syntax.CNeg,
+    "N": syntax.Nabla,
+    "p => (p => ...)": lambda f: syntax.ImpL(P, f),
+    "((...) => p) => p": lambda f: syntax.ImpL(f, P),
+    "[]!<>": None,  # box, negation and diamond in turn
+}
+
+
+def _deep_chain(step):
+    f = P
+    for i in range(DEEP):
+        f = step(f) if step else (syntax.Box, syntax.Neg, syntax.Diamond)[i % 3](f)
+    return f
+
+
+@pytest.mark.parametrize("name", _STEPS)
+def test_deep_chains_get_a_value_or_a_typed_error(name):
+    import copy
+
+    f = _deep_chain(_STEPS[name])
+    assert syntax.desugar(f) is syntax.desugar(syntax.desugar(f))
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    calls = []
+    if not f._modal:  # a modal formula is refused with its text, which recurses
+        calls += [
+            lambda: logics.evaluate(K3, f, {"p": V.T0}),
+            lambda: logics.matrix_consequence(K3, [], f),
+        ]
+    if name in ("!", "~"):  # each closure is built before it is refused
+        calls.append(lambda: bivaluations.biv_consequence(K3, [], f))
+    for variant in models.DIAMOND_VARIANTS:
+        model = Model(("u", "v"), {("u", "v"), ("v", "v")}, {"u": "LETK", "v": "K3"},
+                      {"u": {"p": V.b}, "v": {"p": V.T0}}, variant)
+        calls.append(lambda model=model: models.eval_formula(model, "u", f))
+    outcomes = [_outcome(call) for call in calls]
+    assert "wrong type" not in outcomes, outcomes

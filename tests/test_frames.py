@@ -489,7 +489,7 @@ def _sampled_calls(fixtures, samples, seed):
 def test_sampled_checks_refuse_a_sample_count_that_is_not_an_int(no_sampling, fixtures, samples):
     # a float, bool or str used to fail deep inside numpy with a bare TypeError
     for call in _sampled_calls(fixtures, samples, DEFAULT_SEED):
-        with pytest.raises(BudgetError, match=f"^a sample count must be an int, got {re.escape(repr(samples))}$"):
+        with pytest.raises(TypeError, match=f"^expected an int as a sample count, got {type(samples).__name__}$"):
             call()
 
 
@@ -498,7 +498,7 @@ def test_sampled_checks_refuse_a_seed_that_is_not_an_int(no_sampling, fixtures, 
     # None seeded the draws from the operating system: the same call gave
     # different verdicts from one run to the next
     for call in _sampled_calls(fixtures, 3, seed):
-        with pytest.raises(BudgetError, match=f"^a seed must be an int, got {re.escape(repr(seed))}$"):
+        with pytest.raises(TypeError, match=f"^expected an int as a seed, got {type(seed).__name__}$"):
             call()
 
 
@@ -777,16 +777,16 @@ _LIMIT_CALLS = {
 @pytest.mark.parametrize("check", _WORLD_COUNT_CALLS)
 @pytest.mark.parametrize("n_worlds", (1.0, 2.0, True, "2", None))
 def test_frame_checks_refuse_a_world_count_that_is_not_an_int(no_draws, check, n_worlds):
-    message = f"^a world count must be an int, got {re.escape(repr(n_worlds))}$"
-    with pytest.raises(BudgetError, match=message):
+    message = f"^expected an int as a world count, got {type(n_worlds).__name__}$"
+    with pytest.raises(TypeError, match=message):
         _WORLD_COUNT_CALLS[check](n_worlds)
 
 
 @pytest.mark.parametrize("check", _LIMIT_CALLS)
 @pytest.mark.parametrize("limit", (1.5, 1.0, True, "3", None))
 def test_frame_checks_refuse_a_counterexample_limit_that_is_not_an_int(no_draws, check, limit):
-    message = f"^a counterexample limit must be an int, got {re.escape(repr(limit))}$"
-    with pytest.raises(BudgetError, match=message):
+    message = f"^expected an int as a counterexample limit, got {type(limit).__name__}$"
+    with pytest.raises(TypeError, match=message):
         _LIMIT_CALLS[check](limit)
 
 

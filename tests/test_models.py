@@ -687,6 +687,23 @@ _MODEL_WARNINGS = tuple(
 )
 
 
+@pytest.mark.parametrize("count", (10, 11))
+def test_a_refusal_lists_ten_errors_and_counts_the_rest(count):
+    from manylogic.frames import SCHEMAS, axiom_valid_on_frame
+
+    worlds = tuple(f"w{i}" for i in range(count))
+    model = Model(worlds, frozenset(), dict.fromkeys(worlds, "XXX"), {})
+    errors = validate(model).errors  # the report stays complete
+    assert errors == tuple(f"world 'w{i}' has unknown logic 'XXX'" for i in range(count))
+    message = "; ".join(errors[:10]) + ("; … and 1 more" if count == 11 else "")
+    with pytest.raises(ModelFormatError) as exc:
+        eval_formula(model, "w0", parse("p"))
+    assert str(exc.value) == "invalid model: " + message
+    with pytest.raises(ModelFormatError) as exc:
+        axiom_valid_on_frame(model.frame, SCHEMAS["T"])
+    assert str(exc.value) == "invalid frame: " + message
+
+
 def test_validate_reports_every_defect_in_order():
     from manylogic.models import validate_frame
 
@@ -829,6 +846,108 @@ def test_threads_compiling_one_formula_agree(monkeypatch):
     assert set(models._PROGRAMS) == {(f, v) for f in fs for v in DIAMOND_VARIANTS}
     for (f, variant), (names, program) in models._PROGRAMS.items():
         assert program == tuple(models.compile_program(f, variant, names))
+
+
+# ------------------------------------------- compiler against its reference
+# `Formula.__new__` builds each node's desugared form and `compile_program`
+# emits the negbox and cnegbox diamonds itself; before, two rewrite passes
+# built them.  Those passes, copied here, are the reference.
+
+
+def _reference_nabla(x):
+    return Or(x, Neg(Circ(x)))
+
+
+def _reference_desugar(f, memo):
+    core = memo.get(f)
+    if core is None:
+        kind = type(f)
+        if kind is CNeg:
+            core = Imp(_reference_desugar(f.child, memo), Bottom())
+        elif kind is Nabla:
+            core = _reference_nabla(_reference_desugar(f.child, memo))
+        elif kind is ImpL:
+            a, c = _reference_desugar(f.left, memo), _reference_desugar(f.right, memo)
+            core = And(Or(_reference_nabla(Neg(a)), c), Or(_reference_nabla(c), Neg(a)))
+        elif syntax.children(f):
+            core = kind(*[_reference_desugar(k, memo) for k in syntax.children(f)])
+        else:
+            core = f
+        memo[f] = core
+    return core
+
+
+def _reference_resolve(f, variant):
+    if variant not in ("negbox", "cnegbox"):
+        return f
+    out = {}
+    for g in syntax.postorder(f):
+        kids = [out[c] for c in syntax.children(g)]
+        if isinstance(g, Diamond):
+            if variant == "negbox":
+                out[g] = Neg(Box(Neg(kids[0])))
+            else:
+                out[g] = Imp(Box(Imp(kids[0], Bottom())), Bottom())
+        else:
+            out[g] = type(g)(*kids) if kids else g
+    return out[f]
+
+
+_REFERENCE_OPCODES = {Bottom: "bottom", Neg: "neg", Circ: "circ", And: "and", Or: "or", Imp: "imp", Box: "box"}
+
+
+def _reference_compile(f, variant, atom_names):
+    f = _reference_resolve(_reference_desugar(f, {}), variant)
+    dia_kind = "dia_up" if variant != "down" else "dia_down"
+    index, prog = {}, []
+    for g in syntax.postorder(f):
+        kind = type(g)
+        if kind is Atom:
+            node = ("atom", atom_names.index(g.name))
+        elif kind is Diamond:
+            node = (dia_kind, index[g.child])
+        else:
+            node = (_REFERENCE_OPCODES[kind], *[index[c] for c in syntax.children(g)])
+        index[g] = len(prog)
+        prog.append(node)
+    return prog
+
+
+def _compiler_corpus():
+    """The AC12 corpus, the benchmark's Kripke formulas, seeded modal
+    formulas with ~, N, => and #, and shapes where a diamond's rewrite is
+    also written out elsewhere in the formula."""
+    import sys
+    from pathlib import Path
+
+    from manylogic.verify import AC12_SEED, AC12_SEQUENT_COUNT, make_sequents
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        from workloads import KRIPKE_FORMULAS, render
+    finally:
+        sys.path.pop(0)
+    out = [g for allow_or in (True, False)
+           for ps, c in make_sequents(AC12_SEQUENT_COUNT, AC12_SEED, allow_or) for g in ps + [c]]
+    out += [parse(render(f)) for f in KRIPKE_FORMULAS]
+    rng = Random(21)
+    out += [_random_formula(rng, rng.randrange(1, 9), rng.randrange(4)) for _ in range(600)]
+    out += [parse(t) for t in (
+        "<>p & !([]!p)", "!([]!p) & <>p", "(<>p -> #) & ([](p -> #) -> #)",
+        "([](p -> #) -> #) & <>p", "<><>p | ![]!<>p", "<>~p & ~[]~~p", "N<>(p => <>#)",
+    )]
+    return out
+
+
+def test_desugar_and_compile_match_the_rewrite_passes_they_replaced():
+    from manylogic import models
+
+    for f in _compiler_corpus():
+        assert syntax.desugar(f) is _reference_desugar(f, {}), syntax.to_text(f)
+        names = tuple(sorted(syntax.atoms(f)))
+        for variant in DIAMOND_VARIANTS:
+            got = models.compile_program(f, variant, names)
+            assert got == _reference_compile(f, variant, names), (variant, syntax.to_text(f))
 
 
 # ------------------------------------------------------- holds and hashing
