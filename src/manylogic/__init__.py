@@ -12,7 +12,6 @@ from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply, matrix_consequence, t
 from .models import Frame, Model, eval_formula, holds, load_frame, load_model, validate
 from .frames import (
     SCHEMAS,
-    CheckBudget,
     axiom_valid_on_frame,
     frame_properties,
     theorem_suite,
@@ -27,7 +26,6 @@ __all__ = [
     "LOGICS",
     "LOGIC_IDS",
     "SCHEMAS",
-    "CheckBudget",
     "Formula",
     "Frame",
     "Lattice",

@@ -25,7 +25,7 @@ from operator import attrgetter
 from . import syntax
 from .logics import MAX_ATOMS, MatrixLogic, Verdict, apply, evaluate, require_logic
 from .syntax import And, Atom, Bottom, Circ, Formula, Imp, Neg, Or, to_text
-from .values import SNAPSHOTS, ManylogicError, Value, from_snapshot, require_type
+from .values import SNAPSHOTS, ManylogicError, Value, from_snapshot, require_int, require_type
 
 V14_READINGS = ("printed", "corrected")
 
@@ -426,6 +426,7 @@ def satisfying_assignments(
     """Every clause-satisfying assignment over a subformula-closed set."""
     require_logic(logic)
     _check_reading(v14_reading)
+    require_int(limit, "a node limit")
     return _search(logic, _check_closed(closure), {}, v14_reading, collect_all=True, limit=limit)
 
 

@@ -8,6 +8,7 @@ input (flags, files, formulas).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -36,13 +37,17 @@ def _parse_premises(text: str | None):
     return [_parse_formula(part) for part in text.split(",")]
 
 
-def _load(path: str, load, validate, noun: str):
-    """The valid model or frame in a file, its warnings printed (a frame
-    has none); a file that does not load or validate is bad input."""
+def _load(path: str, load, validate, noun: str, diamond: str | None):
+    """The valid model or frame in a file, under `diamond` when one is
+    given, its warnings printed (a frame has none); a file that does not
+    load or validate is bad input.  The override comes before the one
+    validation, so nothing is rebuilt after it."""
     try:
         loaded = load(path)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load {noun} {path}: {exc}") from None
+    if diamond:
+        loaded = dataclasses.replace(loaded, diamond=diamond)
     report = validate(loaded)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -60,11 +65,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _load(args.model, models.load_model, models.validate, "model")
-    if args.diamond:
-        model = models.Model(
-            model.worlds, model.relation, model.logics, model.valuation, args.diamond
-        )
+    model = _load(args.model, models.load_model, models.validate, "model", args.diamond)
     if args.world not in model.worlds:
         raise InputError(f"unknown world {args.world!r}")
     f = _parse_formula(args.formula)
@@ -104,13 +105,11 @@ def _cmd_biv_consequence(args) -> int:
 
 
 def _cmd_check_frame(args) -> int:
-    frame = _load(args.model, models.load_frame, models.validate_frame, "frame")
-    schema = frames.SCHEMAS[args.axiom]
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    budget = frames.CheckBudget(mode, args.samples, args.seed)
-    variant = args.diamond or frame.diamond
-    result = frames.axiom_valid_on_frame(frame, schema, variant, budget)
+    frame = _load(args.model, models.load_frame, models.validate_frame, "frame", args.diamond)
+    samples = None if args.exhaustive else args.samples
+    result = frames.axiom_valid_on_frame(frame, frames.SCHEMAS[args.axiom], samples, args.seed)
     if result.valid:
+        mode = "exhaustive" if args.exhaustive else "sampled"
         print(f"VALID ({result.models_checked} valuations, mode={mode}, seed={args.seed})")
         return 0
     ce = result.counterexample
@@ -120,12 +119,11 @@ def _cmd_check_frame(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the pinned checklist fixes its own sample counts and seed
+    sampling = {k: v for k, v in (("samples", args.samples), ("seed", args.seed)) if v is not None}
     if args.logics:
         tokens = tuple(t.strip() for t in args.logics.split(","))
-        report = frames.theorem_suite(
-            logic_ids=tokens, five_c_logic_ids=tokens,
-            samples=args.samples, seed=args.seed,
-        )
+        report = frames.theorem_suite(logic_ids=tokens, five_c_logic_ids=tokens, **sampling)
         for item in report.items:
             status = "PASS" if item.passed else "FAIL"
             print(f"{item.name:<14} {item.description:<55} {status}")
@@ -140,6 +138,8 @@ def _cmd_verify(args) -> int:
                 print(f"      ! {text}")
         print(f"seed={report.seed}")
         return 0 if report.all_pass else 1
+    if sampling:
+        raise InputError("--samples and --seed apply only with --logics")
     only = set(x.strip().upper() for x in args.only.split(",")) if args.only else None
     outcomes = verify.run_all(only)
     if not outcomes:
@@ -190,14 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_frame)
 
     p = sub.add_parser("verify", help="run the acceptance checklist")
-    p.add_argument("--only", help="comma-separated criterion ids, e.g. AC1,AC7")
-    p.add_argument(
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--only", help="comma-separated criterion ids, e.g. AC1,AC7")
+    which.add_argument(
         "--logics",
         help="comma list of logic tokens: run the frame-theorem suite over "
         "this subset instead of the pinned checklist",
     )
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=frames.DEFAULT_SEED)
+    p.add_argument("--samples", type=int, help="with --logics only")
+    p.add_argument("--seed", type=int, help="with --logics only")
     p.set_defaults(fn=_cmd_verify)
 
     parser.commands = sub.choices  # name -> subcommand parser, for main

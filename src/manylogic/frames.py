@@ -7,7 +7,10 @@ numpy over a joint (assignment, valuation) axis, on the 4-bit mask
 tables of `models`, so that exhaustive runs over all three-world
 frames stay well under a second; counterexamples are handed back as
 ordinary models that replay through the normal evaluator.  Sampled
-checks draw what `Random(seed)` draws, decoded from its words in bulk.
+checks take a sample count and a seed, and draw what `Random(seed)`
+draws, decoded from its words in bulk.  A check of one given frame
+(`axiom_valid_on_frame`) reads the diamond off the frame, as an
+evaluation reads it off the model.
 Every sweep goes through one relation loop (`_sweep`), and every check
 picks the lanes it reports by one failing-lane rule (`_failures`).
 
@@ -41,7 +44,7 @@ from .models import (  # the value tables, as lists, and the compiler live in mo
     model_to_dict,
 )
 from .syntax import Box, Diamond, Formula, Imp, Neg, parse
-from .values import ManylogicError, Value, require_type
+from .values import ManylogicError, Value, require_int, require_type
 
 DEFAULT_SEED = 0
 
@@ -99,8 +102,8 @@ def __getattr__(name: str):
 
 class BudgetError(ManylogicError):
     """A frame check asked for what it cannot check: a world, sample or
-    counterexample count out of range, or a logic set that is empty or
-    names an unknown logic."""
+    counterexample count out of range, or a logic set that is empty,
+    names an unknown logic or names a logic twice."""
 
 
 @dataclass(frozen=True)
@@ -161,17 +164,6 @@ SCHEMAS: dict[str, AxiomSchema] = {
     "B": _schema("B", "p -> []<>p"),
     "D": _schema("D", "[]p -> <>p"),
 }
-
-
-@dataclass(frozen=True)
-class CheckBudget:
-    mode: str = "exhaustive"  # "exhaustive" | "sampled"
-    sample_count: int = 10000
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "sampled"):
-            raise BudgetError(f"unknown check mode {self.mode!r}; expected 'exhaustive' or 'sampled'")
 
 
 @dataclass(frozen=True)
@@ -388,12 +380,16 @@ MAX_SAMPLES = 100_000
 
 
 def _logic_indices(logic_ids) -> list[int]:
-    """Each logic's index into the value tables, refusing an empty or
-    unknown logic set before anything is built or drawn."""
+    """Each logic's index into the value tables, refusing an empty logic
+    set, an unknown logic or one named twice (which would count its
+    frames twice, and draw it twice as often) before anything is built
+    or drawn."""
     indices = []
     for lid in logic_ids:
         if lid not in _LOGIC_INDEX:
             raise BudgetError(f"unknown logic {lid!r}; expected one of {', '.join(LOGIC_IDS)}")
+        if _LOGIC_INDEX[lid] in indices:
+            raise BudgetError(f"logic {lid!r} is named twice")
         indices.append(_LOGIC_INDEX[lid])
     if not indices:
         raise BudgetError("a frame check needs at least one logic")
@@ -401,7 +397,7 @@ def _logic_indices(logic_ids) -> list[int]:
 
 
 def _require_worlds(n_worlds: int, most: int | None = None) -> None:
-    _require_int(n_worlds, "a world count")
+    require_int(n_worlds, "a world count")
     if n_worlds < 1:
         raise BudgetError(f"a frame check needs at least one world, got {n_worlds}")
     if most is not None and n_worlds > most:
@@ -409,20 +405,13 @@ def _require_worlds(n_worlds: int, most: int | None = None) -> None:
 
 
 def _require_counterexamples(limit: int) -> None:  # below one a failing schema would pass
-    _require_int(limit, "a counterexample limit")
+    require_int(limit, "a counterexample limit")
     if limit < 1:
         raise BudgetError(f"a frame check reports at least one counterexample, got {limit}")
 
 
-# A bool is an int to Python, not here; a None seed would seed Random from
-# the OS, unrepeatably.
-def _require_int(value, noun: str) -> None:
-    if type(value) is bool or not isinstance(value, int):
-        raise TypeError(f"expected an int as {noun}, got {type(value).__name__}")
-
-
 def _require_samples(samples: int) -> None:
-    _require_int(samples, "a sample count")
+    require_int(samples, "a sample count")
     if samples < 1:
         raise BudgetError(f"sampled checks need at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
@@ -542,7 +531,7 @@ def sample_schema(
     counterexamples are the first failing samples in draw order."""
     require_type(schema, AxiomSchema, "an AxiomSchema")
     _require_samples(samples)
-    _require_int(seed, "a seed")
+    require_int(seed, "a seed")
     _require_worlds(n_worlds)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
@@ -587,37 +576,37 @@ def reflexive_closure(rel, n):
 
 
 def axiom_valid_on_frame(
-    frame: Frame, schema: AxiomSchema, variant: str = "up", budget: CheckBudget | None = None
+    frame: Frame, schema: AxiomSchema, samples: int | None = None, seed: int = DEFAULT_SEED
 ) -> CheckResult:
-    """Check one schema on one concrete frame; exhaustive (<= 3 worlds) or
-    sampled valuations of the schema's atoms."""
+    """Check one schema on one concrete frame under the frame's diamond:
+    on every valuation of the schema's atoms (at most 3 worlds) when
+    samples is None, otherwise on `samples` valuations drawn as
+    `Random(seed)` draws them."""
     require_type(frame, Frame, "a Frame")
     require_type(schema, AxiomSchema, "an AxiomSchema")
-    budget = budget or CheckBudget()
-    require_type(budget, CheckBudget, "a CheckBudget")
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
     _load()
     n = len(frame.worlds)
     edges = [[(u, None, None) for u in succ] for succ in succs]
     interp = [_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
-    prog = compile_program(schema.template, variant, schema.atoms)
-    if budget.mode == "exhaustive":
+    prog = compile_program(schema.template, frame.diamond, schema.atoms)
+    if samples is None:
         if n > 3:
             raise BudgetError("exhaustive mode is limited to 3 worlds")
         axis = _build_axis(n, [interp], len(schema.atoms))
         lat, vals = axis.lat, axis.vals
     else:
-        _require_samples(budget.sample_count)
-        _require_int(budget.seed, "a seed")
-        words, k = _Words(budget.seed), budget.sample_count
+        _require_samples(samples)
+        require_int(seed, "a seed")
+        words = _Words(seed)
         vals = tuple(
-            tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, k)] for li in interp)
+            tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, samples)] for li in interp)
             for _ in schema.atoms
         )
-        lat = tuple(np.full(k, ROW_OF[li]) for li in interp)
+        lat = tuple(np.full(samples, ROW_OF[li]) for li in interp)
     root = _eval_slots(prog, edges, lat, vals)[-1]
     ok, _, first = _failures(root, lat, np.array([0, lat[0].size]), 1)  # one block
-    bad = [_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, variant) for j in first]
+    bad = [_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, frame.diamond) for j in first]
     return CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
 
 
@@ -806,7 +795,7 @@ def run_theorem(
     sampled outcome is empty when the row samples nothing."""
     if theorem.sampled_worlds is not None:
         _require_samples(samples)  # before the sweeps, not after them
-        _require_int(seed, "a seed")
+        require_int(seed, "a seed")
     exhaustive = _merge(
         sweep_schema(theorem.schema, n, logic_ids, relation_pred=theorem.frame_pred)
         for n in theorem.exhaustive_worlds

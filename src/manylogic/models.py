@@ -5,7 +5,9 @@ A box value at a world is the meet, inside that world's lattice, of the
 down-interpreted values at its successors.  Diamonds come in four
 variants: joins of up-interpreted values (the default), joins of
 down-interpreted values, and the negations !box! and ~box~, which the
-compiler emits in place of the diamond.
+compiler emits in place of the diamond.  A model or a frame carries its
+variant: every evaluation of the model and every check of the frame
+uses it.
 
 This module owns the value tables, as Python lists: code tables indexed
 by `Value`, and the 4-bit mask tables derived from them that every
@@ -79,7 +81,7 @@ class _Worlds:
 
 @dataclass(frozen=True)
 class Frame(_Worlds):
-    diamond: str = "up"  # the variant a check on the frame uses unless told otherwise
+    diamond: str = "up"  # the variant every check on the frame uses
     __hash__ = _Worlds.__hash__
 
     def __reduce__(self):  # read-only mappings do not pickle; their contents do

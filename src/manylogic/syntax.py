@@ -218,8 +218,7 @@ def parse(text: str) -> Formula:
     """Parse one formula; ParseError on bad input, including a formula
     nested deeper than MAX_DEPTH.  Each text is parsed once per process
     (`_PARSED`)."""
-    if type(text) is not str:  # parsed or refused without the table, as before
-        return _parse(text)
+    require_type(text, str, "a str")
     node = _PARSED.get(text)
     if node is None:  # setdefault: threads that parse one text at once share one entry
         node = _PARSED.setdefault(text, _parse(text))

@@ -53,6 +53,14 @@ def require_type(value, kind, noun: str) -> None:
         raise TypeError(f"expected {noun}, got {type(value).__name__}")
 
 
+def require_int(value, noun: str) -> None:
+    """Refuse a `value` that is not an int, naming what was expected.  A
+    bool is an int to Python, not here; a None seed would seed `Random`
+    from the OS, unrepeatably."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"expected an int as {noun}, got {type(value).__name__}")
+
+
 class SnapshotError(ManylogicError):
     """A triple that names no semantic value."""
 

@@ -119,6 +119,44 @@ def test_check_frame_uses_the_frames_diamond_unless_told_otherwise(capsys, fixtu
         assert check(plain)[1].startswith("COUNTEREXAMPLE world=w2 ")
 
 
+@pytest.mark.parametrize("argv", (
+    ["eval", "ex1.json", "--world", "w1", "--formula", "<>p", "--diamond", "down"],
+    ["check-frame", "euclid3.json", "--axiom", "5", "--exhaustive", "--diamond", "down"],
+), ids=("eval", "check-frame"))
+def test_a_diamond_override_is_validated_once(capsys, fixtures, monkeypatch, argv):
+    # eval used to validate the file's model, rebuild it under the flag's
+    # diamond and validate the rebuilt one again
+    from manylogic import models
+
+    validate, fresh = models._validate, []
+
+    def counting(model, valuation):
+        fresh.append(model._report is None)  # a kept report is no validation work
+        return validate(model, valuation)
+
+    monkeypatch.setattr(models, "_validate", counting)
+    code, out, err = run(capsys, argv[0], str(fixtures / argv[1]), *argv[2:])
+    assert code in (0, 1) and out and err == ""
+    assert fresh.count(True) == 1, fresh
+
+
+def test_verify_refuses_flags_its_mode_ignores(capsys):
+    # the pinned checklist fixes its own sample counts and seed, and the
+    # theorem suite has no criteria to pick: each flag used to be ignored
+    for argv in (["--only", "AC3", "--samples", "5", "--seed", "9"], ["--samples", "5"], ["--seed", "9"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", "error: --samples and --seed apply only with --logics\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--logics", "K3", "--only", "AC1"])
+    assert exc.value.code == 2
+    assert "argument --only: not allowed with argument --logics" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_logic_named_twice(capsys):
+    code, out, err = run(capsys, "verify", "--logics", "K3,K3")
+    assert (code, out, err) == (2, "", "error: logic 'K3' is named twice\n")
+
+
 def test_sampled_checks_refuse_fewer_than_one_sample(capsys, fixtures):
     frame = str(fixtures / "euclid3.json")
     for samples in ("0", "-1"):

@@ -4,13 +4,14 @@ and nothing else comes out of a public entry point, checked by seeded
 fuzzing of directly built objects and junk arguments."""
 
 from collections import Counter
+from dataclasses import replace
 from random import Random
 
 import pytest
 
 import manylogic
 from manylogic import bivaluations, cli, frames, lattices, logics, models, syntax, values
-from manylogic.frames import SCHEMAS, CheckBudget
+from manylogic.frames import SCHEMAS
 from manylogic.logics import LOGICS
 from manylogic.models import Frame, Model
 from manylogic.syntax import parse
@@ -73,9 +74,14 @@ P = parse("p")
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),
+    # the variant and budget of an older signature, in the places of the sample count and seed
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), SCHEMAS["T"], "up", "sampled"),
-     "expected a CheckBudget, got str"),
+     "expected an int as a sample count, got str"),
     (lambda: frames.frame_properties(None), "expected a Frame, got NoneType"),
+    (lambda: bivaluations.satisfying_assignments(K3, [P], limit="x"), "expected an int as a node limit, got str"),
+    (lambda: bivaluations.satisfying_assignments(K3, [P], limit=True), "expected an int as a node limit, got bool"),
+    (lambda: syntax.parse(b"p"), "expected a str, got bytes"),
+    (lambda: syntax.parse(None), "expected a str, got NoneType"),
     (lambda: models.validate(None), "expected a Model, got NoneType"),
     (lambda: syntax.Neg(5), "expected a Formula, got int"),
 ], ids=lambda x: x if isinstance(x, str) else "")
@@ -218,8 +224,8 @@ def test_fuzzed_models_and_frames_raise_only_typed_errors():
         f = parse(rng.choice(_FORMULAS)) if rng.random() < 0.9 else _junk(rng)
         world = _name(rng)
         schema = SCHEMAS[rng.choice(tuple(SCHEMAS))]
-        budget = rng.choice((None, CheckBudget("sampled", 50, 1), CheckBudget("exhaustive")))
-        variant = rng.choice(("up", "down", "x"))
+        samples = rng.choice((None, 50, None))  # exhaustive, sampled, exhaustive
+        diamond = rng.choice(("up", "down", "x"))
         for call in (lambda: models.eval_formula(model, world, f), lambda: models.holds(model, world, f)):
             outcome = _outcome(call)
             seen[outcome] += 1
@@ -227,7 +233,7 @@ def test_fuzzed_models_and_frames_raise_only_typed_errors():
             assert not (ok and isinstance(f, syntax.Formula) and outcome == "wrong type"), kw
         for call in (
             lambda: frames.frame_properties(frame),
-            lambda: frames.axiom_valid_on_frame(frame, schema, variant, budget),
+            lambda: frames.axiom_valid_on_frame(replace(frame, diamond=diamond), schema, samples, 1),
         ):
             seen[_outcome(call)] += 1
     assert valid and len(seen) == 4, (valid, seen)  # every outcome was reached

@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import replace
 from itertools import product
 from random import Random
 
@@ -10,7 +12,6 @@ from manylogic.frames import (
     SCHEMAS,
     AxiomSchema,
     BudgetError,
-    CheckBudget,
     axiom_valid_on_frame,
     duality_check,
     describe_counterexample,
@@ -140,7 +141,7 @@ def test_axiom_t_valid_on_reflexive_and_refutable_off_them():
     assert not out.counterexamples
     # the necessitation frame gives a countermodel once reflexivity is dropped
     fr = frame(("w1", "w2"), [("w1", "w2")], {"w1": "K3", "w2": "LP"})
-    res = axiom_valid_on_frame(fr, SCHEMAS["T"], budget=CheckBudget("exhaustive"))
+    res = axiom_valid_on_frame(fr, SCHEMAS["T"])
     assert not res.valid
     ce = res.counterexample
     assert not holds(ce.model, ce.world, parse("[]p -> p"))
@@ -231,8 +232,7 @@ def test_sampled_counterexamples_match_the_goldens():
 def test_axiom5_fixture_and_variants(fixtures):
     fr = load_frame(fixtures / "euclid3.json")
     assert frame_properties(fr).euclidean
-    res = axiom_valid_on_frame(fr, SCHEMAS["5"], variant="down",
-                               budget=CheckBudget("exhaustive"))
+    res = axiom_valid_on_frame(replace(fr, diamond="down"), SCHEMAS["5"])
     assert not res.valid
     assert res.counterexample.world == "w1"
     assert res.counterexample.value == V.F0
@@ -241,6 +241,23 @@ def test_axiom5_fixture_and_variants(fixtures):
                   {"w1": {"p": V.F0}, "w2": {"p": V.F0}, "w3": {"p": V.b}}, "up")
     value = eval_formula(model, "w1", parse("<>p -> []<>p"))
     assert model.logic("w1").is_designated(value)
+
+
+def test_a_frame_check_reads_the_frames_diamond(fixtures, tmp_path):
+    # README: euclid3.json validates axiom 5 under cnegbox alone; the check
+    # used to read the up diamond unless a variant was passed as well
+    doc = json.loads((fixtures / "euclid3.json").read_text())
+    path = tmp_path / "euclid3-cnegbox.json"
+    path.write_text(json.dumps(dict(doc, diamond="cnegbox")))
+    fr = load_frame(path)
+    for samples in (None, 300):
+        assert axiom_valid_on_frame(fr, SCHEMAS["5"], samples).valid
+        for variant in ("up", "down", "negbox"):
+            res = axiom_valid_on_frame(replace(fr, diamond=variant), SCHEMAS["5"], samples)
+            assert not res.valid
+            assert res.counterexample.model.diamond == variant
+            ce = res.counterexample
+            assert eval_formula(ce.model, ce.world, SCHEMAS["5"].template) == ce.value
 
 
 def test_five_c_characterization_over_the_mixed_subset():
@@ -328,13 +345,11 @@ def test_compound_instances_add_no_new_counterexamples():
         if not frame_properties(fr).reflexive:
             continue
         checked += 1
-        assert axiom_valid_on_frame(fr, SCHEMAS["T"], budget=CheckBudget("exhaustive")).valid
+        assert axiom_valid_on_frame(fr, SCHEMAS["T"]).valid
         for body in compounds:
             inst = substitute(SCHEMAS["T"].template, {"p": body})
             schema = AxiomSchema("T-instance", inst, tuple(sorted(atoms(inst))))
-            res = axiom_valid_on_frame(
-                schema=schema, frame=fr, budget=CheckBudget("exhaustive")
-            )
+            res = axiom_valid_on_frame(schema=schema, frame=fr)
             assert res.valid, (to_text(inst), lids)
 
 
@@ -342,7 +357,7 @@ def test_single_reflexive_world_validates_every_schema():
     for lid in LOGIC_IDS:
         fr = Frame(("w1",), frozenset({("w1", "w1")}), {"w1": lid})
         for sid, schema in SCHEMAS.items():
-            res = axiom_valid_on_frame(fr, schema, budget=CheckBudget("exhaustive"))
+            res = axiom_valid_on_frame(fr, schema)
             assert res.valid, (lid, sid)
 
 
@@ -350,16 +365,13 @@ def test_budget_errors():
     worlds = tuple(f"w{i}" for i in range(4))
     fr = Frame(worlds, frozenset(), {w: "FDE" for w in worlds})
     with pytest.raises(BudgetError):
-        axiom_valid_on_frame(fr, SCHEMAS["T"], budget=CheckBudget("exhaustive"))
+        axiom_valid_on_frame(fr, SCHEMAS["T"])
     small = Frame(("w1",), frozenset(), {"w1": "FDE"})
     for samples in (0, -1):
         with pytest.raises(BudgetError):
-            axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("sampled", samples))
+            axiom_valid_on_frame(small, SCHEMAS["K"], samples)
         with pytest.raises(BudgetError):
             sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
-    for mode in ("exhaustve", "", "Sampled"):
-        with pytest.raises(BudgetError, match="unknown check mode"):
-            CheckBudget(mode, 5)
 
 
 def test_program_evaluator_agrees_with_the_model_evaluator():
@@ -427,9 +439,7 @@ def test_sampled_mode_handles_larger_frames():
     worlds = tuple(f"w{i}" for i in range(1, 5))
     rel = frozenset((a, b) for a in worlds for b in worlds)
     fr = Frame(worlds, rel, {w: "FDE" for w in worlds})
-    res = axiom_valid_on_frame(
-        fr, SCHEMAS["K"], budget=CheckBudget("sampled", sample_count=500)
-    )
+    res = axiom_valid_on_frame(fr, SCHEMAS["K"], samples=500)
     assert res.valid and res.models_checked == 500
 
 
@@ -454,7 +464,7 @@ def test_sampled_checks_refuse_more_than_the_cap():
     small = Frame(("w1",), frozenset(), {"w1": "FDE"})
     for samples in (MAX_SAMPLES + 1, 10**20):
         with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
-            axiom_valid_on_frame(small, SCHEMAS["K"], budget=CheckBudget("sampled", samples))
+            axiom_valid_on_frame(small, SCHEMAS["K"], samples)
         with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
             sample_schema(SCHEMAS["K"], 2, LOGIC_IDS, samples=samples)
         with pytest.raises(BudgetError, match=f"at most {MAX_SAMPLES}"):
@@ -477,12 +487,14 @@ def _sampled_calls(fixtures, samples, seed):
     from manylogic.frames import THEOREMS, run_theorem
 
     euclid3 = load_frame(fixtures / "euclid3.json")
-    return (
-        lambda: axiom_valid_on_frame(euclid3, SCHEMAS["5"], "up", CheckBudget("sampled", samples, seed)),
+    calls = (
         lambda: sample_schema(SCHEMAS["5"], 3, LOGIC_IDS, samples=samples, seed=seed),
         lambda: run_theorem(THEOREMS["K"], LOGIC_IDS, samples, seed),
         lambda: theorem_suite(("K3",), ("K3",), samples, seed),
     )
+    if samples is None:  # no sample count: axiom_valid_on_frame checks exhaustively
+        return calls
+    return (lambda: axiom_valid_on_frame(euclid3, SCHEMAS["5"], samples, seed),) + calls
 
 
 @pytest.mark.parametrize("samples", (3.0, 2.5, True, "3", None))
@@ -714,23 +726,32 @@ def test_sweeps_refuse_a_world_count_below_one(no_draws, n_worlds):
         sample_schema(SCHEMAS["K"], n_worlds, LOGIC_IDS, samples=10)
 
 
-@pytest.mark.parametrize(
-    "call",
-    (
-        lambda ids: sweep_schema(SCHEMAS["K"], 1, ids),
-        lambda ids: sample_schema(SCHEMAS["K"], 2, ids, samples=10),
-        lambda ids: five_c_characterization(ids),
-        lambda ids: duality_check(ids),
-        lambda ids: theorem_suite(logic_ids=ids),
-        lambda ids: theorem_suite(five_c_logic_ids=ids),
-    ),
-    ids=("sweep", "sample", "five_c", "duality", "suite", "suite_five_c"),
-)
-def test_frame_checks_refuse_unknown_and_empty_logic_sets(no_draws, call):
+# Each public check that takes a logic set.
+_LOGIC_SET_CALLS = {
+    "sweep": lambda ids: sweep_schema(SCHEMAS["K"], 1, ids),
+    "sample": lambda ids: sample_schema(SCHEMAS["K"], 2, ids, samples=10),
+    "five_c": lambda ids: five_c_characterization(ids),
+    "duality": lambda ids: duality_check(ids),
+    "suite": lambda ids: theorem_suite(logic_ids=ids),
+    "suite_five_c": lambda ids: theorem_suite(five_c_logic_ids=ids),
+}
+
+
+@pytest.mark.parametrize("check", _LOGIC_SET_CALLS)
+def test_frame_checks_refuse_unknown_and_empty_logic_sets(no_draws, check):
     with pytest.raises(BudgetError, match="unknown logic 'K4'; expected one of LETK, "):
-        call(("K3", "K4"))
+        _LOGIC_SET_CALLS[check](("K3", "K4"))
     with pytest.raises(BudgetError, match="at least one logic"):
-        call(())
+        _LOGIC_SET_CALLS[check](())
+
+
+@pytest.mark.parametrize("check", _LOGIC_SET_CALLS)
+def test_frame_checks_refuse_a_logic_named_twice(no_draws, check):
+    # a doubled logic used to count its frames twice, and sample_schema
+    # drew it twice as often
+    for ids in (("K3", "K3"), ["LP", "K3", "LP"]):
+        with pytest.raises(BudgetError, match=f"^logic '{ids[0]}' is named twice$"):
+            _LOGIC_SET_CALLS[check](ids)
 
 
 @pytest.mark.parametrize("max_worlds", (0, -1, 4, 5))
@@ -798,6 +819,6 @@ def test_axiom_valid_on_frame_refuses_an_invalid_frame():
         (frame(("w1", "w2"), [("w1", "w2")], {"w1": "K3"}), "world 'w2' has no logic"),
         (frame(("w1",), [], {"w1": "K4"}), "world 'w1' has unknown logic 'K4'"),
     ):
-        for budget in (CheckBudget("exhaustive"), CheckBudget("sampled", 5)):
+        for samples in (None, 5):
             with pytest.raises(ModelFormatError, match=f"^invalid frame: .*{error}"):
-                axiom_valid_on_frame(bad, SCHEMAS["K"], budget=budget)
+                axiom_valid_on_frame(bad, SCHEMAS["K"], samples)

@@ -149,10 +149,10 @@ def test_first_frame_checks_from_four_threads_agree():
         builds = []
         frames._numpy_tables = lambda: builds.append(1) or build()
         frame = models.load_frame(sys.argv[1])
-        budgets = (frames.CheckBudget("exhaustive"), frames.CheckBudget("sampled", 500, 3))
+        budgets = ((None, 0), (500, 3))  # exhaustive; 500 samples with seed 3
 
         def checks():
-            out = [frames.axiom_valid_on_frame(frame, frames.SCHEMAS[s], "up", b)
+            out = [frames.axiom_valid_on_frame(frame, frames.SCHEMAS[s], *b)
                    for s in ("5", "4", "B") for b in budgets]
             out.append(frames.sweep_schema(frames.SCHEMAS["T"], 2, ("K3", "LP", "LETK")))
             out.append(frames.duality_check(("FDE", "CLS")))
