@@ -18,9 +18,9 @@ the correspondence report records what each reading does.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import syntax
 from .logics import MAX_ATOMS, MatrixLogic, Verdict, apply, evaluate, require_logic
@@ -54,6 +54,10 @@ class ClosureTooLargeError(ManylogicError):
 
 class ReadingError(ManylogicError):
     """A clause 14 reading outside V14_READINGS."""
+
+
+class NodeLimitError(ManylogicError):
+    """A search node limit below 1."""
 
 
 # Every clause, stated once, as a predicate over the values of the formulas
@@ -222,8 +226,7 @@ def _check_closed(domain) -> list[Formula]:
     return order
 
 
-@dataclass(frozen=True)
-class ClauseReport:
+class ClauseReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -427,6 +430,8 @@ def satisfying_assignments(
     require_logic(logic)
     _check_reading(v14_reading)
     require_int(limit, "a node limit")
+    if limit < 1:
+        raise NodeLimitError(f"the node limit must be at least 1, got {limit}")
     return _search(logic, _check_closed(closure), {}, v14_reading, collect_all=True, limit=limit)
 
 
@@ -442,8 +447,7 @@ def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:
 _CONN_OF = {And: "and", Or: "or", Imp: "imp", Neg: "neg", Circ: "circ"}
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     logic_id: str
     v14_reading: str
     valuations_checked: int

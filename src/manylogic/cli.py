@@ -105,12 +105,15 @@ def _cmd_biv_consequence(args) -> int:
 
 
 def _cmd_check_frame(args) -> int:
+    if args.exhaustive and (args.samples, args.seed) != (None, None):
+        raise InputError("--samples and --seed apply only without --exhaustive")
+    samples = None if args.exhaustive else 10000 if args.samples is None else args.samples
+    seed = frames.DEFAULT_SEED if args.seed is None else args.seed
     frame = _load(args.model, models.load_frame, models.validate_frame, "frame", args.diamond)
-    samples = None if args.exhaustive else args.samples
-    result = frames.axiom_valid_on_frame(frame, frames.SCHEMAS[args.axiom], samples, args.seed)
+    result = frames.axiom_valid_on_frame(frame, frames.SCHEMAS[args.axiom], samples, seed)
     if result.valid:
         mode = "exhaustive" if args.exhaustive else "sampled"
-        print(f"VALID ({result.models_checked} valuations, mode={mode}, seed={args.seed})")
+        print(f"VALID ({result.models_checked} valuations, mode={mode}, seed={seed})")
         return 0
     ce = result.counterexample
     print(f"COUNTEREXAMPLE world={ce.world} value={ce.value}")
@@ -185,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", required=True, choices=tuple(frames.SCHEMAS))
     p.add_argument("--diamond", choices=DIAMOND_VARIANTS, help="override the frame's variant")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=frames.DEFAULT_SEED)
+    p.add_argument("--samples", type=int, help="without --exhaustive only (default 10000)")
+    p.add_argument("--seed", type=int, help=f"without --exhaustive only (default {frames.DEFAULT_SEED})")
     p.set_defaults(fn=_cmd_check_frame)
 
     p = sub.add_parser("verify", help="run the acceptance checklist")

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from itertools import compress, product
 from math import isqrt
 from operator import attrgetter
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import models, syntax
 from .lattices import transitive_closure
@@ -106,8 +105,7 @@ class BudgetError(ManylogicError):
     names an unknown logic or names a logic twice."""
 
 
-@dataclass(frozen=True)
-class FrameProperties:
+class FrameProperties(NamedTuple):
     reflexive: bool
     transitive: bool
     euclidean: bool
@@ -143,8 +141,7 @@ def frame_properties(frame: Frame) -> FrameProperties:
     return _properties(frame.worlds, frame.relation)
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(NamedTuple):
     id: str
     template: Formula
     atoms: tuple[str, ...]
@@ -166,15 +163,13 @@ SCHEMAS: dict[str, AxiomSchema] = {
 }
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     model: Model
     world: str
     value: Value
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     valid: bool
     counterexample: Counterexample | None
     frames_checked: int
@@ -276,8 +271,7 @@ def _eval_slots(prog, edges, lat, vals):
 
 # ----------------------------------------------------------------- axes
 
-@dataclass(frozen=True)
-class _Axis:
+class _Axis(NamedTuple):
     interps: tuple  # per block: the logic index of every world
     bounds: np.ndarray  # block b covers positions bounds[b]:bounds[b + 1]
     lat: tuple  # per world: its table rows over the axis
@@ -418,8 +412,7 @@ def _require_samples(samples: int) -> None:
         raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(NamedTuple):
     frames_checked: int
     models_checked: int
     counterexamples: tuple[Counterexample, ...]
@@ -612,8 +605,7 @@ def axiom_valid_on_frame(
 
 # ------------------------------------------------- characterisation runs
 
-@dataclass(frozen=True)
-class FiveCReport:
+class FiveCReport(NamedTuple):
     logic_ids: tuple[str, ...]
     frames_checked: int
     models_checked: int
@@ -681,8 +673,7 @@ def five_c_characterization(
     )
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     mismatches: tuple[str, ...]
     models_checked: int
 
@@ -729,8 +720,7 @@ def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
 
 # -------------------------------------------------------------- the suite
 
-@dataclass(frozen=True)
-class SuiteItem:
+class SuiteItem(NamedTuple):
     name: str
     description: str
     frames_checked: int
@@ -740,8 +730,7 @@ class SuiteItem:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     items: tuple[SuiteItem, ...]
     seed: int
 
@@ -754,8 +743,7 @@ def describe_counterexample(ce: Counterexample) -> str:
     return f"world={ce.world} value={ce.value} model={json.dumps(model_to_dict(ce.model))}"
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """A frame theorem and how it is checked: exhaustively at each world
     count in exhaustive_worlds over the frames frame_pred accepts, then on
     sampled models with sampled_worlds worlds whose drawn relation is

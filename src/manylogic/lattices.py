@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .values import ManylogicError, Value
 
@@ -154,15 +154,13 @@ def _subsets(xs: tuple[Value, ...]) -> Iterable[tuple[Value, ...]]:
     return chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1))
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     holds: bool
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     lattice_id: str
     results: tuple[LawResult, ...]
 

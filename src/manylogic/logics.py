@@ -22,7 +22,7 @@ expanded there alone; `apply` keeps its own value-level `nabla` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax
 from .lattices import LATTICES, Lattice
@@ -89,8 +89,7 @@ def twist_circ(z, third: int, one: int = 1):
     return (z3, one ^ z3, third)
 
 
-@dataclass(frozen=True)
-class MatrixLogic:
+class MatrixLogic(NamedTuple):
     id: str
     lattice: Lattice
     designated: frozenset[Value]
@@ -170,8 +169,7 @@ def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
     return result
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(NamedTuple):
     logic_id: str
     conn: str
     elements: tuple[Value, ...]
@@ -301,8 +299,7 @@ def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Va
     return from_snapshot(_evaluate(logic, order, atoms, 1, uses)[id(root)])
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     valid: bool
     witness: dict | None = None
 

@@ -25,6 +25,7 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import syntax
 from .lattices import base_leq
@@ -126,8 +127,7 @@ def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
     return x._axis
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
 

@@ -7,9 +7,9 @@ is recomputed from scratch on every run.  All comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from . import bivaluations, frames, lattices, models, syntax
 from .lattices import LATTICES, SUBLATTICE_IDS, verify_lattice_laws
@@ -25,8 +25,7 @@ AC7_SAMPLES = 10000
 AC8_SAMPLES = 5000
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     cid: str
     title: str
     passed: bool

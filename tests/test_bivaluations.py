@@ -11,6 +11,7 @@ from manylogic.bivaluations import (
     V14_READINGS,
     ClosureTooLargeError,
     DomainError,
+    NodeLimitError,
     ReadingError,
     _ordered,
     biv_consequence,
@@ -604,6 +605,17 @@ def test_a_tiny_node_limit_still_raises():
     assert satisfying_assignments(LOGICS["LETK"], closure)
     with pytest.raises(ClosureTooLargeError):
         satisfying_assignments(LOGICS["LETK"], closure, limit=1)
+
+
+def test_a_node_limit_below_one_is_refused_before_the_search():
+    # refused up front: the search would blame the closure for it
+    closure = subformula_closure([p])
+    for limit in (0, -5):
+        with pytest.raises(NodeLimitError, match=f"the node limit must be at least 1, got {limit}$"):
+            satisfying_assignments(LOGICS["K3"], closure, limit=limit)
+    with pytest.raises(ClosureTooLargeError):  # a limit of one is searched, and too small here
+        satisfying_assignments(LOGICS["K3"], closure, limit=1)
+    assert len(satisfying_assignments(LOGICS["K3"], closure, limit=5)) == 3
 
 
 def test_large_domains_search_without_recursion():

@@ -152,6 +152,18 @@ def test_verify_refuses_flags_its_mode_ignores(capsys):
     assert "argument --only: not allowed with argument --logics" in capsys.readouterr().err
 
 
+def test_check_frame_refuses_sampling_flags_with_exhaustive(capsys, fixtures):
+    # an exhaustive check draws nothing, so neither flag applies to it
+    frame = str(fixtures / "euclid3.json")
+    for argv in (["--samples", "0", "--seed", "9"], ["--samples", "300"], ["--seed", "0"]):
+        code, out, err = run(capsys, "check-frame", frame, "--axiom", "K", "--exhaustive", *argv)
+        assert (code, out, err) == (2, "", "error: --samples and --seed apply only without --exhaustive\n")
+    code, out, _ = run(capsys, "check-frame", frame, "--axiom", "K", "--exhaustive")
+    assert (code, out) == (0, "VALID (1296 valuations, mode=exhaustive, seed=0)\n")
+    assert run(capsys, "check-frame", frame, "--axiom", "T") == run(
+        capsys, "check-frame", frame, "--axiom", "T", "--samples", "10000", "--seed", "0")
+
+
 def test_verify_refuses_a_logic_named_twice(capsys):
     code, out, err = run(capsys, "verify", "--logics", "K3,K3")
     assert (code, out, err) == (2, "", "error: logic 'K3' is named twice\n")

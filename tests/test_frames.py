@@ -94,16 +94,14 @@ def _random_relation(rng, worlds) -> frozenset:
 
 
 def test_frame_properties_match_the_pairwise_definition():
-    from dataclasses import astuple
-
     from manylogic.frames import _rel_props, _relations
 
     seen = set()
     for rel in _relations(3):
         want = _pairwise_properties(range(3), rel)
-        assert astuple(_rel_props(rel, 3)) == want, rel
+        assert tuple(_rel_props(rel, 3)) == want, rel
         named = frame(("w1", "w2", "w3"), [(f"w{i + 1}", f"w{j + 1}") for i, j in rel], {})
-        assert astuple(frame_properties(named)) == want, rel
+        assert tuple(frame_properties(named)) == want, rel
     rng = Random(17)
     for trial in range(600):
         n = rng.randint(1, 12)
@@ -114,9 +112,9 @@ def test_frame_properties_match_the_pairwise_definition():
             rel |= {rng.choice([("x", rng.choice(worlds)), (rng.choice(worlds), "x")])}
         else:
             want = _pairwise_properties(range(n), {(index[a], index[b]) for a, b in rel})
-            assert astuple(_rel_props({(index[a], index[b]) for a, b in rel}, n)) == want
+            assert tuple(_rel_props({(index[a], index[b]) for a, b in rel}, n)) == want
         want = _pairwise_properties(worlds, rel)
-        assert astuple(frame_properties(frame(worlds, rel, {}))) == want, (worlds, sorted(rel))
+        assert tuple(frame_properties(frame(worlds, rel, {}))) == want, (worlds, sorted(rel))
         if n > 3:
             seen.update((k, v) for k, v in enumerate(want))
     # past three worlds, each property both holds and fails

@@ -3,7 +3,9 @@ models, deciding consequence and the clause search run on plain Python,
 and numpy loads on the first frame check.  The numpy tables `frames`
 builds on first use are checked here against the eager build they
 replaced, and the first frame checks against each other when threads
-start them at once."""
+start them at once.  The result records are NamedTuples, which import
+about five times faster than frozen dataclasses: only the four classes
+that need dataclass fields stay dataclasses."""
 
 import json
 import os
@@ -74,6 +76,17 @@ def test_numpy_loads_on_the_first_frame_check():
     )
     assert got["check"] == [1, alone.stdout]
     assert got["tables"] == {name: getattr(frames, name).tolist() for name in CODE_TABLES}
+
+
+def test_only_four_classes_are_dataclasses():
+    code = """
+        import dataclasses, sys
+        import manylogic.cli, manylogic.verify
+
+        print(sorted({v.__qualname__ for name, mod in sys.modules.items() if name.split(".")[0] == "manylogic"
+                      for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}))
+    """
+    assert _python(code).stdout == "['Frame', 'Lattice', 'Model', '_Worlds']\n"
 
 
 def _eager_tables() -> dict:
