@@ -44,7 +44,7 @@ def _load(path: str, load, validate, noun: str, diamond: str | None):
     validation, so nothing is rebuilt after it."""
     try:
         loaded = load(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, models.ModelFormatError) as exc:
+    except (OSError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load {noun} {path}: {exc}") from None
     if diamond:
         loaded = dataclasses.replace(loaded, diamond=diamond)

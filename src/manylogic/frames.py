@@ -4,15 +4,15 @@ collected frame-correspondence results.
 Schema checks enumerate every valuation of every (relation, logic
 assignment) frame at a given world count.  The sweep is vectorised with
 numpy over a joint (assignment, valuation) axis, on the 4-bit mask
-tables of `models`, so that exhaustive runs over all three-world
-frames stay well under a second; counterexamples are handed back as
-ordinary models that replay through the normal evaluator.  Sampled
-checks take a sample count and a seed, and draw what `Random(seed)`
-draws, decoded from its words in bulk.  A check of one given frame
-(`axiom_valid_on_frame`) reads the diamond off the frame, as an
-evaluation reads it off the model.
-Every sweep goes through one relation loop (`_sweep`), and every check
-picks the lanes it reports by one failing-lane rule (`_failures`).
+tables of `models`; counterexamples are handed back as ordinary models
+that replay through the normal evaluator.  Every sweep goes through one
+relation loop (`_sweep`), which evaluates each row once per what it
+depends on, and every check picks the lanes it reports by one
+failing-lane rule (`_failures`).  Sampled checks take a sample count and
+a seed and draw through `Random(seed)` itself, except that a check of
+one given frame (`axiom_valid_on_frame`) decodes the same draws from
+its words in bulk (`_Words`); that check reads the diamond off the
+frame, as an evaluation reads it off the model.
 
 This module owns the numpy forms of the value tables, which `models`
 keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing it does
@@ -31,7 +31,7 @@ from random import Random
 from typing import Callable, NamedTuple
 
 from . import models, syntax
-from .lattices import transitive_closure
+from .lattices import MASK, transitive_closure
 from .logics import LOGIC_IDS, LOGICS
 from .models import (  # the value tables, as lists, and the compiler live in models
     _LOGIC_INDEX,
@@ -65,7 +65,7 @@ def _numpy_tables() -> dict:
 
     tables, code = models._CODE_TABLES, models._CODE
     out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8) for name, t in tables.items()}
-    mask_of = out["MASK_OF"] = np.array(models._MASK, dtype=np.uint8)
+    mask_of = out["MASK_OF"] = np.array(MASK, dtype=np.uint8)
     out["CODE_OF"] = np.array(code, dtype=np.int8)
     for name, flat in (("DOWN_M", models._DOWN), ("UP_M", models._UP),
                        ("CIRC_M", models._CIRC), ("NEG_M", models._NEG)):
@@ -179,25 +179,15 @@ class CheckResult(NamedTuple):
 # ---------------------------------------------------------------- draws
 
 class _Words:
-    """The 32-bit words `Random(seed)` produces, in order, read in bulk
-    through getrandbits, and the draws `Random` makes of them, draw for
-    draw.  `choice` among n items reads words until one is below
-    n << (32 - k), k = n.bit_length(), and picks that word >> (32 - k);
-    `random() < 0.5` reads two words and holds when the first is below
-    2**31."""
+    """The words `Random(seed)` produces, read in bulk through getrandbits,
+    and what `choice` picks from them: among n items it reads words until
+    one is below n << (32 - k), k = n.bit_length(), and picks it >> (32 - k)."""
 
     def __init__(self, seed: int):
         _load()
         self._rng = Random(seed)
         self._buf = np.empty(0, dtype=np.uint32)
         self._pos = 0
-
-    @staticmethod
-    def choice_rule(n: int) -> tuple[int, int]:
-        """The words `choice` among n items accepts are those below the
-        first number; it picks them shifted right by the second."""
-        shift = 32 - n.bit_length()
-        return n << shift, shift
 
     def peek(self, count: int) -> np.ndarray:
         """The next `count` words, drawing only those not yet drawn."""
@@ -210,11 +200,11 @@ class _Words:
 
     def below(self, n: int, count: int) -> np.ndarray:
         """The indices `count` successive `choice` calls on n items pick."""
-        limit, shift = self.choice_rule(n)
+        shift = 32 - n.bit_length()
         parts = []
         while count:  # enough words for all of them, as a rule
             w = self.peek(count * (1 << n.bit_length()) // n + 4 * isqrt(count) + 8)
-            hits = np.flatnonzero(w < limit)[:count]
+            hits = np.flatnonzero(w < n << shift)[:count]
             parts.append(w[hits] >> shift)
             self._pos += int(hits[-1]) + 1 if hits.size == count else w.size
             count -= hits.size
@@ -223,17 +213,20 @@ class _Words:
 
 # ------------------------------------------------------------- programs
 
-def _eval_slots(prog, edges, lat, vals):
+def _eval_slots(prog, edges, lat, vals, given=()):
     """Evaluate a program over mask arrays along one batch axis: lat[w]
     holds the table row of world w's logic, vals[a][w] the masks of atom
     a, and edges[w] lists w's successors as (u, present, absent), with
     present and absent None for an edge in every lane and otherwise uint8
     arrays, 15 and 0 where the edge is there and 0 and 15 where not, so
     an absent edge adds the unit of the fold.  Returns one row per program
-    node, one array per world."""
-    slots = []
-    for node in prog:
+    node, one array per world, taking as they are the rows `given` holds
+    by node (None where a row is to be evaluated)."""
+    slots = list(given) or [None] * len(prog)
+    for i, node in enumerate(prog):
         kind = node[0]
+        if slots[i] is not None:
+            continue
         if kind == "atom":
             row = vals[node[1]]
         elif kind == "bottom":
@@ -265,7 +258,7 @@ def _eval_slots(prog, edges, lat, vals):
                     x = ch[u] if kind == "dia_up" else DOWN_M.take(l | ch[u])
                     acc = acc | (x if present is None else x & present)
                 row.append(UP_M.take(l | acc))
-        slots.append(row)
+        slots[i] = row
     return slots
 
 
@@ -328,11 +321,33 @@ def _rel_props(rel, n: int) -> FrameProperties:
 def _sweep(prog, n: int, axis: _Axis, relation_pred=None):
     """(relation, the program's rows on it over the axis) for each relation
     on n worlds in `_relations` order whose properties relation_pred
-    accepts: the one loop over the 2**(n*n) relations."""
+    accepts: the one loop over the 2**(n*n) relations.
+
+    Each row is evaluated once per what it depends on: a node with no box
+    or diamond at or below it (depth 0) once, and a node with at most one
+    on any path down from it (depth 1) once per world w and successor set
+    of w, which alone fix its row at w.  Callers only read the rows: they
+    are shared between relations."""
+    depth = []
+    for kind, *args in prog:
+        below = 0 if kind == "atom" else max((depth[c] for c in args), default=0)
+        depth.append(below + (kind in ("box", "dia_up", "dia_down")))
+    shallow = [i for i, d in enumerate(depth) if d == 1]
+    given, memo = [None] * len(prog), {}  # memo: (world, its successors) -> the depth-1 rows there
     for rel in _relations(n):
-        if relation_pred is None or relation_pred(_rel_props(rel, n)):
-            edges = [[(j, None, None) for j in range(n) if (i, j) in rel] for i in range(n)]
-            yield rel, _eval_slots(prog, edges, axis.lat, axis.vals)
+        if relation_pred is not None and not relation_pred(_rel_props(rel, n)):
+            continue
+        keys = [(i, tuple(j for j in range(n) if (i, j) in rel)) for i in range(n)]
+        known = [memo.get(key) for key in keys]
+        for k, i in enumerate(shallow):
+            given[i] = None if None in known else [at[k] for at in known]
+        edges = [[(j, None, None) for j in succ] for _, succ in keys]
+        slots = _eval_slots(prog, edges, axis.lat, axis.vals, given)
+        if None in known:  # as on the first relation, after which every depth-0 row is known
+            given = [row if d == 0 else None for row, d in zip(slots, depth)]
+            for w, key in enumerate(keys):
+                memo.setdefault(key, [slots[i][w] for i in shallow])
+        yield rel, slots
 
 
 def _failures(root, lat, bounds, limit: int):
@@ -460,52 +475,24 @@ def sweep_schema(
     return SweepOutcome(frames, models, tuple(bad))
 
 
-_CHUNK = 1 << 16  # words _sample_draws holds as Python ints at a time
-
-
-def _sample_draws(words: _Words, samples: int, n_worlds: int, sizes, n_atoms: int):
-    """What `samples` successive samples draw.  Each draws n_worlds**2
-    relation bits with `random() < 0.5`, one per world pair in row-major
-    order; then for every world a `choice` among len(sizes) logics; then
-    for every atom and world a `choice` among the sizes[c] elements of
-    that world's logic c.  Returns the relation bit patterns, the logic
-    choices (sample, world) and the element choices (sample, atom, world)."""
-    nn, n_logics = n_worlds * n_worlds, len(sizes)
-    logic_limit, logic_shift = _Words.choice_rule(n_logics)
-    rules = [_Words.choice_rule(m) for m in sizes]
-    # more words than a sample takes on average: a choice takes under two
-    per = 2 * (nn + n_worlds * (1 + n_atoms))
-    buf = words.peek(samples * per + 64)
-    off, seq = 0, buf[:_CHUNK].tolist()  # seq[i] is word off + i, as a Python int
-    starts, picks = [], []
-    q = 0
-    while len(starts) < samples:
-        p, q = q, q + 2 * nn
-        try:
-            row = []
-            for _ in range(n_worlds):
-                while seq[q] >= logic_limit:
-                    q += 1
-                row.append(seq[q] >> logic_shift)
-                q += 1
-            world_rules = [rules[c] for c in row]
-            for _ in range(n_atoms):
-                for limit, shift in world_rules:
-                    while seq[q] >= limit:
-                        q += 1
-                    row.append(seq[q] >> shift)
-                    q += 1
-        except IndexError:  # past the words in hand: take the next ones, redo the sample
-            end = off + len(seq)
-            if end == buf.size:
-                buf = words.peek(end + (samples - len(starts)) * per + 64)
-            off, seq, q = off + p, seq[p:] + buf[end:end + _CHUNK].tolist(), 0
-            continue
-        starts.append(off + p)
-        picks.extend(row)
-    bits = buf[np.array(starts)[:, None] + 2 * np.arange(nn)] < (1 << 31)
+def _sample_draws(rng: Random, samples: int, n_worlds: int, sizes, n_atoms: int):
+    """What `samples` successive samples draw from rng.  Each draws a
+    relation bit per world pair, in row-major order, with `random() < 0.5`;
+    then for every world a `choice` among len(sizes) logics; then for every
+    atom and world a `choice` among the sizes[c] elements of the world's
+    logic c.  Returns the relation bit patterns, the logic choices (sample,
+    world) and the element choices (sample, atom, world)."""
+    random, choice = rng.random, rng.choice
+    logics, elements = range(len(sizes)), [range(m) for m in sizes]
+    patterns, picks = [], []
+    for _ in range(samples):
+        patterns.append(sum(1 << t for t in range(n_worlds * n_worlds) if random() < 0.5))
+        row = [choice(logics) for _ in range(n_worlds)]
+        picks += row
+        for _ in range(n_atoms):
+            picks += [choice(elements[c]) for c in row]
     picks = np.array(picks, dtype=np.intp).reshape(samples, 1 + n_atoms, n_worlds)
-    return bits @ (1 << np.arange(nn)), picks[:, 0], picks[:, 1:]
+    return np.array(patterns), picks[:, 0], picks[:, 1:]
 
 
 def sample_schema(
@@ -532,7 +519,7 @@ def sample_schema(
     prog = compile_program(schema.template, variant, schema.atoms)
     n_atoms = len(schema.atoms)
     sizes = [ELEMENT_MASKS[li].size for li in logic_indices]
-    patterns, choices, picks = _sample_draws(_Words(seed), samples, n_worlds, sizes, n_atoms)
+    patterns, choices, picks = _sample_draws(Random(seed), samples, n_worlds, sizes, n_atoms)
     # each distinct drawn relation closed once; bit i*n+j of a pattern is i->j
     pairs = [(i, j) for i in range(n_worlds) for j in range(n_worlds)]
     drawn, which = np.unique(patterns, return_inverse=True)
@@ -645,9 +632,8 @@ def five_c_characterization(
         worlds = _world_names(n)
         for rel, slots in _sweep(prog, n, axis):
             root = slots[-1]
-            for i in modal_nodes:
-                for w in range(n):
-                    window_violations += int((~_CLASSICAL_WINDOW.take(slots[i][w])).sum())
+            inside = _CLASSICAL_WINDOW.take([slots[i] for i in modal_nodes])  # (node, world, lane)
+            window_violations += inside.size - int(np.count_nonzero(inside))
             euclidean = _rel_props(rel, n).euclidean
             limit = max_counterexamples - len(failures) if euclidean else 0
             ok, block_ok, first = _failures(root, axis.lat, axis.bounds, limit)

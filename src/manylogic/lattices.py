@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
+from operator import and_, or_
 from typing import Iterable, NamedTuple
 
 from .values import ManylogicError, Value
@@ -20,10 +21,13 @@ V = Value
 
 
 class LatticeError(ManylogicError):
-    """Element outside the lattice, or a subset without bounds in it."""
+    """An element outside the lattice."""
 
 
-_COVERS = [(V.F, V.F0), (V.F0, V.n), (V.F0, V.b), (V.n, V.T0), (V.b, V.T0), (V.T0, V.T)]
+# A value's mask is the set of base join-irreducibles {F0, n, b, T} beneath
+# it (Birkhoff), as bits 1, 2, 4 and 8: F=0, F0=1, n=3, b=5, T0=7, T=15.
+# The base order is inclusion of masks, the base meet AND and the join OR.
+MASK: tuple[int, ...] = (15, 7, 5, 3, 1, 0)  # by code: T, T0, b, n, F0, F
 
 
 def transitive_closure(rel, n=None) -> frozenset:
@@ -41,12 +45,9 @@ def transitive_closure(rel, n=None) -> frozenset:
     return frozenset(rel)
 
 
-BASE_LEQ: frozenset[tuple[Value, Value]] = transitive_closure({(x, x) for x in Value} | set(_COVERS))
-
-
 def base_leq(x: Value, y: Value) -> bool:
     """The order of the base six-element lattice."""
-    return (x, y) in BASE_LEQ
+    return MASK[x] | MASK[y] == MASK[y]
 
 
 @dataclass(frozen=True)
@@ -100,27 +101,23 @@ class Lattice:
         return self._up[x]
 
 
-def _bound(members: tuple[Value, ...], xs: tuple[Value, ...], lower: bool):
-    if lower:
-        cands = [z for z in members if all(base_leq(z, x) for x in xs)]
-        best = [z for z in cands if all(base_leq(w, z) for w in cands)]
-    else:
-        cands = [z for z in members if all(base_leq(x, z) for x in xs)]
-        best = [z for z in cands if all(base_leq(z, w) for w in cands)]
-    if len(best) != 1:
-        raise LatticeError(f"{xs} has no unique bound among {members}")
-    return best[0]
-
-
 def _build(lid: str, members: tuple[Value, ...]) -> Lattice:
-    meet = {(x, y): _bound(members, (x, y), lower=True) for x in members for y in members}
-    join = {(x, y): _bound(members, (x, y), lower=False) for x in members for y in members}
-    top = _bound(members, members, lower=False)
-    bottom = _bound(members, members, lower=True)
-    # down(x) joins x's lower set inside the lattice, up(x) meets its upper set
-    down = {x: _bound(members, tuple(y for y in members if base_leq(y, x)), lower=False) for x in Value}
-    up = {x: _bound(members, tuple(y for y in members if base_leq(x, y)), lower=True) for x in Value}
-    return Lattice(lid, members, frozenset(members), meet, join, top, bottom, down, up)
+    """The lattice on `members`, its tables read off the masks: a meet is
+    down of the AND and a join up of the OR."""
+    order = sorted(members, key=MASK.__getitem__)  # each member before those above it
+
+    def down(m: int) -> Value:  # the least member holding the OR of the members below m
+        held = reduce(or_, (MASK[z] for z in order if MASK[z] | m == m), 0)
+        return next(z for z in order if MASK[z] | held == MASK[z])
+
+    def up(m: int) -> Value:  # the greatest member inside the AND of the members above m
+        inside = reduce(and_, (MASK[z] for z in order if MASK[z] | m == MASK[z]), 15)
+        return next(z for z in reversed(order) if MASK[z] & inside == MASK[z])
+
+    meet = {(x, y): down(MASK[x] & MASK[y]) for x in members for y in members}
+    join = {(x, y): up(MASK[x] | MASK[y]) for x in members for y in members}
+    down_of, up_of = {x: down(MASK[x]) for x in Value}, {x: up(MASK[x]) for x in Value}
+    return Lattice(lid, members, frozenset(members), meet, join, down_of[V.T], up_of[V.F], down_of, up_of)
 
 
 _MEMBERS: dict[str, tuple[Value, ...]] = {

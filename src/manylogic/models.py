@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import syntax
-from .lattices import base_leq
+from .lattices import MASK
 from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
 from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
 from .values import ManylogicError, Value, parse_value, require_type
@@ -272,34 +272,31 @@ _CODE_TABLES = dict(zip(
     _fill_tables(),
 ))
 
-# A compiled program runs on 4-bit masks of the values: a value's mask is
-# the set of base join-irreducibles {F0, n, b, T} beneath it (Birkhoff):
-# F=0, F0=1, n=3, b=5, T0=7, T=15, so the base meet is AND and the base
-# join OR.  In every logic w the meet of a multiset is down_w of the AND
-# of its masks and the join is up_w of the OR; down_w(15) is w's top and
-# up_w(0) its bottom.  The tables are the code tables above re-indexed by
-# mask and laid out flat: a world's row starts at 16 x its logic index
-# (imp's at 256 x), so row | mask reads a map.  Box and the up diamond
-# need not interpret each successor first: down_w of the AND of the raw
-# masks is the meet in w of their down_w, and up_w of the OR the join of
-# their up_w.  Entries outside a logic's lattice read the mask of -1, the
-# last code, and are never looked up.
+# A compiled program runs on the 4-bit masks of the values that
+# `lattices.MASK` holds (F=0, F0=1, n=3, b=5, T0=7, T=15), on which the
+# base meet is AND and the base join OR.  In every logic w the meet of a
+# multiset is down_w of the AND of its masks and the join is up_w of the
+# OR; down_w(15) is w's top and up_w(0) its bottom.  The tables are the
+# code tables above re-indexed by mask and laid out flat: a world's row
+# starts at 16 x its logic index (imp's at 256 x), so row | mask reads a
+# map.  Box and the up diamond need not interpret each successor first:
+# down_w of the AND of the raw masks is the meet in w of their down_w,
+# and up_w of the OR the join of their up_w.  Entries outside a logic's
+# lattice read the mask of -1, the last code, and are never looked up.
 
-_IRREDUCIBLES = (Value.F0, Value.n, Value.b, Value.T)
-_MASK = [sum(1 << i for i, j in enumerate(_IRREDUCIBLES) if base_leq(j, v)) for v in Value]  # by code
-_CODE = [_MASK.index(m) if m in _MASK else int(Value.T) for m in range(16)]  # by mask; others read T
+_CODE = [MASK.index(m) if m in MASK else int(Value.T) for m in range(16)]  # by mask; others read T
 
 
 def _by_mask(table) -> list[int]:
     """A code table (logic, code) as a flat mask table."""
-    return [_MASK[row[c]] for row in table for c in _CODE]
+    return [MASK[row[c]] for row in table for c in _CODE]
 
 
 _DOWN, _UP, _CIRC = (_by_mask(_CODE_TABLES[name]) for name in ("DOWN_T", "UP_T", "CIRC_T"))
-_NEG = [_MASK[_CODE_TABLES["NEG_T"][c]] for c in _CODE]
+_NEG = [MASK[_CODE_TABLES["NEG_T"][c]] for c in _CODE]
 # imp's flat index outgrows the small ints Python keeps ready-made, so
 # the list runner reads it as rows: _IMP[row | x][y]
-_IMP = [[_MASK[sq[x][y]] for y in _CODE] for sq in _CODE_TABLES["IMP_T"] for x in _CODE]
+_IMP = [[MASK[sq[x][y]] for y in _CODE] for sq in _CODE_TABLES["IMP_T"] for x in _CODE]
 _VALUE_OF = [Value(c) for c in _CODE]  # by mask
 
 
@@ -363,7 +360,7 @@ class _Encoding:
                 col = self.columns.get(name)
                 if col is None:  # an atom missing at a world is its bottom
                     col = self.columns[name] = self.bot.copy()
-                col[i] = _MASK[v]
+                col[i] = MASK[v]
         self.roots: dict[Formula, list[int]] = {}
 
     def root(self, f: Formula) -> list[int]:
@@ -516,12 +513,31 @@ def frame_from_dict(data: dict) -> Frame:
     return Frame(*_parse_common(data, _FRAME_MEMBERS, "frame"))
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object's members; one named twice is refused, not overwritten."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ModelFormatError(f"member {twice!r} appears twice in one object")
+    return members
+
+
+def _read_json(path):
+    """The JSON document in a file; ModelFormatError for bytes that do not
+    decode, malformed JSON, nesting the decoder cannot follow or a member
+    named twice."""
+    try:
+        return json.loads(Path(path).read_text(), object_pairs_hook=_members)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ModelFormatError(str(exc)) from None
+
+
 def load_model(path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(_read_json(path))
 
 
 def load_frame(path) -> Frame:
-    return frame_from_dict(json.loads(Path(path).read_text()))
+    return frame_from_dict(_read_json(path))
 
 
 def model_to_dict(model: Model) -> dict:

@@ -269,6 +269,34 @@ def test_files_that_are_not_utf8_exit_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith(f"error: cannot load frame {path}")
 
 
+@pytest.mark.parametrize("depth", (900, 1000))
+def test_json_nested_deeply_exits_2(capsys, tmp_path, depth):
+    # 1,000 levels made the decoder raise RecursionError, a traceback and
+    # exit 1; both depths are bad input, without a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    for argv, noun in ((("eval", str(path), "--world", "w1", "--formula", "p"), "model"),
+                       (("check-frame", str(path), "--axiom", "T"), "frame")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: cannot load {noun} {path}: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_a_json_member_named_twice_exits_2(capsys, fixtures, tmp_path):
+    # the last of two "w1" logics won: eval answered under LP with exit 0
+    path = tmp_path / "twice.json"
+    path.write_text('{"worlds": ["w1"], "logics": {"w1": "K3", "w1": "LP"}, '
+                    '"relation": [], "valuation": {"w1": {"p": "b"}}}')
+    code, out, err = run(capsys, "eval", str(path), "--world", "w1", "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot load model {path}: member 'w1' appears twice in one object\n"
+    text = (fixtures / "euclid3.json").read_text()
+    path.write_text(text.replace('"worlds"', '"diamond": "up", "diamond": "down", "worlds"', 1))
+    code, out, err = run(capsys, "check-frame", str(path), "--axiom", "T")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot load frame {path}: member 'diamond' appears twice in one object\n"
+
+
 def test_sample_counts_above_the_cap_exit_2(capsys, fixtures):
     from manylogic.frames import MAX_SAMPLES
 

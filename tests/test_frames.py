@@ -477,7 +477,7 @@ def no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled check drew or swept before refusing its budget")
 
-    for name in ("_Words", "_sample_draws", "sweep_schema"):
+    for name in ("Random", "_Words", "_sample_draws", "sweep_schema"):
         monkeypatch.setattr(frames_mod, name, refuse)
 
 
@@ -586,7 +586,7 @@ def test_sample_draws_match_random_on_every_logic_set():
         sizes = [sizes_of[i] for i in rng.sample(range(9), k)]
         shapes = [(1, 1, 1), (2, 2, 7), (3, 1, 400), (3, 2, 60)]
         if k == 9:
-            shapes.append((3, 2, 3000))  # past the first window of words held as ints
+            shapes.append((3, 2, 3000))  # a long run of draws
         for n_worlds, n_atoms, samples in shapes:
             for seed in DRAW_SEEDS[k % 2::2]:
                 ref = Random(seed)
@@ -596,10 +596,9 @@ def test_sample_draws_match_random_on_every_logic_set():
                     logic = [ref.choice(range(k)) for _ in range(n_worlds)]
                     picks = [[ref.choice(range(sizes[c])) for c in logic] for _ in range(n_atoms)]
                     want.append((sum(b << t for t, b in enumerate(bits)), logic, picks))
-                for words in (_Words(seed), _Trickle(seed))[:1 if samples > 1000 else 2]:
-                    patterns, logics, picks = _sample_draws(words, samples, n_worlds, sizes, n_atoms)
-                    got = list(zip(patterns.tolist(), logics.tolist(), picks.tolist()))
-                    assert got == want, (sizes, n_worlds, n_atoms, samples, seed)
+                patterns, logics, picks = _sample_draws(Random(seed), samples, n_worlds, sizes, n_atoms)
+                got = list(zip(patterns.tolist(), logics.tolist(), picks.tolist()))
+                assert got == want, (sizes, n_worlds, n_atoms, samples, seed)
 
 
 def _int8_eval_slots(prog, succs, lat, vals):
@@ -695,6 +694,31 @@ def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
                     for w in range(n):
                         want = reference_eval(model, worlds[w], parse(text))
                         assert V(int(CODE_OF[fast[-1][w][k]])) == want, (variant, text, k, w)
+
+
+def test_every_row_a_sweep_yields_is_the_full_programs_row():
+    # _sweep evaluates a depth-0 row once and a depth-1 row once per world
+    # and successor set; every row it yields, not only the root (five_c
+    # reads the modal rows, duality_check the root's children), is the
+    # row full-program _eval_slots gives on the same relation
+    from manylogic.frames import _LOGIC_INDEX, _build_axis, _eval_slots, _load, _sweep, compile_program
+
+    _load()
+    cases = [(n, schema, LOGIC_IDS) for n in (1, 2) for schema in SCHEMAS.values()]
+    cases += [(3, schema, ("CLW", "K3")) for schema in SCHEMAS.values()]
+    cases.append((3, SCHEMAS["5c"], ("FDE", "K3", "LP", "LJ4", "CLW")))  # AC11's logics
+    for n, schema, logic_ids in cases:
+        indices = [_LOGIC_INDEX[lid] for lid in logic_ids]
+        axis = _build_axis(n, product(indices, repeat=n), len(schema.atoms))
+        for variant in DIAMOND_VARIANTS:
+            prog = compile_program(schema.template, variant, schema.atoms)
+            swept = 0
+            for rel, slots in _sweep(prog, n, axis):
+                edges = [[(j, None, None) for j in range(n) if (i, j) in rel] for i in range(n)]
+                full = _eval_slots(prog, edges, axis.lat, axis.vals)
+                assert np.array_equal(slots, full), (schema.id, variant, logic_ids, sorted(rel))
+                swept += 1
+            assert swept == 2 ** (n * n)
 
 
 @pytest.fixture

@@ -44,6 +44,18 @@ def test_base_order_shape():
     assert sum(base_leq(x, y) for x in V for y in V) == 20
 
 
+def test_the_mask_order_is_the_closure_of_the_six_covers():
+    # the order is defined by the Hasse diagram F < F0 < {n, b} < T0 < T;
+    # the masks must give exactly its reflexive transitive closure
+    from manylogic.lattices import MASK, transitive_closure
+
+    covers = [(V.F, V.F0), (V.F0, V.n), (V.F0, V.b), (V.n, V.T0), (V.b, V.T0), (V.T0, V.T)]
+    order = transitive_closure({(x, x) for x in V} | set(covers))
+    assert {(x, y) for x in V for y in V if MASK[x] | MASK[y] == MASK[y]} == order
+    assert {(x, y) for x in V for y in V if base_leq(x, y)} == order
+    assert [MASK[v] for v in (V.F, V.F0, V.n, V.b, V.T0, V.T)] == [0, 1, 3, 5, 7, 15]
+
+
 def test_the_base_order_and_frame_checks_share_one_transitive_closure():
     from manylogic import frames, lattices
 

@@ -257,6 +257,39 @@ def test_frame_files_reject_valuations(fixtures):
     assert frame.logic("w2").id == "K3"
 
 
+def test_every_bundled_fixture_loads_as_a_plain_decode_reads_it(fixtures):
+    from manylogic.models import frame_from_dict, load_frame, model_from_dict
+
+    for path in sorted(fixtures.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "valuation" in data:
+            assert load_model(path) == model_from_dict(data), path.name
+        else:
+            assert load_frame(path) == frame_from_dict(data), path.name
+
+
+def test_files_that_do_not_decode_are_model_format_errors(tmp_path):
+    # a library caller used to get UnicodeDecodeError, JSONDecodeError or
+    # RecursionError, whichever the decoder raised
+    from manylogic.models import load_frame
+
+    cases = {
+        "utf16.json": (b"\xff\xfe" + '{"worlds": []}'.encode("utf-16-le"), "can't decode byte 0xff"),
+        "cut.json": (b'{"worlds": [', "^Expecting value: line 1 column 13"),
+        "deep.json": (b"[" * 1000 + b"]" * 1000, "^maximum recursion depth exceeded while decoding"),
+        "twice.json": (b'{"worlds": ["w1"], "worlds": ["w2"]}', "^member 'worlds' appears twice in one object$"),
+        "inner.json": (b'{"valuation": {"w1": {"p": "T", "p": "F"}}}', "^member 'p' appears twice"),
+    }
+    for name, (content, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        for load in (load_model, load_frame):
+            with pytest.raises(ModelFormatError, match=message):
+                load(path)
+    with pytest.raises(FileNotFoundError):  # an unreadable file is the caller's to report
+        load_model(tmp_path / "missing.json")
+
+
 def test_random_models_evaluate_inside_their_world_lattices():
     from random import Random
 
