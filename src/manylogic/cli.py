@@ -124,7 +124,10 @@ def _cmd_check_frame(args) -> int:
 def _cmd_verify(args) -> int:
     # the pinned checklist fixes its own sample counts and seed
     sampling = {k: v for k, v in (("samples", args.samples), ("seed", args.seed)) if v is not None}
-    if args.logics:
+    for flag, given, noun in (("--logics", args.logics, "logic"), ("--only", args.only, "criterion")):
+        if given is not None and not given.strip():  # not the whole checklist
+            raise InputError(f"{flag} names no {noun}")
+    if args.logics is not None:
         tokens = tuple(t.strip() for t in args.logics.split(","))
         report = frames.theorem_suite(logic_ids=tokens, five_c_logic_ids=tokens, **sampling)
         for item in report.items:
@@ -143,7 +146,7 @@ def _cmd_verify(args) -> int:
         return 0 if report.all_pass else 1
     if sampling:
         raise InputError("--samples and --seed apply only with --logics")
-    only = set(x.strip().upper() for x in args.only.split(",")) if args.only else None
+    only = set(x.strip().upper() for x in args.only.split(",")) if args.only is not None else None
     outcomes = verify.run_all(only)
     if not outcomes:
         raise InputError(f"no criteria match {args.only!r}")

@@ -9,14 +9,14 @@ that replay through the normal evaluator.  Every sweep goes through one
 relation loop (`_sweep`), which evaluates each row once per what it
 depends on, and every check picks the lanes it reports by one
 failing-lane rule (`_failures`).  Sampled checks take a sample count and
-a seed and draw through `Random(seed)` itself, except that a check of
-one given frame (`axiom_valid_on_frame`) decodes the same draws from
-its words in bulk (`_Words`); that check reads the diamond off the
-frame, as an evaluation reads it off the model.
+a seed and draw as `Random(seed)` draws.  A check of one given frame
+(`axiom_valid_on_frame`) reads the diamond off the frame, as an
+evaluation reads it off the model, and runs on byte lanes without numpy
+(`_run_lanes`), decoding its draws from the words in bulk (`_Draws`).
 
-This module owns the numpy forms of the value tables, which `models`
-keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing it does
-not import numpy: the first frame check imports numpy and builds the
+This module owns the numpy and the byte forms of the value tables, which
+`models` keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing
+it does not import numpy: the first sweep imports numpy and builds the
 arrays (`_load`).  Their names stay readable here as module attributes.
 """
 
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial, reduce
 from itertools import compress, product
-from math import isqrt
-from operator import attrgetter
+from math import prod
+from operator import and_, attrgetter, or_
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -35,6 +36,7 @@ from .lattices import MASK, transitive_closure
 from .logics import LOGIC_IDS, LOGICS
 from .models import (  # the value tables, as lists, and the compiler live in models
     _LOGIC_INDEX,
+    _VALUE_OF,
     Frame,
     Model,
     ModelFormatError,
@@ -82,8 +84,8 @@ def _numpy_tables() -> dict:
 
 
 def _load() -> None:
-    """Bind numpy and the numpy tables here, once; every frame check calls
-    this first, and after the first one it returns at once."""
+    """Bind numpy and the numpy tables here, once; every sweep calls this
+    first, and after the first one it returns at once."""
     if _CLASSICAL_WINDOW is None:
         with _NUMPY_LOCK:
             if _CLASSICAL_WINDOW is None:
@@ -174,41 +176,6 @@ class CheckResult(NamedTuple):
     counterexample: Counterexample | None
     frames_checked: int
     models_checked: int
-
-
-# ---------------------------------------------------------------- draws
-
-class _Words:
-    """The words `Random(seed)` produces, read in bulk through getrandbits,
-    and what `choice` picks from them: among n items it reads words until
-    one is below n << (32 - k), k = n.bit_length(), and picks it >> (32 - k)."""
-
-    def __init__(self, seed: int):
-        _load()
-        self._rng = Random(seed)
-        self._buf = np.empty(0, dtype=np.uint32)
-        self._pos = 0
-
-    def peek(self, count: int) -> np.ndarray:
-        """The next `count` words, drawing only those not yet drawn."""
-        short = self._pos + count - self._buf.size
-        if short > 0:
-            fresh = self._rng.getrandbits(32 * short).to_bytes(4 * short, "little")
-            self._buf = np.concatenate([self._buf[self._pos:], np.frombuffer(fresh, "<u4")])
-            self._pos = 0
-        return self._buf[self._pos:self._pos + count]
-
-    def below(self, n: int, count: int) -> np.ndarray:
-        """The indices `count` successive `choice` calls on n items pick."""
-        shift = 32 - n.bit_length()
-        parts = []
-        while count:  # enough words for all of them, as a rule
-            w = self.peek(count * (1 << n.bit_length()) // n + 4 * isqrt(count) + 8)
-            hits = np.flatnonzero(w < n << shift)[:count]
-            parts.append(w[hits] >> shift)
-            self._pos += int(hits[-1]) + 1 if hits.size == count else w.size
-            count -= hits.size
-        return np.concatenate(parts)
 
 
 # ------------------------------------------------------------- programs
@@ -371,14 +338,11 @@ def _witness(j, root, lat, vals, worlds, relation, atom_names, variant) -> Count
         worlds,
         relation,
         {worlds[w]: LOGIC_IDS[lat[w][j] >> 4] for w in range(n)},
-        {
-            worlds[w]: {atom: Value(int(CODE_OF[vals[a][w][j]])) for a, atom in enumerate(atom_names)}
-            for w in range(n)
-        },
+        {worlds[w]: {atom: _VALUE_OF[vals[a][w][j]] for a, atom in enumerate(atom_names)} for w in range(n)},
         variant,
     )
-    w = next(w for w in range(n) if not DESIG_M[lat[w][j] | root[w][j]])
-    return Counterexample(model, worlds[w], Value(int(CODE_OF[root[w][j]])))
+    w = next(w for w in range(n) if not _B_DESIG[lat[w][j] >> 4][root[w][j]])
+    return Counterexample(model, worlds[w], _VALUE_OF[root[w][j]])
 
 
 # Most samples one sampled check draws.  Every draw is held in memory
@@ -555,39 +519,115 @@ def reflexive_closure(rel, n):
     return frozenset(rel) | frozenset((i, i) for i in range(n))
 
 
+# ---------------------------------------------------------- byte lanes
+
+# By logic index, 256-byte translate tables: the mask tables of `models`, tiled
+_DESIG = [row[c] for row in models._CODE_TABLES["DESIG_T"] for c in models._CODE]
+_B_DOWN, _B_UP, _B_CIRC, _B_DESIG = ([bytes(t[r:r + 16]) * 16 for r in range(0, len(t), 16)]
+                                     for t in (models._DOWN, models._UP, models._CIRC, _DESIG))
+_B_IMP = [b"".join(map(bytes, models._IMP[r:r + 16])) for r in range(0, len(models._IMP), 16)]
+_B_ELEMENTS = [bytes(MASK[v] for v in LOGICS[lid].lattice.elements) for lid in LOGIC_IDS]
+_num = partial(int.from_bytes, byteorder="little")
+_UNARY = {"neg": [bytes(models._NEG) * 16] * len(LOGIC_IDS), "circ": _B_CIRC}
+_BINARY = {"and": (and_, _B_DOWN), "or": (or_, _B_UP), "imp": (lambda x, y: x << 4 | y, _B_IMP)}  # imp's at x << 4 | y
+
+
+class _Draws:
+    """What successive `choice` calls of `Random(seed)` pick among n <= 255
+    items, decoded in bulk from the top bytes of its 32-bit words: a call
+    reads words until one's top byte t has t >> s < n, s = 8 - n.bit_length()."""
+
+    def __init__(self, seed: int):
+        self._rng, self._tops = Random(seed), b""
+
+    def _refill(self, count: int) -> None:  # count more words
+        self._tops += self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+
+    def choose(self, items: bytes, count: int) -> bytes:
+        """The items `count` successive `choice(items)` calls pick."""
+        n, s = len(items), 8 - len(items).bit_length()
+        table = b"".join(bytes([v]) * (1 << s) for v in items).ljust(256, b"\xff")  # 255: rejected
+        out = b""
+        while True:  # windows of as many words as count picks take on average
+            self._refill(max(0, (count << 8 - s) // n - len(self._tops)))
+            picked = self._tops.translate(table)
+            kept = picked.translate(None, b"\xff")
+            if len(kept) >= count:
+                break
+            out, count, self._tops = out + kept, count - len(kept), b""
+        # the words after the count-th kept one, even where it ends the window, are
+        # the next call's, which has its own n: step back over the kept ones among
+        end, left = len(picked), len(kept) - count  # them, then over the rejected ones
+        while left:
+            end, left = end - left, picked.count(255, end - left, end)
+        end = len(picked[:end].rstrip(b"\xff"))
+        self._tops = self._tops[end:]
+        return out + kept[:count]
+
+
+def _run_lanes(prog, succs, lat, vals, size: int):
+    """The root row of a program on one frame over `size` byte lanes, one
+    bytes object a world: lat[w] is world w's logic index, succs[w] its
+    successors and vals[a][w] atom a's masks there.  A world's logic is the
+    same in every lane, so each lookup is one translate; & and | run on
+    the rows read as ints, where masks below 16 carry no bit between bytes."""
+    def look(x: int, table: bytes) -> bytes:
+        return x.to_bytes(size, "little").translate(table)
+
+    top, slots = _num(b"\x0f" * size), []
+    for kind, *args in prog:
+        ch = [slots[c] for c in args] if kind != "atom" else None
+        if kind == "atom":
+            row = vals[args[0]]
+        elif kind == "bottom":
+            row = [_B_UP[l][:1] * size for l in lat]
+        elif kind in _UNARY:
+            row = [x.translate(_UNARY[kind][l]) for l, x in zip(lat, ch[0])]
+        elif kind in _BINARY:
+            op, tables = _BINARY[kind]
+            row = [look(op(_num(x), _num(y)), tables[l]) for l, x, y in zip(lat, *ch)]
+        elif kind == "box":  # down_w(AND of the successors' masks)
+            row = [look(reduce(and_, [_num(ch[0][u]) for u in ss], top), _B_DOWN[l]) for l, ss in zip(lat, succs)]
+        else:  # dia_up: up_w(OR of the masks); dia_down: up_w(OR of their down_w)
+            row = [look(reduce(or_, [_num(ch[0][u] if kind == "dia_up" else ch[0][u].translate(_B_DOWN[l]))
+                                     for u in ss], 0), _B_UP[l]) for l, ss in zip(lat, succs)]
+        slots.append(row)
+    return slots[-1]
+
+
 def axiom_valid_on_frame(
     frame: Frame, schema: AxiomSchema, samples: int | None = None, seed: int = DEFAULT_SEED
 ) -> CheckResult:
     """Check one schema on one concrete frame under the frame's diamond:
     on every valuation of the schema's atoms (at most 3 worlds) when
     samples is None, otherwise on `samples` valuations drawn as
-    `Random(seed)` draws them."""
+    `Random(seed)` draws them.  Runs on byte lanes, without numpy."""
     require_type(frame, Frame, "a Frame")
     require_type(schema, AxiomSchema, "an AxiomSchema")
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
-    _load()
-    n = len(frame.worlds)
-    edges = [[(u, None, None) for u in succ] for succ in succs]
-    interp = [_LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
-    prog = compile_program(schema.template, frame.diamond, schema.atoms)
+    worlds, atoms = frame.worlds, schema.atoms
+    lat = [_LOGIC_INDEX[frame.logics[w]] for w in worlds]
+    prog = compile_program(schema.template, frame.diamond, atoms)
     if samples is None:
-        if n > 3:
+        if len(worlds) > 3:
             raise BudgetError("exhaustive mode is limited to 3 worlds")
-        axis = _build_axis(n, [interp], len(schema.atoms))
-        lat, vals = axis.lat, axis.vals
+        dims = [_B_ELEMENTS[l] for _ in atoms for l in lat]
+        size, flat, outer = prod(map(len, dims)), [], 1
+        for d in dims:  # in `_build_axis`'s order: the first dimension varies slowest
+            outer *= len(d)
+            flat.append(b"".join(bytes([e]) * (size // outer) for e in d) * (outer // len(d)))
+        vals = [flat[k:k + len(lat)] for k in range(0, len(flat), len(lat))]
     else:
         _require_samples(samples)
         require_int(seed, "a seed")
-        words = _Words(seed)
-        vals = tuple(
-            tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, samples)] for li in interp)
-            for _ in schema.atoms
-        )
-        lat = tuple(np.full(samples, ROW_OF[li]) for li in interp)
-    root = _eval_slots(prog, edges, lat, vals)[-1]
-    ok, _, first = _failures(root, lat, np.array([0, lat[0].size]), 1)  # one block
-    bad = [_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, frame.diamond) for j in first]
-    return CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
+        draws, size = _Draws(seed), samples
+        vals = [[draws.choose(_B_ELEMENTS[l], samples) for l in lat] for _ in atoms]
+    root = _run_lanes(prog, succs, lat, vals, size)
+    ok = reduce(and_, [_num(x.translate(_B_DESIG[l])) for l, x in zip(lat, root)])
+    j = ok.to_bytes(size, "little").find(0)  # the first failing lane
+    rows = [bytes([16 * l]) * size for l in lat]  # each world's table row, as `_witness` reads it
+    bad = [_witness(j, root, rows, vals, worlds, frame.relation, atoms, frame.diamond)] if j >= 0 else []
+    return CheckResult(not bad, bad[0] if bad else None, 1, size)
 
 
 # ------------------------------------------------- characterisation runs

@@ -13,9 +13,9 @@ This module owns the value tables, as Python lists: code tables indexed
 by `Value`, and the 4-bit mask tables derived from them that every
 compiled program runs on.  Formulas compile to a postfix program;
 `eval_formula` runs it on the mask tables over a model's whole world
-axis, one int lane per world.  `frames` builds numpy arrays from the
-same lists on the first frame check and runs the program over a batch of
-valuations per world, so only the frame checks load numpy.
+axis, one int lane per world.  `frames` runs it on the same tables over
+byte lanes to check one frame, and over numpy arrays built from these
+lists on the first sweep, so only the sweeps load numpy.
 """
 
 from __future__ import annotations

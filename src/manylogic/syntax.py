@@ -427,13 +427,20 @@ def layer(g: Formula) -> tuple[Formula, ...]:
     return g._layer
 
 
+# The largest formula, in nodes, that a refusal names by its text:
+# rendering recurses once per level, so a larger one is named by its size.
+MAX_NAMED_SIZE = 256
+
+
 def require_propositional(fs) -> None:
     """Refuse, in order, a non-Formula (TypeError) or a modal formula, named
-    as given: desugaring nested => repeats text exponentially."""
+    as given (desugaring nested => repeats text exponentially) up to
+    MAX_NAMED_SIZE nodes, and past that by its size."""
     for f in fs:
         require_type(f, Formula, "a Formula")
         if f._modal:
-            raise ModalFormulaError(f"modal operator in {to_text(f)}")
+            named = to_text(f) if f._size <= MAX_NAMED_SIZE else f"a formula of {f._size} nodes"
+            raise ModalFormulaError(f"modal operator in {named}")
 
 
 def subformula_closure(fs) -> frozenset[Formula]:

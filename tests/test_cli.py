@@ -164,6 +164,20 @@ def test_check_frame_refuses_sampling_flags_with_exhaustive(capsys, fixtures):
         capsys, "check-frame", frame, "--axiom", "T", "--samples", "10000", "--seed", "0")
 
 
+def test_verify_refuses_an_empty_criterion_or_logic_list(capsys):
+    # both were falsy: each ran the whole pinned checklist and exited 1, and
+    # with --samples the refusal claimed that --logics was missing
+    cases = (
+        (["--only", ""], "--only names no criterion"),
+        (["--only", " "], "--only names no criterion"),
+        (["--logics", ""], "--logics names no logic"),
+        (["--logics", "", "--samples", "5"], "--logics names no logic"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_verify_refuses_a_logic_named_twice(capsys):
     code, out, err = run(capsys, "verify", "--logics", "K3,K3")
     assert (code, out, err) == (2, "", "error: logic 'K3' is named twice\n")

@@ -318,13 +318,11 @@ def test_deep_chains_get_a_value_or_a_typed_error(name):
     f = _deep_chain(_STEPS[name])
     assert syntax.desugar(f) is syntax.desugar(syntax.desugar(f))
     assert copy.copy(f) is f and copy.deepcopy(f) is f
-    calls = []
-    if not f._modal:  # a modal formula is refused with its text, which recurses
-        calls += [
-            lambda: logics.evaluate(K3, f, {"p": V.T0}),
-            lambda: logics.matrix_consequence(K3, [], f),
-        ]
-    if name in ("!", "~"):  # each closure is built before it is refused
+    calls = [
+        lambda: logics.evaluate(K3, f, {"p": V.T0}),
+        lambda: logics.matrix_consequence(K3, [], f),
+    ]
+    if name in ("!", "~", "[]!<>"):  # each closure is built before it is refused
         calls.append(lambda: bivaluations.biv_consequence(K3, [], f))
     for variant in models.DIAMOND_VARIANTS:
         model = Model(("u", "v"), {("u", "v"), ("v", "v")}, {"u": "LETK", "v": "K3"},
@@ -332,3 +330,22 @@ def test_deep_chains_get_a_value_or_a_typed_error(name):
         calls.append(lambda model=model: models.eval_formula(model, "u", f))
     outcomes = [_outcome(call) for call in calls]
     assert "wrong type" not in outcomes, outcomes
+
+
+def test_a_modal_formula_is_named_by_its_text_up_to_the_bound_and_by_its_size_past_it():
+    # the refusal rendered the whole formula: a 5,000-deep ! chain over []p
+    # raised RecursionError from all three calls
+    bound = syntax.MAX_NAMED_SIZE
+    for size in (bound, bound + 1, bound + DEEP):
+        f = syntax.Box(P)
+        while f._size < size:
+            f = syntax.Neg(f)
+        named = "!" * (bound - 2) + "[]p" if size == bound else f"a formula of {size} nodes"
+        for call in (
+            lambda: logics.evaluate(K3, f, {"p": V.T0}),
+            lambda: logics.matrix_consequence(K3, [], f),
+            lambda: bivaluations.biv_consequence(K3, [P], f),
+        ):
+            with pytest.raises(syntax.ModalFormulaError) as err:
+                call()
+            assert str(err.value) == f"modal operator in {named}", size

@@ -2,6 +2,7 @@ import json
 import re
 from dataclasses import replace
 from itertools import product
+from math import isqrt
 from random import Random
 
 import numpy as np
@@ -23,7 +24,7 @@ from manylogic.frames import (
     theorem_suite,
     transitive_closure,
 )
-from manylogic.frames import _Words
+from manylogic.frames import _Draws
 from manylogic.logics import LOGIC_IDS, LOGICS
 from manylogic.models import DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
 from manylogic.syntax import atoms, parse, substitute, to_text
@@ -477,7 +478,7 @@ def no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled check drew or swept before refusing its budget")
 
-    for name in ("Random", "_Words", "_sample_draws", "sweep_schema"):
+    for name in ("Random", "_Draws", "_sample_draws", "sweep_schema"):
         monkeypatch.setattr(frames_mod, name, refuse)
 
 
@@ -547,17 +548,17 @@ def test_birkhoff_masks_fold_like_every_lattice():
                 assert up(np.bitwise_or.reduce(masks)) == lat.join_set(map(lat.up, xs))
 
 
-class _Trickle(_Words):
-    """A word stream that hands out at most 17 more words per peek than
-    the time before, so every refill path of a decoder runs."""
+class _Starved(_Draws):
+    """A decoder that draws at most 17 more words per refill than the time
+    before, so every refill path of `choose` runs."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.step = 0
 
-    def peek(self, count):
+    def _refill(self, count):
         self.step += 17
-        return super().peek(min(count, self.step))
+        super()._refill(min(count, self.step))
 
 
 DRAW_SEEDS = (0, -1, 2**32 + 5, 2**70 + 3)
@@ -572,9 +573,9 @@ def test_word_stream_draws_what_random_draws():
         rng = Random(seed)
         want = [[rng.choice(range(m)) for _ in range(count)] for m, count in runs]
         tail = [rng.choice(range(5)) for _ in range(3)]
-        for words in (_Words(seed), _Trickle(seed)):
-            assert [words.below(m, count).tolist() for m, count in runs] == want, seed
-            assert words.below(5, 3).tolist() == tail  # and it stops where Random stops
+        for draws in (_Draws(seed), _Starved(seed)):
+            assert [list(draws.choose(bytes(range(m)), count)) for m, count in runs] == want, seed
+            assert list(draws.choose(bytes(range(5)), 3)) == tail  # and it stops where Random stops
 
 
 def test_sample_draws_match_random_on_every_logic_set():
@@ -599,6 +600,108 @@ def test_sample_draws_match_random_on_every_logic_set():
                 patterns, logics, picks = _sample_draws(Random(seed), samples, n_worlds, sizes, n_atoms)
                 got = list(zip(patterns.tolist(), logics.tolist(), picks.tolist()))
                 assert got == want, (sizes, n_worlds, n_atoms, samples, seed)
+
+
+# The numpy check of one frame that the byte lanes replaced, with the word
+# decoder and the witness it used, kept as their reference.
+
+class _NumpyWords:
+    """The words `Random(seed)` produces, read in bulk through getrandbits,
+    and what `choice` picks from them: among n items it reads words until
+    one is below n << (32 - k), k = n.bit_length(), and picks it >> (32 - k)."""
+
+    def __init__(self, seed: int):
+        self._rng = Random(seed)
+        self._buf = np.empty(0, dtype=np.uint32)
+        self._pos = 0
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next `count` words, drawing only those not yet drawn."""
+        short = self._pos + count - self._buf.size
+        if short > 0:
+            fresh = self._rng.getrandbits(32 * short).to_bytes(4 * short, "little")
+            self._buf = np.concatenate([self._buf[self._pos:], np.frombuffer(fresh, "<u4")])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + count]
+
+    def below(self, n: int, count: int) -> np.ndarray:
+        """The indices `count` successive `choice` calls on n items pick."""
+        shift = 32 - n.bit_length()
+        parts = []
+        while count:  # enough words for all of them, as a rule
+            w = self.peek(count * (1 << n.bit_length()) // n + 4 * isqrt(count) + 8)
+            hits = np.flatnonzero(w < n << shift)[:count]
+            parts.append(w[hits] >> shift)
+            self._pos += int(hits[-1]) + 1 if hits.size == count else w.size
+            count -= hits.size
+        return np.concatenate(parts)
+
+
+def _numpy_witness(j, root, lat, vals, worlds, relation, atom_names, variant):
+    from manylogic.frames import CODE_OF, DESIG_M, Counterexample
+
+    n = len(worlds)
+    model = Model(
+        worlds,
+        relation,
+        {worlds[w]: LOGIC_IDS[lat[w][j] >> 4] for w in range(n)},
+        {
+            worlds[w]: {atom: V(int(CODE_OF[vals[a][w][j]])) for a, atom in enumerate(atom_names)}
+            for w in range(n)
+        },
+        variant,
+    )
+    w = next(w for w in range(n) if not DESIG_M[lat[w][j] | root[w][j]])
+    return Counterexample(model, worlds[w], V(int(CODE_OF[root[w][j]])))
+
+
+def _numpy_axiom_valid_on_frame(frame, schema, samples=None, seed=DEFAULT_SEED):
+    from manylogic import frames as fr
+
+    succs = fr._world_axis(frame)[1]
+    fr._load()
+    n = len(frame.worlds)
+    edges = [[(u, None, None) for u in succ] for succ in succs]
+    interp = [fr._LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
+    prog = fr.compile_program(schema.template, frame.diamond, schema.atoms)
+    if samples is None:
+        axis = fr._build_axis(n, [interp], len(schema.atoms))
+        lat, vals = axis.lat, axis.vals
+    else:
+        words = _NumpyWords(seed)
+        vals = tuple(
+            tuple(fr.ELEMENT_MASKS[li][words.below(fr.ELEMENT_MASKS[li].size, samples)] for li in interp)
+            for _ in schema.atoms
+        )
+        lat = tuple(np.full(samples, fr.ROW_OF[li]) for li in interp)
+    root = fr._eval_slots(prog, edges, lat, vals)[-1]
+    ok, _, first = fr._failures(root, lat, np.array([0, lat[0].size]), 1)  # one block
+    bad = [_numpy_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, frame.diamond)
+           for j in first]
+    return fr.CheckResult(not bad, bad[0] if bad else None, 1, ok.size)
+
+
+def test_byte_lanes_check_a_frame_as_the_numpy_check_did():
+    # whole results, the witness's JSON text included (its logics in world
+    # order), on seeded frames over every logic, schema and variant:
+    # exhaustive at 1-3 worlds, sampled at 1-8 with 1 to 5,000 samples
+    rng = Random(27)
+    counts, used, k = (1, 2, 47, 300, 5000), set(), 0
+    for schema, variant in product(SCHEMAS.values(), DIAMOND_VARIANTS):
+        for n, samples in [(n, None) for n in (1, 2, 3)] + [(n, counts[(n + k) % 5]) for n in range(1, 9)]:
+            k += 1
+            worlds = tuple(f"w{i}" for i in range(1, n + 1))
+            logics = {w: rng.choice(LOGIC_IDS) for w in worlds}
+            used.update(logics.values())
+            relation = [(u, v) for u in worlds for v in worlds if rng.random() < 0.4]
+            fr = replace(frame(worlds, relation, logics), diamond=variant)
+            seed = rng.choice((rng.randrange(2**32), -rng.randrange(2**40)))
+            got = axiom_valid_on_frame(fr, schema, samples, seed)
+            want = _numpy_axiom_valid_on_frame(fr, schema, samples, seed)
+            assert got == want, (schema.id, variant, n, samples, seed, logics, relation)
+            if not got.valid:
+                assert describe_counterexample(got.counterexample) == describe_counterexample(want.counterexample)
+    assert used == set(LOGIC_IDS)
 
 
 def _int8_eval_slots(prog, succs, lat, vals):

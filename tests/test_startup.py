@@ -1,11 +1,11 @@
 """numpy stays off the import path: importing the package, evaluating
-models, deciding consequence and the clause search run on plain Python,
-and numpy loads on the first frame check.  The numpy tables `frames`
-builds on first use are checked here against the eager build they
-replaced, and the first frame checks against each other when threads
-start them at once.  The result records are NamedTuples, which import
-about five times faster than frozen dataclasses: only the four classes
-that need dataclass fields stay dataclasses."""
+models, deciding consequence, the clause search and checking one frame
+run on plain Python, and numpy loads on the first sweep.  The numpy
+tables `frames` builds on first use are checked here against the eager
+build they replaced, and the first frame checks against each other when
+threads start them at once.  The result records are NamedTuples, which
+import about five times faster than frozen dataclasses: only the four
+classes that need dataclass fields stay dataclasses."""
 
 import json
 import os
@@ -35,7 +35,7 @@ def _python(code: str, *argv: str, returncode: int = 0) -> subprocess.CompletedP
     return done
 
 
-def test_numpy_loads_on_the_first_frame_check():
+def test_numpy_loads_on_the_first_sweep():
     code = """
         import contextlib, io, json, sys
         from pathlib import Path
@@ -60,21 +60,31 @@ def test_numpy_loads_on_the_first_frame_check():
             run("tables", "LP"),
         ]
         imported = "numpy" in sys.modules
+        exhaustive = run("check-frame", str(fixtures / "euclid3.json"), "--axiom", "K", "--exhaustive")
         check = run("check-frame", str(fixtures / "euclid3.json"), "--axiom", "5", "--samples", "300")
+        checked = "numpy" in sys.modules
+        frames.sweep_schema(frames.SCHEMAS["T"], 1, ("K3",))
         tables = {name: getattr(frames, name).tolist() for name in sys.argv[2:]}
-        print(json.dumps({"answers": answers, "imported": imported, "check": check,
-                          "loaded": "numpy" in sys.modules, "tables": tables}))
+        print(json.dumps({"answers": answers, "imported": imported, "exhaustive": exhaustive, "check": check,
+                          "checked": checked, "loaded": "numpy" in sys.modules, "tables": tables}))
     """
     got = json.loads(_python(code, str(FIXTURES), *CODE_TABLES).stdout)
     assert got["imported"] is False
     assert [a[0] for a in got["answers"]] == [0, 0, 0, 0, 0]
     assert got["answers"][0][1] == "b DESIGNATED\n"
-    assert got["loaded"] is True
+    assert got["checked"] is False  # checking one frame, exhaustively or sampled, loads no numpy
+    assert got["loaded"] is True  # a sweep does
+    assert got["exhaustive"] == [0, "VALID (1296 valuations, mode=exhaustive, seed=0)\n"]
+    euclid3 = models.load_frame(FIXTURES / "euclid3.json")
+    witness = models.Model(euclid3.worlds, euclid3.relation, euclid3.logics,
+                           {"w1": {"p": Value.F0}, "w2": {"p": Value.n}, "w3": {"p": Value.F0}})
+    want = "COUNTEREXAMPLE world=w3 value=F0\n" + json.dumps(models.model_to_dict(witness), indent=2) + "\n"
+    assert got["check"] == [1, want]
     alone = _python(
         "import sys; from manylogic.cli import main; sys.exit(main(sys.argv[1:]))",
         "check-frame", str(FIXTURES / "euclid3.json"), "--axiom", "5", "--samples", "300", returncode=1,
     )
-    assert got["check"] == [1, alone.stdout]
+    assert alone.stdout == want
     assert got["tables"] == {name: getattr(frames, name).tolist() for name in CODE_TABLES}
 
 
