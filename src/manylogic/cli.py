@@ -8,7 +8,6 @@ input (flags, files, formulas).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -47,7 +46,7 @@ def _load(path: str, load, validate, noun: str, diamond: str | None):
     except (OSError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load {noun} {path}: {exc}") from None
     if diamond:
-        loaded = dataclasses.replace(loaded, diamond=diamond)
+        loaded = loaded._replace(diamond=diamond)
     report = validate(loaded)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -9,13 +9,12 @@ pair {b, n} has meet F and join T, not F0 and T0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import and_, or_
 from typing import Iterable, NamedTuple
 
-from .values import ManylogicError, Value
+from .values import Frozen, ManylogicError, Value, require_type
 
 V = Value
 
@@ -50,24 +49,23 @@ def base_leq(x: Value, y: Value) -> bool:
     return MASK[x] | MASK[y] == MASK[y]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """A complete lattice over a subset of the six values.
 
     Meets and joins are stored as total two-argument tables computed from
     the restricted order; set-level folds use the complete-lattice
-    conventions meet({}) = top and join({}) = bottom.
+    conventions meet({}) = top and join({}) = bottom.  The tables are
+    private: not printed, and not hashed.
     """
 
-    id: str
-    elements: tuple[Value, ...]
-    members: frozenset[Value]
-    _meet: dict[tuple[Value, Value], Value] = field(repr=False)
-    _join: dict[tuple[Value, Value], Value] = field(repr=False)
-    top: Value = field()
-    bottom: Value = field()
-    _down: dict[Value, Value] = field(repr=False)
-    _up: dict[Value, Value] = field(repr=False)
+    _fields = __slots__ = __match_args__ = (
+        "id", "elements", "members", "_meet", "_join", "top", "bottom", "_down", "_up")
+
+    def __init__(self, id, elements, members, _meet, _join, top, bottom, _down, _up):
+        self._init(id, elements, members, _meet, _join, top, bottom, _down, _up)
+
+    def __hash__(self):
+        return hash((self.id, self.elements))
 
     def _check(self, *xs: Value) -> None:
         for x in xs:
@@ -140,10 +138,14 @@ SUBLATTICE_IDS = tuple(lid for lid in LATTICES if lid != "L6")
 
 
 def down_interpret(x: Value, sub: Lattice) -> Value:
+    require_type(x, Value, "a Value")
+    require_type(sub, Lattice, "a Lattice")
     return sub.down(x)
 
 
 def up_interpret(x: Value, sub: Lattice) -> Value:
+    require_type(x, Value, "a Value")
+    require_type(sub, Lattice, "a Lattice")
     return sub.up(x)
 
 
@@ -176,6 +178,7 @@ def _law(name, pairs) -> LawResult:
 def verify_lattice_laws(sub: Lattice) -> LawReport:
     """Exhaustively check the algebraic laws a sublattice must satisfy
     against the base lattice; each failed law comes with a witness."""
+    require_type(sub, Lattice, "a Lattice")
     base = L6
     results = []
 

@@ -138,22 +138,27 @@ def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
         raise LogicError(f"unknown connective {conn!r}")
     if len(args) != CONNECTIVES[conn]:
         raise LogicError(f"{conn} expects {CONNECTIVES[conn]} arguments")
-    lat = logic.lattice
     for x in args:
         _require_member(x, logic)
+    return _apply(logic, conn, args)
+
+
+def _apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
+    """`apply` on arguments it has checked."""
+    lat = logic.lattice
     if conn == "and":
-        return lat.meet(args[0], args[1])
+        return lat._meet[args[0], args[1]]
     if conn == "or":
-        return lat.join(args[0], args[1])
+        return lat._join[args[0], args[1]]
     if conn == "nabla":
         (x,) = args
-        return apply(logic, "or", [x, apply(logic, "neg", [apply(logic, "circ", [x])])])
+        return _apply(logic, "or", [x, _apply(logic, "neg", [_apply(logic, "circ", [x])])])
     if conn == "impL":
         a, c = args
-        na = apply(logic, "neg", [a])
-        left = apply(logic, "or", [apply(logic, "nabla", [na]), c])
-        right = apply(logic, "or", [apply(logic, "nabla", [c]), na])
-        return apply(logic, "and", [left, right])
+        na = _apply(logic, "neg", [a])
+        left = _apply(logic, "or", [_apply(logic, "nabla", [na]), c])
+        right = _apply(logic, "or", [_apply(logic, "nabla", [c]), na])
+        return _apply(logic, "and", [left, right])
     if conn == "neg":
         snap = twist_neg(SNAPSHOTS[args[0]])
     elif conn == "circ":
@@ -200,9 +205,9 @@ def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
         raise LogicError(f"unknown connective {conn!r}; expected one of {', '.join(CONNECTIVES)}")
     els = logic.lattice.elements
     if CONNECTIVES[conn] == 1:
-        cells = {x: apply(logic, conn, [x]) for x in els}
+        cells = {x: _apply(logic, conn, [x]) for x in els}
     else:
-        cells = {(x, y): apply(logic, conn, [x, y]) for x in els for y in els}
+        cells = {(x, y): _apply(logic, conn, [x, y]) for x in els for y in els}
     return TruthTable(logic.id, conn, els, cells)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Collection, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -31,7 +30,7 @@ from . import syntax
 from .lattices import MASK
 from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
 from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
-from .values import ManylogicError, Value, parse_value, require_type
+from .values import Frozen, ManylogicError, Value, _set, parse_value, require_type
 
 DIAMOND_VARIANTS = ("up", "down", "negbox", "cnegbox")
 
@@ -45,29 +44,25 @@ def _read_only(mapping, noun: str) -> Mapping:
     return MappingProxyType(dict(mapping))
 
 
-@dataclass(frozen=True)
-class _Worlds:
+class _Worlds(Frozen):
     """What a frame and a model share: worlds, relation, a read-only logic
     per world, and what validation and `_world_axis` work out once."""
 
-    worlds: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-    logics: Mapping[str, str]  # world -> logic id, read-only
-    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
-    _axis: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("worlds", "relation", "logics", "_report", "_axis")
+    _fields = __match_args__ = ("worlds", "relation", "logics")
 
-    def __post_init__(self):
-        for value, noun in ((self.worlds, "worlds"), (self.relation, "pairs as the relation")):
+    def __init__(self, worlds: tuple[str, ...], relation: frozenset[tuple[str, str]], logics: Mapping[str, str]):
+        for value, noun in ((worlds, "worlds"), (relation, "pairs as the relation")):
             if not isinstance(value, Collection) or isinstance(value, (str, bytes)):  # not one per char
                 raise TypeError(f"expected a collection of {noun}, got {type(value).__name__}")
         try:  # stored as a tuple and a frozenset, so that equal ones hash alike
-            worlds, relation = tuple(self.worlds), frozenset(self.relation)
+            worlds, relation = tuple(worlds), frozenset(relation)
             hash(worlds)
         except TypeError as exc:
             raise TypeError(f"world names and relation entries must be hashable: {exc}") from None
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "logics", _read_only(self.logics, "a mapping as the logics"))
+        self._init(worlds, relation, _read_only(logics, "a mapping as the logics"))
+        _set(self, "_report", None)
+        _set(self, "_axis", None)
 
     def __hash__(self):  # equal frames and models share worlds and relation
         return hash((self.worlds, self.relation))
@@ -80,32 +75,32 @@ class _Worlds:
         return LOGICS[self.logics[w]]
 
 
-@dataclass(frozen=True)
 class Frame(_Worlds):
-    diamond: str = "up"  # the variant every check on the frame uses
-    __hash__ = _Worlds.__hash__
+    __slots__ = ("diamond",)  # the variant every check on the frame uses
+    _fields = __match_args__ = ("worlds", "relation", "logics", "diamond")
+
+    def __init__(self, worlds, relation, logics, diamond: str = "up"):
+        super().__init__(worlds, relation, logics)
+        _set(self, "diamond", diamond)
 
     def __reduce__(self):  # read-only mappings do not pickle; their contents do
         return Frame, (self.worlds, self.relation, dict(self.logics), self.diamond)
 
 
-@dataclass(frozen=True)
 class Model(_Worlds):
     """A Kripke model.  `logics` and every `valuation` row are read-only
     copies, so the encoding `eval_formula` keeps on the model stays true
     to it."""
 
-    valuation: Mapping[str, Mapping[str, Value]]
-    diamond: str = "up"
-    _encoding: _Encoding | None = field(default=None, init=False, repr=False, compare=False)
-    __hash__ = _Worlds.__hash__
+    __slots__ = ("valuation", "diamond", "_encoding")
+    _fields = __match_args__ = ("worlds", "relation", "logics", "valuation", "diamond")
 
-    def __post_init__(self):
-        super().__post_init__()
-        require_type(self.valuation, Mapping, "a mapping as the valuation")
-        object.__setattr__(self, "valuation", MappingProxyType(
-            {w: _read_only(row, "a mapping as a world's valuation") for w, row in self.valuation.items()}
-        ))
+    def __init__(self, worlds, relation, logics, valuation: Mapping[str, Mapping[str, Value]], diamond: str = "up"):
+        super().__init__(worlds, relation, logics)
+        require_type(valuation, Mapping, "a mapping as the valuation")
+        rows = {w: _read_only(row, "a mapping as a world's valuation") for w, row in valuation.items()}
+        self._init(self.worlds, self.relation, self.logics, MappingProxyType(rows), diamond)
+        _set(self, "_encoding", None)
 
     @property
     def frame(self) -> Frame:
@@ -217,8 +212,8 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 "defaulting to lattice bottom"
             )
     if not errors:
-        object.__setattr__(model, "_axis", (seen, succs))
-    object.__setattr__(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
+        _set(model, "_axis", (seen, succs))
+    _set(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
 
 
@@ -430,10 +425,14 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     query of a formula evaluates it at every world and keeps that row on
     the model, so later queries of it are lookups.  Its program is
     compiled once per process and diamond variant (`_PROGRAMS`)."""
-    enc = model._encoding
+    try:
+        enc = model._encoding
+    except AttributeError:  # checked on a miss, off the path of a kept row
+        require_type(model, Model, "a Model")
+        raise
     if enc is None:
         enc = _Encoding(model)
-        object.__setattr__(model, "_encoding", enc)
+        _set(model, "_encoding", enc)
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")

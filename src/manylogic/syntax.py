@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .values import ManylogicError, require_type
+from .values import Frozen, ManylogicError, _set, require_type
 
 
 class ParseError(ManylogicError):
@@ -44,15 +44,12 @@ class ModalFormulaError(ManylogicError):
 # that parse the same text again.
 _TABLE: dict[tuple, Formula] = {}
 
-_set = object.__setattr__
 
-
-class Formula:
+class Formula(Frozen):
     """An immutable, interned formula node.  Subclasses name their fields
     in `_fields`, in constructor order."""
 
     __slots__ = ("_kids", "_size", "_modal", "_text", "_core", "_layer")
-    _fields: tuple[str, ...] = ()
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -85,23 +82,12 @@ class Formula:
             node = _TABLE.setdefault(key, node)
         return node
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an interned formula")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an interned formula")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # interned: equal nodes are one node
 
     def __deepcopy__(self, memo=None):  # interned and immutable: a copy is the node itself
         return self
 
     __copy__ = __deepcopy__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class Atom(Formula):
@@ -309,7 +295,11 @@ _PREC = {Imp: 1, ImpL: 1, Or: 2, And: 3}  # every other node binds tightest, at 
 def to_text(f: Formula) -> str:
     """The formula in concrete syntax, with the fewest parentheses that
     parse back to it; cached on the node."""
-    text = f._text
+    try:
+        text = f._text
+    except AttributeError:
+        require_type(f, Formula, "a Formula")
+        raise
     if text is None:
         text = _render(f)
         _set(f, "_text", text)
@@ -406,7 +396,11 @@ def desugar(f: Formula) -> Formula:
     inside them is interpreted per logic at evaluation time.  The result
     is cached on f, and the result's own desugaring is itself.
     """
-    return f._core
+    try:
+        return f._core
+    except AttributeError:
+        require_type(f, Formula, "a Formula")
+        raise
 
 
 def substitute(f: Formula, mapping: dict[str, Formula]) -> Formula:

@@ -61,6 +61,46 @@ def require_int(value, noun: str) -> None:
         raise TypeError(f"expected an int as {noun}, got {type(value).__name__}")
 
 
+_set = object.__setattr__
+
+
+class Frozen:
+    """Frozen dataclasses without the import of `dataclasses`: `__init__`
+    sets `_fields`, in constructor order, with `_init`, and instances
+    compare, pickle and `_replace` by them, and print all but the private
+    ones.  Any other slot is a cache, set with `_set`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A new instance with the fields named in `changes` changed; a name
+        that is no field is one argument too many."""
+        return type(self)(*dict(zip(self._fields, self._values()), **changes).values())
+
+
 class SnapshotError(ManylogicError):
     """A triple that names no semantic value."""
 

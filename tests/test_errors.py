@@ -4,7 +4,7 @@ and nothing else comes out of a public entry point, checked by seeded
 fuzzing of directly built objects and junk arguments."""
 
 from collections import Counter
-from dataclasses import replace
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -89,6 +89,57 @@ def test_a_wrong_argument_type_is_a_type_error_naming_what_was_expected(call, me
     with pytest.raises(TypeError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _public_calls() -> dict:
+    """Arguments each public function accepts, each cheap to run."""
+    n3w = lattices.LATTICES["N3w"]
+    frame = Frame(("w1",), frozenset({("w1", "w1")}), {"w1": "K3"})
+    model = Model(("w1",), frozenset({("w1", "w1")}), {"w1": "K3"}, {"w1": {"p": V.n}})
+    fixtures = Path(__file__).resolve().parent.parent / "src" / "manylogic" / "fixtures"
+    return {
+        "apply": (K3, "neg", [V.n]),
+        "axiom_valid_on_frame": (frame, SCHEMAS["T"], 5, 0),
+        "biv_consequence": (K3, [P], P, "printed"),
+        "check_clauses": (K3, {P: 1}, "printed"),
+        "correspondence_check": (LOGICS["CLW"], "printed"),
+        "desugar": (P,),
+        "down_interpret": (V.n, n3w),
+        "eval_formula": (model, "w1", P),
+        "frame_properties": (frame,),
+        "holds": (model, "w1", P),
+        "load_frame": (str(fixtures / "euclid3.json"),),
+        "load_model": (str(fixtures / "ex1.json"),),
+        "matrix_consequence": (K3, [P], P),
+        "parse": ("p",),
+        "snapshot_of": ({P: 1, syntax.Neg(P): 0, syntax.Circ(P): 1}, P),
+        "subformula_closure": ([P],),
+        "theorem_suite": (("K3",), ("K3",), 20, 0),
+        "to_text": (P,),
+        "truth_table": (K3, "neg"),
+        "up_interpret": (V.n, n3w),
+        "validate": (model,),
+        "verify_lattice_laws": (n3w,),
+    }
+
+
+def test_every_public_function_refuses_a_wrong_argument_type_with_a_typed_error():
+    # one argument at a time, then all, is junk; a str where a str belongs
+    # is refused as bad content or accepted, and a path names no file
+    calls = _public_calls()
+    assert set(calls) == {name for name in manylogic.__all__ if type(getattr(manylogic, name)).__name__ == "function"}
+    for name, args in calls.items():
+        fn = getattr(manylogic, name)
+        fn(*args)
+        for junk in ("p", None, 7, b"p", object(), ["p"], {"p": 1}):
+            for i in range(len(args) + 1):
+                wrong = [junk] * len(args) if i == len(args) else [*args[:i], junk, *args[i + 1:]]
+                try:
+                    fn(*wrong)
+                except (TypeError, ManylogicError):
+                    pass
+                except OSError:
+                    assert name in ("load_frame", "load_model"), (name, wrong)
 
 
 def test_relation_ends_of_mixed_types_are_validation_errors():
@@ -233,7 +284,7 @@ def test_fuzzed_models_and_frames_raise_only_typed_errors():
             assert not (ok and isinstance(f, syntax.Formula) and outcome == "wrong type"), kw
         for call in (
             lambda: frames.frame_properties(frame),
-            lambda: frames.axiom_valid_on_frame(replace(frame, diamond=diamond), schema, samples, 1),
+            lambda: frames.axiom_valid_on_frame(frame._replace(diamond=diamond), schema, samples, 1),
         ):
             seen[_outcome(call)] += 1
     assert valid and len(seen) == 4, (valid, seen)  # every outcome was reached

@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 from itertools import product
 from math import isqrt
 from random import Random
@@ -231,7 +230,7 @@ def test_sampled_counterexamples_match_the_goldens():
 def test_axiom5_fixture_and_variants(fixtures):
     fr = load_frame(fixtures / "euclid3.json")
     assert frame_properties(fr).euclidean
-    res = axiom_valid_on_frame(replace(fr, diamond="down"), SCHEMAS["5"])
+    res = axiom_valid_on_frame(fr._replace(diamond="down"), SCHEMAS["5"])
     assert not res.valid
     assert res.counterexample.world == "w1"
     assert res.counterexample.value == V.F0
@@ -252,7 +251,7 @@ def test_a_frame_check_reads_the_frames_diamond(fixtures, tmp_path):
     for samples in (None, 300):
         assert axiom_valid_on_frame(fr, SCHEMAS["5"], samples).valid
         for variant in ("up", "down", "negbox"):
-            res = axiom_valid_on_frame(replace(fr, diamond=variant), SCHEMAS["5"], samples)
+            res = axiom_valid_on_frame(fr._replace(diamond=variant), SCHEMAS["5"], samples)
             assert not res.valid
             assert res.counterexample.model.diamond == variant
             ce = res.counterexample
@@ -694,7 +693,7 @@ def test_byte_lanes_check_a_frame_as_the_numpy_check_did():
             logics = {w: rng.choice(LOGIC_IDS) for w in worlds}
             used.update(logics.values())
             relation = [(u, v) for u in worlds for v in worlds if rng.random() < 0.4]
-            fr = replace(frame(worlds, relation, logics), diamond=variant)
+            fr = frame(worlds, relation, logics)._replace(diamond=variant)
             seed = rng.choice((rng.randrange(2**32), -rng.randrange(2**40)))
             got = axiom_valid_on_frame(fr, schema, samples, seed)
             want = _numpy_axiom_valid_on_frame(fr, schema, samples, seed)

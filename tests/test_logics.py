@@ -107,6 +107,39 @@ def test_truth_table_render_golden():
     )
 
 
+def _checked(logic, conn, args):
+    """A cell as `apply` worked it out before its checks moved out of the
+    recursion: every step through the public, checked calls."""
+    if conn == "nabla":
+        (x,) = args
+        return apply(logic, "or", [x, apply(logic, "neg", [apply(logic, "circ", [x])])])
+    if conn == "impL":
+        a, c = args
+        na = apply(logic, "neg", [a])
+        left = apply(logic, "or", [_checked(logic, "nabla", [na]), c])
+        right = apply(logic, "or", [_checked(logic, "nabla", [c]), na])
+        return apply(logic, "and", [left, right])
+    if conn in ("and", "or"):
+        return getattr(logic.lattice, "meet" if conn == "and" else "join")(*args)
+    return apply(logic, conn, args)
+
+
+def test_all_63_truth_tables_match_apply_cell_by_cell():
+    tables = 0
+    for logic in LOGICS.values():
+        els = logic.lattice.elements
+        for conn, arity in CONNECTIVES.items():
+            table = truth_table(logic, conn)
+            cells = list(product(els, repeat=arity))
+            assert list(table.cells) == [c[0] if arity == 1 else c for c in cells]
+            for c in cells:
+                key = c[0] if arity == 1 else c
+                want = apply(logic, conn, list(c))
+                assert table.cells[key] == want == _checked(logic, conn, list(c)), (logic.id, conn, c)
+            tables += 1
+    assert tables == 63
+
+
 def test_nabla_and_chain_imp_tables():
     nabla_j3 = truth_table(LOGICS["J3"], "nabla").cells
     assert {str(k): str(v) for k, v in nabla_j3.items()} == {"T": "T", "b": "T", "F": "F"}

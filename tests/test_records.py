@@ -7,7 +7,7 @@ methods and properties, refusal of assignment, and a pickle round trip."""
 from __future__ import annotations
 
 import pickle
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -279,7 +279,7 @@ def _samples() -> list:
     invalid = models.Model(("w1",), [("w1", "w2")], {"w1": "K3"}, {"w1": {"p": Value.b}})
     frames._load()  # binds numpy for _build_axis
     suite = frames.theorem_suite(logic_ids=("K3",), five_c_logic_ids=("K3",), samples=50)
-    refuted = frames.axiom_valid_on_frame(replace(euclid3, diamond="down"), frames.SCHEMAS["5"])
+    refuted = frames.axiom_valid_on_frame(euclid3._replace(diamond="down"), frames.SCHEMAS["5"])
     return [
         bivaluations.check_clauses(k3, dict.fromkeys(closure, 0)),
         bivaluations.check_clauses(k3, dict.fromkeys(closure, 1)),

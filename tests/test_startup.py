@@ -3,9 +3,9 @@ models, deciding consequence, the clause search and checking one frame
 run on plain Python, and numpy loads on the first sweep.  The numpy
 tables `frames` builds on first use are checked here against the eager
 build they replaced, and the first frame checks against each other when
-threads start them at once.  The result records are NamedTuples, which
-import about five times faster than frozen dataclasses: only the four
-classes that need dataclass fields stay dataclasses."""
+threads start them at once.  No class is a dataclass, so no command
+loads `dataclasses`, nor the `inspect` it imports, which only numpy
+brings in."""
 
 import json
 import os
@@ -88,15 +88,38 @@ def test_numpy_loads_on_the_first_sweep():
     assert got["tables"] == {name: getattr(frames, name).tolist() for name in CODE_TABLES}
 
 
-def test_only_four_classes_are_dataclasses():
+def test_no_command_loads_dataclasses_or_inspect():
     code = """
-        import dataclasses, sys
+        import contextlib, io, sys
+        from pathlib import Path
+
         import manylogic.cli, manylogic.verify
 
-        print(sorted({v.__qualname__ for name, mod in sys.modules.items() if name.split(".")[0] == "manylogic"
-                      for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}))
+        loaded = [sorted({"dataclasses", "inspect"} & set(sys.modules))]
+        fixtures = Path(sys.argv[1])
+        commands = (
+            ("eval", str(fixtures / "diamond-compare.json"), "--world", "w1", "--formula", "<>p", "--diamond", "down"),
+            ("consequence", "LETK", "--premises", "p,p -> q", "--conclusion", "q"),
+            ("biv-consequence", "LP", "--premises", "", "--conclusion", "p | !p"),
+            ("tables", "LP"),
+            ("check-frame", str(fixtures / "euclid3.json"), "--axiom", "5", "--samples", "300"),
+            ("tables", "K4"),
+        )
+        codes = []
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    codes.append(manylogic.cli.main(list(argv)))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        loaded.append(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+        import dataclasses  # only now, to ask of every class in the package
+
+        found = sorted({v.__qualname__ for name, mod in sys.modules.items() if name.split(".")[0] == "manylogic"
+                        for v in vars(mod).values() if isinstance(v, type) and dataclasses.is_dataclass(v)})
+        print(codes, loaded, found)
     """
-    assert _python(code).stdout == "['Frame', 'Lattice', 'Model', '_Worlds']\n"
+    assert _python(code, str(FIXTURES)).stdout == "[0, 0, 0, 0, 1, 2] [[], []] []\n"
 
 
 def _eager_tables() -> dict:
