@@ -15,9 +15,10 @@ evaluation reads it off the model, and runs on byte lanes without numpy
 (`_run_lanes`), decoding its draws from the words in bulk (`_Draws`).
 
 This module owns the numpy and the byte forms of the value tables, which
-`models` keeps as lists (`MEET_T`, `MASK_OF`, `DOWN_M`, ...).  Importing
-it does not import numpy: the first sweep imports numpy and builds the
-arrays (`_load`).  Their names stay readable here as module attributes.
+`models` keeps as lists (`MEET_T`, `DOWN_M`, ...); the sweeps' lanes are
+byte rows that numpy views.  Importing it does not import numpy: the
+first sweep imports numpy and builds the arrays (`_load`).  Their names
+stay readable here as module attributes.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ from .values import ManylogicError, Value, require_int, require_type
 
 DEFAULT_SEED = 0
 
-# The value tables as numpy arrays, for the batched runner.  ROW_OF maps
-# a logic index to its row in the flat tables; 16-bit lanes index the
-# tables faster than 64-bit ones, and every index fits.
-_NUMPY_NAMES = frozenset(models._CODE_TABLES) | {
-    "MASK_OF", "CODE_OF", "DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M",
-    "ROW_OF", "ELEMENT_MASKS",
-}
+# The value tables as numpy arrays, for the batched runner: the code
+# tables and the mask tables of `models`.
+_NUMPY_NAMES = frozenset(models._CODE_TABLES) | {"DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M"}
 _NUMPY_LOCK = threading.Lock()
 _CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}; bound by _load
 
@@ -65,20 +62,15 @@ def _numpy_tables() -> dict:
     `models`, with `_CLASSICAL_WINDOW` last."""
     import numpy as np
 
-    tables, code = models._CODE_TABLES, models._CODE
-    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8) for name, t in tables.items()}
-    mask_of = out["MASK_OF"] = np.array(MASK, dtype=np.uint8)
-    out["CODE_OF"] = np.array(code, dtype=np.int8)
+    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8) for name, t in models._CODE_TABLES.items()}
     for name, flat in (("DOWN_M", models._DOWN), ("UP_M", models._UP),
                        ("CIRC_M", models._CIRC), ("NEG_M", models._NEG)):
         out[name] = np.array(flat, dtype=np.uint8)
     out["IMP_M"] = np.array(models._IMP, dtype=np.uint8).ravel()
-    out["DESIG_M"] = np.array([row[c] for row in tables["DESIG_T"] for c in code], dtype=bool)
-    out["ROW_OF"] = 16 * np.arange(len(LOGIC_IDS), dtype=np.int16)
-    out["ELEMENT_MASKS"] = [mask_of[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
+    out["DESIG_M"] = np.array(_DESIG, dtype=bool)
     out["np"] = np
     window = np.zeros(16, dtype=bool)
-    window[mask_of[[Value.T, Value.T0, Value.F0, Value.F]]] = True
+    window[[MASK[v] for v in (Value.T, Value.T0, Value.F0, Value.F)]] = True
     out["_CLASSICAL_WINDOW"] = window  # bound last: a thread that sees it sees the rest
     return out
 
@@ -238,32 +230,30 @@ class _Axis(NamedTuple):
     vals: tuple  # vals[a][w]: masks over the axis
 
 
+def _grid(dims) -> tuple[int, list[bytes]]:
+    """Every combination of one byte from each of dims, the first dimension
+    varying slowest: their count, and one row a dimension holding its byte
+    in each combination."""
+    count, rows, outer = prod(map(len, dims)), [], 1
+    for d in dims:
+        outer *= len(d)
+        rows.append(b"".join(bytes([e]) * (count // outer) for e in d) * (outer // len(d)))
+    return count, rows
+
+
 def _build_axis(n_worlds: int, interps, atoms: int) -> _Axis:
     """One block per logic assignment in interps, holding every valuation
-    of `atoms` atoms under that assignment."""
-    interps = tuple(interps)
-    lat_parts = [[] for _ in range(n_worlds)]
-    val_parts = [[[] for _ in range(n_worlds)] for _ in range(atoms)]
-    bounds = [0]
+    of `atoms` atoms under that assignment.  Each block's lanes are byte
+    rows, joined across blocks and viewed by numpy; the table rows are
+    int16, since 16-bit lanes index the tables faster than 64-bit ones."""
+    interps, blocks = tuple(interps), []
     for interp in interps:
-        dims = [ELEMENT_MASKS[interp[w]] for _ in range(atoms) for w in range(n_worlds)]
-        count = int(np.prod([d.size for d in dims]))
-        grids = np.meshgrid(*dims, indexing="ij") if dims else []
-        flat = [g.reshape(-1) for g in grids]
-        k = 0
-        for a in range(atoms):
-            for w in range(n_worlds):
-                val_parts[a][w].append(flat[k])
-                k += 1
-        for w in range(n_worlds):
-            lat_parts[w].append(np.full(count, ROW_OF[interp[w]]))
-        bounds.append(bounds[-1] + count)
-    lat = tuple(np.concatenate(parts) for parts in lat_parts)
-    vals = tuple(
-        tuple(np.concatenate(val_parts[a][w]) for w in range(n_worlds))
-        for a in range(atoms)
-    )
-    return _Axis(interps, np.array(bounds), lat, vals)
+        count, rows = _grid([_B_ELEMENTS[interp[w]] for _ in range(atoms) for w in range(n_worlds)])
+        blocks.append([bytes([16 * l]) * count for l in interp] + rows)
+    lanes = [np.frombuffer(b"".join(col), np.uint8) for col in zip(*blocks)]
+    lat = tuple(x.astype(np.int16) for x in lanes[:n_worlds])
+    vals = tuple(tuple(lanes[k:k + n_worlds]) for k in range(n_worlds, len(lanes), n_worlds))
+    return _Axis(interps, np.cumsum([0] + [len(b[0]) for b in blocks]), lat, vals)
 
 
 def _world_names(n: int) -> tuple[str, ...]:
@@ -439,24 +429,27 @@ def sweep_schema(
     return SweepOutcome(frames, models, tuple(bad))
 
 
-def _sample_draws(rng: Random, samples: int, n_worlds: int, sizes, n_atoms: int):
+def _sample_draws(rng: Random, samples: int, n_worlds: int, logic_indices, n_atoms: int):
     """What `samples` successive samples draw from rng.  Each draws a
     relation bit per world pair, in row-major order, with `random() < 0.5`;
-    then for every world a `choice` among len(sizes) logics; then for every
-    atom and world a `choice` among the sizes[c] elements of the world's
-    logic c.  Returns the relation bit patterns, the logic choices (sample,
-    world) and the element choices (sample, atom, world)."""
+    then for every world a `choice` among the table rows of the logics in
+    logic_indices; then for every atom and world a `choice` among the masks
+    of the world's logic.  Returns the relation bit patterns, each world's
+    table rows over the samples, and each atom's masks at each world, the
+    rows and masks as bytes."""
     random, choice = rng.random, rng.choice
-    logics, elements = range(len(sizes)), [range(m) for m in sizes]
+    rows = [16 * li for li in logic_indices]
+    elements = {16 * li: _B_ELEMENTS[li] for li in logic_indices}
     patterns, picks = [], []
     for _ in range(samples):
         patterns.append(sum(1 << t for t in range(n_worlds * n_worlds) if random() < 0.5))
-        row = [choice(logics) for _ in range(n_worlds)]
+        row = [choice(rows) for _ in range(n_worlds)]
         picks += row
         for _ in range(n_atoms):
-            picks += [choice(elements[c]) for c in row]
-    picks = np.array(picks, dtype=np.intp).reshape(samples, 1 + n_atoms, n_worlds)
-    return np.array(patterns), picks[:, 0], picks[:, 1:]
+            picks += [choice(elements[r]) for r in row]
+    stride = (1 + n_atoms) * n_worlds  # the picks of one sample
+    lanes = [bytes(picks[k::stride]) for k in range(stride)]
+    return patterns, lanes[:n_worlds], [lanes[k:k + n_worlds] for k in range(n_worlds, stride, n_worlds)]
 
 
 def sample_schema(
@@ -481,31 +474,23 @@ def sample_schema(
     logic_indices = _logic_indices(logic_ids)
     _load()
     prog = compile_program(schema.template, variant, schema.atoms)
-    n_atoms = len(schema.atoms)
-    sizes = [ELEMENT_MASKS[li].size for li in logic_indices]
-    patterns, choices, picks = _sample_draws(Random(seed), samples, n_worlds, sizes, n_atoms)
-    # each distinct drawn relation closed once; bit i*n+j of a pattern is i->j
+    patterns, rows, masks = _sample_draws(Random(seed), samples, n_worlds, logic_indices, len(schema.atoms))
+    # each distinct drawn relation closed once, in draw order; bit i*n+j of a pattern is i->j
     pairs = [(i, j) for i in range(n_worlds) for j in range(n_worlds)]
-    drawn, which = np.unique(patterns, return_inverse=True)
-    rels = [frozenset(p for t, p in enumerate(pairs) if pat >> t & 1) for pat in drawn.tolist()]
+    drawn: dict = {}
+    which = np.array([drawn.setdefault(pat, len(drawn)) for pat in patterns])
+    rels = [frozenset(p for t, p in enumerate(pairs) if pat >> t & 1) for pat in drawn]
     if relation_transform is not None:
         rels = [relation_transform(rel, n_worlds) for rel in rels]
-    closed = np.array([sum(1 << (i * n_worlds + j) for i, j in rel) for rel in rels])[which]
     edges = [[] for _ in range(n_worlds)]
-    for t, (i, j) in enumerate(pairs):
-        present = (closed >> t & 1).astype(np.uint8) * 15
+    for i, j in pairs:
+        present = np.array([15 * ((i, j) in rel) for rel in rels], dtype=np.uint8)[which]
         if present.all():
             edges[i].append((j, None, None))
         elif present.any():
             edges[i].append((j, present, present ^ 15))
-    masks = np.zeros((len(sizes), max(sizes)), dtype=np.uint8)
-    for c, li in enumerate(logic_indices):
-        masks[c, :sizes[c]] = ELEMENT_MASKS[li]
-    lat = tuple(ROW_OF[logic_indices][choices[:, w]] for w in range(n_worlds))
-    vals = tuple(
-        tuple(masks[choices[:, w], picks[:, a, w]] for w in range(n_worlds))
-        for a in range(n_atoms)
-    )
+    lat = tuple(np.frombuffer(r, np.uint8).astype(np.int16) for r in rows)
+    vals = tuple(tuple(np.frombuffer(m, np.uint8) for m in at) for at in masks)
     root = _eval_slots(prog, edges, lat, vals)[-1]
     worlds = _world_names(n_worlds)
     bad = tuple(
@@ -611,11 +596,7 @@ def axiom_valid_on_frame(
     if samples is None:
         if len(worlds) > 3:
             raise BudgetError("exhaustive mode is limited to 3 worlds")
-        dims = [_B_ELEMENTS[l] for _ in atoms for l in lat]
-        size, flat, outer = prod(map(len, dims)), [], 1
-        for d in dims:  # in `_build_axis`'s order: the first dimension varies slowest
-            outer *= len(d)
-            flat.append(b"".join(bytes([e]) * (size // outer) for e in d) * (outer // len(d)))
+        size, flat = _grid([_B_ELEMENTS[l] for _ in atoms for l in lat])
         vals = [flat[k:k + len(lat)] for k in range(0, len(flat), len(lat))]
     else:
         _require_samples(samples)
@@ -738,8 +719,7 @@ def duality_check(logic_ids=LOGIC_IDS) -> DualityReport:
                         j = int(np.argmin(same))
                         mismatches.append(
                             f"A={text} rel={sorted(rel)} world=w{w + 1} "
-                            f"<>A={Value(int(CODE_OF[a[w][j]]))} "
-                            f"!box!A={Value(int(CODE_OF[c[w][j]]))}"
+                            f"<>A={_VALUE_OF[a[w][j]]} !box!A={_VALUE_OF[c[w][j]]}"
                         )
     return DualityReport(tuple(mismatches), models)
 

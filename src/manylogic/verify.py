@@ -15,7 +15,7 @@ from . import bivaluations, frames, lattices, models, syntax
 from .lattices import LATTICES, SUBLATTICE_IDS, verify_lattice_laws
 from .logics import LOGIC_IDS, LOGICS, apply, matrix_consequence, truth_table
 from .syntax import Atom, parse
-from .values import Value, parse_value
+from .values import ManylogicError, Value, parse_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -431,14 +431,19 @@ ALL_CHECKS = (
 )
 
 
+class CriterionError(ManylogicError):
+    """A criterion id that names no check of the checklist."""
+
+
 def run_all(only: set[str] | None = None) -> list[CheckOutcome]:
-    outcomes = []
-    for check in ALL_CHECKS:
-        cid = check.__name__.split("_")[0].upper()
-        if only and cid not in only:
-            continue
-        outcomes.append(check())
-    return outcomes
+    """The outcomes of the checks whose ids `only` holds (of every check
+    when it is None), in checklist order; CriterionError, before any
+    check runs, for an id that names no check."""
+    checks = {check.__name__.split("_")[0].upper(): check for check in ALL_CHECKS}
+    unknown = sorted(map(repr, set(only) - checks.keys())) if only is not None else []
+    if unknown:
+        raise CriterionError(f"unknown criterion {unknown[0]}; expected one of {', '.join(checks)}")
+    return [check() for cid, check in checks.items() if only is None or cid in only]
 
 
 def render(outcomes) -> str:

@@ -178,6 +178,41 @@ def test_verify_refuses_an_empty_criterion_or_logic_list(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
+CRITERIA = ", ".join(f"AC{i}" for i in range(1, 13))
+
+
+def test_verify_refuses_a_criterion_id_that_names_no_criterion(capsys):
+    # an unknown id beside a known one, and the empty id after a trailing
+    # comma, were dropped: only AC1 ran, "1/1 criteria pass", exit 0
+    cases = (("AC1,AC99", "'AC99'"), ("AC1,", "''"), ("nope", "'NOPE'"), ("AC99,AC3,AC12,AC100", "'AC100'"))
+    for only, bad in cases:
+        code, out, err = run(capsys, "verify", "--only", only)
+        assert (code, out, err) == (2, "", f"error: unknown criterion {bad}; expected one of {CRITERIA}\n"), only
+
+
+def test_run_all_refuses_an_unknown_id_before_any_check_runs(monkeypatch):
+    from manylogic import verify
+    from manylogic.values import ManylogicError
+
+    ran = []
+
+    def check(cid):
+        def run_check():
+            ran.append(cid)
+            return cid
+        run_check.__name__ = f"{cid.lower()}_check"
+        return run_check
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(check(f"AC{i}") for i in range(1, 13)))
+    for only in ({"nope"}, {"AC1", "AC99"}, {"AC2", ""}):
+        with pytest.raises(verify.CriterionError, match=f"^unknown criterion '(nope|AC99|)'; expected one of {CRITERIA}$"):
+            verify.run_all(only)
+    assert issubclass(verify.CriterionError, ManylogicError) and ran == []
+    assert verify.run_all({"AC12", "AC3"}) == ["AC3", "AC12"]  # checklist order
+    assert verify.run_all(None) == [f"AC{i}" for i in range(1, 13)]
+    assert verify.run_all(set()) == []
+
+
 def test_verify_refuses_a_logic_named_twice(capsys):
     code, out, err = run(capsys, "verify", "--logics", "K3,K3")
     assert (code, out, err) == (2, "", "error: logic 'K3' is named twice\n")

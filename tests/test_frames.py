@@ -24,10 +24,18 @@ from manylogic.frames import (
     transitive_closure,
 )
 from manylogic.frames import _Draws
+from manylogic.lattices import MASK
 from manylogic.logics import LOGIC_IDS, LOGICS
-from manylogic.models import DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
+from manylogic.models import _CODE, DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
 from manylogic.syntax import atoms, parse, substitute, to_text
 from manylogic.values import Value as V
+
+# numpy views of the mask encoding, built from the one form the package
+# keeps: each value's mask by code, each mask's value code, and each
+# logic's elements as masks (a logic's table row is 16 * its index)
+MASK_OF = np.array(MASK, dtype=np.uint8)
+CODE_OF = np.array(_CODE, dtype=np.int8)
+ELEMENT_MASKS = [MASK_OF[[int(v) for v in LOGICS[lid].lattice.elements]] for lid in LOGIC_IDS]
 
 
 def frame(worlds, relation, logics):
@@ -380,7 +388,7 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
     # one world that has no successors
     from test_models import reference_eval
 
-    from manylogic.frames import CODE_OF, MASK_OF, ROW_OF, _LOGIC_INDEX, _eval_slots, compile_program
+    from manylogic.frames import _LOGIC_INDEX, _eval_slots, compile_program
 
     rng = Random(23)
     texts = ("p", "!q", "[]p", "<>q", "[](p -> q) -> ([]p -> []q)",
@@ -408,7 +416,7 @@ def test_program_evaluator_agrees_with_the_model_evaluator():
             }
             for _ in range(batch)
         ]
-        lat = [np.full(batch, ROW_OF[_LOGIC_INDEX[l]]) for l in lids]
+        lat = [np.full(batch, 16 * _LOGIC_INDEX[l], dtype=np.int16) for l in lids]
         vals = [
             [MASK_OF[[int(v[worlds[w]][a]) for v in valuations]] for w in range(n)]
             for a in ("p", "q")
@@ -521,17 +529,17 @@ def test_birkhoff_masks_fold_like_every_lattice():
     # and up(0) the bottom
     from itertools import combinations_with_replacement
 
-    from manylogic.frames import CODE_OF, DOWN_M, MASK_OF, ROW_OF, UP_M
+    from manylogic.frames import DOWN_M, UP_M
 
     assert MASK_OF[[V.F, V.F0, V.n, V.b, V.T0, V.T]].tolist() == [0, 1, 3, 5, 7, 15]
     for li, lid in enumerate(LOGIC_IDS):
         lat = LOGICS[lid].lattice
 
         def down(m):
-            return V(int(CODE_OF[DOWN_M[ROW_OF[li] | m]]))
+            return V(int(CODE_OF[DOWN_M[16 * li | m]]))
 
         def up(m):
-            return V(int(CODE_OF[UP_M[ROW_OF[li] | m]]))
+            return V(int(CODE_OF[UP_M[16 * li | m]]))
 
         assert down(15) == lat.top and up(0) == lat.bottom
         for k in range(1, 5):
@@ -578,12 +586,14 @@ def test_word_stream_draws_what_random_draws():
 
 
 def test_sample_draws_match_random_on_every_logic_set():
-    from manylogic.frames import ELEMENT_MASKS, _sample_draws
+    # each lane's table row and mask, drawn from logic indices, are what
+    # Random picks among the logics and then among the world's elements
+    from manylogic.frames import _sample_draws
 
-    sizes_of = [m.size for m in ELEMENT_MASKS]  # lattice sizes 6, 4, 3 and 2
     rng = Random(17)
     for k in range(1, 10):
-        sizes = [sizes_of[i] for i in rng.sample(range(9), k)]
+        indices = rng.sample(range(9), k)
+        sizes = [ELEMENT_MASKS[i].size for i in indices]  # lattice sizes 6, 4, 3 and 2
         shapes = [(1, 1, 1), (2, 2, 7), (3, 1, 400), (3, 2, 60)]
         if k == 9:
             shapes.append((3, 2, 3000))  # a long run of draws
@@ -595,10 +605,84 @@ def test_sample_draws_match_random_on_every_logic_set():
                     bits = [ref.random() < 0.5 for _ in range(n_worlds * n_worlds)]
                     logic = [ref.choice(range(k)) for _ in range(n_worlds)]
                     picks = [[ref.choice(range(sizes[c])) for c in logic] for _ in range(n_atoms)]
-                    want.append((sum(b << t for t, b in enumerate(bits)), logic, picks))
-                patterns, logics, picks = _sample_draws(Random(seed), samples, n_worlds, sizes, n_atoms)
-                got = list(zip(patterns.tolist(), logics.tolist(), picks.tolist()))
-                assert got == want, (sizes, n_worlds, n_atoms, samples, seed)
+                    want.append((
+                        sum(b << t for t, b in enumerate(bits)),
+                        [16 * indices[c] for c in logic],
+                        [[int(ELEMENT_MASKS[indices[c]][e]) for c, e in zip(logic, at)] for at in picks],
+                    ))
+                patterns, rows, masks = _sample_draws(Random(seed), samples, n_worlds, indices, n_atoms)
+                assert all(type(r) is bytes for r in rows) and all(type(m) is bytes for at in masks for m in at)
+                got = [
+                    (patterns[j], [r[j] for r in rows], [[m[j] for m in at] for at in masks])
+                    for j in range(samples)
+                ]
+                assert got == want, (indices, n_worlds, n_atoms, samples, seed)
+
+
+def _meshgrid_axis(n_worlds, interps, atoms):
+    """The axis builder on numpy's meshgrid that the byte grid replaced,
+    kept as its reference: (interps, bounds, lat, vals) as `_Axis` holds
+    them."""
+    interps = tuple(interps)
+    lat_parts = [[] for _ in range(n_worlds)]
+    val_parts = [[[] for _ in range(n_worlds)] for _ in range(atoms)]
+    bounds = [0]
+    for interp in interps:
+        dims = [ELEMENT_MASKS[interp[w]] for _ in range(atoms) for w in range(n_worlds)]
+        count = int(np.prod([d.size for d in dims]))
+        grids = np.meshgrid(*dims, indexing="ij") if dims else []
+        flat = [g.reshape(-1) for g in grids]
+        k = 0
+        for a in range(atoms):
+            for w in range(n_worlds):
+                val_parts[a][w].append(flat[k])
+                k += 1
+        for w in range(n_worlds):
+            lat_parts[w].append(np.full(count, 16 * interp[w], dtype=np.int16))
+        bounds.append(bounds[-1] + count)
+    lat = tuple(np.concatenate(parts) for parts in lat_parts)
+    vals = tuple(
+        tuple(np.concatenate(val_parts[a][w]) for w in range(n_worlds))
+        for a in range(atoms)
+    )
+    return interps, np.array(bounds), lat, vals
+
+
+def test_byte_grid_axis_matches_the_meshgrid_axis():
+    # interps, bounds, the int16 table rows and the uint8 masks, exactly,
+    # at 1-3 worlds, 0-2 atoms and logic sets of one to all nine logics
+    from manylogic.frames import _build_axis, _load
+
+    _load()
+    rng = Random(41)
+    sets = [tuple(rng.sample(range(9), k)) for k in range(1, 10)]
+    for n, atoms, indices in product((1, 2, 3), (0, 1, 2), sets):
+        if n == 3 and atoms == 2 and len(indices) > 4:  # 112**3 lanes over all nine
+            continue
+        got = _build_axis(n, product(indices, repeat=n), atoms)
+        want = _meshgrid_axis(n, product(indices, repeat=n), atoms)
+        case = (n, atoms, indices)
+        assert got.interps == want[0], case
+        assert got.bounds.tolist() == want[1].tolist(), case
+        for g, w in zip(got.lat + sum(got.vals, ()), want[2] + sum(want[3], ())):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape) and np.array_equal(g, w), case
+        assert [x.dtype for x in got.lat] == [np.int16] * n, case
+        assert [x.dtype for at in got.vals for x in at] == [np.uint8] * n * atoms, case
+
+
+@pytest.mark.parametrize("n_worlds", (7, 8, 9))
+def test_sampled_checks_run_at_every_world_count(n_worlds):
+    # at 8 worlds the 64-bit relation patterns became float64 in numpy and
+    # the check raised TypeError; every counterexample replays
+    for schema, closure in ((SCHEMAS["T"], None), (SCHEMAS["4"], transitive_closure), (SCHEMAS["5"], None)):
+        out = sample_schema(schema, n_worlds, ("LETK", "K3", "LP", "CLS"), samples=300, seed=n_worlds,
+                            relation_transform=closure, max_counterexamples=3)
+        assert out.models_checked == out.frames_checked == 300
+        assert out.counterexamples, schema.id
+        for ce in out.counterexamples:
+            assert len(ce.model.worlds) == n_worlds
+            got = eval_formula(ce.model, ce.world, schema.template)
+            assert got == ce.value and not ce.model.logic(ce.world).is_designated(got), schema.id
 
 
 # The numpy check of one frame that the byte lanes replaced, with the word
@@ -637,7 +721,7 @@ class _NumpyWords:
 
 
 def _numpy_witness(j, root, lat, vals, worlds, relation, atom_names, variant):
-    from manylogic.frames import CODE_OF, DESIG_M, Counterexample
+    from manylogic.frames import DESIG_M, Counterexample
 
     n = len(worlds)
     model = Model(
@@ -664,15 +748,14 @@ def _numpy_axiom_valid_on_frame(frame, schema, samples=None, seed=DEFAULT_SEED):
     interp = [fr._LOGIC_INDEX[frame.logics[w]] for w in frame.worlds]
     prog = fr.compile_program(schema.template, frame.diamond, schema.atoms)
     if samples is None:
-        axis = fr._build_axis(n, [interp], len(schema.atoms))
-        lat, vals = axis.lat, axis.vals
+        _, _, lat, vals = _meshgrid_axis(n, [interp], len(schema.atoms))
     else:
         words = _NumpyWords(seed)
         vals = tuple(
-            tuple(fr.ELEMENT_MASKS[li][words.below(fr.ELEMENT_MASKS[li].size, samples)] for li in interp)
+            tuple(ELEMENT_MASKS[li][words.below(ELEMENT_MASKS[li].size, samples)] for li in interp)
             for _ in schema.atoms
         )
-        lat = tuple(np.full(samples, fr.ROW_OF[li]) for li in interp)
+        lat = tuple(np.full(samples, 16 * li, dtype=np.int16) for li in interp)
     root = fr._eval_slots(prog, edges, lat, vals)[-1]
     ok, _, first = fr._failures(root, lat, np.array([0, lat[0].size]), 1)  # one block
     bad = [_numpy_witness(j, root, lat, vals, frame.worlds, frame.relation, schema.atoms, frame.diamond)
@@ -748,7 +831,7 @@ def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
     # evaluator run lane by lane, and every root with reference_eval
     from test_models import reference_eval
 
-    from manylogic.frames import CODE_OF, MASK_OF, ROW_OF, _eval_slots, compile_program
+    from manylogic.frames import _eval_slots, compile_program
 
     rng = Random(31)
     texts = ("!q", "@p & <>(p | q)", "[](p -> q) -> ([]p -> []q)", "<>~p -> []<>~p",
@@ -766,7 +849,7 @@ def test_mask_evaluator_matches_the_int8_evaluator_and_the_reference():
             )
             picks = [[rng.choice(LOGICS[LOGIC_IDS[l]].lattice.elements) for l in lids] for _ in "pq"]
             lanes.append((lids, rel, picks))
-        lat = [np.array([ROW_OF[lane[0][w]] for lane in lanes]) for w in range(n)]
+        lat = [np.array([16 * lane[0][w] for lane in lanes], dtype=np.int16) for w in range(n)]
         vals = [[MASK_OF[[int(lane[2][a][w]) for lane in lanes]] for w in range(n)] for a in range(2)]
         edges = []
         for i in range(n):
