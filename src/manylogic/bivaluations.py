@@ -264,19 +264,17 @@ def _search(
     """Depth-first search for clause-satisfying assignments, found in
     lexicographic order of their values along `order`.
 
-    The pins and the one-formula instances are set at the root.  Every
-    value set is propagated through the instances that mention it: one
-    with a single unset formula forces it or fails, one with none is
-    checked.  Propagation only sets forced values, so branching on the
+    The pins, formulas of `order` (`biv_consequence` pins roots of the
+    closure it orders), and the one-formula instances are set at the
+    root.  Every value set is propagated through the instances that
+    mention it: one with a single unset formula forces it or fails, one
+    with none is checked.  Propagation only sets forced values, so branching on the
     lowest unset index, 0 before 1, meets the solutions in order.  `limit`
     bounds the work: one per branching node and one per assignment
     collected for every MAX_CLOSURE formulas of the domain, so no domain
     keeps more formula values than a capped closure could.
     """
     idx = {f: i for i, f in enumerate(order)}
-    for f in pins:
-        if f not in idx:
-            raise DomainError(f"pinned formula {to_text(f)} outside domain")
     n = len(order)
     watch: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in order]
     forced = [(idx[f], v) for f, v in pins.items()]

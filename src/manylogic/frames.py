@@ -12,7 +12,8 @@ failing-lane rule (`_failures`).  Sampled checks take a sample count and
 a seed and draw as `Random(seed)` draws.  A check of one given frame
 (`axiom_valid_on_frame`) reads the diamond off the frame, as an
 evaluation reads it off the model, and runs on byte lanes without numpy
-(`_run_lanes`), decoding its draws from the words in bulk (`_Draws`).
+(`_run_lanes`); `_choose` decodes its draws in bulk, as many words as
+picks are missing.
 
 This module owns the numpy and the byte forms of the value tables, which
 `models` keeps as lists (`MEET_T`, `DOWN_M`, ...); the sweeps' lanes are
@@ -95,8 +96,9 @@ def __getattr__(name: str):
 
 class BudgetError(ManylogicError):
     """A frame check asked for what it cannot check: a world, sample or
-    counterexample count out of range, or a logic set that is empty,
-    names an unknown logic or names a logic twice."""
+    counterexample count out of range, a logic set that is empty, names an
+    unknown logic or names a logic twice, or a schema that does not list
+    its template's atoms, each once."""
 
 
 class FrameProperties(NamedTuple):
@@ -381,6 +383,14 @@ def _require_samples(samples: int) -> None:
         raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
 
 
+def _require_schema(schema) -> None:  # an atom listed twice or not in the template is swept as a free one
+    require_type(schema, AxiomSchema, "an AxiomSchema")
+    require_type(schema.template, Formula, "a Formula")
+    want = syntax.atoms(schema.template)
+    if len(schema.atoms) != len(want) or set(schema.atoms) != want:
+        raise BudgetError(f"schema {schema.id!r} lists {schema.atoms!r}, not its template's atoms {sorted(want)}")
+
+
 class SweepOutcome(NamedTuple):
     frames_checked: int
     models_checked: int
@@ -407,7 +417,7 @@ def sweep_schema(
     """Exhaustively check a schema over every (relation, logic assignment,
     valuation) at a fixed world count; deterministic order, first
     counterexamples are minimal in that order."""
-    require_type(schema, AxiomSchema, "an AxiomSchema")
+    _require_schema(schema)
     _require_worlds(n_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
@@ -466,7 +476,7 @@ def sample_schema(
     closed by relation_transform), a logic per world, and a valuation,
     as `Random(seed)` would.  All samples are evaluated in one batch;
     counterexamples are the first failing samples in draw order."""
-    require_type(schema, AxiomSchema, "an AxiomSchema")
+    _require_schema(schema)
     _require_samples(samples)
     require_int(seed, "a seed")
     _require_worlds(n_worlds)
@@ -517,37 +527,19 @@ _UNARY = {"neg": [bytes(models._NEG) * 16] * len(LOGIC_IDS), "circ": _B_CIRC}
 _BINARY = {"and": (and_, _B_DOWN), "or": (or_, _B_UP), "imp": (lambda x, y: x << 4 | y, _B_IMP)}  # imp's at x << 4 | y
 
 
-class _Draws:
-    """What successive `choice` calls of `Random(seed)` pick among n <= 255
-    items, decoded in bulk from the top bytes of its 32-bit words: a call
-    reads words until one's top byte t has t >> s < n, s = 8 - n.bit_length()."""
-
-    def __init__(self, seed: int):
-        self._rng, self._tops = Random(seed), b""
-
-    def _refill(self, count: int) -> None:  # count more words
-        self._tops += self._rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
-
-    def choose(self, items: bytes, count: int) -> bytes:
-        """The items `count` successive `choice(items)` calls pick."""
-        n, s = len(items), 8 - len(items).bit_length()
-        table = b"".join(bytes([v]) * (1 << s) for v in items).ljust(256, b"\xff")  # 255: rejected
-        out = b""
-        while True:  # windows of as many words as count picks take on average
-            self._refill(max(0, (count << 8 - s) // n - len(self._tops)))
-            picked = self._tops.translate(table)
-            kept = picked.translate(None, b"\xff")
-            if len(kept) >= count:
-                break
-            out, count, self._tops = out + kept, count - len(kept), b""
-        # the words after the count-th kept one, even where it ends the window, are
-        # the next call's, which has its own n: step back over the kept ones among
-        end, left = len(picked), len(kept) - count  # them, then over the rejected ones
-        while left:
-            end, left = end - left, picked.count(255, end - left, end)
-        end = len(picked[:end].rstrip(b"\xff"))
-        self._tops = self._tops[end:]
-        return out + kept[:count]
+def _choose(rng: Random, items: bytes, count: int) -> bytes:
+    """What `count` successive `rng.choice(items)` calls pick among n <= 255
+    items, decoded from the top bytes of rng's 32-bit words: a call reads
+    words until one's top byte t has t >> s < n, s = 8 - n.bit_length().  A
+    word makes at most one pick, so a round draws as many words as picks
+    are missing, and the last ends on the word `choice` itself stops on."""
+    s = 8 - len(items).bit_length()
+    table = b"".join(bytes([v]) * (1 << s) for v in items).ljust(256, b"\xff")  # 255: rejected
+    out = b""
+    while len(out) < count:
+        need = count - len(out)
+        out += rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4].translate(table).translate(None, b"\xff")
+    return out
 
 
 def _run_lanes(prog, succs, lat, vals, size: int):
@@ -588,7 +580,7 @@ def axiom_valid_on_frame(
     samples is None, otherwise on `samples` valuations drawn as
     `Random(seed)` draws them.  Runs on byte lanes, without numpy."""
     require_type(frame, Frame, "a Frame")
-    require_type(schema, AxiomSchema, "an AxiomSchema")
+    _require_schema(schema)
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
     worlds, atoms = frame.worlds, schema.atoms
     lat = [_LOGIC_INDEX[frame.logics[w]] for w in worlds]
@@ -601,8 +593,8 @@ def axiom_valid_on_frame(
     else:
         _require_samples(samples)
         require_int(seed, "a seed")
-        draws, size = _Draws(seed), samples
-        vals = [[draws.choose(_B_ELEMENTS[l], samples) for l in lat] for _ in atoms]
+        rng, size = Random(seed), samples
+        vals = [[_choose(rng, _B_ELEMENTS[l], samples) for l in lat] for _ in atoms]
     root = _run_lanes(prog, succs, lat, vals, size)
     ok = reduce(and_, [_num(x.translate(_B_DESIG[l])) for l, x in zip(lat, root)])
     j = ok.to_bytes(size, "little").find(0)  # the first failing lane

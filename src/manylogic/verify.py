@@ -448,7 +448,7 @@ def run_all(only: set[str] | None = None) -> list[CheckOutcome]:
 
 def render(outcomes) -> str:
     lines = []
-    width = max(len(o.title) for o in outcomes) + 2
+    width = max((len(o.title) for o in outcomes), default=0) + 2
     for o in outcomes:
         status = "PASS" if o.passed else "FAIL"
         lines.append(f"{o.cid:<5} {o.title:<{width}} {status}")

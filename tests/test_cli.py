@@ -213,6 +213,13 @@ def test_run_all_refuses_an_unknown_id_before_any_check_runs(monkeypatch):
     assert verify.run_all(set()) == []
 
 
+def test_render_of_an_empty_selection_counts_no_criteria():
+    # an empty selection ran no check, and render took the max of no titles
+    from manylogic import verify
+
+    assert verify.render(verify.run_all(set())) == "0/0 criteria pass"
+
+
 def test_verify_refuses_a_logic_named_twice(capsys):
     code, out, err = run(capsys, "verify", "--logics", "K3,K3")
     assert (code, out, err) == (2, "", "error: logic 'K3' is named twice\n")
@@ -277,6 +284,31 @@ def test_verify_prints_its_golden_output(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out == (GOLDEN / golden).read_text()
+
+
+EUCLID3 = "src/manylogic/fixtures/euclid3.json"  # as the golden lines name it, from the repository root
+SAMPLED_RUNS = [
+    ["check-frame", EUCLID3, "--axiom", a, "--diamond", d] for a in ("K", "T", "4", "5", "5c", "B", "D")
+    for d in ("up", "down", "negbox", "cnegbox")
+] + [
+    ["check-frame", EUCLID3, "--axiom", "5", "--diamond", d, "--samples", "100000", "--seed", "5"]
+    for d in ("up", "down", "negbox", "cnegbox")
+]
+
+
+def test_sampled_check_frame_prints_its_golden_output(capsys, monkeypatch):
+    # the sampled single-frame draws at the default 10,000 samples and at
+    # the most a check draws: one line a run, tab-separated, with the
+    # argv, the exit code, the first stdout line and the sha256 of all of
+    # stdout (the CI workflow writes the same lines from the console script)
+    from hashlib import sha256
+
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    lines = []
+    for argv in SAMPLED_RUNS:
+        code, out, _ = run(capsys, *argv)
+        lines.append(f"{' '.join(argv)}\t{code}\t{out.splitlines()[0]}\t{sha256(out.encode()).hexdigest()}\n")
+    assert "".join(lines) == (GOLDEN / "check-frame-sampled.txt").read_text()
 
 
 def test_verify_logics_subset_runs_theorem_suite(capsys):

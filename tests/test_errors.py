@@ -71,6 +71,7 @@ P = parse("p")
     (lambda: bivaluations.check_clauses(K3, {"p": 1}), "expected a Formula, got str"),
     (lambda: frames.sweep_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sample_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", "p", ("p",)), 1, ("K3",)), "expected a Formula, got str"),
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),

@@ -23,7 +23,7 @@ from manylogic.frames import (
     theorem_suite,
     transitive_closure,
 )
-from manylogic.frames import _Draws
+from manylogic.frames import _choose
 from manylogic.lattices import MASK
 from manylogic.logics import LOGIC_IDS, LOGICS
 from manylogic.models import _CODE, DIAMOND_VARIANTS, Frame, Model, eval_formula, holds, load_frame
@@ -485,7 +485,7 @@ def no_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled check drew or swept before refusing its budget")
 
-    for name in ("Random", "_Draws", "_sample_draws", "sweep_schema"):
+    for name in ("Random", "_choose", "_sample_draws", "sweep_schema"):
         monkeypatch.setattr(frames_mod, name, refuse)
 
 
@@ -518,6 +518,33 @@ def test_sampled_checks_refuse_a_seed_that_is_not_an_int(no_sampling, fixtures, 
     for call in _sampled_calls(fixtures, 3, seed):
         with pytest.raises(TypeError, match=f"^expected an int as a seed, got {type(seed).__name__}$"):
             call()
+
+
+def test_frame_checks_take_a_schemas_atoms_only_as_its_templates_each_once(no_sampling):
+    # a missing atom raised a bare ValueError from the compiler; an extra
+    # or repeated one was swept as one more free atom: T listing ("p", "p")
+    # checked 18 models on one K3 world where SCHEMAS["T"] checks 6
+    one = Frame(("w1",), frozenset(), {"w1": "K3"})
+    cases = (("p -> q", ("p",)), ("p -> q", ()), ("[]p -> p", ("p", "p")), ("[]p -> p", ("p", "q")),
+             ("[]q -> p", ("q", "p", "r")))
+    for text, listed in cases:
+        schema = AxiomSchema("X", parse(text), listed)
+        calls = (
+            lambda: sweep_schema(schema, 1, ["K3"]),
+            lambda: sample_schema(schema, 1, ["K3"], samples=5),
+            lambda: axiom_valid_on_frame(one, schema),
+            lambda: axiom_valid_on_frame(one, schema, 5),
+        )
+        for call in calls:
+            with pytest.raises(BudgetError, match=r"^schema 'X' lists \(.*\), not its template's atoms \["):
+                call()
+    # in any order: one K3 world, with and without its loop, is 2 frames of 3 ** atoms valuations
+    assert sweep_schema(SCHEMAS["T"], 1, ["K3"]).models_checked == 2 * 3
+    for listed in (("p", "q"), ("q", "p")):
+        out = sweep_schema(AxiomSchema("X", parse("p -> q"), listed), 1, ["K3"])
+        ce = out.counterexamples[0]
+        assert out.models_checked == 2 * 9 and set(ce.model.valuation["w1"]) == {"p", "q"}
+        assert eval_formula(ce.model, ce.world, parse("p -> q")) == ce.value
 
 
 # ------------------------------------------- mask codes, draws, evaluator
@@ -555,19 +582,6 @@ def test_birkhoff_masks_fold_like_every_lattice():
                 assert up(np.bitwise_or.reduce(masks)) == lat.join_set(map(lat.up, xs))
 
 
-class _Starved(_Draws):
-    """A decoder that draws at most 17 more words per refill than the time
-    before, so every refill path of `choose` runs."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.step = 0
-
-    def _refill(self, count):
-        self.step += 17
-        super()._refill(min(count, self.step))
-
-
 DRAW_SEEDS = (0, -1, 2**32 + 5, 2**70 + 3)
 
 
@@ -580,9 +594,9 @@ def test_word_stream_draws_what_random_draws():
         rng = Random(seed)
         want = [[rng.choice(range(m)) for _ in range(count)] for m, count in runs]
         tail = [rng.choice(range(5)) for _ in range(3)]
-        for draws in (_Draws(seed), _Starved(seed)):
-            assert [list(draws.choose(bytes(range(m)), count)) for m, count in runs] == want, seed
-            assert list(draws.choose(bytes(range(5)), 3)) == tail  # and it stops where Random stops
+        rng = Random(seed)
+        assert [list(_choose(rng, bytes(range(m)), count)) for m, count in runs] == want, seed
+        assert list(_choose(rng, bytes(range(5)), 3)) == tail  # and it stops where Random stops
 
 
 def test_sample_draws_match_random_on_every_logic_set():
