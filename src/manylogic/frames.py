@@ -50,6 +50,7 @@ from .syntax import Box, Diamond, Formula, Imp, Neg, parse
 from .values import ManylogicError, Value, require_int, require_type
 
 DEFAULT_SEED = 0
+FIVE_C_LOGIC_IDS = ("FDE", "K3", "LP", "LJ4", "CLW")  # the mixed subset whose 5c sweep AC11 and the suite run
 
 # The value tables as numpy arrays, for the batched runner: the code
 # tables and the mask tables of `models`.
@@ -386,6 +387,8 @@ def _require_samples(samples: int) -> None:
 def _require_schema(schema) -> None:  # an atom listed twice or not in the template is swept as a free one
     require_type(schema, AxiomSchema, "an AxiomSchema")
     require_type(schema.template, Formula, "a Formula")
+    for atom in schema.atoms:
+        require_type(atom, str, "a str as a schema atom")
     want = syntax.atoms(schema.template)
     if len(schema.atoms) != len(want) or set(schema.atoms) != want:
         raise BudgetError(f"schema {schema.id!r} lists {schema.atoms!r}, not its template's atoms {sorted(want)}")
@@ -632,6 +635,7 @@ def five_c_characterization(
     _require_worlds(max_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     schema = SCHEMAS["5c"]
+    logic_ids = tuple(logic_ids)  # read twice: for the sweep and for the report
     logic_indices = _logic_indices(logic_ids)
     _load()
     frames = models = 0
@@ -663,7 +667,7 @@ def five_c_characterization(
                 logic_text = ",".join(LOGIC_IDS[i] for i in interp)
                 silently_valid.append(f"[{rel_text or 'empty'}] logics {logic_text}")
     return FiveCReport(
-        tuple(logic_ids),
+        logic_ids,
         frames,
         models,
         tuple(failures),
@@ -779,6 +783,7 @@ def run_theorem(
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """The exhaustive and the sampled outcome of one theorem row; the
     sampled outcome is empty when the row samples nothing."""
+    logic_ids = tuple(logic_ids)  # each sweep below reads it
     if theorem.sampled_worlds is not None:
         _require_samples(samples)  # before the sweeps, not after them
         require_int(seed, "a seed")
@@ -797,13 +802,14 @@ def run_theorem(
 
 def theorem_suite(
     logic_ids=LOGIC_IDS,
-    five_c_logic_ids=("FDE", "K3", "LP", "LJ4", "CLW"),
+    five_c_logic_ids=FIVE_C_LOGIC_IDS,
     samples: int = 2000,
     seed: int = DEFAULT_SEED,
 ) -> SuiteReport:
     """The collected frame results: K everywhere, T on reflexive frames,
     4 on transitive frames, the Euclidean characterisation of 5c, duality,
     and observation-only runs for B and D."""
+    logic_ids, five_c_logic_ids = tuple(logic_ids), tuple(five_c_logic_ids)  # each read more than once
     _logic_indices(logic_ids)  # both sets refused before the first sweep
     _logic_indices(five_c_logic_ids)
 

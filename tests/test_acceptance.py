@@ -86,3 +86,34 @@ def test_criterion(check):
     assert outcome.passed, f"{outcome.cid} {outcome.title}: " + "; ".join(
         outcome.findings or outcome.details
     )
+
+
+def test_ac11_sweeps_five_c_once(monkeypatch):
+    calls = []
+    sweep = frames.five_c_characterization
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(frames, "five_c_characterization", counted)
+    assert verify.ac11_euclidean_suite().passed
+    assert calls == [(frames.FIVE_C_LOGIC_IDS,)]
+
+
+@pytest.mark.parametrize(
+    "report",
+    (
+        verify.AC11_REPORT._replace(models_checked=verify.AC11_REPORT.models_checked + 1),
+        verify.AC11_REPORT._replace(non_euclidean_valid=("[w1->w2] logics K3,K3",)),
+    ),
+    ids=("models_checked", "non_euclidean_valid"),
+)
+def test_ac11_fails_a_report_that_differs_from_the_recorded_one(monkeypatch, report):
+    # a report changed the same way on every call used to pass, as
+    # deterministic: AC11 compared two runs in one process with each other
+    monkeypatch.setattr(frames, "five_c_characterization", lambda ids: report)
+    outcome = verify.ac11_euclidean_suite()
+    assert not outcome.passed
+    assert outcome.details[1].endswith(f"{report.models_checked} models, "
+                                       f"{len(report.non_euclidean_valid)} counterexample(s), deterministic=False")

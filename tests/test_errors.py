@@ -72,6 +72,18 @@ P = parse("p")
     (lambda: frames.sweep_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sample_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sweep_schema(frames.AxiomSchema("X", "p", ("p",)), 1, ("K3",)), "expected a Formula, got str"),
+    # an unhashable atom failed in the set comparison, and (1,) or ("p", None) were refused as the wrong atoms
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, (["p"],)), 1, ("K3",)),
+     "expected a str as a schema atom, got list"),
+    (lambda: frames.sample_schema(frames.AxiomSchema("X", P, ({"p"},)), 1, ("K3",)),
+     "expected a str as a schema atom, got set"),
+    (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}),
+                                         frames.AxiomSchema("X", P, (["p"],))),
+     "expected a str as a schema atom, got list"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, (1,)), 1, ("K3",)),
+     "expected a str as a schema atom, got int"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, ("p", None)), 1, ("K3",)),
+     "expected a str as a schema atom, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),

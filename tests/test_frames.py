@@ -10,6 +10,7 @@ import pytest
 from manylogic.frames import (
     DEFAULT_SEED,
     SCHEMAS,
+    THEOREMS,
     AxiomSchema,
     BudgetError,
     axiom_valid_on_frame,
@@ -18,6 +19,7 @@ from manylogic.frames import (
     five_c_characterization,
     frame_properties,
     reflexive_closure,
+    run_theorem,
     sample_schema,
     sweep_schema,
     theorem_suite,
@@ -973,6 +975,26 @@ def test_frame_checks_refuse_a_logic_named_twice(no_draws, check):
     for ids in (("K3", "K3"), ["LP", "K3", "LP"]):
         with pytest.raises(BudgetError, match=f"^logic '{ids[0]}' is named twice$"):
             _LOGIC_SET_CALLS[check](ids)
+
+
+# Each public check that takes a logic set, at a small size.
+_ONE_SHOT_CALLS = {
+    "sweep": lambda ids: sweep_schema(SCHEMAS["4"], 2, ids),
+    "sample": lambda ids: sample_schema(SCHEMAS["4"], 2, ids, samples=50),
+    "five_c": lambda ids: five_c_characterization(ids, max_worlds=2),
+    "duality": lambda ids: duality_check(ids),
+    "theorem": lambda ids: run_theorem(THEOREMS["T"], ids, 20),
+    "suite": lambda ids: theorem_suite(logic_ids=ids, five_c_logic_ids=("K3",), samples=20),
+    "suite_five_c": lambda ids: theorem_suite(logic_ids=("K3",), five_c_logic_ids=ids, samples=20),
+}
+
+
+@pytest.mark.parametrize("check", _ONE_SHOT_CALLS)
+def test_frame_checks_read_a_one_shot_logic_set_as_its_tuple(check):
+    # five_c reported logic_ids=() for an iterator, and run_theorem and
+    # theorem_suite refused one as naming no logic: each read it twice
+    ids = ("K3", "LP")
+    assert _ONE_SHOT_CALLS[check](iter(ids)) == _ONE_SHOT_CALLS[check](ids)
 
 
 @pytest.mark.parametrize("max_worlds", (0, -1, 4, 5))
