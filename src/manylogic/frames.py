@@ -15,17 +15,18 @@ evaluation reads it off the model, and runs on byte lanes without numpy
 (`_run_lanes`); `_choose` decodes its draws in bulk, as many words as
 picks are missing.
 
-This module owns the numpy and the byte forms of the value tables, which
-`models` keeps as lists (`MEET_T`, `DOWN_M`, ...); the sweeps' lanes are
-byte rows that numpy views.  Importing it does not import numpy: the
-first sweep imports numpy and builds the arrays (`_load`).  Their names
-stay readable here as module attributes.
+This module owns the numpy and byte forms of the mask tables `models`
+keeps as lists (`DOWN_M`, ...), and the code tables (`MEET_T`, ...) that
+no runner reads, gathered from them; the sweeps' lanes are byte rows
+that numpy views.  Importing it does not import numpy: the first sweep
+imports numpy and builds the arrays (`_load`), readable as attributes.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Collection
 from functools import partial, reduce
 from itertools import compress, product
 from math import prod
@@ -52,24 +53,33 @@ from .values import ManylogicError, Value, require_int, require_type
 DEFAULT_SEED = 0
 FIVE_C_LOGIC_IDS = ("FDE", "K3", "LP", "LJ4", "CLW")  # the mixed subset whose 5c sweep AC11 and the suite run
 
-# The value tables as numpy arrays, for the batched runner: the code
-# tables and the mask tables of `models`.
-_NUMPY_NAMES = frozenset(models._CODE_TABLES) | {"DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M"}
+# The value tables as numpy arrays: the mask tables of `models`, which
+# the batched runner reads, and the code tables read off them.
+_NUMPY_NAMES = frozenset(("DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M", "MEET_T", "JOIN_T", "IMP_T",
+                          "CIRC_T", "NEG_T", "DOWN_T", "UP_T", "DESIG_T", "TOP_T", "BOT_T"))
 _NUMPY_LOCK = threading.Lock()
 _CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}; bound by _load
 
 
 def _numpy_tables() -> dict:
-    """numpy and the numpy tables by name, built from the lists in
-    `models`, with `_CLASSICAL_WINDOW` last."""
+    """numpy and the numpy tables by name, with `_CLASSICAL_WINDOW` last:
+    the mask lists of `models`, and the code tables gathered from them at
+    each value's mask, by logic and codes (-1 outside its lattice)."""
     import numpy as np
 
-    out = {name: np.array(t, dtype=bool if name == "DESIG_T" else np.int8) for name, t in models._CODE_TABLES.items()}
-    for name, flat in (("DOWN_M", models._DOWN), ("UP_M", models._UP),
-                       ("CIRC_M", models._CIRC), ("NEG_M", models._NEG)):
-        out[name] = np.array(flat, dtype=np.uint8)
-    out["IMP_M"] = np.array(models._IMP, dtype=np.uint8).ravel()
-    out["DESIG_M"] = np.array(_DESIG, dtype=bool)
+    out = {f"{name}_M": np.array(getattr(models, f"_{name}"), dtype=bool if name == "DESIG" else np.uint8).ravel()
+           for name in ("DOWN", "UP", "CIRC", "IMP", "DESIG", "NEG")}
+    mask, code = np.array(MASK, dtype=np.uint8), np.array(models._CODE, dtype=np.int8)  # by code; by mask
+    down, up, circ, desig = (out[f"{name}_M"].reshape(-1, 16) for name in ("DOWN", "UP", "CIRC", "DESIG"))
+    inside = down[:, mask] == mask  # by logic and code: an element is its own down
+    pairs = inside[:, :, None] & inside[:, None, :]
+    for name, table, where in (("MEET_T", down[:, mask[:, None] & mask], pairs),
+                               ("JOIN_T", up[:, mask[:, None] | mask], pairs),
+                               ("IMP_T", out["IMP_M"].reshape(-1, 16, 16)[:, mask][:, :, mask], pairs),
+                               ("CIRC_T", circ[:, mask], inside)):
+        out[name] = np.where(where, code[table], np.int8(-1))
+    out["NEG_T"], out["DOWN_T"], out["UP_T"] = code[out["NEG_M"][mask]], code[down[:, mask]], code[up[:, mask]]
+    out["TOP_T"], out["BOT_T"], out["DESIG_T"] = code[down[:, 15]], code[up[:, 0]], desig[:, mask]
     out["np"] = np
     window = np.zeros(16, dtype=bool)
     window[[MASK[v] for v in (Value.T, Value.T0, Value.F0, Value.F)]] = True
@@ -387,6 +397,8 @@ def _require_samples(samples: int) -> None:
 def _require_schema(schema) -> None:  # an atom listed twice or not in the template is swept as a free one
     require_type(schema, AxiomSchema, "an AxiomSchema")
     require_type(schema.template, Formula, "a Formula")
+    if not isinstance(schema.atoms, Collection) or isinstance(schema.atoms, (str, bytes)):  # not one per char
+        raise TypeError(f"expected a collection of atom names as the schema atoms, got {type(schema.atoms).__name__}")
     for atom in schema.atoms:
         require_type(atom, str, "a str as a schema atom")
     want = syntax.atoms(schema.template)
@@ -520,9 +532,8 @@ def reflexive_closure(rel, n):
 # ---------------------------------------------------------- byte lanes
 
 # By logic index, 256-byte translate tables: the mask tables of `models`, tiled
-_DESIG = [row[c] for row in models._CODE_TABLES["DESIG_T"] for c in models._CODE]
 _B_DOWN, _B_UP, _B_CIRC, _B_DESIG = ([bytes(t[r:r + 16]) * 16 for r in range(0, len(t), 16)]
-                                     for t in (models._DOWN, models._UP, models._CIRC, _DESIG))
+                                     for t in (models._DOWN, models._UP, models._CIRC, models._DESIG))
 _B_IMP = [b"".join(map(bytes, models._IMP[r:r + 16])) for r in range(0, len(models._IMP), 16)]
 _B_ELEMENTS = [bytes(MASK[v] for v in LOGICS[lid].lattice.elements) for lid in LOGIC_IDS]
 _num = partial(int.from_bytes, byteorder="little")

@@ -9,9 +9,9 @@ compiler emits in place of the diamond.  A model or a frame carries its
 variant: every evaluation of the model and every check of the frame
 uses it.
 
-This module owns the value tables, as Python lists: code tables indexed
-by `Value`, and the 4-bit mask tables derived from them that every
-compiled program runs on.  Formulas compile to a postfix program;
+This module owns the value tables: the 4-bit mask tables every
+compiled program runs on, Python lists read off each logic at the value
+of every mask.  Formulas compile to a postfix program;
 `eval_formula` runs it on the mask tables over a model's whole world
 axis, one int lane per world.  `frames` runs it on the same tables over
 byte lanes to check one frame, and over numpy arrays built from these
@@ -225,74 +225,49 @@ def _pair_order(pair: tuple) -> tuple:
 
 # ---------------------------------------------------------------- tables
 #
-# Value codes are the `Value` integers.  Indexed by logic (its position in
-# LOGIC_IDS) and then by codes; -1 marks an argument outside the logic's
-# lattice.  NEG_T is the same in every logic.  These are the source of
-# the mask tables below and the int8 reference the tests check them by.
-
-_N_LOGIC = len(LOGIC_IDS)
-_LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
-
-
-def _fill_tables():
-    """The code tables as nested lists, in the order of _CODE_TABLES."""
-    logics = range(_N_LOGIC)
-    meet, join, imp = ([[[-1] * 6 for _ in range(6)] for _ in logics] for _ in range(3))
-    circ = [[-1] * 6 for _ in logics]
-    down, up, desig = ([[0] * 6 for _ in logics] for _ in range(3))
-    neg, top, bot = [0] * 6, [0] * _N_LOGIC, [0] * _N_LOGIC
-
-    letk = LOGICS["LETK"]
-    for x in Value:
-        neg[x] = int(apply(letk, "neg", [x]))
-    for li, lid in enumerate(LOGIC_IDS):
-        logic = LOGICS[lid]
-        lat = logic.lattice
-        top[li], bot[li] = int(lat.top), int(lat.bottom)
-        for x in Value:
-            down[li][x] = int(lat.down(x))
-            up[li][x] = int(lat.up(x))
-        for x in lat.elements:
-            circ[li][x] = int(apply(logic, "circ", [x]))
-            desig[li][x] = logic.is_designated(x)
-            for y in lat.elements:
-                meet[li][x][y] = int(lat.meet(x, y))
-                join[li][x][y] = int(lat.join(x, y))
-                imp[li][x][y] = int(apply(logic, "imp", [x, y]))
-    return meet, join, imp, circ, neg, down, up, desig, top, bot
-
-
-_CODE_TABLES = dict(zip(
-    ("MEET_T", "JOIN_T", "IMP_T", "CIRC_T", "NEG_T", "DOWN_T", "UP_T", "DESIG_T", "TOP_T", "BOT_T"),
-    _fill_tables(),
-))
-
 # A compiled program runs on the 4-bit masks of the values that
 # `lattices.MASK` holds (F=0, F0=1, n=3, b=5, T0=7, T=15), on which the
 # base meet is AND and the base join OR.  In every logic w the meet of a
 # multiset is down_w of the AND of its masks and the join is up_w of the
-# OR; down_w(15) is w's top and up_w(0) its bottom.  The tables are the
-# code tables above re-indexed by mask and laid out flat: a world's row
-# starts at 16 x its logic index (imp's at 256 x), so row | mask reads a
-# map.  Box and the up diamond need not interpret each successor first:
+# OR; down_w(15) is w's top and up_w(0) its bottom.  The tables are read
+# off each logic at the value of every mask and laid out flat: a world's
+# row starts at 16 x its logic index (imp's at 256 x), so row | mask reads
+# a map.  Box and the up diamond need not interpret each successor first:
 # down_w of the AND of the raw masks is the meet in w of their down_w,
-# and up_w of the OR the join of their up_w.  Entries outside a logic's
-# lattice read the mask of -1, the last code, and are never looked up.
+# and up_w of the OR the join of their up_w.  The masks that name no
+# value read T; a connective at a value outside a logic's lattice reads
+# 0 (F) and is never looked up.
 
+_LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
 _CODE = [MASK.index(m) if m in MASK else int(Value.T) for m in range(16)]  # by mask; others read T
-
-
-def _by_mask(table) -> list[int]:
-    """A code table (logic, code) as a flat mask table."""
-    return [MASK[row[c]] for row in table for c in _CODE]
-
-
-_DOWN, _UP, _CIRC = (_by_mask(_CODE_TABLES[name]) for name in ("DOWN_T", "UP_T", "CIRC_T"))
-_NEG = [MASK[_CODE_TABLES["NEG_T"][c]] for c in _CODE]
-# imp's flat index outgrows the small ints Python keeps ready-made, so
-# the list runner reads it as rows: _IMP[row | x][y]
-_IMP = [[MASK[sq[x][y]] for y in _CODE] for sq in _CODE_TABLES["IMP_T"] for x in _CODE]
 _VALUE_OF = [Value(c) for c in _CODE]  # by mask
+
+
+def _at_masks(f, elements, outside=0) -> list:
+    """f at the value of each mask, computed once per element; `outside`
+    where the value is not an element."""
+    at = {x: f(x) for x in elements}
+    return [at.get(v, outside) for v in _VALUE_OF]
+
+
+def _mask_tables():
+    """_DOWN, _UP, _CIRC, _IMP and _DESIG, logic by logic."""
+    down, up, circ, imp, desig = [], [], [], [], []
+    for logic in LOGICS.values():  # in the order of LOGIC_IDS
+        lat, elements = logic.lattice, logic.lattice.elements
+        down += [MASK[lat.down(v)] for v in _VALUE_OF]
+        up += [MASK[lat.up(v)] for v in _VALUE_OF]
+        circ += _at_masks(lambda x: MASK[apply(logic, "circ", [x])], elements)
+        # imp's flat index outgrows the small ints Python keeps ready-made,
+        # so the list runner reads it as rows: _IMP[row | x][y]
+        imp += _at_masks(lambda x: _at_masks(lambda y: MASK[apply(logic, "imp", [x, y])], elements),
+                         elements, [0] * 16)
+        desig += [logic.is_designated(v) for v in _VALUE_OF]
+    return down, up, circ, imp, desig
+
+
+_DOWN, _UP, _CIRC, _IMP, _DESIG = _mask_tables()
+_NEG = _at_masks(lambda x: MASK[apply(LOGICS["LETK"], "neg", [x])], Value)  # the same in every logic
 
 
 # ------------------------------------------------------------- programs

@@ -294,21 +294,56 @@ SAMPLED_RUNS = [
     ["check-frame", EUCLID3, "--axiom", "5", "--diamond", d, "--samples", "100000", "--seed", "5"]
     for d in ("up", "down", "negbox", "cnegbox")
 ]
+# the catalogue of single-frame checks: every axiom under every diamond,
+# exhaustive and at 300 samples
+CATALOGUE_RUNS = [
+    ["check-frame", EUCLID3, "--axiom", a, "--diamond", d, *budget] for a in ("K", "T", "4", "5", "5c", "B", "D")
+    for d in ("up", "down", "negbox", "cnegbox") for budget in (["--exhaustive"], ["--samples", "300"])
+]
 
 
-def test_sampled_check_frame_prints_its_golden_output(capsys, monkeypatch):
+@pytest.mark.parametrize("golden, runs", [
+    ("check-frame-sampled.txt", SAMPLED_RUNS),
+    ("check-frame-catalogue.txt", CATALOGUE_RUNS),
+], ids=("sampled", "catalogue"))
+def test_sampled_check_frame_prints_its_golden_output(capsys, monkeypatch, golden, runs):
     # the sampled single-frame draws at the default 10,000 samples and at
-    # the most a check draws: one line a run, tab-separated, with the
-    # argv, the exit code, the first stdout line and the sha256 of all of
-    # stdout (the CI workflow writes the same lines from the console script)
+    # the most a check draws, and the catalogue: one line a run,
+    # tab-separated, with the argv, the exit code, the first stdout line
+    # and the sha256 of all of stdout (the CI workflow writes the same
+    # lines from the console script)
     from hashlib import sha256
 
     monkeypatch.chdir(Path(__file__).parent.parent)
     lines = []
-    for argv in SAMPLED_RUNS:
+    for argv in runs:
         code, out, _ = run(capsys, *argv)
         lines.append(f"{' '.join(argv)}\t{code}\t{out.splitlines()[0]}\t{sha256(out.encode()).hexdigest()}\n")
-    assert "".join(lines) == (GOLDEN / "check-frame-sampled.txt").read_text()
+    assert "".join(lines) == (GOLDEN / golden).read_text()
+
+
+def test_verify_logics_prints_the_text_findings(capsys, monkeypatch):
+    # a 5c row that names a frame, not a countermodel, prints as its text
+    from manylogic import frames
+
+    monkeypatch.setitem(frames.SCHEMAS, "5c", frames._schema("5c", "p -> p"))
+    code, out, _ = run(capsys, "verify", "--logics", "K3")
+    assert code == 1
+    lines = out.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("5c-euclidean"))
+    assert lines[i].endswith("FAIL")
+    assert lines[i + 1:i + 4] == [
+        "      ! [w1->w2] logics K3,K3", "      ! [w1->w1,w1->w2] logics K3,K3", "      ! [w2->w1] logics K3,K3",
+    ]
+
+
+def test_a_world_without_an_atom_value_warns_on_stderr(capsys, tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"worlds": ["w1", "w2"], "logics": {"w1": "K3", "w2": "LP"},
+                                "relation": [["w1", "w2"]], "valuation": {"w1": {"p": "n"}}}))
+    code, out, err = run(capsys, "eval", str(path), "--world", "w1", "--formula", "[]p")
+    assert (code, out) == (0, "F0 NOT DESIGNATED\n")  # w2's p is LP's bottom, F0
+    assert err == "warning: world 'w2' has no value for p; defaulting to lattice bottom\n"
 
 
 def test_verify_logics_subset_runs_theorem_suite(capsys):

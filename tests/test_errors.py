@@ -84,6 +84,13 @@ P = parse("p")
      "expected a str as a schema atom, got int"),
     (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, ("p", None)), 1, ("K3",)),
      "expected a str as a schema atom, got NoneType"),
+    # atoms that are not a collection failed on iterating them, and a str was read one atom per character
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, None), 1, ("K3",)),
+     "expected a collection of atom names as the schema atoms, got NoneType"),
+    (lambda: frames.sample_schema(frames.AxiomSchema("X", P, 5), 1, ("K3",)),
+     "expected a collection of atom names as the schema atoms, got int"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", parse("p & q"), "pq"), 1, ("K3",)),
+     "expected a collection of atom names as the schema atoms, got str"),
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),

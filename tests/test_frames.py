@@ -1,6 +1,6 @@
 import json
 import re
-from itertools import product
+from itertools import compress, product
 from math import isqrt
 from random import Random
 
@@ -335,6 +335,33 @@ def test_five_c_window_assertion_matches_the_scope():
 def test_duality_on_two_world_models():
     report = duality_check(LOGIC_IDS)
     assert report.holds
+
+
+def test_five_c_lists_each_non_euclidean_frame_that_satisfies_the_schema(monkeypatch):
+    # under a template valid on every frame, every non-Euclidean relation
+    # comes back, with its logic assignment, as a row against the result
+    from manylogic import frames
+
+    monkeypatch.setitem(SCHEMAS, "5c", frames._schema("5c", "p -> p"))
+    report = five_c_characterization(("K3",), max_worlds=2)
+    worlds = ("w1", "w2")
+    pairs = [(a, b) for a in worlds for b in worlds]
+    relations = [frozenset(compress(pairs, keep)) for keep in product((0, 1), repeat=4)]
+    non_euclidean = sum(not frame_properties(frame(worlds, rel, {})).euclidean for rel in relations)
+    assert len(report.non_euclidean_valid) == non_euclidean == 9
+    assert report.non_euclidean_valid[0] == "[w1->w2] logics K3,K3"
+    assert report.euclidean_failures == () and not report.characterization_holds
+
+
+def test_duality_lists_the_models_where_the_two_sides_differ(monkeypatch):
+    # compiled under the down diamond, <>A joins down-interpreted values,
+    # which !box!A under the up reading does not match everywhere
+    from manylogic import frames, models
+
+    monkeypatch.setattr(frames, "compile_program", lambda f, _, names: models.compile_program(f, "down", names))
+    report = duality_check(("LETK", "K3"))
+    assert not report.holds and len(report.mismatches) == 5  # at most five are reported
+    assert report.mismatches[0] == "A=p rel=[(0, 1)] world=w1 <>A=F0 !box!A=T0"
 
 
 def test_compound_instances_add_no_new_counterexamples():

@@ -190,6 +190,22 @@ def test_lazy_tables_match_the_eager_build():
     assert models._VALUE_OF == [Value(c) for c in want["CODE_OF"].tolist()]
 
 
+def test_a_code_table_read_first_loads_numpy_and_the_eager_tables():
+    # the benchmark's recorder reads the code tables before any sweep
+    code = """
+        import json, sys
+        from manylogic import frames
+
+        before = "numpy" in sys.modules
+        tables = {name: [getattr(frames, name).dtype.str, getattr(frames, name).tolist()] for name in sys.argv[1:]}
+        print(json.dumps({"before": before, "loaded": "numpy" in sys.modules, "tables": tables}))
+    """
+    got = json.loads(_python(code, *CODE_TABLES).stdout)
+    assert (got["before"], got["loaded"]) == (False, True)
+    want = _eager_tables()
+    assert got["tables"] == {name: [want[name].dtype.str, want[name].tolist()] for name in CODE_TABLES}
+
+
 def test_first_frame_checks_from_four_threads_agree():
     code = """
         import sys, threading
