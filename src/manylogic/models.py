@@ -11,11 +11,12 @@ uses it.
 
 This module owns the value tables: the 4-bit mask tables every
 compiled program runs on, Python lists read off each logic at the value
-of every mask.  Formulas compile to a postfix program;
-`eval_formula` runs it on the mask tables over a model's whole world
-axis, one int lane per world.  `frames` runs it on the same tables over
-byte lanes to check one frame, and over numpy arrays built from these
-lists on the first sweep, so only the sweeps load numpy.
+of every mask.  Formulas compile to a postfix program; `eval_formula`
+runs it on the mask tables over a model's whole world axis, one int lane
+per world, and keeps the formula on the model as a row of `Value`s read
+by world position.  `frames` runs it on the same tables over byte lanes
+to check one frame, and over numpy arrays built from these lists on the
+first sweep, so only the sweeps load numpy.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
 class _Encoding:
     """A valid model on value masks along its world axis (`_world_axis`):
     each world's table row (16 x its logic index) and atom masks, and the
-    root row of every formula evaluated so far."""
+    `Value` at every world of each formula evaluated so far."""
 
     def __init__(self, model: Model):
         self.index, self.succs = _world_axis(model)
@@ -331,15 +332,7 @@ class _Encoding:
                 if col is None:  # an atom missing at a world is its bottom
                     col = self.columns[name] = self.bot.copy()
                 col[i] = MASK[v]
-        self.roots: dict[Formula, list[int]] = {}
-
-    def root(self, f: Formula) -> list[int]:
-        """f's value mask at every world."""
-        row = self.roots.get(f)
-        if row is None:
-            require_type(f, Formula, "a Formula")  # checked here, off the path of a kept row
-            row = self.roots[f] = self._run(f)
-        return row
+        self.answers: dict[Formula, list[Value]] = {}
 
     def _run(self, f: Formula) -> list[int]:
         key = (f, self.variant)
@@ -396,22 +389,25 @@ class _Encoding:
 
 def eval_formula(model: Model, world: str, f: Formula) -> Value:
     """The value of f at a world.  The first query of a model encodes it,
-    raising ModelFormatError if `validate` reports errors; the first
-    query of a formula evaluates it at every world and keeps that row on
-    the model, so later queries of it are lookups.  Its program is
-    compiled once per process and diamond variant (`_PROGRAMS`)."""
+    raising ModelFormatError if `validate` reports errors; the first query
+    of a formula keeps its `Value` at every world on the model, a row read
+    by world position, so later queries of it are two subscripts.  Its
+    program is compiled once per process and variant (`_PROGRAMS`)."""
     try:
         enc = model._encoding
-    except AttributeError:  # checked on a miss, off the path of a kept row
-        require_type(model, Model, "a Model")
-        raise
-    if enc is None:
-        enc = _Encoding(model)
-        _set(model, "_encoding", enc)
+        return enc.answers[f][enc.index[world]]
+    except (AttributeError, KeyError, TypeError):  # a miss or bad input: the checks run below
+        pass
+    require_type(model, Model, "a Model")
+    enc = model._encoding or _Encoding(model)
+    _set(model, "_encoding", enc)
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    return _VALUE_OF[enc.root(f)[i]]
+    if f not in enc.answers:  # an unhashable f raises TypeError here, before its type check
+        require_type(f, Formula, "a Formula")
+        enc.answers[f] = [_VALUE_OF[x] for x in enc._run(f)]
+    return enc.answers[f][i]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:
@@ -496,12 +492,16 @@ def _members(pairs: list) -> dict:
     return members
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_members)  # json.loads would build one per call
+
+
 def _read_json(path):
     """The JSON document in a file; ModelFormatError for bytes that do not
     decode, malformed JSON, nesting the decoder cannot follow or a member
     named twice."""
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=_members)
+        text = Path(path).read_text()
+        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)  # json.loads refuses a BOM
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(str(exc)) from None
 

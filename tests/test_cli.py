@@ -322,6 +322,38 @@ def test_sampled_check_frame_prints_its_golden_output(capsys, monkeypatch, golde
     assert "".join(lines) == (GOLDEN / golden).read_text()
 
 
+MODEL_FIXTURES = ("axiom5-countermodel", "diamond-compare", "ex1", "ex2", "ex3", "ex4", "nec-fail", "sec2")
+EVAL_FORMULAS = ("[]p", "<>p", "[](p -> q)", "~[]p | <>~q", "N<>p", "[]<>p => p", "@[]!p")
+
+
+def eval_catalogue_runs():
+    # eval at every world of every model fixture, each formula with a
+    # diamond also under each --diamond override
+    runs = []
+    for name in MODEL_FIXTURES:
+        path = f"src/manylogic/fixtures/{name}.json"
+        worlds = json.loads((Path(__file__).parent.parent / path).read_text())["worlds"]
+        for w in worlds:
+            for f in EVAL_FORMULAS:
+                argv = ["eval", path, "--world", w, "--formula", f]
+                runs.append(argv)
+                if "<>" in f:
+                    runs += [[*argv, "--diamond", d] for d in ("up", "down", "negbox", "cnegbox")]
+    return runs
+
+
+def test_eval_catalogue_prints_its_golden_output(capsys, monkeypatch):
+    # one line a run, tab-separated: the argv, the exit code and stdout
+    # (the CI workflow writes the same lines from the console script)
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    lines = []
+    for argv in eval_catalogue_runs():
+        code, out, _ = run(capsys, *argv)
+        out = out.rstrip("\n")
+        lines.append(f"{' '.join(argv)}\t{code}\t{out}\n")
+    assert "".join(lines) == (GOLDEN / "eval-catalogue.txt").read_text()
+
+
 def test_verify_logics_prints_the_text_findings(capsys, monkeypatch):
     # a 5c row that names a frame, not a countermodel, prints as its text
     from manylogic import frames

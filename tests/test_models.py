@@ -279,6 +279,7 @@ def test_files_that_do_not_decode_are_model_format_errors(tmp_path):
         "deep.json": (b"[" * 1000 + b"]" * 1000, "^maximum recursion depth exceeded while decoding"),
         "twice.json": (b'{"worlds": ["w1"], "worlds": ["w2"]}', "^member 'worlds' appears twice in one object$"),
         "inner.json": (b'{"valuation": {"w1": {"p": "T", "p": "F"}}}', "^member 'p' appears twice"),
+        "bom.json": (b'\xef\xbb\xbf{"worlds": []}', r"^Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"),
     }
     for name, (content, message) in cases.items():
         path = tmp_path / name
@@ -996,6 +997,51 @@ def test_holds_raises_what_eval_formula_raises():
     with pytest.raises(TypeError, match="^expected a Formula, got str$"):
         holds(model, "w1", "p")
     assert holds(model, "w1", parse("p"))
+
+
+def test_a_kept_row_raises_what_a_fresh_model_raises(fixtures):
+    # a kept formula is read in two subscripts; every bad argument falls
+    # back to the checks and raises as it does on a model that keeps nothing
+    box = parse("[]p")
+    kept = load_model(fixtures / "ex1.json")
+    assert eval_formula(kept, "w1", box) == V.b and kept._encoding.answers[box]
+    cases = [  # world, formula, whether the frame stands in for the model, the error
+        ("w9", box, False, ModelFormatError, "^unknown world 'w9'$"),
+        (["w1"], box, False, TypeError, "^unhashable type: 'list'$"),
+        ("w1", "[]p", False, TypeError, "^expected a Formula, got str$"),
+        ("w1", [box], False, TypeError, "^unhashable type: 'list'$"),
+        ("w1", box, True, TypeError, "^expected a Model, got Frame$"),
+    ]
+    for world, f, as_frame, error, message in cases:
+        for model in (kept, load_model(fixtures / "ex1.json")):
+            with pytest.raises(error, match=message):
+                eval_formula(model.frame if as_frame else model, world, f)
+    assert list(kept._encoding.answers) == [box] and eval_formula(kept, "w1", box) == V.b
+
+
+def test_a_formula_is_evaluated_once_per_model_object(fixtures, monkeypatch):
+    from manylogic.models import _Encoding
+
+    runs = []
+    run = _Encoding._run
+
+    def counted(self, f):
+        runs.append(f)
+        return run(self, f)
+
+    monkeypatch.setattr(_Encoding, "_run", counted)
+    model = load_model(fixtures / "ex4.json")
+    box, dia = parse("[]p"), parse("<>p")
+    first = [eval_formula(model, w, box) for w in model.worlds]
+    assert runs == [box]
+    assert [eval_formula(model, w, box) for w in reversed(model.worlds)] == first[::-1]
+    assert runs == [box]
+    dias = [eval_formula(model, w, dia) for w in model.worlds]
+    assert runs == [box, dia]
+    assert [eval_formula(model, w, dia) for w in model.worlds] == dias and runs == [box, dia]
+    copy_ = model._replace(diamond=model.diamond)  # an equal model, but a new object
+    assert copy_ == model and [eval_formula(copy_, w, box) for w in model.worlds] == first
+    assert runs == [box, dia, box]
 
 
 def test_models_and_frames_hash_by_value(fixtures):
