@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections.abc import Collection
 from functools import partial, reduce
 from itertools import compress, product
 from math import prod
@@ -56,21 +55,21 @@ FIVE_C_LOGIC_IDS = ("FDE", "K3", "LP", "LJ4", "CLW")  # the mixed subset whose 5
 # The value tables as numpy arrays: the mask tables of `models`, which
 # the batched runner reads, and the code tables read off them.
 _NUMPY_NAMES = frozenset(("DOWN_M", "UP_M", "CIRC_M", "IMP_M", "DESIG_M", "NEG_M", "MEET_T", "JOIN_T", "IMP_T",
-                          "CIRC_T", "NEG_T", "DOWN_T", "UP_T", "DESIG_T", "TOP_T", "BOT_T"))
+                          "CIRC_T", "NEG_T", "DOWN_T", "UP_T", "TOP_T", "BOT_T"))
 _NUMPY_LOCK = threading.Lock()
 _CLASSICAL_WINDOW = None  # by mask: which values lie in {T, T0, F0, F}; bound by _load
 
 
 def _numpy_tables() -> dict:
-    """numpy and the numpy tables by name, with `_CLASSICAL_WINDOW` last:
-    the mask lists of `models`, and the code tables gathered from them at
-    each value's mask, by logic and codes (-1 outside its lattice)."""
+    """numpy and the numpy tables by name: the mask lists of `models`, and
+    the code tables gathered from them at each value's mask, by logic and
+    codes (-1 outside its lattice)."""
     import numpy as np
 
     out = {f"{name}_M": np.array(getattr(models, f"_{name}"), dtype=bool if name == "DESIG" else np.uint8).ravel()
            for name in ("DOWN", "UP", "CIRC", "IMP", "DESIG", "NEG")}
     mask, code = np.array(MASK, dtype=np.uint8), np.array(models._CODE, dtype=np.int8)  # by code; by mask
-    down, up, circ, desig = (out[f"{name}_M"].reshape(-1, 16) for name in ("DOWN", "UP", "CIRC", "DESIG"))
+    down, up, circ = (out[f"{name}_M"].reshape(-1, 16) for name in ("DOWN", "UP", "CIRC"))
     inside = down[:, mask] == mask  # by logic and code: an element is its own down
     pairs = inside[:, :, None] & inside[:, None, :]
     for name, table, where in (("MEET_T", down[:, mask[:, None] & mask], pairs),
@@ -79,21 +78,20 @@ def _numpy_tables() -> dict:
                                ("CIRC_T", circ[:, mask], inside)):
         out[name] = np.where(where, code[table], np.int8(-1))
     out["NEG_T"], out["DOWN_T"], out["UP_T"] = code[out["NEG_M"][mask]], code[down[:, mask]], code[up[:, mask]]
-    out["TOP_T"], out["BOT_T"], out["DESIG_T"] = code[down[:, 15]], code[up[:, 0]], desig[:, mask]
+    out["TOP_T"], out["BOT_T"] = code[down[:, 15]], code[up[:, 0]]
     out["np"] = np
     window = np.zeros(16, dtype=bool)
     window[[MASK[v] for v in (Value.T, Value.T0, Value.F0, Value.F)]] = True
-    out["_CLASSICAL_WINDOW"] = window  # bound last: a thread that sees it sees the rest
+    out["_CLASSICAL_WINDOW"] = window
     return out
 
 
 def _load() -> None:
-    """Bind numpy and the numpy tables here, once; every sweep calls this
-    first, and after the first one it returns at once."""
-    if _CLASSICAL_WINDOW is None:
-        with _NUMPY_LOCK:
-            if _CLASSICAL_WINDOW is None:
-                globals().update(_numpy_tables())
+    """Bind numpy and the numpy tables here, once, under the lock; every
+    sweep calls this first."""
+    with _NUMPY_LOCK:
+        if _CLASSICAL_WINDOW is None:
+            globals().update(_numpy_tables())
 
 
 def __getattr__(name: str):
@@ -108,8 +106,7 @@ def __getattr__(name: str):
 class BudgetError(ManylogicError):
     """A frame check asked for what it cannot check: a world, sample or
     counterexample count out of range, a logic set that is empty, names an
-    unknown logic or names a logic twice, or a schema that does not list
-    its template's atoms, each once."""
+    unknown logic or names a logic twice."""
 
 
 class FrameProperties(NamedTuple):
@@ -151,22 +148,21 @@ def frame_properties(frame: Frame) -> FrameProperties:
 class AxiomSchema(NamedTuple):
     id: str
     template: Formula
-    atoms: tuple[str, ...]
 
-
-def _schema(sid: str, text: str) -> AxiomSchema:
-    f = parse(text)
-    return AxiomSchema(sid, f, tuple(sorted(syntax.atoms(f))))
+    @property
+    def atoms(self) -> tuple[str, ...]:
+        """The template's atoms in name order: the valuation axis's order."""
+        return tuple(sorted(syntax.atoms(self.template)))
 
 
 SCHEMAS: dict[str, AxiomSchema] = {
-    "K": _schema("K", "[](p -> q) -> ([]p -> []q)"),
-    "T": _schema("T", "[]p -> p"),
-    "4": _schema("4", "[]p -> [][]p"),
-    "5": _schema("5", "<>p -> []<>p"),
-    "5c": _schema("5c", "<>~p -> []<>~p"),
-    "B": _schema("B", "p -> []<>p"),
-    "D": _schema("D", "[]p -> <>p"),
+    "K": AxiomSchema("K", parse("[](p -> q) -> ([]p -> []q)")),
+    "T": AxiomSchema("T", parse("[]p -> p")),
+    "4": AxiomSchema("4", parse("[]p -> [][]p")),
+    "5": AxiomSchema("5", parse("<>p -> []<>p")),
+    "5c": AxiomSchema("5c", parse("<>~p -> []<>~p")),
+    "B": AxiomSchema("B", parse("p -> []<>p")),
+    "D": AxiomSchema("D", parse("[]p -> <>p")),
 }
 
 
@@ -394,16 +390,11 @@ def _require_samples(samples: int) -> None:
         raise BudgetError(f"sampled checks draw at most {MAX_SAMPLES} samples, got {samples}")
 
 
-def _require_schema(schema) -> None:  # an atom listed twice or not in the template is swept as a free one
+def _require_schema(schema) -> tuple[str, ...]:
+    """The schema's atoms, once its template is a Formula."""
     require_type(schema, AxiomSchema, "an AxiomSchema")
     require_type(schema.template, Formula, "a Formula")
-    if not isinstance(schema.atoms, Collection) or isinstance(schema.atoms, (str, bytes)):  # not one per char
-        raise TypeError(f"expected a collection of atom names as the schema atoms, got {type(schema.atoms).__name__}")
-    for atom in schema.atoms:
-        require_type(atom, str, "a str as a schema atom")
-    want = syntax.atoms(schema.template)
-    if len(schema.atoms) != len(want) or set(schema.atoms) != want:
-        raise BudgetError(f"schema {schema.id!r} lists {schema.atoms!r}, not its template's atoms {sorted(want)}")
+    return schema.atoms
 
 
 class SweepOutcome(NamedTuple):
@@ -432,13 +423,13 @@ def sweep_schema(
     """Exhaustively check a schema over every (relation, logic assignment,
     valuation) at a fixed world count; deterministic order, first
     counterexamples are minimal in that order."""
-    _require_schema(schema)
+    atoms = _require_schema(schema)
     _require_worlds(n_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
     _load()
-    axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(schema.atoms))
-    prog = compile_program(schema.template, variant, schema.atoms)
+    axis = _build_axis(n_worlds, product(logic_indices, repeat=n_worlds), len(atoms))
+    prog = compile_program(schema.template, variant, atoms)
     worlds = _world_names(n_worlds)
     frames = models = 0
     bad: list[Counterexample] = []
@@ -449,7 +440,7 @@ def sweep_schema(
         models += ok.size
         for j in first:
             bad.append(_witness(
-                j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, variant,
+                j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), atoms, variant,
             ))
     return SweepOutcome(frames, models, tuple(bad))
 
@@ -491,15 +482,15 @@ def sample_schema(
     closed by relation_transform), a logic per world, and a valuation,
     as `Random(seed)` would.  All samples are evaluated in one batch;
     counterexamples are the first failing samples in draw order."""
-    _require_schema(schema)
+    atoms = _require_schema(schema)
     _require_samples(samples)
     require_int(seed, "a seed")
     _require_worlds(n_worlds)
     _require_counterexamples(max_counterexamples)
     logic_indices = _logic_indices(logic_ids)
     _load()
-    prog = compile_program(schema.template, variant, schema.atoms)
-    patterns, rows, masks = _sample_draws(Random(seed), samples, n_worlds, logic_indices, len(schema.atoms))
+    prog = compile_program(schema.template, variant, atoms)
+    patterns, rows, masks = _sample_draws(Random(seed), samples, n_worlds, logic_indices, len(atoms))
     # each distinct drawn relation closed once, in draw order; bit i*n+j of a pattern is i->j
     pairs = [(i, j) for i in range(n_worlds) for j in range(n_worlds)]
     drawn: dict = {}
@@ -519,7 +510,7 @@ def sample_schema(
     root = _eval_slots(prog, edges, lat, vals)[-1]
     worlds = _world_names(n_worlds)
     bad = tuple(
-        _witness(j, root, lat, vals, worlds, _names(rels[which[j]], worlds), schema.atoms, variant)
+        _witness(j, root, lat, vals, worlds, _names(rels[which[j]], worlds), atoms, variant)
         for j in _failures(root, lat, np.arange(samples + 1), max_counterexamples)[2]  # a block a sample
     )
     return SweepOutcome(samples, samples, bad)
@@ -594,9 +585,9 @@ def axiom_valid_on_frame(
     samples is None, otherwise on `samples` valuations drawn as
     `Random(seed)` draws them.  Runs on byte lanes, without numpy."""
     require_type(frame, Frame, "a Frame")
-    _require_schema(schema)
+    atoms = _require_schema(schema)
     succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
-    worlds, atoms = frame.worlds, schema.atoms
+    worlds = frame.worlds
     lat = [_LOGIC_INDEX[frame.logics[w]] for w in worlds]
     prog = compile_program(schema.template, frame.diamond, atoms)
     if samples is None:
@@ -646,6 +637,7 @@ def five_c_characterization(
     _require_worlds(max_worlds, most=3)
     _require_counterexamples(max_counterexamples)
     schema = SCHEMAS["5c"]
+    atoms = schema.atoms
     logic_ids = tuple(logic_ids)  # read twice: for the sweep and for the report
     logic_indices = _logic_indices(logic_ids)
     _load()
@@ -653,10 +645,10 @@ def five_c_characterization(
     failures: list[Counterexample] = []
     silently_valid: list[str] = []
     window_violations = 0
-    prog = compile_program(schema.template, "up", schema.atoms)
+    prog = compile_program(schema.template, "up", atoms)
     modal_nodes = [i for i, node in enumerate(prog) if node[0] in ("box", "dia_up")]
     for n in range(1, max_worlds + 1):
-        axis = _build_axis(n, product(logic_indices, repeat=n), 1)
+        axis = _build_axis(n, product(logic_indices, repeat=n), len(atoms))
         worlds = _world_names(n)
         for rel, slots in _sweep(prog, n, axis):
             root = slots[-1]
@@ -670,7 +662,7 @@ def five_c_characterization(
             if euclidean:
                 for j in first:
                     failures.append(_witness(
-                        j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), schema.atoms, "up",
+                        j, root, axis.lat, axis.vals, worlds, _names(rel, worlds), atoms, "up",
                     ))
                 continue
             rel_text = ",".join(f"w{i+1}->w{j+1}" for i, j in sorted(rel))

@@ -492,16 +492,12 @@ def _members(pairs: list) -> dict:
     return members
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_members)  # json.loads would build one per call
-
-
 def _read_json(path):
     """The JSON document in a file; ModelFormatError for bytes that do not
     decode, malformed JSON, nesting the decoder cannot follow or a member
     named twice."""
     try:
-        text = Path(path).read_text()
-        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)  # json.loads refuses a BOM
+        return json.loads(Path(path).read_text(), object_pairs_hook=_members)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(str(exc)) from None
 

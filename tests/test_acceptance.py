@@ -117,3 +117,57 @@ def test_ac11_fails_a_report_that_differs_from_the_recorded_one(monkeypatch, rep
     assert not outcome.passed
     assert outcome.details[1].endswith(f"{report.models_checked} models, "
                                        f"{len(report.non_euclidean_valid)} counterexample(s), deterministic=False")
+
+
+def test_ac1_to_ac3_fail_with_a_finding_for_each_planted_wrong_expectation(capsys, monkeypatch):
+    from manylogic.cli import main
+
+    monkeypatch.setitem(verify.GOLDEN_BINARY, ("K3", "and"), "T0 n F0\nn n F0\nF0 F0 n")  # F0 & F0 is F0
+    monkeypatch.setitem(verify.GOLDEN_UNARY, ("K3", "neg"), "F0 n n")  # ~F0 is T0
+    expected = verify.AC2_EXPECTED
+    assert expected[2] == ("sec2.json", "w3", "[]p", "F0")
+    monkeypatch.setattr(verify, "AC2_EXPECTED", [*expected[:2], ("sec2.json", "w3", "[]p", "b"), *expected[3:]])
+    assert verify.AC3_EXPECTED[0] == ("b", "N3w", "F0")
+    monkeypatch.setattr(verify, "AC3_EXPECTED", [("b", "N3w", "T0"), *verify.AC3_EXPECTED[1:]])
+    assert main(["verify", "--only", "AC1,AC2,AC3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "AC1   truth-table goldens               FAIL",
+        "      - 408 cells compared against the frozen tables",
+        "      ! K3 and [F0,F0]: F0 != n",
+        "      ! K3 neg [F0]: T0 != n",
+        "AC2   worked-example evaluations        FAIL",
+        "      - 12 box values reproduced",
+        "      ! sec2.json w3 []p: F0 != b",
+        "AC3   down-interpretation spot values   FAIL",
+        "      - 4 values checked",
+        "      ! down(b,N3w): F0 != T0",
+        "0/3 criteria pass",
+    ]
+
+
+def test_ac4_reports_each_law_a_corrupted_meet_table_breaks_with_its_witness(capsys, monkeypatch):
+    from manylogic.cli import main
+    from manylogic.lattices import LATTICES, verify_lattice_laws
+
+    l4s = LATTICES["L4s"]
+    assert l4s.meet(V.b, V.n) == V.F
+    bad = l4s._replace(_meet={**l4s._meet, (V.b, V.n): V.b})
+    report = verify_lattice_laws(bad)
+    assert not report.all_pass
+    assert [r for r in report.results if not r.holds] == [
+        ("complete", False, "X=(<Value.b: 2>, <Value.n: 3>)"),
+        ("subset_bounds_match_down", False, "X=(<Value.b: 2>, <Value.n: 3>)"),
+        ("pair_meet_shrinks_join_grows", False, "x=b y=n"),
+        ("meet_commutes_with_down", False, "x=b y=n"),
+    ]
+    monkeypatch.setitem(verify.LATTICES, "L4s", bad)
+    assert main(["verify", "--only", "AC4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "AC4   lattice law suite   FAIL",
+        "      - 8 sublattices, all subsets of the base lattice",
+        "      ! L4s complete: X=(<Value.b: 2>, <Value.n: 3>)",
+        "      ! L4s subset_bounds_match_down: X=(<Value.b: 2>, <Value.n: 3>)",
+        "      ! L4s pair_meet_shrinks_join_grows: x=b y=n",
+        "      ! L4s meet_commutes_with_down: x=b y=n",
+        "0/1 criteria pass",
+    ]

@@ -357,8 +357,9 @@ def test_eval_catalogue_prints_its_golden_output(capsys, monkeypatch):
 def test_verify_logics_prints_the_text_findings(capsys, monkeypatch):
     # a 5c row that names a frame, not a countermodel, prints as its text
     from manylogic import frames
+    from manylogic.syntax import parse
 
-    monkeypatch.setitem(frames.SCHEMAS, "5c", frames._schema("5c", "p -> p"))
+    monkeypatch.setitem(frames.SCHEMAS, "5c", frames.AxiomSchema("5c", parse("p -> p")))
     code, out, _ = run(capsys, "verify", "--logics", "K3")
     assert code == 1
     lines = out.splitlines()

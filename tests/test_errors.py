@@ -71,26 +71,7 @@ P = parse("p")
     (lambda: bivaluations.check_clauses(K3, {"p": 1}), "expected a Formula, got str"),
     (lambda: frames.sweep_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sample_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", "p", ("p",)), 1, ("K3",)), "expected a Formula, got str"),
-    # an unhashable atom failed in the set comparison, and (1,) or ("p", None) were refused as the wrong atoms
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, (["p"],)), 1, ("K3",)),
-     "expected a str as a schema atom, got list"),
-    (lambda: frames.sample_schema(frames.AxiomSchema("X", P, ({"p"},)), 1, ("K3",)),
-     "expected a str as a schema atom, got set"),
-    (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}),
-                                         frames.AxiomSchema("X", P, (["p"],))),
-     "expected a str as a schema atom, got list"),
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, (1,)), 1, ("K3",)),
-     "expected a str as a schema atom, got int"),
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, ("p", None)), 1, ("K3",)),
-     "expected a str as a schema atom, got NoneType"),
-    # atoms that are not a collection failed on iterating them, and a str was read one atom per character
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", P, None), 1, ("K3",)),
-     "expected a collection of atom names as the schema atoms, got NoneType"),
-    (lambda: frames.sample_schema(frames.AxiomSchema("X", P, 5), 1, ("K3",)),
-     "expected a collection of atom names as the schema atoms, got int"),
-    (lambda: frames.sweep_schema(frames.AxiomSchema("X", parse("p & q"), "pq"), 1, ("K3",)),
-     "expected a collection of atom names as the schema atoms, got str"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", "p"), 1, ("K3",)), "expected a Formula, got str"),
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),

@@ -228,7 +228,7 @@ def test_sampled_counterexamples_match_the_goldens():
                            max_counterexamples=3),
         "5": sample_schema(SCHEMAS["5"], 3, LOGIC_IDS, "down", samples=2000,
                            max_counterexamples=3),
-        "p -> []q": sample_schema(AxiomSchema("pq", parse("p -> []q"), ("p", "q")), 3,
+        "p -> []q": sample_schema(AxiomSchema("pq", parse("p -> []q")), 3,
                                   LOGIC_IDS, "down", samples=2000, seed=4,
                                   max_counterexamples=2),
     }
@@ -332,6 +332,19 @@ def test_five_c_window_assertion_matches_the_scope():
     assert full.window_violations > 0
 
 
+def test_each_theorem_rows_predicate_and_closure_name_one_frame_class():
+    # the sweeps select frames by frame_pred, the samples close a drawn relation by closure
+    from manylogic.frames import _rel_props, _relations
+
+    for sid in ("T", "4"):
+        thm = THEOREMS[sid]
+        for n in (1, 2, 3):
+            for rel in _relations(n):
+                closed = thm.closure(rel, n)
+                assert (closed == rel) == thm.frame_pred(_rel_props(rel, n)), (sid, sorted(rel))
+                assert thm.frame_pred(_rel_props(closed, n)), (sid, sorted(rel))
+
+
 def test_duality_on_two_world_models():
     report = duality_check(LOGIC_IDS)
     assert report.holds
@@ -342,7 +355,7 @@ def test_five_c_lists_each_non_euclidean_frame_that_satisfies_the_schema(monkeyp
     # comes back, with its logic assignment, as a row against the result
     from manylogic import frames
 
-    monkeypatch.setitem(SCHEMAS, "5c", frames._schema("5c", "p -> p"))
+    monkeypatch.setitem(SCHEMAS, "5c", AxiomSchema("5c", parse("p -> p")))
     report = five_c_characterization(("K3",), max_worlds=2)
     worlds = ("w1", "w2")
     pairs = [(a, b) for a in worlds for b in worlds]
@@ -383,7 +396,7 @@ def test_compound_instances_add_no_new_counterexamples():
         assert axiom_valid_on_frame(fr, SCHEMAS["T"]).valid
         for body in compounds:
             inst = substitute(SCHEMAS["T"].template, {"p": body})
-            schema = AxiomSchema("T-instance", inst, tuple(sorted(atoms(inst))))
+            schema = AxiomSchema("T-instance", inst)
             res = axiom_valid_on_frame(schema=schema, frame=fr)
             assert res.valid, (to_text(inst), lids)
 
@@ -549,31 +562,21 @@ def test_sampled_checks_refuse_a_seed_that_is_not_an_int(no_sampling, fixtures, 
             call()
 
 
-def test_frame_checks_take_a_schemas_atoms_only_as_its_templates_each_once(no_sampling):
-    # a missing atom raised a bare ValueError from the compiler; an extra
-    # or repeated one was swept as one more free atom: T listing ("p", "p")
-    # checked 18 models on one K3 world where SCHEMAS["T"] checks 6
-    one = Frame(("w1",), frozenset(), {"w1": "K3"})
-    cases = (("p -> q", ("p",)), ("p -> q", ()), ("[]p -> p", ("p", "p")), ("[]p -> p", ("p", "q")),
-             ("[]q -> p", ("q", "p", "r")))
-    for text, listed in cases:
-        schema = AxiomSchema("X", parse(text), listed)
-        calls = (
-            lambda: sweep_schema(schema, 1, ["K3"]),
-            lambda: sample_schema(schema, 1, ["K3"], samples=5),
-            lambda: axiom_valid_on_frame(one, schema),
-            lambda: axiom_valid_on_frame(one, schema, 5),
-        )
-        for call in calls:
-            with pytest.raises(BudgetError, match=r"^schema 'X' lists \(.*\), not its template's atoms \["):
-                call()
-    # in any order: one K3 world, with and without its loop, is 2 frames of 3 ** atoms valuations
+def test_a_schema_is_its_id_and_template_and_reads_its_atoms_off_the_template():
+    # the atoms are the template's, in name order: the order of the valuation axis
+    assert AxiomSchema._fields == ("id", "template")
+    assert {sid: s.atoms for sid, s in SCHEMAS.items()} == {
+        "K": ("p", "q"), "T": ("p",), "4": ("p",), "5": ("p",), "5c": ("p",), "B": ("p",), "D": ("p",),
+    }
+    assert AxiomSchema("X", parse("[]r -> (q | p)")).atoms == ("p", "q", "r")
+    with pytest.raises(TypeError):
+        AxiomSchema("T", parse("[]p -> p"), ("p",))
+    # one K3 world, with and without its loop, is 2 frames of 3 ** atoms valuations
     assert sweep_schema(SCHEMAS["T"], 1, ["K3"]).models_checked == 2 * 3
-    for listed in (("p", "q"), ("q", "p")):
-        out = sweep_schema(AxiomSchema("X", parse("p -> q"), listed), 1, ["K3"])
-        ce = out.counterexamples[0]
-        assert out.models_checked == 2 * 9 and set(ce.model.valuation["w1"]) == {"p", "q"}
-        assert eval_formula(ce.model, ce.world, parse("p -> q")) == ce.value
+    out = sweep_schema(AxiomSchema("X", parse("q -> p")), 1, ["K3"])
+    ce = out.counterexamples[0]
+    assert out.models_checked == 2 * 9 and set(ce.model.valuation["w1"]) == {"p", "q"}
+    assert eval_formula(ce.model, ce.world, parse("q -> p")) == ce.value
 
 
 # ------------------------------------------- mask codes, draws, evaluator

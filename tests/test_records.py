@@ -1,8 +1,10 @@
 """The result records are NamedTuples; they were frozen dataclasses.  The
-dataclass definitions are kept here, word for word, and every record the
-package builds is checked against its dataclass twin built from the same
-field values: fields, order and defaults, repr text, equality and hash,
-methods and properties, refusal of assignment, and a pickle round trip."""
+dataclass definitions are kept here, word for word but for AxiomSchema's,
+which follows the record to an id and a template with its atoms read off
+the template.  Every record the package builds is checked against its
+dataclass twin built from the same field values: fields, order and
+defaults, repr text, equality and hash, methods and properties, refusal
+of assignment, and a pickle round trip."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from manylogic import bivaluations, frames, lattices, logics, models, verify
 from manylogic.lattices import Lattice
 from manylogic.logics import CONNECTIVES, LOGICS
 from manylogic.models import Model
-from manylogic.syntax import Formula, parse, subformula_closure
+from manylogic.syntax import Formula, atoms, parse, subformula_closure
 from manylogic.values import Value
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "manylogic" / "fixtures"
@@ -60,7 +62,10 @@ class FrameProperties:
 class AxiomSchema:
     id: str
     template: Formula
-    atoms: tuple[str, ...]
+
+    @property
+    def atoms(self) -> tuple[str, ...]:
+        return tuple(sorted(atoms(self.template)))
 
 
 @dataclass(frozen=True)
@@ -256,6 +261,7 @@ RECORDS = {name: getattr(module, name) for module in (bivaluations, frames, latt
 
 # What each record computes, read off a record and its twin alike.
 BEHAVIOUR: dict[str, Callable] = {
+    "AxiomSchema": lambda r: r.atoms,
     "CorrespondenceReport": lambda r: r.clean,
     "FiveCReport": lambda r: r.characterization_holds,
     "DualityReport": lambda r: r.holds,
