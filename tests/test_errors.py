@@ -72,6 +72,14 @@ P = parse("p")
     (lambda: frames.sweep_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sample_schema(None, 1, ("K3",)), "expected an AxiomSchema, got NoneType"),
     (lambda: frames.sweep_schema(frames.AxiomSchema("X", "p"), 1, ("K3",)), "expected a Formula, got str"),
+    # every frame check refuses the template before it reads the atoms off it, which
+    # raised AttributeError on a str or None
+    (lambda: frames.sample_schema(frames.AxiomSchema("X", "p"), 1, ("K3",)), "expected a Formula, got str"),
+    (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), frames.AxiomSchema("X", "p")),
+     "expected a Formula, got str"),
+    (lambda: frames.sweep_schema(frames.AxiomSchema("X", None), 1, ("K3",)), "expected a Formula, got NoneType"),
+    (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), frames.AxiomSchema("X", None), 5),
+     "expected a Formula, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(None, SCHEMAS["T"]), "expected a Frame, got NoneType"),
     (lambda: frames.axiom_valid_on_frame(Frame(("w1",), frozenset(), {"w1": "K3"}), None),
      "expected an AxiomSchema, got NoneType"),

@@ -579,6 +579,23 @@ def test_a_schema_is_its_id_and_template_and_reads_its_atoms_off_the_template():
     assert eval_formula(ce.model, ce.world, parse("q -> p")) == ce.value
 
 
+@pytest.mark.parametrize("check", [
+    lambda schema, one: sweep_schema(schema, 1, ["K3"]).counterexamples[0],
+    lambda schema, one: sample_schema(schema, 1, ["K3"], samples=50).counterexamples[0],
+    lambda schema, one: axiom_valid_on_frame(one, schema).counterexample,
+    lambda schema, one: axiom_valid_on_frame(one, schema, 50).counterexample,
+], ids=["sweep", "sample", "frame", "frame-sampled"])
+def test_each_frame_check_values_every_template_atom_in_its_witness(check):
+    # the template names q before p and the axis takes them in name order;
+    # each check's witness values both atoms and fails the template there
+    one = Frame(("w1",), frozenset(), {"w1": "K3"})
+    template = parse("[]q -> p")
+    ce = check(AxiomSchema("X", template), one)
+    assert set(ce.model.valuation["w1"]) == {"p", "q"}
+    assert eval_formula(ce.model, ce.world, template) == ce.value
+    assert not holds(ce.model, ce.world, template)
+
+
 # ------------------------------------------- mask codes, draws, evaluator
 
 def test_birkhoff_masks_fold_like_every_lattice():
