@@ -17,7 +17,7 @@ the correspondence report records what each reading does.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import product
 from operator import attrgetter
 from typing import NamedTuple
@@ -110,18 +110,6 @@ _LOGIC_MASKS = {
 }
 # The clauses each binary connective heads: bare, under ! and under @.
 _BINARY_CLAUSES = {And: (1, 4, 19), Or: (2, 5, 20), Imp: (3, 6, 21)}
-
-
-def _project(ids: tuple[int, ...], mask: int) -> tuple[tuple[int, ...], int]:
-    """The instance over its distinct formulas, when one is mentioned twice
-    (`@(p & p)` mentions `@p` and `!p` twice each)."""
-    distinct = tuple(dict.fromkeys(ids))
-    slots = [distinct.index(i) for i in ids]
-    out = 0
-    for r in range(1 << len(distinct)):
-        full = sum((r >> s & 1) << j for j, s in enumerate(slots))
-        out |= (mask >> full & 1) << r
-    return distinct, out
 
 
 def _ordered(domain) -> list[Formula]:
@@ -267,7 +255,7 @@ def _search(
     The pins, formulas of `order` (`biv_consequence` pins roots of the
     closure it orders), and the one-formula instances are set at the
     root.  Every value set is propagated through the instances that
-    mention it: one with a single unset formula forces it or fails, one
+    mention it: one with a single unset position forces it or fails, one
     with none is checked.  Propagation only sets forced values, so branching on the
     lowest unset index, 0 before 1, meets the solutions in order.  `limit`
     bounds the work: one per branching node and one per assignment
@@ -282,9 +270,6 @@ def _search(
         if len(ids) == 1:  # allows exactly one value: mask 0b01 or 0b10
             forced.append((ids[0], mask >> 1))
         else:
-            # only an instance over three or more formulas can name one twice
-            if len(ids) > 2 and len(set(ids)) < len(ids):
-                ids, mask = _project(ids, mask)
             entry = ids, mask
             for i in ids:
                 watch[i].append(entry)
@@ -403,6 +388,7 @@ def biv_consequence(
     (`_DOMAINS`); the clause instances and the search run on every call."""
     require_logic(logic)
     _check_reading(v14_reading)
+    require_type(premises, Iterable, "an iterable of formulas as the premises")
     given = (*premises, conclusion)
     syntax.require_propositional(given)
     entry = _DOMAINS.get(given)
@@ -436,6 +422,8 @@ def satisfying_assignments(
 def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:
     """The value named by (rho(f), rho(!f), rho(@f)); raises SnapshotError
     on the two triples that name nothing."""
+    require_type(f, Formula, "a Formula")
+    require_type(assignment, Mapping, "a mapping as the assignment")
     for needed in (f, Neg(f), Circ(f)):
         if needed not in assignment:
             raise DomainError(f"{to_text(needed)} not in assignment domain")

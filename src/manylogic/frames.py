@@ -47,7 +47,7 @@ from .models import (  # the value tables, as lists, and the compiler live in mo
     model_to_dict,
 )
 from .syntax import Box, Diamond, Formula, Imp, Neg, parse
-from .values import ManylogicError, Value, require_int, require_type
+from .values import ManylogicError, Value, require_ids, require_int, require_type
 
 DEFAULT_SEED = 0
 FIVE_C_LOGIC_IDS = ("FDE", "K3", "LP", "LJ4", "CLW")  # the mixed subset whose 5c sweep AC11 and the suite run
@@ -356,6 +356,7 @@ def _logic_indices(logic_ids) -> list[int]:
     set, an unknown logic or one named twice (which would count its
     frames twice, and draw it twice as often) before anything is built
     or drawn."""
+    require_ids(logic_ids, "an iterable of logic ids")
     indices = []
     for lid in logic_ids:
         if lid not in _LOGIC_INDEX:
@@ -638,6 +639,7 @@ def five_c_characterization(
     _require_counterexamples(max_counterexamples)
     schema = SCHEMAS["5c"]
     atoms = schema.atoms
+    require_ids(logic_ids, "an iterable of logic ids")
     logic_ids = tuple(logic_ids)  # read twice: for the sweep and for the report
     logic_indices = _logic_indices(logic_ids)
     _load()
@@ -786,6 +788,7 @@ def run_theorem(
 ) -> tuple[SweepOutcome, SweepOutcome]:
     """The exhaustive and the sampled outcome of one theorem row; the
     sampled outcome is empty when the row samples nothing."""
+    require_ids(logic_ids, "an iterable of logic ids")
     logic_ids = tuple(logic_ids)  # each sweep below reads it
     if theorem.sampled_worlds is not None:
         _require_samples(samples)  # before the sweeps, not after them
@@ -812,6 +815,8 @@ def theorem_suite(
     """The collected frame results: K everywhere, T on reflexive frames,
     4 on transitive frames, the Euclidean characterisation of 5c, duality,
     and observation-only runs for B and D."""
+    require_ids(logic_ids, "an iterable of logic ids")
+    require_ids(five_c_logic_ids, "an iterable of logic ids")
     logic_ids, five_c_logic_ids = tuple(logic_ids), tuple(five_c_logic_ids)  # each read more than once
     _logic_indices(logic_ids)  # both sets refused before the first sweep
     _logic_indices(five_c_logic_ids)

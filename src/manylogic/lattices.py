@@ -69,6 +69,7 @@ class Lattice(Frozen):
 
     def _check(self, *xs: Value) -> None:
         for x in xs:
+            require_type(x, Value, "a Value")  # 1, True and 1.0 would pass as T0
             if x not in self.members:
                 raise LatticeError(f"{x} is not an element of {self.id}")
 
@@ -92,10 +93,12 @@ class Lattice(Frozen):
 
     def down(self, x: Value) -> Value:
         """Join of the element's lower set inside this lattice."""
+        require_type(x, Value, "a Value")
         return self._down[x]
 
     def up(self, x: Value) -> Value:
         """Meet of the element's upper set inside this lattice."""
+        require_type(x, Value, "a Value")
         return self._up[x]
 
 

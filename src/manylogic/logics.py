@@ -22,6 +22,7 @@ expanded there alone; `apply` keeps its own value-level `nabla` and
 from __future__ import annotations
 
 import functools
+from collections.abc import Hashable, Iterable, Mapping, Sized
 from typing import NamedTuple
 
 from . import syntax
@@ -134,8 +135,10 @@ def _require_member(x, logic: MatrixLogic) -> None:
 
 def apply(logic: MatrixLogic, conn: str, args: list[Value]) -> Value:
     require_logic(logic)
+    require_type(conn, Hashable, "a connective name")  # any other is an unknown connective
     if conn not in CONNECTIVES:
         raise LogicError(f"unknown connective {conn!r}")
+    require_type(args, Sized, "a list of Values")
     if len(args) != CONNECTIVES[conn]:
         raise LogicError(f"{conn} expects {CONNECTIVES[conn]} arguments")
     for x in args:
@@ -201,6 +204,7 @@ class TruthTable(NamedTuple):
 
 def truth_table(logic: MatrixLogic, conn: str) -> TruthTable:
     require_logic(logic)
+    require_type(conn, Hashable, "a connective name")
     if conn not in CONNECTIVES:
         raise LogicError(f"unknown connective {conn!r}; expected one of {', '.join(CONNECTIVES)}")
     els = logic.lattice.elements
@@ -293,6 +297,7 @@ def evaluate(logic: MatrixLogic, f: Formula, assignment: dict[str, Value]) -> Va
     """Value of a modal-free formula under an atom assignment."""
     require_logic(logic)
     (root,), order, names, uses = _walk([f])
+    require_type(assignment, Mapping, "a mapping as the assignment")
     atoms = {}
     for name in names:
         try:
@@ -348,6 +353,7 @@ def matrix_consequence(logic: MatrixLogic, premises, conclusion: Formula) -> Ver
     Each formula is evaluated once over all |L|^k valuations, held as
     bit-planes; a value is designated iff its truth coordinate is 1."""
     require_logic(logic)
+    require_type(premises, Iterable, "an iterable of formulas as the premises")
     roots, order, names, uses = _walk(list(premises) + [conclusion])
     names = sorted(names)
     k = len(names)

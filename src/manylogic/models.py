@@ -22,7 +22,8 @@ first sweep, so only the sweeps load numpy.
 from __future__ import annotations
 
 import json
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Hashable, Mapping
+from os import PathLike
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -401,11 +402,12 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
     require_type(model, Model, "a Model")
     enc = model._encoding or _Encoding(model)
     _set(model, "_encoding", enc)
+    require_type(world, Hashable, "a world name")
     i = enc.index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
-    if f not in enc.answers:  # an unhashable f raises TypeError here, before its type check
-        require_type(f, Formula, "a Formula")
+    require_type(f, Formula, "a Formula")
+    if f not in enc.answers:
         enc.answers[f] = [_VALUE_OF[x] for x in enc._run(f)]
     return enc.answers[f][i]
 
@@ -496,6 +498,7 @@ def _read_json(path):
     """The JSON document in a file; ModelFormatError for bytes that do not
     decode, malformed JSON, nesting the decoder cannot follow or a member
     named twice."""
+    require_type(path, (str, PathLike), "a str or PathLike as the path")
     try:
         return json.loads(Path(path).read_text(), object_pairs_hook=_members)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

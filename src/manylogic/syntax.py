@@ -21,6 +21,7 @@ only `to_text`, `repr` and `pickle` recurse.  Every full walk is `postorder`.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from itertools import islice
 
 from .values import Frozen, ManylogicError, _set, require_type
@@ -440,6 +441,7 @@ def require_propositional(fs) -> None:
 def subformula_closure(fs) -> frozenset[Formula]:
     """Subformula set of `fs` plus one layer of the shapes the two-valued
     clauses mention: !B, @B, !@B, !!B for every subformula B."""
+    require_type(fs, Iterable, "an iterable of formulas")
     roots = tuple(fs)
     require_propositional(roots)
     base = postorder(*roots)

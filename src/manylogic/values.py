@@ -8,6 +8,7 @@ while carrying no, or contradictory, information.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 
 
 class Value(enum.IntEnum):
@@ -50,6 +51,14 @@ class ManylogicError(ValueError):
 def require_type(value, kind, noun: str) -> None:
     """Refuse a `value` that is not a `kind`, naming what was expected."""
     if not isinstance(value, kind):
+        raise TypeError(f"expected {noun}, got {type(value).__name__}")
+
+
+def require_ids(value, noun: str) -> None:
+    """Refuse a `value` that is no iterable of ids, naming what was
+    expected; a str is one id, which would be read one character at a
+    time."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
         raise TypeError(f"expected {noun}, got {type(value).__name__}")
 
 

@@ -15,7 +15,7 @@ from . import bivaluations, frames, lattices, models, syntax
 from .lattices import LATTICES, SUBLATTICE_IDS, verify_lattice_laws
 from .logics import LOGIC_IDS, LOGICS, apply, matrix_consequence, truth_table
 from .syntax import Atom, parse
-from .values import ManylogicError, Value, parse_value
+from .values import ManylogicError, Value, parse_value, require_ids
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -438,6 +438,8 @@ def run_all(only: set[str] | None = None) -> list[CheckOutcome]:
     """The outcomes of the checks whose ids `only` holds (of every check
     when it is None), in checklist order; CriterionError, before any
     check runs, for an id that names no check."""
+    if only is not None:
+        require_ids(only, "an iterable of criterion ids")
     checks = {check.__name__.split("_")[0].upper(): check for check in ALL_CHECKS}
     unknown = sorted(map(repr, set(only) - checks.keys())) if only is not None else []
     if unknown:

@@ -1,4 +1,6 @@
+from bisect import bisect_left
 from dataclasses import dataclass
+from hashlib import sha256
 from itertools import product
 from random import Random
 
@@ -556,12 +558,54 @@ def test_satisfying_assignments_match_the_reference():
         subformula_closure([parse(s) for s in _BRIDGE_BASE]),
         subformula_closure([parse("@(p & p)"), parse("!(q | q)")]),
         subformula_closure([parse("~p"), parse("@#")]),
+        subformula_closure([parse("@(p -> p)")]),
+        subformula_closure([parse("@(!p & !p)")]),
+        subformula_closure([parse("@(@p | @p)")]),
     ]
     for lid in LOGIC_IDS:
         for reading in V14_READINGS:
             for closure in closures:
                 want = _ref_search(LOGICS[lid], _ordered(closure), {}, reading, collect_all=True)
                 assert satisfying_assignments(LOGICS[lid], closure, reading) == want, (lid, reading)
+
+
+# Shapes u2(u1 a op u1 a): under u2 in ! and @ the clause instances of
+# the inner formula mention the layers of u1 a twice.
+REPEATS = [
+    f"{u2}({u1}{a} {op} {u1}{a})" for a in ("p", "q", "#") for u1 in ("", "!", "@", "!!", "!@", "@!", "@@")
+    for op in ("&", "|", "->") for u2 in ("!", "@", "!@", "@@", "@!")
+]
+
+
+def _smallest_limit(logic, closure, reading) -> int:
+    """The least node limit at which `satisfying_assignments` returns."""
+    def returns(limit):
+        try:
+            satisfying_assignments(logic, closure, reading, limit=limit)
+        except ClosureTooLargeError:
+            return False
+        return True
+
+    hi = 1
+    while not returns(hi):
+        hi *= 2
+    lo = hi // 2 + 1  # the search did not return at hi // 2, or hi is 1
+    return lo + bisect_left(range(lo, hi), True, key=returns)
+
+
+def test_the_search_does_the_recorded_work_where_an_instance_names_a_formula_twice():
+    # an instance whose unset positions hold one formula twice waits until
+    # it is set; a search that forced less would find the same assignments
+    # on more branching nodes, so its work is pinned as it was recorded
+    # when the search still projected such instances onto distinct formulas
+    limits = []
+    for text in Random(0).sample(REPEATS, 40):
+        closure = subformula_closure([parse(text)])
+        for lid in LOGIC_IDS:
+            for reading in V14_READINGS:
+                limits.append(_smallest_limit(LOGICS[lid], closure, reading))
+    digest = sha256(" ".join(map(str, limits)).encode()).hexdigest()
+    assert (len(limits), sum(limits), digest[:16]) == (720, 10608, "a34a8d7b98d19ff5")
 
 
 def test_check_clauses_matches_the_reference_on_every_assignment():

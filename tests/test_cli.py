@@ -310,8 +310,8 @@ def test_sampled_check_frame_prints_its_golden_output(capsys, monkeypatch, golde
     # the sampled single-frame draws at the default 10,000 samples and at
     # the most a check draws, and the catalogue: one line a run,
     # tab-separated, with the argv, the exit code, the first stdout line
-    # and the sha256 of all of stdout (the CI workflow writes the same
-    # lines from the console script)
+    # and the sha256 of all of stdout (CI runs this test under fixed hash
+    # seeds too)
     from hashlib import sha256
 
     monkeypatch.chdir(Path(__file__).parent.parent)
@@ -344,7 +344,7 @@ def eval_catalogue_runs():
 
 def test_eval_catalogue_prints_its_golden_output(capsys, monkeypatch):
     # one line a run, tab-separated: the argv, the exit code and stdout
-    # (the CI workflow writes the same lines from the console script)
+    # (CI runs this test under fixed hash seeds too)
     monkeypatch.chdir(Path(__file__).parent.parent)
     lines = []
     for argv in eval_catalogue_runs():

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import manylogic
-from manylogic import bivaluations, cli, frames, lattices, logics, models, syntax, values
+from manylogic import bivaluations, cli, frames, lattices, logics, models, syntax, values, verify
 from manylogic.frames import SCHEMAS
 from manylogic.logics import LOGICS
 from manylogic.models import Frame, Model
@@ -46,6 +46,7 @@ def test_the_base_class_is_exported():
 
 K3 = LOGICS["K3"]
 P = parse("p")
+MODEL = Model(("w1",), frozenset({("w1", "w1")}), {"w1": "K3"}, {"w1": {"p": V.n}})
 
 
 @pytest.mark.parametrize("call, message", [
@@ -93,6 +94,29 @@ P = parse("p")
     (lambda: syntax.parse(None), "expected a str, got NoneType"),
     (lambda: models.validate(None), "expected a Model, got NoneType"),
     (lambda: syntax.Neg(5), "expected a Formula, got int"),
+    (lambda: logics.apply(K3, ["neg"], [V.n]), "expected a connective name, got list"),
+    (lambda: logics.apply(K3, "neg", None), "expected a list of Values, got NoneType"),
+    (lambda: logics.truth_table(K3, ["neg"]), "expected a connective name, got list"),
+    (lambda: logics.evaluate(K3, P, ["x"]), "expected a mapping as the assignment, got list"),
+    (lambda: logics.matrix_consequence(K3, None, P), "expected an iterable of formulas as the premises, got NoneType"),
+    (lambda: bivaluations.biv_consequence(K3, None, P), "expected an iterable of formulas as the premises, got NoneType"),
+    (lambda: syntax.subformula_closure(None), "expected an iterable of formulas, got NoneType"),
+    (lambda: bivaluations.snapshot_of(None, P), "expected a mapping as the assignment, got NoneType"),
+    (lambda: bivaluations.snapshot_of({P: 1}, ["p"]), "expected a Formula, got list"),
+    (lambda: models.eval_formula(MODEL, ["w1"], P), "expected a world name, got list"),
+    (lambda: models.eval_formula(MODEL, "w1", ["p"]), "expected a Formula, got list"),
+    (lambda: models.holds(MODEL, {"w1": 1}, P), "expected a world name, got dict"),
+    (lambda: models.holds(MODEL, "w1", {"p": 1}), "expected a Formula, got dict"),
+    (lambda: models.load_model(b"x.json"), "expected a str or PathLike as the path, got bytes"),
+    (lambda: models.load_frame(b"x.json"), "expected a str or PathLike as the path, got bytes"),
+    (lambda: frames.theorem_suite(None), "expected an iterable of logic ids, got NoneType"),
+    (lambda: frames.theorem_suite(("K3",), "K3"), "expected an iterable of logic ids, got str"),
+    (lambda: frames.run_theorem(frames.THEOREMS["K"], "K3", 10), "expected an iterable of logic ids, got str"),
+    (lambda: frames.five_c_characterization("K3"), "expected an iterable of logic ids, got str"),
+    (lambda: frames.sweep_schema(SCHEMAS["T"], 1, "K3"), "expected an iterable of logic ids, got str"),
+    (lambda: frames.sample_schema(SCHEMAS["T"], 1, "K3"), "expected an iterable of logic ids, got str"),
+    (lambda: frames.duality_check("K3"), "expected an iterable of logic ids, got str"),
+    (lambda: verify.run_all("AC1"), "expected an iterable of criterion ids, got str"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_a_wrong_argument_type_is_a_type_error_naming_what_was_expected(call, message):
     with pytest.raises(TypeError) as exc:
@@ -145,7 +169,9 @@ def test_every_public_function_refuses_a_wrong_argument_type_with_a_typed_error(
                 wrong = [junk] * len(args) if i == len(args) else [*args[:i], junk, *args[i + 1:]]
                 try:
                     fn(*wrong)
-                except (TypeError, ManylogicError):
+                except TypeError as exc:
+                    assert str(exc).startswith("expected "), (name, wrong, exc)
+                except ManylogicError:
                     pass
                 except OSError:
                     assert name in ("load_frame", "load_model"), (name, wrong)

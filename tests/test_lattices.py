@@ -112,6 +112,32 @@ def test_membership_errors():
         LATTICES["C2w"].meet(V.b, V.T0)
     with pytest.raises(LatticeError):
         LATTICES["L4s"].leq(V.T0, V.T)
+    with pytest.raises(LatticeError):
+        LATTICES["C2w"].join(V.F, V.F0)
+    with pytest.raises(LatticeError):
+        LATTICES["C2w"].meet_set([V.n])
+    with pytest.raises(LatticeError):
+        LATTICES["L4w"].join_set([V.T0, V.T])
+
+
+@pytest.mark.parametrize("junk", (1, True, 1.0, "T", None), ids=repr)
+@pytest.mark.parametrize("lid", ("L6", "C2w"))
+def test_a_non_value_is_a_type_error_in_every_method(lid, junk):
+    # an int, a bool or a float would pass the membership test as a Value
+    lat = LATTICES[lid]
+    x = lat.top
+    calls = (
+        lambda: lat.leq(junk, x), lambda: lat.leq(x, junk),
+        lambda: lat.meet(junk, x), lambda: lat.meet(x, junk),
+        lambda: lat.join(junk, x), lambda: lat.join(x, junk),
+        lambda: lat.meet_set([junk]), lambda: lat.meet_set([x, junk]),
+        lambda: lat.join_set([junk]), lambda: lat.join_set([x, junk]),
+        lambda: lat.down(junk), lambda: lat.up(junk),
+    )
+    for call in calls:
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == f"expected a Value, got {type(junk).__name__}"
 
 
 def test_down_interpretation_spot_values():

@@ -1007,9 +1007,9 @@ def test_a_kept_row_raises_what_a_fresh_model_raises(fixtures):
     assert eval_formula(kept, "w1", box) == V.b and kept._encoding.answers[box]
     cases = [  # world, formula, whether the frame stands in for the model, the error
         ("w9", box, False, ModelFormatError, "^unknown world 'w9'$"),
-        (["w1"], box, False, TypeError, "^unhashable type: 'list'$"),
+        (["w1"], box, False, TypeError, "^expected a world name, got list$"),
         ("w1", "[]p", False, TypeError, "^expected a Formula, got str$"),
-        ("w1", [box], False, TypeError, "^unhashable type: 'list'$"),
+        ("w1", [box], False, TypeError, "^expected a Formula, got list$"),
         ("w1", box, True, TypeError, "^expected a Model, got Frame$"),
     ]
     for world, f, as_frame, error, message in cases:
