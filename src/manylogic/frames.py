@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import threading
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress, product
 from math import prod
 from operator import and_, attrgetter, or_
@@ -42,6 +42,7 @@ from .models import (  # the value tables, as lists, and the compiler live in mo
     Frame,
     Model,
     ModelFormatError,
+    _num,
     _world_axis,
     compile_program,
     model_to_dict,
@@ -528,7 +529,6 @@ _B_DOWN, _B_UP, _B_CIRC, _B_DESIG = ([bytes(t[r:r + 16]) * 16 for r in range(0, 
                                      for t in (models._DOWN, models._UP, models._CIRC, models._DESIG))
 _B_IMP = [b"".join(map(bytes, models._IMP[r:r + 16])) for r in range(0, len(models._IMP), 16)]
 _B_ELEMENTS = [bytes(MASK[v] for v in LOGICS[lid].lattice.elements) for lid in LOGIC_IDS]
-_num = partial(int.from_bytes, byteorder="little")
 _UNARY = {"neg": [bytes(models._NEG) * 16] * len(LOGIC_IDS), "circ": _B_CIRC}
 _BINARY = {"and": (and_, _B_DOWN), "or": (or_, _B_UP), "imp": (lambda x, y: x << 4 | y, _B_IMP)}  # imp's at x << 4 | y
 

@@ -12,11 +12,12 @@ uses it.
 This module owns the value tables: the 4-bit mask tables every
 compiled program runs on, Python lists read off each logic at the value
 of every mask.  Formulas compile to a postfix program; `eval_formula`
-runs it on the mask tables over a model's whole world axis, one int lane
-per world, and keeps the formula on the model as a row of `Value`s read
-by world position.  `frames` runs it on the same tables over byte lanes
-to check one frame, and over numpy arrays built from these lists on the
-first sweep, so only the sweeps load numpy.
+runs it over a model's whole world axis, a node's row one `bytes` whose
+byte w is 16 x w's logic index | a mask, so that a propositional node is
+a few `translate`s and int operations in C, and keeps the formula on the
+model as a row of `Value`s.  `frames` runs it on the same tables over
+byte lanes to check one frame, and over numpy arrays built from these
+lists on the first sweep, so only the sweeps load numpy.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ class Model(_Worlds):
         return Model, (self.worlds, self.relation, dict(self.logics), valuation, self.diamond)
 
 
-def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]]]:
-    """x's world -> position map, and by position its successors' positions
-    in no set order, as validating x built them; ModelFormatError if x
-    does not validate."""
+def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]], dict[str, bytearray]]:
+    """x's world -> position map, by position its successors' positions in
+    no set order and each atom's value codes (6 where it is missing), as
+    validating x built them; ModelFormatError if x does not validate."""
     is_model = isinstance(x, Model)
     report = validate(x) if is_model else validate_frame(x)
     if not report.ok:
@@ -153,9 +154,9 @@ def validate_frame(frame: Frame) -> ValidationReport:
 
 
 def _validate(model: Frame | Model, valuation) -> ValidationReport:
-    """One pass over the relation builds the world axis, kept on a model
-    that validates; an unknown world or an entry that is not a pair shows
-    up as a failed lookup or unpacking there."""
+    """One pass over the relation builds the world axis, and the one over
+    the valuation each atom's codes, kept on a model that validates; an
+    unknown world or an entry that is not a pair fails a lookup there."""
     if model._report is not None:
         return model._report
     seen = {w: i for i, w in enumerate(model.worlds)}  # world -> position
@@ -190,7 +191,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
             errors.append(f"logic assignment names unknown world {w!r}")
     if model.diamond not in DIAMOND_VARIANTS:
         errors.append(f"unknown diamond variant {model.diamond!r}")
-    all_atoms = set()
+    all_atoms, codes = set(), {}
     for w, row in valuation.items():
         if w not in seen:
             errors.append(f"valuation names unknown world {w!r}")
@@ -206,6 +207,10 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 errors.append(f"valuation({w!r},{atom!r}) = {val!r} is not a Value")
             elif lat is not None and val not in lat.members:
                 errors.append(f"valuation({w!r},{atom!r}) = {val} not in {lat.id}")
+            else:  # the atom's value codes by world position, 6 where it is missing
+                if atom not in codes:
+                    codes[atom] = bytearray(b"\x06") * len(model.worlds)
+                codes[atom][seen[w]] = val
     for w in model.worlds:
         missing = all_atoms.difference(valuation.get(w, ()))
         if missing:
@@ -214,7 +219,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 "defaulting to lattice bottom"
             )
     if not errors:
-        _set(model, "_axis", (seen, succs))
+        _set(model, "_axis", (seen, succs, codes))
     _set(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
 
@@ -260,8 +265,6 @@ def _mask_tables():
         down += [MASK[lat.down(v)] for v in _VALUE_OF]
         up += [MASK[lat.up(v)] for v in _VALUE_OF]
         circ += _at_masks(lambda x: MASK[apply(logic, "circ", [x])], elements)
-        # imp's flat index outgrows the small ints Python keeps ready-made,
-        # so the list runner reads it as rows: _IMP[row | x][y]
         imp += _at_masks(lambda x: _at_masks(lambda y: MASK[apply(logic, "imp", [x, y])], elements),
                          elements, [0] * 16)
         desig += [logic.is_designated(v) for v in _VALUE_OF]
@@ -270,6 +273,30 @@ def _mask_tables():
 
 _DOWN, _UP, _CIRC, _IMP, _DESIG = _mask_tables()
 _NEG = _at_masks(lambda x: MASK[apply(LOGICS["LETK"], "neg", [x])], Value)  # the same in every logic
+
+
+# `eval_formula` runs on bytes along the world axis: byte w is w's tag,
+# 16 x its logic index (so at most 16 logics), OR a mask.  The 256-byte
+# translate tables below keep the tag; & and | need none: both rows carry
+# one tag at each world.  imp depends on the implication family alone, so
+# _IMP_T is indexed by 128 x family | 16 x x's code | y's mask (_IMP_X of
+# the tagged x XOR the tagged y), filled from each family's largest lattice.
+
+def _num(row: bytes) -> int:
+    return int.from_bytes(row, "little")
+
+
+_TAGS = _num(b"".join(bytes([16 * i]) * 16 for i in range(len(LOGIC_IDS))))  # by row | mask
+_NEG_T, _CIRC_T, _DOWN_T, _UP_T, _ATOM_T = ((_num(bytes(t)) | _TAGS).to_bytes(256, "little") for t in (
+    _NEG * len(LOGIC_IDS), _CIRC, _DOWN, _UP,  # _ATOM_T by value code, and 6 for the bottom
+    b"".join(bytes([*MASK, _UP[r]]).ljust(16, b"\0") for r in range(0, len(_UP), 16))))
+_MASKS = bytes(range(16)) * 16
+_FAMILY = [logic.implication_family != "material" for logic in LOGICS.values()]
+_IMP_X = bytes([(fam << 7 | c << 4) ^ 16 * i for i, fam in enumerate(_FAMILY) for c in _CODE]).ljust(256, b"\0")
+_IMP_ROWS = {_FAMILY[i] << 7 | x << 4: bytes(_IMP[16 * i | MASK[x]])
+             for i, logic in sorted(enumerate(LOGICS.values()), key=lambda e: len(e[1].lattice.elements))
+             for x in logic.lattice.elements}
+_IMP_T = b"".join(_IMP_ROWS.get(r, bytes(16)) for r in range(0, 256, 16))
 
 
 # ------------------------------------------------------------- programs
@@ -316,34 +343,28 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
 # ------------------------------------------------------------ evaluation
 
 class _Encoding:
-    """A valid model on value masks along its world axis (`_world_axis`):
-    each world's table row (16 x its logic index) and atom masks, and the
-    `Value` at every world of each formula evaluated so far."""
+    """A valid model on tagged bytes along its world axis (`_world_axis`):
+    each world's tag (16 x its logic index) as bytes and as an int, the
+    bottom row, each atom's column, and the `Value` at every world of each
+    formula evaluated so far."""
 
     def __init__(self, model: Model):
-        self.index, self.succs = _world_axis(model)
-        self.lat = lat = [16 * _LOGIC_INDEX[model.logics[w]] for w in model.worlds]
-        self.variant = model.diamond
-        self.bot = [_UP[l] for l in lat]
-        self.columns: dict[str, list[int]] = {}
-        for w, row in model.valuation.items():
-            i = self.index[w]
-            for name, v in row.items():
-                col = self.columns.get(name)
-                if col is None:  # an atom missing at a world is its bottom
-                    col = self.columns[name] = self.bot.copy()
-                col[i] = MASK[v]
+        self.index, self.succs, codes = _world_axis(model)
+        self.lat = tags = bytes([16 * _LOGIC_INDEX[model.logics[w]] for w in model.worlds])
+        self.tags, self.variant, self.bot = _num(tags), model.diamond, tags.translate(_UP_T)  # up_w(0): bottom
+        self.columns = {a: (_num(c) | self.tags).to_bytes(len(tags), "little").translate(_ATOM_T)
+                        for a, c in codes.items()}
         self.answers: dict[Formula, list[Value]] = {}
 
-    def _run(self, f: Formula) -> list[int]:
+    def _run(self, f: Formula) -> bytes:
         key = (f, self.variant)
         entry = _PROGRAMS.get(key)
         if entry is None:  # setdefault: threads that compile f at once share one entry
             names = tuple(syntax.atoms(f))
             entry = _PROGRAMS.setdefault(key, (names, tuple(compile_program(f, self.variant, names))))
         names, program = entry
-        lat, succs = self.lat, self.succs
-        slots: list[list[int]] = []
+        lat, succs, tags, n = self.lat, self.succs, self.tags, len(self.lat)
+        slots: list[bytes] = []
         for node in program:
             kind = node[0]
             if kind == "atom":
@@ -351,39 +372,37 @@ class _Encoding:
             elif kind == "bottom":
                 row = self.bot
             elif kind == "neg":
-                row = [_NEG[x] for x in slots[node[1]]]
+                row = slots[node[1]].translate(_NEG_T)
             elif kind == "circ":
-                row = [_CIRC[l | x] for l, x in zip(lat, slots[node[1]])]
+                row = slots[node[1]].translate(_CIRC_T)
             elif kind == "and":
-                row = [_DOWN[l | x & y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+                row = (_num(slots[node[1]]) & _num(slots[node[2]])).to_bytes(n, "little").translate(_DOWN_T)
             elif kind == "or":
-                row = [_UP[l | x | y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
+                row = (_num(slots[node[1]]) | _num(slots[node[2]])).to_bytes(n, "little").translate(_UP_T)
             elif kind == "imp":
-                row = [_IMP[l | x][y] for l, x, y in zip(lat, slots[node[1]], slots[node[2]])]
-            elif kind == "box":  # down_w(AND of the successors' masks)
-                ch = slots[node[1]]
-                row = []
-                for l, ss in zip(lat, succs):
-                    acc = 15
-                    for u in ss:
-                        acc &= ch[u]
-                    row.append(_DOWN[l | acc])
-            elif kind == "dia_up":  # up_w(OR of the successors' masks)
-                ch = slots[node[1]]
-                row = []
-                for l, ss in zip(lat, succs):
-                    acc = 0
-                    for u in ss:
-                        acc |= ch[u]
-                    row.append(_UP[l | acc])
-            else:  # dia_down: up_w(OR of the successors' down_w)
-                ch = slots[node[1]]
-                row = []
-                for l, ss in zip(lat, succs):
-                    acc = 0
-                    for u in ss:
-                        acc |= _DOWN[l | ch[u]]
-                    row.append(_UP[l | acc])
+                at = (_num(slots[node[1]].translate(_IMP_X)) ^ _num(slots[node[2]])).to_bytes(n, "little")
+                row = (_num(at.translate(_IMP_T)) | tags).to_bytes(n, "little")
+            else:  # a fold over each world's successors, on the child's masks
+                ch, row = list(slots[node[1]].translate(_MASKS)), []
+                if kind == "box":  # down_w(AND of the successors' masks)
+                    for ss in succs:
+                        acc = 15
+                        for u in ss:
+                            acc &= ch[u]
+                        row.append(acc)
+                elif kind == "dia_up":  # up_w(OR of the successors' masks)
+                    for ss in succs:
+                        acc = 0
+                        for u in ss:
+                            acc |= ch[u]
+                        row.append(acc)
+                else:  # dia_down: up_w(OR of the successors' down_w)
+                    for l, ss in zip(lat, succs):
+                        acc = 0
+                        for u in ss:
+                            acc |= _DOWN[l | ch[u]]
+                        row.append(acc)
+                row = (_num(bytes(row)) | tags).to_bytes(n, "little").translate(_DOWN_T if kind == "box" else _UP_T)
             slots.append(row)
         return slots[-1]
 
@@ -408,7 +427,7 @@ def eval_formula(model: Model, world: str, f: Formula) -> Value:
         raise ModelFormatError(f"unknown world {world!r}")
     require_type(f, Formula, "a Formula")
     if f not in enc.answers:
-        enc.answers[f] = [_VALUE_OF[x] for x in enc._run(f)]
+        enc.answers[f] = [_VALUE_OF[x] for x in enc._run(f).translate(_MASKS)]
     return enc.answers[f][i]
 
 

@@ -111,6 +111,13 @@ def test_closure_cap():
     wide = parse(" & ".join(f"a{i} -> b{i}" for i in range(8)))
     with pytest.raises(ClosureTooLargeError):
         biv_consequence(LOGICS["FDE"], [], wide)
+    # the cap written out: a 64-formula closure is decided, a 65-formula one refused
+    at_cap, past_cap = parse("!" * 18 + "p -> p"), parse("!" * 20 + "p")
+    assert [len(subformula_closure([desugar(f)])) for f in (at_cap, past_cap)] == [64, 65]
+    for lid in LOGIC_IDS:
+        assert biv_consequence(LOGICS[lid], [], at_cap).valid
+        with pytest.raises(ClosureTooLargeError, match=r"^closure has 65 formulas \(cap 64\)$"):
+            biv_consequence(LOGICS[lid], [], past_cap)
 
 
 def test_snapshot_of():

@@ -155,6 +155,17 @@ def test_axiom_t_valid_on_reflexive_and_refutable_off_them():
     assert not holds(ce.model, ce.world, parse("[]p -> p"))
 
 
+def test_sweep_schema_sweeps_three_worlds():
+    # all 2^9 relations on three worlds, each under the 2^3 CLS valuations of p
+    out = sweep_schema(SCHEMAS["4"], 3, ("CLS",))
+    assert (out.frames_checked, out.models_checked) == (512, 512 * 8)
+
+
+def test_sweep_schema_refuses_four_worlds(no_draws):
+    with pytest.raises(BudgetError, match="^exhaustive sweeps are limited to 3 worlds$"):
+        sweep_schema(SCHEMAS["4"], 4, ("CLS",))
+
+
 def test_axiom_four_fails_on_a_transitive_two_world_frame():
     # an intermediate world whose lattice forgets a designated value breaks
     # the box-iteration argument; the minimal sweep witness pins it
@@ -971,14 +982,15 @@ def test_every_row_a_sweep_yields_is_the_full_programs_row():
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Fail at once if a frame check starts compiling, building its axis or
-    drawing: an empty logic set used to make the draw loop run forever."""
+    """Fail at once if a frame check starts compiling, building its axis,
+    sweeping or drawing: an empty logic set used to make the draw loop run
+    forever, and a lost world bound would sweep every 4-world frame."""
     import manylogic.frames as frames_mod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a frame check built or drew before refusing its arguments")
+        raise AssertionError("a frame check built, swept or drew before refusing its arguments")
 
-    for name in ("_sample_draws", "_build_axis", "compile_program"):
+    for name in ("_sample_draws", "_build_axis", "_sweep", "compile_program"):
         monkeypatch.setattr(frames_mod, name, refuse)
 
 

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from manylogic import syntax
-from manylogic.lattices import L6
+from manylogic.lattices import L6, MASK
 from manylogic.logics import LOGIC_IDS, LOGICS, apply
 from manylogic.models import (
     DIAMOND_VARIANTS,
@@ -409,8 +409,8 @@ def test_world_axis_matches_the_per_world_comprehension():
                 Model(worlds, relation, dict.fromkeys(worlds, "K3"), {}),
                 Frame(worlds, relation, dict.fromkeys(worlds, "LP")),
             ):
-                index, succs = _world_axis(x)
-                assert index == {w: i for i, w in enumerate(worlds)}
+                index, succs, codes = _world_axis(x)
+                assert index == {w: i for i, w in enumerate(worlds)} and codes == {}
                 assert [set(s) for s in succs] == want
                 assert sum(map(len, succs)) == len(relation)  # each edge once
                 assert _world_axis(x) is x._axis  # built once, kept on x
@@ -552,6 +552,68 @@ def test_eval_formula_agrees_with_the_reference_evaluator():
         variants_seen.add(variant)
     assert depths == {0, 1, 2, 3}
     assert logics_seen == set(LOGIC_IDS) and variants_seen == set(DIAMOND_VARIANTS)
+
+
+def test_eval_formula_agrees_with_the_reference_evaluator_on_large_mixed_models():
+    # Seeded 50-300-world models: the nine logics in turn, out-degrees
+    # 0-8 (dead ends included), each diamond variant three times, and p
+    # and q missing at some worlds.  The last three worlds are LETK dead
+    # ends where p and q are F, so every row below ends in 0 bytes, the
+    # top bytes of its int, which to_bytes(n) must pad back.
+    rng, tail = Random(36), 3
+    for trial in range(12):
+        n = rng.randint(50, 300)
+        variant = DIAMOND_VARIANTS[trial % len(DIAMOND_VARIANTS)]
+        worlds = tuple(f"w{i}" for i in range(n))
+        lids = [LOGIC_IDS[i % len(LOGIC_IDS)] for i in range(n - tail)]
+        rng.shuffle(lids)
+        lids += ["LETK"] * tail
+        relation = frozenset(
+            (worlds[i], worlds[j]) for i in range(n - tail) for j in rng.sample(range(n), rng.randint(0, 8))
+        )
+        valuation = {
+            w: {a: rng.choice(LOGICS[lid].lattice.elements) for a in ("p", "q") if rng.random() < 0.9}
+            for w, lid in zip(worlds, lids)
+        }
+        valuation.update({w: {"p": V.F, "q": V.F} for w in worlds[-tail:]})
+        model = Model(worlds, relation, dict(zip(worlds, lids)), valuation, variant)
+        zeros = [parse(t) for t in ("p", "p & q", "p | q", "<>p", "(p -> p) -> q", "!(p -> p)")]
+        fs = zeros + [_random_formula(rng, rng.randint(1, 7), rng.randint(0, 3)) for _ in range(6)]
+        for f in fs:
+            memo: dict = {}
+            want = [_eval(model, w, syntax.desugar(f), memo) for w in worlds]
+            assert [eval_formula(model, w, f) for w in worlds] == want, (variant, n, syntax.to_text(f))
+        for f in zeros:
+            assert model._encoding._run(f).endswith(bytes(tail)), syntax.to_text(f)
+        assert set(lids) == set(LOGIC_IDS)
+
+
+def test_the_tagged_tables_read_the_mask_tables_and_keep_the_tag():
+    from manylogic.models import (
+        _ATOM_T, _CIRC, _CIRC_T, _DOWN, _DOWN_T, _IMP, _IMP_T, _IMP_X, _MASKS, _NEG, _NEG_T, _UP, _UP_T,
+    )
+
+    tables = (_ATOM_T, _CIRC_T, _DOWN_T, _IMP_T, _IMP_X, _MASKS, _NEG_T, _UP_T)
+    assert all(type(t) is bytes and len(t) == 256 for t in tables)
+    for i, lid in enumerate(LOGIC_IDS):
+        tag, logic = 16 * i, LOGICS[lid]
+        for m in range(16):  # meets and joins of masks, and the empty folds' 15 and 0
+            assert _DOWN_T[tag | m] == tag | _DOWN[tag | m] and _UP_T[tag | m] == tag | _UP[tag | m]
+            assert _MASKS[tag | m] == m
+        for x in logic.lattice.elements:
+            mx = tag | MASK[x]
+            assert _NEG_T[mx] == tag | _NEG[MASK[x]] == tag | MASK[apply(logic, "neg", [x])]
+            assert _CIRC_T[mx] == tag | _CIRC[mx] == tag | MASK[apply(logic, "circ", [x])]
+            assert _ATOM_T[tag | x] == mx  # by value code
+            for y in logic.lattice.elements:
+                at = _IMP_X[mx] ^ (tag | MASK[y])  # the index of (family, x, y)
+                assert _IMP_T[at] == _IMP[mx][MASK[y]] == MASK[apply(logic, "imp", [x, y])], (lid, x, y)
+        assert _ATOM_T[tag | 6] == tag | MASK[logic.lattice.bottom]  # a missing atom
+
+
+def test_every_logic_fits_the_tag():
+    # a row byte is 16 x the logic index | a 4-bit mask
+    assert len(LOGIC_IDS) <= 16
 
 
 # Models that validate rejects, and a formula each; construction accepts them.

@@ -185,7 +185,7 @@ def test_lazy_tables_match_the_eager_build():
     for got, lid in zip(frames._B_ELEMENTS, LOGIC_IDS):
         ref = want["MASK_OF"][[int(v) for v in LOGICS[lid].lattice.elements]]
         assert got == ref.tobytes(), lid
-    # the list runner reads the same tables
+    # the byte runner's tables are built from the same lists
     assert models._DOWN == want["DOWN_M"].tolist()
     assert models._IMP == want["IMP_M"].reshape(-1, 16).tolist()
     assert models._VALUE_OF == [Value(c) for c in want["CODE_OF"].tolist()]
