@@ -356,11 +356,11 @@ def _logic_indices(logic_ids) -> list[int]:
     """Each logic's index into the value tables, refusing an empty logic
     set, an unknown logic or one named twice (which would count its
     frames twice, and draw it twice as often) before anything is built
-    or drawn."""
+    or drawn.  An id that is no str, an unhashable one too, is unknown."""
     require_ids(logic_ids, "an iterable of logic ids")
     indices = []
     for lid in logic_ids:
-        if lid not in _LOGIC_INDEX:
+        if not isinstance(lid, str) or lid not in _LOGIC_INDEX:
             raise BudgetError(f"unknown logic {lid!r}; expected one of {', '.join(LOGIC_IDS)}")
         if _LOGIC_INDEX[lid] in indices:
             raise BudgetError(f"logic {lid!r} is named twice")
@@ -587,9 +587,8 @@ def axiom_valid_on_frame(
     `Random(seed)` draws them.  Runs on byte lanes, without numpy."""
     require_type(frame, Frame, "a Frame")
     atoms = _require_schema(schema)
-    succs = _world_axis(frame)[1]  # ModelFormatError if the frame does not validate
-    worlds = frame.worlds
-    lat = [_LOGIC_INDEX[frame.logics[w]] for w in worlds]
+    _, succs, tags, _ = _world_axis(frame)  # ModelFormatError if the frame does not validate
+    worlds, lat = frame.worlds, [t >> 4 for t in tags]
     prog = compile_program(schema.template, frame.diamond, atoms)
     if samples is None:
         if len(worlds) > 3:
@@ -604,7 +603,7 @@ def axiom_valid_on_frame(
     root = _run_lanes(prog, succs, lat, vals, size)
     ok = reduce(and_, [_num(x.translate(_B_DESIG[l])) for l, x in zip(lat, root)])
     j = ok.to_bytes(size, "little").find(0)  # the first failing lane
-    rows = [bytes([16 * l]) * size for l in lat]  # each world's table row, as `_witness` reads it
+    rows = [bytes([t]) * size for t in tags]  # each world's table row, as `_witness` reads it
     bad = [_witness(j, root, rows, vals, worlds, frame.relation, atoms, frame.diamond)] if j >= 0 else []
     return CheckResult(not bad, bad[0] if bad else None, 1, size)
 

@@ -11,13 +11,15 @@ uses it.
 
 This module owns the value tables: the 4-bit mask tables every
 compiled program runs on, Python lists read off each logic at the value
-of every mask.  Formulas compile to a postfix program; `eval_formula`
-runs it over a model's whole world axis, a node's row one `bytes` whose
-byte w is 16 x w's logic index | a mask, so that a propositional node is
-a few `translate`s and int operations in C, and keeps the formula on the
-model as a row of `Value`s.  `frames` runs it on the same tables over
-byte lanes to check one frame, and over numpy arrays built from these
-lists on the first sweep, so only the sweeps load numpy.
+of every mask.  Validation lays out a model's world axis: each world's
+tag, 16 x its logic index, and each atom's column of tagged masks.
+Formulas compile to a postfix program; `eval_formula` runs it over that
+axis, a node's row one `bytes` whose byte w is w's tag | a mask, so that
+a propositional node is a few `translate`s and int operations in C, and
+keeps the formula on the model as a row of `Value`s.  `frames` runs it
+on the same tables over byte lanes to check one frame, and over numpy
+arrays built from these lists on the first sweep, so only the sweeps
+load numpy.
 """
 
 from __future__ import annotations
@@ -92,10 +94,10 @@ class Frame(_Worlds):
 
 class Model(_Worlds):
     """A Kripke model.  `logics` and every `valuation` row are read-only
-    copies, so the encoding `eval_formula` keeps on the model stays true
-    to it."""
+    copies, so the world axis validation keeps on the model, and the rows
+    `eval_formula` keeps there, stay true to it."""
 
-    __slots__ = ("valuation", "diamond", "_encoding")
+    __slots__ = ("valuation", "diamond", "_answers")
     _fields = __match_args__ = ("worlds", "relation", "logics", "valuation", "diamond")
 
     def __init__(self, worlds, relation, logics, valuation: Mapping[str, Mapping[str, Value]], diamond: str = "up"):
@@ -103,7 +105,7 @@ class Model(_Worlds):
         require_type(valuation, Mapping, "a mapping as the valuation")
         rows = {w: _read_only(row, "a mapping as a world's valuation") for w, row in valuation.items()}
         self._init(self.worlds, self.relation, self.logics, MappingProxyType(rows), diamond)
-        _set(self, "_encoding", None)
+        _set(self, "_answers", None)
 
     @property
     def frame(self) -> Frame:
@@ -114,10 +116,11 @@ class Model(_Worlds):
         return Model, (self.worlds, self.relation, dict(self.logics), valuation, self.diamond)
 
 
-def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]], dict[str, bytearray]]:
-    """x's world -> position map, by position its successors' positions in
-    no set order and each atom's value codes (6 where it is missing), as
-    validating x built them; ModelFormatError if x does not validate."""
+def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]], bytes, dict[str, bytes]]:
+    """x's world -> position map; by position its successors' positions in
+    no set order and its tag (16 x its logic index); each atom's column, the
+    tag | the atom's mask (its bottom's where missing): as validating x laid
+    them out.  ModelFormatError if x does not validate."""
     is_model = isinstance(x, Model)
     report = validate(x) if is_model else validate_frame(x)
     if not report.ok:
@@ -154,9 +157,10 @@ def validate_frame(frame: Frame) -> ValidationReport:
 
 
 def _validate(model: Frame | Model, valuation) -> ValidationReport:
-    """One pass over the relation builds the world axis, and the one over
-    the valuation each atom's codes, kept on a model that validates; an
-    unknown world or an entry that is not a pair fails a lookup there."""
+    """The passes over the relation, the worlds and the valuation lay out
+    the world axis: successors, tags and atom codes, kept on a model that
+    validates.  An unknown world or a non-pair fails a lookup in the first;
+    a logic id that is no str, an unhashable one too, is unknown."""
     if model._report is not None:
         return model._report
     seen = {w: i for i, w in enumerate(model.worlds)}  # world -> position
@@ -181,11 +185,14 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                     errors.append(f"relation names unknown world {w!r}")
         for entry in sorted(others, key=repr):
             errors.append(f"relation entry {entry!r} is not a pair of worlds")
-    for w in model.worlds:
+    tags = bytearray(b"\xff") * len(model.worlds)  # 255 where the logic is unknown
+    for i, w in enumerate(model.worlds):
         if w not in model.logics:
             errors.append(f"world {w!r} has no logic")
-        elif model.logics[w] not in LOGICS:
-            errors.append(f"world {w!r} has unknown logic {model.logics[w]!r}")
+        elif not isinstance(lid := model.logics[w], str) or lid not in _LOGIC_INDEX:
+            errors.append(f"world {w!r} has unknown logic {lid!r}")
+        else:
+            tags[i] = 16 * _LOGIC_INDEX[lid]
     for w in model.logics:
         if w not in seen:
             errors.append(f"logic assignment names unknown world {w!r}")
@@ -201,7 +208,8 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 all_atoms.add(atom)
             else:
                 errors.append(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
-        lat = LOGICS[model.logics[w]].lattice if model.logics.get(w) in LOGICS else None
+        tag = tags[seen[w]]
+        lat = _LATTICES[tag >> 4] if tag != 255 else None
         for atom, val in row.items():
             if not isinstance(val, Value):  # a bool or int would index the tables as a code
                 errors.append(f"valuation({w!r},{atom!r}) = {val!r} is not a Value")
@@ -219,7 +227,9 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 "defaulting to lattice bottom"
             )
     if not errors:
-        _set(model, "_axis", (seen, succs, codes))
+        n, tag_bits = len(tags), _num(tags)
+        columns = {a: (_num(c) | tag_bits).to_bytes(n, "little").translate(_ATOM_T) for a, c in codes.items()}
+        _set(model, "_axis", (seen, succs, bytes(tags), columns))
     _set(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
 
@@ -246,6 +256,7 @@ def _pair_order(pair: tuple) -> tuple:
 # 0 (F) and is never looked up.
 
 _LOGIC_INDEX = {lid: i for i, lid in enumerate(LOGIC_IDS)}
+_LATTICES = [logic.lattice for logic in LOGICS.values()]  # by logic index
 _CODE = [MASK.index(m) if m in MASK else int(Value.T) for m in range(16)]  # by mask; others read T
 _VALUE_OF = [Value(c) for c in _CODE]  # by mask
 
@@ -342,93 +353,82 @@ def compile_program(f: Formula, variant: str, atom_names: tuple[str, ...]):
 
 # ------------------------------------------------------------ evaluation
 
-class _Encoding:
-    """A valid model on tagged bytes along its world axis (`_world_axis`):
-    each world's tag (16 x its logic index) as bytes and as an int, the
-    bottom row, each atom's column, and the `Value` at every world of each
-    formula evaluated so far."""
-
-    def __init__(self, model: Model):
-        self.index, self.succs, codes = _world_axis(model)
-        self.lat = tags = bytes([16 * _LOGIC_INDEX[model.logics[w]] for w in model.worlds])
-        self.tags, self.variant, self.bot = _num(tags), model.diamond, tags.translate(_UP_T)  # up_w(0): bottom
-        self.columns = {a: (_num(c) | self.tags).to_bytes(len(tags), "little").translate(_ATOM_T)
-                        for a, c in codes.items()}
-        self.answers: dict[Formula, list[Value]] = {}
-
-    def _run(self, f: Formula) -> bytes:
-        key = (f, self.variant)
-        entry = _PROGRAMS.get(key)
-        if entry is None:  # setdefault: threads that compile f at once share one entry
-            names = tuple(syntax.atoms(f))
-            entry = _PROGRAMS.setdefault(key, (names, tuple(compile_program(f, self.variant, names))))
-        names, program = entry
-        lat, succs, tags, n = self.lat, self.succs, self.tags, len(self.lat)
-        slots: list[bytes] = []
-        for node in program:
-            kind = node[0]
-            if kind == "atom":
-                row = self.columns.get(names[node[1]], self.bot)
-            elif kind == "bottom":
-                row = self.bot
-            elif kind == "neg":
-                row = slots[node[1]].translate(_NEG_T)
-            elif kind == "circ":
-                row = slots[node[1]].translate(_CIRC_T)
-            elif kind == "and":
-                row = (_num(slots[node[1]]) & _num(slots[node[2]])).to_bytes(n, "little").translate(_DOWN_T)
-            elif kind == "or":
-                row = (_num(slots[node[1]]) | _num(slots[node[2]])).to_bytes(n, "little").translate(_UP_T)
-            elif kind == "imp":
-                at = (_num(slots[node[1]].translate(_IMP_X)) ^ _num(slots[node[2]])).to_bytes(n, "little")
-                row = (_num(at.translate(_IMP_T)) | tags).to_bytes(n, "little")
-            else:  # a fold over each world's successors, on the child's masks
-                ch, row = list(slots[node[1]].translate(_MASKS)), []
-                if kind == "box":  # down_w(AND of the successors' masks)
-                    for ss in succs:
-                        acc = 15
-                        for u in ss:
-                            acc &= ch[u]
-                        row.append(acc)
-                elif kind == "dia_up":  # up_w(OR of the successors' masks)
-                    for ss in succs:
-                        acc = 0
-                        for u in ss:
-                            acc |= ch[u]
-                        row.append(acc)
-                else:  # dia_down: up_w(OR of the successors' down_w)
-                    for l, ss in zip(lat, succs):
-                        acc = 0
-                        for u in ss:
-                            acc |= _DOWN[l | ch[u]]
-                        row.append(acc)
-                row = (_num(bytes(row)) | tags).to_bytes(n, "little").translate(_DOWN_T if kind == "box" else _UP_T)
-            slots.append(row)
-        return slots[-1]
+def _run(model: Model, f: Formula) -> bytes:
+    """f's row on a valid model's world axis, by position the tag | f's mask."""
+    key = (f, model.diamond)
+    entry = _PROGRAMS.get(key)
+    if entry is None:  # setdefault: threads that compile f at once share one entry
+        names = tuple(syntax.atoms(f))
+        entry = _PROGRAMS.setdefault(key, (names, tuple(compile_program(f, model.diamond, names))))
+    names, program = entry
+    _, succs, lat, columns = model._axis
+    tags, n, bot = _num(lat), len(lat), lat.translate(_UP_T)  # up_w(0): bottom
+    slots: list[bytes] = []
+    for node in program:
+        kind = node[0]
+        if kind == "atom":
+            row = columns.get(names[node[1]], bot)
+        elif kind == "bottom":
+            row = bot
+        elif kind == "neg":
+            row = slots[node[1]].translate(_NEG_T)
+        elif kind == "circ":
+            row = slots[node[1]].translate(_CIRC_T)
+        elif kind == "and":
+            row = (_num(slots[node[1]]) & _num(slots[node[2]])).to_bytes(n, "little").translate(_DOWN_T)
+        elif kind == "or":
+            row = (_num(slots[node[1]]) | _num(slots[node[2]])).to_bytes(n, "little").translate(_UP_T)
+        elif kind == "imp":
+            at = (_num(slots[node[1]].translate(_IMP_X)) ^ _num(slots[node[2]])).to_bytes(n, "little")
+            row = (_num(at.translate(_IMP_T)) | tags).to_bytes(n, "little")
+        else:  # a fold over each world's successors, on the child's masks
+            ch, row = list(slots[node[1]].translate(_MASKS)), []
+            if kind == "box":  # down_w(AND of the successors' masks)
+                for ss in succs:
+                    acc = 15
+                    for u in ss:
+                        acc &= ch[u]
+                    row.append(acc)
+            elif kind == "dia_up":  # up_w(OR of the successors' masks)
+                for ss in succs:
+                    acc = 0
+                    for u in ss:
+                        acc |= ch[u]
+                    row.append(acc)
+            else:  # dia_down: up_w(OR of the successors' down_w)
+                for l, ss in zip(lat, succs):
+                    acc = 0
+                    for u in ss:
+                        acc |= _DOWN[l | ch[u]]
+                    row.append(acc)
+            row = (_num(bytes(row)) | tags).to_bytes(n, "little").translate(_DOWN_T if kind == "box" else _UP_T)
+        slots.append(row)
+    return slots[-1]
 
 
 def eval_formula(model: Model, world: str, f: Formula) -> Value:
-    """The value of f at a world.  The first query of a model encodes it,
-    raising ModelFormatError if `validate` reports errors; the first query
-    of a formula keeps its `Value` at every world on the model, a row read
-    by world position, so later queries of it are two subscripts.  Its
+    """The value of f at a world, run on the world axis `validate` laid
+    out; ModelFormatError if it reports errors.  The first query of a
+    formula keeps its `Value` at every world on the model, a row read by
+    world position, so later queries of it are two subscripts.  Its
     program is compiled once per process and variant (`_PROGRAMS`)."""
     try:
-        enc = model._encoding
-        return enc.answers[f][enc.index[world]]
+        return model._answers[f][model._axis[0][world]]
     except (AttributeError, KeyError, TypeError):  # a miss or bad input: the checks run below
         pass
     require_type(model, Model, "a Model")
-    enc = model._encoding or _Encoding(model)
-    _set(model, "_encoding", enc)
+    index = _world_axis(model)[0]
+    answers = model._answers
+    if answers is None:
+        _set(model, "_answers", answers := {})
     require_type(world, Hashable, "a world name")
-    i = enc.index.get(world)
+    i = index.get(world)
     if i is None:
         raise ModelFormatError(f"unknown world {world!r}")
     require_type(f, Formula, "a Formula")
-    if f not in enc.answers:
-        enc.answers[f] = [_VALUE_OF[x] for x in enc._run(f).translate(_MASKS)]
-    return enc.answers[f][i]
+    if f not in answers:
+        answers[f] = [_VALUE_OF[x] for x in _run(model, f).translate(_MASKS)]
+    return answers[f][i]
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:

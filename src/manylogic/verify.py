@@ -438,12 +438,12 @@ def run_all(only: set[str] | None = None) -> list[CheckOutcome]:
     """The outcomes of the checks whose ids `only` holds (of every check
     when it is None), in checklist order; CriterionError, before any
     check runs, for an id that names no check."""
-    if only is not None:
-        require_ids(only, "an iterable of criterion ids")
     checks = {check.__name__.split("_")[0].upper(): check for check in ALL_CHECKS}
-    unknown = sorted(map(repr, set(only) - checks.keys())) if only is not None else []
-    if unknown:
-        raise CriterionError(f"unknown criterion {unknown[0]}; expected one of {', '.join(checks)}")
+    if only is not None:  # an id that is no str, an unhashable one too, is unknown
+        require_ids(only, "an iterable of criterion ids")
+        unknown = sorted(repr(c) for c in only if not isinstance(c, str) or c not in checks)
+        if unknown:
+            raise CriterionError(f"unknown criterion {unknown[0]}; expected one of {', '.join(checks)}")
     return [check() for cid, check in checks.items() if only is None or cid in only]
 
 

@@ -207,6 +207,9 @@ def test_run_all_refuses_an_unknown_id_before_any_check_runs(monkeypatch):
     for only in ({"nope"}, {"AC1", "AC99"}, {"AC2", ""}):
         with pytest.raises(verify.CriterionError, match=f"^unknown criterion '(nope|AC99|)'; expected one of {CRITERIA}$"):
             verify.run_all(only)
+    for only in ([["AC1"]], ["AC2", ["AC1"]]):  # an unhashable id is an unknown one
+        with pytest.raises(verify.CriterionError, match=rf"^unknown criterion \['AC1'\]; expected one of {CRITERIA}$"):
+            verify.run_all(only)
     assert issubclass(verify.CriterionError, ManylogicError) and ran == []
     assert verify.run_all({"AC12", "AC3"}) == ["AC3", "AC12"]  # checklist order
     assert verify.run_all(None) == [f"AC{i}" for i in range(1, 13)]

@@ -1023,6 +1023,8 @@ _LOGIC_SET_CALLS = {
 def test_frame_checks_refuse_unknown_and_empty_logic_sets(no_draws, check):
     with pytest.raises(BudgetError, match="unknown logic 'K4'; expected one of LETK, "):
         _LOGIC_SET_CALLS[check](("K3", "K4"))
+    with pytest.raises(BudgetError, match=re.escape("unknown logic ['x']; expected one of LETK, ")):
+        _LOGIC_SET_CALLS[check](["K3", ["x"]])  # an unhashable id is an unknown one
     with pytest.raises(BudgetError, match="at least one logic"):
         _LOGIC_SET_CALLS[check](())
 

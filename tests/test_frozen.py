@@ -80,7 +80,7 @@ class Frame(_Worlds):
 class Model(_Worlds):
     valuation: Mapping[str, Mapping[str, Value]]
     diamond: str = "up"
-    _encoding: _Encoding | None = field(default=None, init=False, repr=False, compare=False)
+    _answers: dict | None = field(default=None, init=False, repr=False, compare=False)
     __hash__ = _Worlds.__hash__
 
     def __post_init__(self):
@@ -190,9 +190,9 @@ def test_equality_is_the_dataclass_equality(samples):
         assert (x == twin) is False  # a dataclass twin is of another class
         sub, twin_sub = (type("Sub", (type(y),), {"__slots__": ()})(*x._values()) for y in (x, twin))
         assert (sub == x) is (twin_sub == twin) is (x == sub) is False  # and so is a subclass
-    ex1 = next(x for x in samples if getattr(x, "_encoding", None) is not None)
+    ex1 = next(x for x in samples if getattr(x, "_answers", None) is not None)
     assert ex1.frame != ex1 and ex1 != ex1.frame  # Frame against Model
-    assert ex1._encoding is not None and ex1 == models.load_model(FIXTURES / "ex1.json")  # caches are not compared
+    assert ex1._answers is not None and ex1 == models.load_model(FIXTURES / "ex1.json")  # caches are not compared
 
 
 def test_frames_and_models_hash_as_before_and_lattices_by_id_and_elements(samples):
@@ -252,7 +252,7 @@ def test_replace_is_dataclasses_replace(samples):
             got, want = x._replace(**change), replace(twin, **change)
             assert type(got) is type(x) and repr(got) == repr(want), change
             assert got is not x and (got == x) == (want == twin), change
-            for cache in ("_report", "_axis", "_encoding"):
+            for cache in ("_report", "_axis", "_answers"):
                 assert getattr(got, cache, None) is None
         with pytest.raises(TypeError):
             x._replace(nonesuch=1)

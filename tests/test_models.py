@@ -391,11 +391,13 @@ def test_a_relation_entry_that_is_not_a_pair_is_a_validation_error(entry):
 
 def test_world_axis_matches_the_per_world_comprehension():
     # the successor positions built in one pass over the relation must be,
-    # as sets, what filtering the sorted relation once per world gives
+    # as sets, what filtering the sorted relation once per world gives; the
+    # tags and tagged atom columns what reading each world's logic and
+    # values one at a time gives, a missing atom its world's bottom
     from manylogic.models import _world_axis
 
     rng = Random(23)
-    loops = dead_ends = 0
+    loops = dead_ends = missing = 0
     for n in range(1, 41):
         worlds = tuple(f"w{i}" for i in rng.sample(range(100), n))
         for density in (0.0, 0.05, 0.25, 0.5, 0.75, 1.0):
@@ -405,16 +407,28 @@ def test_world_axis_matches_the_per_world_comprehension():
             want = [{worlds.index(v) for u, v in sorted(relation) if u == w} for w in worlds]
             loops += sum(i in succ for i, succ in enumerate(want))
             dead_ends += want.count(set())
-            for x in (
-                Model(worlds, relation, dict.fromkeys(worlds, "K3"), {}),
-                Frame(worlds, relation, dict.fromkeys(worlds, "LP")),
-            ):
-                index, succs, codes = _world_axis(x)
-                assert index == {w: i for i, w in enumerate(worlds)} and codes == {}
+            logics = {w: rng.choice(LOGIC_IDS) for w in worlds}
+            valuation = {
+                w: {a: rng.choice(LOGICS[logics[w]].lattice.elements) for a in "pqr" if rng.random() < 0.7}
+                for w in worlds
+            }
+            tags = bytes(16 * LOGIC_IDS.index(logics[w]) for w in worlds)
+            for x in (Model(worlds, relation, logics, valuation), Frame(worlds, relation, logics)):
+                index, succs, got_tags, columns = _world_axis(x)
+                assert index == {w: i for i, w in enumerate(worlds)} and got_tags == tags
                 assert [set(s) for s in succs] == want
                 assert sum(map(len, succs)) == len(relation)  # each edge once
                 assert _world_axis(x) is x._axis  # built once, kept on x
-    assert loops and dead_ends
+                atoms = {a for row in getattr(x, "valuation", {}).values() for a in row}
+                assert set(columns) == atoms
+                for a in atoms:
+                    assert type(columns[a]) is bytes
+                    assert list(columns[a]) == [
+                        tag | MASK[valuation[w].get(a, LOGICS[logics[w]].lattice.bottom)]
+                        for w, tag in zip(worlds, tags)
+                    ]
+                    missing += sum(a not in valuation[w] for w in worlds)
+    assert loops and dead_ends and missing
 
 
 def test_world_axis_refuses_what_validate_rejects():
@@ -560,6 +574,8 @@ def test_eval_formula_agrees_with_the_reference_evaluator_on_large_mixed_models(
     # and q missing at some worlds.  The last three worlds are LETK dead
     # ends where p and q are F, so every row below ends in 0 bytes, the
     # top bytes of its int, which to_bytes(n) must pad back.
+    from manylogic.models import _run
+
     rng, tail = Random(36), 3
     for trial in range(12):
         n = rng.randint(50, 300)
@@ -584,7 +600,7 @@ def test_eval_formula_agrees_with_the_reference_evaluator_on_large_mixed_models(
             want = [_eval(model, w, syntax.desugar(f), memo) for w in worlds]
             assert [eval_formula(model, w, f) for w in worlds] == want, (variant, n, syntax.to_text(f))
         for f in zeros:
-            assert model._encoding._run(f).endswith(bytes(tail)), syntax.to_text(f)
+            assert _run(model, f).endswith(bytes(tail)), syntax.to_text(f)
         assert set(lids) == set(LOGIC_IDS)
 
 
@@ -828,6 +844,7 @@ def test_validate_reports_every_defect_in_order():
                            "valuation names unknown world 'w1'", "valuation names unknown world 'w2'"), ()),
         (dict(logics={"w1": "K3"}), ("world 'w2' has no logic",), ()),
         (dict(logics={"w1": "K3", "w2": None}), ("world 'w2' has unknown logic None",), ()),
+        (dict(logics={"w1": "K3", "w2": ["FDE"]}), ("world 'w2' has unknown logic ['FDE']",), ()),
         (dict(valuation={"w1": {"p": V.n}}), (), ("world 'w2' has no value for p; defaulting to lattice bottom",)),
         (dict(valuation={"w1": {"p": V.n}, "w2": {"q": V.b}}), (), (
             "world 'w1' has no value for q; defaulting to lattice bottom",
@@ -1066,7 +1083,7 @@ def test_a_kept_row_raises_what_a_fresh_model_raises(fixtures):
     # back to the checks and raises as it does on a model that keeps nothing
     box = parse("[]p")
     kept = load_model(fixtures / "ex1.json")
-    assert eval_formula(kept, "w1", box) == V.b and kept._encoding.answers[box]
+    assert eval_formula(kept, "w1", box) == V.b and kept._answers[box]
     cases = [  # world, formula, whether the frame stands in for the model, the error
         ("w9", box, False, ModelFormatError, "^unknown world 'w9'$"),
         (["w1"], box, False, TypeError, "^expected a world name, got list$"),
@@ -1078,20 +1095,20 @@ def test_a_kept_row_raises_what_a_fresh_model_raises(fixtures):
         for model in (kept, load_model(fixtures / "ex1.json")):
             with pytest.raises(error, match=message):
                 eval_formula(model.frame if as_frame else model, world, f)
-    assert list(kept._encoding.answers) == [box] and eval_formula(kept, "w1", box) == V.b
+    assert list(kept._answers) == [box] and eval_formula(kept, "w1", box) == V.b
 
 
 def test_a_formula_is_evaluated_once_per_model_object(fixtures, monkeypatch):
-    from manylogic.models import _Encoding
+    from manylogic import models
 
     runs = []
-    run = _Encoding._run
+    run = models._run
 
-    def counted(self, f):
+    def counted(model, f):
         runs.append(f)
-        return run(self, f)
+        return run(model, f)
 
-    monkeypatch.setattr(_Encoding, "_run", counted)
+    monkeypatch.setattr(models, "_run", counted)
     model = load_model(fixtures / "ex4.json")
     box, dia = parse("[]p"), parse("<>p")
     first = [eval_formula(model, w, box) for w in model.worlds]
