@@ -441,8 +441,8 @@ def run_all(only: set[str] | None = None) -> list[CheckOutcome]:
     checks = {check.__name__.split("_")[0].upper(): check for check in ALL_CHECKS}
     if only is not None:  # an id that is no str, an unhashable one too, is unknown
         require_ids(only, "an iterable of criterion ids")
-        unknown = sorted(repr(c) for c in only if not isinstance(c, str) or c not in checks)
-        if unknown:
+        only = list(only)  # an iterator is read once
+        if unknown := sorted(repr(c) for c in only if not isinstance(c, str) or c not in checks):
             raise CriterionError(f"unknown criterion {unknown[0]}; expected one of {', '.join(checks)}")
     return [check() for cid, check in checks.items() if only is None or cid in only]
 

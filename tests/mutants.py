@@ -1,13 +1,15 @@
 """A mutation catalogue: one-line faults that tier-1 must catch.
 
-    python tests/mutants.py [--timeout SECONDS] [ids ...]
+    python tests/mutants.py [ids ...]
 
 Each named entry (every entry when none is named) is planted alone in a
 copy of the repository in a temporary directory, never in the checkout,
-and tier-1 runs there with -x.  The table printed gives each mutant,
-killed or survived, the first failing test and the seconds the run took.
-The exit status is 1 if a named mutant survived, ran out of time or
-could not be planted, and 2 for an unknown id.
+and tier-1 runs there with -x, for at most TIMEOUT seconds.  The table
+printed gives each mutant's outcome, the first failing test and the
+seconds the run took.  A mutant is killed only when pytest exits 1
+naming a failing test; any other exit (a usage error, no tests
+collected, tests that cannot import) is an error, not a kill.  The exit
+status is 1 if a named mutant is not killed, and 2 for an unknown id.
 
 A tier-1 test checks only that each entry's old text occurs exactly
 once in its file, so the catalogue fails loudly when the code moves
@@ -29,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per mutant
 
 
 class Mutant(NamedTuple):
@@ -104,8 +107,9 @@ _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
-def run(mutant: Mutant, timeout: float) -> tuple[str, str, float]:
-    """(killed, survived, timeout or unplanted; the first failing test; seconds)."""
+def run(mutant: Mutant) -> tuple[str, str, float]:
+    """(killed, survived, error, timeout or unplanted; the first failing
+    test, or what went wrong; seconds)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_IGNORE)
@@ -120,20 +124,21 @@ def run(mutant: Mutant, timeout: float) -> tuple[str, str, float]:
         env = {k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"} | {"PYTHONPATH": str(copy / "src")}
         start = time.perf_counter()
         try:
-            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timeout", "", time.perf_counter() - start
         seconds = time.perf_counter() - start
     if done.returncode == 0:
         return "survived", "", seconds
     first = _FIRST_FAILURE.search(done.stdout)
-    return "killed", first.group(1) if first else f"pytest exit {done.returncode}", seconds
+    if done.returncode == 1 and first:
+        return "killed", first.group(1), seconds
+    return "error", f"pytest exit {done.returncode}", seconds
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ids", nargs="*", help="mutant ids (default: every entry)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant (default 300)")
     args = parser.parse_args(argv)
     by_id = {m.id: m for m in MUTANTS}
     unknown = [i for i in args.ids if i not in by_id]
@@ -144,7 +149,7 @@ def main(argv=None) -> int:
     print(f"{'mutant':<{width}}  {'outcome':<9}  {'seconds':>7}  first failing test")
     missed = 0
     for mutant in [by_id[i] for i in args.ids] or MUTANTS:
-        outcome, test, seconds = run(mutant, args.timeout)
+        outcome, test, seconds = run(mutant)
         missed += outcome != "killed"
         print(f"{mutant.id:<{width}}  {outcome:<9}  {seconds:7.1f}  {test}", flush=True)
     return 1 if missed else 0

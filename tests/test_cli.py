@@ -212,6 +212,7 @@ def test_run_all_refuses_an_unknown_id_before_any_check_runs(monkeypatch):
             verify.run_all(only)
     assert issubclass(verify.CriterionError, ManylogicError) and ran == []
     assert verify.run_all({"AC12", "AC3"}) == ["AC3", "AC12"]  # checklist order
+    assert verify.run_all(iter(["AC12", "AC3"])) == ["AC3", "AC12"]  # an iterator is read once
     assert verify.run_all(None) == [f"AC{i}" for i in range(1, 13)]
     assert verify.run_all(set()) == []
 
