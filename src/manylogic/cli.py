@@ -36,17 +36,17 @@ def _parse_premises(text: str | None):
     return [_parse_formula(part) for part in text.split(",")]
 
 
-def _load(path: str, load, validate, noun: str, diamond: str | None):
-    """The valid model or frame in a file, under `diamond` when one is
-    given, its warnings printed (a frame has none); a file that does not
-    load or validate is bad input.  The override comes before the one
-    validation, so nothing is rebuilt after it."""
+def _load(path: str, kind: type, validate, diamond: str | None):
+    """The valid model or frame (`kind`) in a file, under `diamond` when
+    one is given, its warnings printed (a frame has none); a file that
+    does not load or validate is bad input.  The override reaches the
+    loader once the file's own diamond is checked, so the world axis is
+    laid out once."""
+    noun = kind.__name__.lower()
     try:
-        loaded = load(path)
+        loaded = models._from_dict(models._read_json(path), kind, diamond)
     except (OSError, models.ModelFormatError) as exc:
         raise InputError(f"cannot load {noun} {path}: {exc}") from None
-    if diamond:
-        loaded = loaded._replace(diamond=diamond)
     report = validate(loaded)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -64,7 +64,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _load(args.model, models.load_model, models.validate, "model", args.diamond)
+    model = _load(args.model, models.Model, models.validate, args.diamond)
     if args.world not in model.worlds:
         raise InputError(f"unknown world {args.world!r}")
     f = _parse_formula(args.formula)
@@ -108,7 +108,7 @@ def _cmd_check_frame(args) -> int:
         raise InputError("--samples and --seed apply only without --exhaustive")
     samples = None if args.exhaustive else 10000 if args.samples is None else args.samples
     seed = frames.DEFAULT_SEED if args.seed is None else args.seed
-    frame = _load(args.model, models.load_frame, models.validate_frame, "frame", args.diamond)
+    frame = _load(args.model, models.Frame, models.validate_frame, args.diamond)
     result = frames.axiom_valid_on_frame(frame, frames.SCHEMAS[args.axiom], samples, seed)
     if result.valid:
         mode = "exhaustive" if args.exhaustive else "sampled"

@@ -9,13 +9,14 @@ compiler emits in place of the diamond.  A model or a frame carries its
 variant: every evaluation of the model and every check of the frame
 uses it.
 
-This module owns the value tables: the 4-bit mask tables every
-compiled program runs on, Python lists read off each logic at the value
-of every mask.  Validation lays out a model's world axis: each world's
-tag, 16 x its logic index, and each atom's column of tagged masks.
-Formulas compile to a postfix program; `eval_formula` runs it over that
-axis, a node's row one `bytes` whose byte w is w's tag | a mask, so that
-a propositional node is a few `translate`s and int operations in C, and
+This module owns the value tables: the 4-bit mask tables every compiled
+program runs on, Python lists read off each logic at the value of every
+mask.  Loading a document lays out its world axis as it checks it
+(validation does otherwise): each world's tag, 16 x its logic index,
+and each atom's column of tagged masks.  Formulas
+compile to a postfix program; `eval_formula` runs it over that axis, a
+node's row one `bytes` whose byte w is w's tag | a mask, so that a
+propositional node is a few `translate`s and int operations in C, and
 keeps the formula on the model as a row of `Value`s.  `frames` runs it
 on the same tables over byte lanes to check one frame, and over numpy
 arrays built from these lists on the first sweep, so only the sweeps
@@ -94,8 +95,8 @@ class Frame(_Worlds):
 
 class Model(_Worlds):
     """A Kripke model.  `logics` and every `valuation` row are read-only
-    copies, so the world axis validation keeps on the model, and the rows
-    `eval_formula` keeps there, stay true to it."""
+    views of mappings no caller holds, so the world axis kept on the
+    model, and the rows `eval_formula` keeps there, stay true to it."""
 
     __slots__ = ("valuation", "diamond", "_answers")
     _fields = __match_args__ = ("worlds", "relation", "logics", "valuation", "diamond")
@@ -119,8 +120,8 @@ class Model(_Worlds):
 def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]], bytes, dict[str, bytes]]:
     """x's world -> position map; by position its successors' positions in
     no set order and its tag (16 x its logic index); each atom's column, the
-    tag | the atom's mask (its bottom's where missing): as validating x laid
-    them out.  ModelFormatError if x does not validate."""
+    tag | the atom's mask (its bottom's where missing): as loading or
+    validating x laid them out.  ModelFormatError if x does not validate."""
     is_model = isinstance(x, Model)
     report = validate(x) if is_model else validate_frame(x)
     if not report.ok:
@@ -227,11 +228,18 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 "defaulting to lattice bottom"
             )
     if not errors:
-        n, tag_bits = len(tags), _num(tags)
-        columns = {a: (_num(c) | tag_bits).to_bytes(n, "little").translate(_ATOM_T) for a, c in codes.items()}
-        _set(model, "_axis", (seen, succs, bytes(tags), columns))
+        _lay_out(model, seen, succs, tags, codes)
     _set(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
     return model._report
+
+
+def _lay_out(x: Frame | Model, seen, succs, tags, codes) -> None:
+    """Keep x's world axis on x: the position map, the successors and the
+    tags as given, and each atom's value codes by position (6 where it is
+    missing) as its tagged column."""
+    n, tag_bits = len(tags), _num(tags)
+    columns = {a: (_num(c) | tag_bits).to_bytes(n, "little").translate(_ATOM_T) for a, c in codes.items()}
+    _set(x, "_axis", (seen, succs, bytes(tags), columns))
 
 
 def _pair_order(pair: tuple) -> tuple:
@@ -407,8 +415,8 @@ def _run(model: Model, f: Formula) -> bytes:
 
 
 def eval_formula(model: Model, world: str, f: Formula) -> Value:
-    """The value of f at a world, run on the world axis `validate` laid
-    out; ModelFormatError if it reports errors.  The first query of a
+    """The value of f at a world, run on the model's world axis;
+    ModelFormatError if `validate` reports errors.  The first query of a
     formula keeps its `Value` at every world on the model, a row read by
     world position, so later queries of it are two subscripts.  Its
     program is compiled once per process and variant (`_PROGRAMS`)."""
@@ -436,72 +444,82 @@ def holds(model: Model, world: str, f: Formula) -> bool:
     return model.logic(world).is_designated(value)
 
 
-_MODEL_MEMBERS = {"worlds", "logics", "relation", "valuation", "diamond"}
-_FRAME_MEMBERS = {"worlds", "logics", "relation", "diamond"}
+_MEMBERS = {Model: {"worlds", "logics", "relation", "valuation", "diamond"},
+            Frame: {"worlds", "logics", "relation", "diamond"}}
 
 
-def _parse_common(data: dict, allowed: set[str], what: str):
+def _from_dict(data: dict, kind: type, diamond: str | None = None) -> Frame | Model:
+    """The `kind` a document describes, under `diamond` if one is given
+    once the document's own is checked; ModelFormatError for the first
+    malformed member.  The checks lay out the world axis as they go.  A
+    document with no validation error or warning keeps its report and
+    axis; any anomaly leaves both to `_validate`, which words it."""
     if not isinstance(data, dict):
-        raise ModelFormatError(f"{what} document must be a JSON object")
-    unknown = set(data) - allowed
+        raise ModelFormatError(f"{kind.__name__.lower()} document must be a JSON object")
+    unknown = set(data) - _MEMBERS[kind]
     if unknown:
         raise ModelFormatError(f"unknown members: {', '.join(sorted(unknown))}")
-    worlds = data.get("worlds")
+    worlds, logics, relation = data.get("worlds"), data.get("logics"), data.get("relation")
     if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
         raise ModelFormatError("worlds must be an array of strings")
-    logics = data.get("logics")
-    if not isinstance(logics, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in logics.items()
-    ):
+    if not isinstance(logics, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in logics.items()):
         raise ModelFormatError("logics must map world to logic token")
-    relation = _pairs(data.get("relation"))
-    if relation is None:
-        raise ModelFormatError("relation must be an array of 2-element arrays")
-    diamond = data.get("diamond", "up")
-    if diamond not in DIAMOND_VARIANTS:
+    seen, n = {w: i for i, w in enumerate(worlds)}, len(worlds)  # world -> position
+    succs, clean = [[] for _ in worlds], len(seen) == n > 0
+    for p in relation if isinstance(relation, list) else [None]:  # [None] is refused
+        if not isinstance(p, list) or len(p) != 2 or not (isinstance(p[0], str) and isinstance(p[1], str)):
+            raise ModelFormatError("relation must be an array of 2-element arrays")
+        try:
+            succs[seen[p[0]]].append(seen[p[1]])
+        except KeyError:  # an unknown world
+            clean = False
+    pairs = frozenset(map(tuple, relation))  # shorter than relation if a pair is repeated
+    if (own := data.get("diamond", "up")) not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"diamond must be one of {', '.join(DIAMOND_VARIANTS)}")
-    return tuple(worlds), relation, dict(logics), diamond
-
-
-def _pairs(relation) -> frozenset[tuple[str, str]] | None:
-    """A document's relation as a set of pairs, checked and collected in
-    one loop; None unless it is an array of 2-element arrays of strings."""
-    if not isinstance(relation, list):
-        return None
-    pairs = []
-    for p in relation:
-        if not isinstance(p, list) or len(p) != 2:
-            return None
-        u, v = p
-        if not isinstance(u, str) or not isinstance(v, str):
-            return None
-        pairs.append((u, v))
-    return frozenset(pairs)
-
-
-def model_from_dict(data: dict) -> Model:
-    worlds, relation, logics, diamond = _parse_common(data, _MODEL_MEMBERS, "model")
-    raw = data.get("valuation")
+    try:  # a world with no logic, or an unknown one, fails a lookup
+        tags = bytes([16 * _LOGIC_INDEX[logics[w]] for w in worlds])
+    except KeyError:
+        tags, clean = b"", False
+    clean = clean and len(pairs) == len(relation) and len(logics) == n  # no pair twice, no stray logic
+    raw, rows, codes, entries = data.get("valuation") if kind is Model else {}, {}, {}, 0
     if not isinstance(raw, dict) or not all(isinstance(v, dict) for v in raw.values()):
         raise ModelFormatError("valuation must map world to an atom/value object")
-    valuation: dict[str, dict[str, Value]] = {}
     for w, row in raw.items():
-        parsed = {}
+        clean = clean and (i := seen.get(w)) is not None
+        members, parsed = _LATTICES[tags[i] >> 4].members if clean else (), {}
         for atom, token in row.items():
-            if not syntax.ATOM_RE.fullmatch(atom):
-                raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
+            if (column := codes.get(atom)) is None:  # each atom name is checked once
+                if not syntax.ATOM_RE.fullmatch(atom):
+                    raise ModelFormatError(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
+                column = codes[atom] = bytearray(b"\x06") * n
             if not isinstance(token, str):
                 raise ModelFormatError(f"valuation({w!r},{atom!r}) must be a value token")
             try:
-                parsed[atom] = parse_value(token)
+                parsed[atom] = value = parse_value(token)
             except ManylogicError as exc:
                 raise ModelFormatError(str(exc)) from None
-        valuation[w] = parsed
-    return Model(worlds, relation, logics, valuation, diamond)
+            if value in members:
+                column[i] = value
+            else:  # outside w's lattice
+                clean = False
+        rows[w], entries = MappingProxyType(parsed), entries + len(parsed)
+    if kind is Model:
+        x = Model(worlds, pairs, logics, {}, diamond or own)
+        _set(x, "valuation", MappingProxyType(rows))  # built here, so not copied again
+    else:
+        x = Frame(worlds, pairs, logics, diamond or own)
+    if clean and entries == len(codes) * n:  # and no atom is missing at a world
+        _lay_out(x, seen, succs, tags, codes)
+        _set(x, "_report", ValidationReport((), ()))
+    return x
+
+
+def model_from_dict(data: dict) -> Model:
+    return _from_dict(data, Model)
 
 
 def frame_from_dict(data: dict) -> Frame:
-    return Frame(*_parse_common(data, _FRAME_MEMBERS, "frame"))
+    return _from_dict(data, Frame)
 
 
 def _members(pairs: list) -> dict:
@@ -514,12 +532,12 @@ def _members(pairs: list) -> dict:
 
 
 def _read_json(path):
-    """The JSON document in a file; ModelFormatError for bytes that do not
-    decode, malformed JSON, nesting the decoder cannot follow or a member
-    named twice."""
+    """The JSON document in a UTF-8 file, whatever the locale's encoding;
+    ModelFormatError for bytes that do not decode, malformed JSON, nesting
+    the decoder cannot follow or a member named twice."""
     require_type(path, (str, PathLike), "a str or PathLike as the path")
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=_members)
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_members)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(str(exc)) from None
 

@@ -45,16 +45,39 @@ class Mutant(NamedTuple):
 MODELS, FRAMES = "src/manylogic/models.py", "src/manylogic/frames.py"
 
 MUTANTS = (
-    # validation's world axis
+    # the world axis a loaded document takes: laid out while it is checked
     Mutant("validate-tag", MODELS,
-           "tags[i] = 16 * _LOGIC_INDEX[lid]", "tags[i] = _LOGIC_INDEX[lid]",
-           "every world's tag reads LETK's table rows, and its values LETK's lattice"),
-    Mutant("missing-atom-bottom", MODELS,
-           'codes[atom] = bytearray(b"\\x06")', 'codes[atom] = bytearray(b"\\x05")',
-           "an atom missing at a world reads F there, not the world's bottom"),
+           "tags = bytes([16 * _LOGIC_INDEX[logics[w]] for w in worlds])",
+           "tags = bytes([_LOGIC_INDEX[logics[w]] for w in worlds])",
+           "every loaded world's tag reads LETK's table rows, and its values LETK's lattice"),
+    Mutant("load-succs-reversed", MODELS,
+           "succs[seen[p[0]]].append(seen[p[1]])", "succs[seen[p[1]]].append(seen[p[0]])",
+           "a loaded document's successors are laid out along each edge reversed"),
+    Mutant("load-unknown-world-clean", MODELS,
+           "except KeyError:  # an unknown world\n            clean = False",
+           "except KeyError:  # an unknown world\n            pass",
+           "a document whose relation names an unknown world takes the clean path: no error reported"),
+    Mutant("load-repeated-pair-twice", MODELS,
+           "len(pairs) == len(relation) and", "len(pairs) <= len(relation) and",
+           "a document that repeats a pair takes the clean path: the pair is laid out twice"),
+    Mutant("load-empty-worlds-clean", MODELS,
+           "len(seen) == n > 0", "len(seen) == n",
+           "a document with no worlds takes the clean path: 'empty world set' is not reported"),
+    Mutant("load-lattice-unchecked", MODELS,
+           "if value in members:", "if members:",
+           "a value outside its world's lattice takes the clean path: no error reported"),
     Mutant("columns-untagged", MODELS,
            "(_num(c) | tag_bits).to_bytes(n", "_num(c).to_bytes(n",
            "atom columns carry no tag, so every atom reads LETK's masks"),
+    # the axis validation lays out: a model built in Python, or a document
+    # with an anomaly (a missing atom)
+    Mutant("missing-atom-bottom", MODELS,
+           'codes[atom] = bytearray(b"\\x06") * len(model.worlds)',
+           'codes[atom] = bytearray(b"\\x05") * len(model.worlds)',
+           "an atom missing at a world reads F there, not the world's bottom"),
+    Mutant("built-tag", MODELS,
+           "tags[i] = 16 * _LOGIC_INDEX[lid]", "tags[i] = _LOGIC_INDEX[lid]",
+           "every world of a model built in Python reads LETK's table rows and lattice"),
     Mutant("unhashable-logic", MODELS,
            "elif not isinstance(lid := model.logics[w], str) or lid not in _LOGIC_INDEX:",
            "elif (lid := model.logics[w]) not in _LOGIC_INDEX:",

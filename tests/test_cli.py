@@ -119,25 +119,33 @@ def test_check_frame_uses_the_frames_diamond_unless_told_otherwise(capsys, fixtu
         assert check(plain)[1].startswith("COUNTEREXAMPLE world=w2 ")
 
 
-@pytest.mark.parametrize("argv", (
-    ["eval", "ex1.json", "--world", "w1", "--formula", "<>p", "--diamond", "down"],
-    ["check-frame", "euclid3.json", "--axiom", "5", "--exhaustive", "--diamond", "down"],
-), ids=("eval", "check-frame"))
-def test_a_diamond_override_is_validated_once(capsys, fixtures, monkeypatch, argv):
-    # eval used to validate the file's model, rebuild it under the flag's
-    # diamond and validate the rebuilt one again
+@pytest.mark.parametrize("argv, missing", (
+    (["eval", "ex1.json", "--world", "w1", "--formula", "<>p", "--diamond", "down"], False),
+    (["eval", "ex1.json", "--world", "w1", "--formula", "<>p", "--diamond", "down"], True),
+    (["check-frame", "euclid3.json", "--axiom", "5", "--exhaustive", "--diamond", "down"], False),
+), ids=("eval", "eval-missing-atom", "check-frame"))
+def test_a_diamond_override_is_validated_once(capsys, fixtures, monkeypatch, tmp_path, argv, missing):
+    # eval used to load the file's model, rebuild it under the flag's
+    # diamond and lay the rebuilt one out again; the loader lays out a
+    # clean document, validate one with an atom missing at a world
     from manylogic import models
 
-    validate, fresh = models._validate, []
+    doc = json.loads((fixtures / argv[1]).read_text())
+    if missing:
+        del doc["valuation"]["w3"]
+    path = tmp_path / argv[1]
+    path.write_text(json.dumps(doc))
+    lay_out, layouts = models._lay_out, []
 
-    def counting(model, valuation):
-        fresh.append(model._report is None)  # a kept report is no validation work
-        return validate(model, valuation)
+    def counting(x, *axis):
+        layouts.append(x.diamond)
+        return lay_out(x, *axis)
 
-    monkeypatch.setattr(models, "_validate", counting)
-    code, out, err = run(capsys, argv[0], str(fixtures / argv[1]), *argv[2:])
-    assert code in (0, 1) and out and err == ""
-    assert fresh.count(True) == 1, fresh
+    monkeypatch.setattr(models, "_lay_out", counting)
+    code, out, err = run(capsys, argv[0], str(path), *argv[2:])
+    warning = "warning: world 'w3' has no value for p; defaulting to lattice bottom\n" if missing else ""
+    assert code in (0, 1) and out and err == warning
+    assert layouts == ["down"]
 
 
 def test_verify_refuses_flags_its_mode_ignores(capsys):
@@ -732,3 +740,29 @@ def test_the_console_entry_point_reads_sys_argv():
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("usage: manylogic tables")
     assert "invalid choice: 'K4'" in done.stderr
+
+
+def test_model_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # files used to be decoded in the locale's encoding: under the C locale
+    # a UTF-8 world name was refused, and under a Latin-1 one a file that
+    # is not UTF-8 loaded
+    from manylogic.models import ModelFormatError, load_model
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    text = json.dumps({"worlds": ["w1", "wé"], "logics": {"w1": "K3", "wé": "LP"},
+                       "relation": [["w1", "wé"], ["wé", "w1"]],
+                       "valuation": {"w1": {"p": "T0"}, "wé": {"p": "b"}}}, ensure_ascii=False)
+    for encoding, code, out, err in (
+        ("utf-8", 0, "F0 NOT DESIGNATED\n", ""),
+        ("latin-1", 2, "", "'utf-8' codec can't decode byte 0xe9 in position 20: invalid continuation byte\n"),
+    ):
+        path = tmp_path / f"{encoding}.json"
+        path.write_bytes(text.encode(encoding))
+        done = subprocess.run([sys.executable, "-m", "manylogic.cli", "eval", str(path), "--world", "w1",
+                               "--formula", "[]p"], capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (code, out) and done.stderr.endswith(err)
+    assert load_model(tmp_path / "utf-8.json").worlds == ("w1", "wé")
+    with pytest.raises(ModelFormatError, match="^'utf-8' codec can't decode byte 0xe9"):
+        load_model(tmp_path / "latin-1.json")

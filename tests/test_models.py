@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import pickle
@@ -856,6 +857,98 @@ def test_validate_reports_every_defect_in_order():
     ):
         report = validate(Model(**dict(clean, **change)))
         assert (report.errors, report.warnings) == (errors, warnings), change
+
+
+# ------------------------------------------------- loading onto the axis
+#
+# The loader lays the world axis out while it checks a document, and keeps
+# it, with an empty report, on a document it finds clean; any anomaly
+# leaves both to validate.  Either way the loaded model or frame must
+# report and lay out what validating the same fields, built in Python,
+# does.
+
+
+def _random_document(rng, clean=False) -> dict:
+    worlds = [f"w{i}" for i in rng.sample(range(100), rng.randint(1, 60))]
+    density = rng.random()
+    relation = [[u, v] for u in worlds for v in worlds if rng.random() < density]
+    rng.shuffle(relation)
+    if relation and not clean and rng.random() < 0.25:  # repeated pairs
+        relation += rng.sample(relation, min(3, len(relation)))
+    logics = {w: rng.choice(LOGIC_IDS) for w in worlds}
+    present = 1.0 if clean or rng.random() < 0.5 else 0.7  # atoms missing at about 30% of worlds
+    valuation = {
+        w: {a: rng.choice(LOGICS[logics[w]].lattice.elements).name for a in "pqr" if rng.random() < present}
+        for w in worlds
+    }
+    return {"worlds": worlds, "logics": logics, "relation": relation, "valuation": valuation,
+            "diamond": rng.choice(DIAMOND_VARIANTS)}
+
+
+def _value_outside(doc):
+    w = doc["worlds"][0]
+    doc["logics"][w] = "K3"
+    doc["valuation"][w]["p"] = "T"
+
+
+# one change to a clean document for each defect _ALL_DEFECTS shows, for
+# a missing atom, which is a warning, and for a repeated pair, which is
+# neither but leaves the layout to validate, so that each edge is laid out
+# once
+_DOCUMENT_DEFECTS = {
+    "duplicate world names": lambda d: d["worlds"].append(d["worlds"][-1]),
+    "empty world set": lambda d: d.update(worlds=[]),
+    "an unknown world as source": lambda d: d["relation"].append(["aa", d["worlds"][0]]),
+    "an unknown world as target": lambda d: d["relation"].insert(0, [d["worlds"][-1], "zz"]),
+    "an unknown logic": lambda d: d["logics"].update({d["worlds"][-1]: "XXX"}),
+    "a world with no logic": lambda d: d["logics"].pop(d["worlds"][0]),
+    "a logic for an unknown world": lambda d: d["logics"].update(ghost="LP"),
+    "a value outside the lattice": _value_outside,
+    "a valuation for an unknown world": lambda d: d["valuation"].update(nowhere={"s": "T"}),
+    "a missing atom": lambda d: d["valuation"][d["worlds"][-1]].pop("q"),
+    "a world with no valuation": lambda d: d["valuation"].pop(d["worlds"][0]),
+    "a repeated pair": lambda d: d["relation"].append([d["worlds"][0], d["worlds"][-1]]),
+}
+
+
+def _loads_as_built(doc: dict, kind) -> bool:
+    """Load `doc` as a `kind`, check it against the same fields validated
+    from scratch, and say whether the loader found it clean."""
+    from manylogic.models import frame_from_dict, validate_frame
+
+    if kind is Frame:
+        doc = {k: v for k, v in doc.items() if k != "valuation"}
+    before = copy.deepcopy(doc)
+    x = model_from_dict(doc) if kind is Model else frame_from_dict(doc)
+    assert doc == before  # the loader leaves its input alone
+    kept = x._report is not None
+    built = kind(*x._values())
+    report = validate if kind is Model else validate_frame
+    assert report(x) == report(built)  # every error and warning, in order
+    assert (x._axis is None) == (built._axis is None) and (not kept or x._axis is not None)
+    if x._axis is not None:
+        (index, succs, tags, columns), want = x._axis, built._axis
+        assert (index, tags, columns) == (want[0], want[2], want[3])
+        assert [sorted(s) for s in succs] == [sorted(s) for s in want[1]]  # each edge once
+    return kept
+
+
+def test_a_loaded_document_reports_and_lays_out_what_validate_does(fixtures):
+    rng = Random(38)
+    docs = [_random_document(rng) for _ in range(120)]
+    docs.append({k: v for k, v in model_to_dict(Model(**_ALL_DEFECTS)).items() if k != "diamond"})
+    docs.append({"worlds": [], "logics": {}, "relation": [], "valuation": {}})  # empty, and nothing else wrong
+    for name, defect in _DOCUMENT_DEFECTS.items():
+        for _ in range(6):
+            doc = _random_document(rng, clean=True)
+            defect(doc)
+            docs.append(doc)
+    docs += [json.loads(path.read_text()) for path in sorted(fixtures.glob("*.json"))]
+    kept = collections.Counter()
+    for doc in docs:
+        for kind in (Model, Frame) if "valuation" in doc else (Frame,):
+            kept[kind, _loads_as_built(doc, kind)] += 1
+    assert all(kept[kind, clean] > 20 for kind in (Model, Frame) for clean in (True, False)), kept
 
 
 # ---------------------------------------------------------- program memo
