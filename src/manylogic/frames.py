@@ -42,6 +42,7 @@ from .models import (  # the value tables, as lists, and the compiler live in mo
     Frame,
     Model,
     ModelFormatError,
+    _is_pair,
     _num,
     _world_axis,
     compile_program,
@@ -140,8 +141,7 @@ def frame_properties(frame: Frame) -> FrameProperties:
     """The frame's properties; ModelFormatError for a relation entry that
     is not a pair, as `models.validate_frame` reports it."""
     require_type(frame, Frame, "a Frame")
-    others = sorted((e for e in frame.relation if type(e) is not tuple or len(e) != 2), key=repr)
-    if others:
+    if others := sorted((e for e in frame.relation if not _is_pair(e)), key=repr):
         raise ModelFormatError(f"relation entry {others[0]!r} is not a pair of worlds")
     return _properties(frame.worlds, frame.relation)
 

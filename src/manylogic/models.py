@@ -122,10 +122,9 @@ def _world_axis(x: Frame | Model) -> tuple[dict[str, int], list[list[int]], byte
     no set order and its tag (16 x its logic index); each atom's column, the
     tag | the atom's mask (its bottom's where missing): as loading or
     validating x laid them out.  ModelFormatError if x does not validate."""
-    is_model = isinstance(x, Model)
-    report = validate(x) if is_model else validate_frame(x)
+    report = _validate(x)
     if not report.ok:
-        raise ModelFormatError(report.refusal("model" if is_model else "frame"))
+        raise ModelFormatError(report.refusal(type(x).__name__.lower()))
     return x._axis
 
 
@@ -148,44 +147,46 @@ class ValidationReport(NamedTuple):
 def validate(model: Model) -> ValidationReport:
     """The model's errors and warnings, worked out once per model."""
     require_type(model, Model, "a Model")
-    return _validate(model, model.valuation)
+    return _validate(model)
 
 
 def validate_frame(frame: Frame) -> ValidationReport:
     """The frame's errors and warnings, worked out once per frame."""
     require_type(frame, Frame, "a Frame")
-    return _validate(frame, {})
+    return _validate(frame)
 
 
-def _validate(model: Frame | Model, valuation) -> ValidationReport:
+def _is_pair(entry) -> bool:  # a relation entry: a 2-tuple, not a string or a set of two names
+    return type(entry) is tuple and len(entry) == 2
+
+
+def _validate(model: Frame | Model) -> ValidationReport:
     """The passes over the relation, the worlds and the valuation lay out
-    the world axis: successors, tags and atom codes, kept on a model that
-    validates.  An unknown world or a non-pair fails a lookup in the first;
-    a logic id that is no str, an unhashable one too, is unknown."""
+    the world axis, kept on a model that validates.  The relation's one
+    pass sorts each entry into a successor, a pair naming an unknown world,
+    or no pair; a logic id that is no str, an unhashable one too, is unknown."""
     if model._report is not None:
         return model._report
+    valuation = getattr(model, "valuation", {})  # a frame has none
     seen = {w: i for i, w in enumerate(model.worlds)}  # world -> position
-    succs: list[list[int]] | None = [[] for _ in model.worlds]
-    try:
-        for u, v in model.relation:
+    succs, unknown, others = [[] for _ in model.worlds], [], []
+    for p in model.relation:
+        if not _is_pair(p):
+            others.append(p)
+            continue
+        u, v = p
+        if u in seen and v in seen:
             succs[seen[u]].append(seen[v])
-    except (KeyError, TypeError, ValueError):  # an unknown world, or not a pair
-        succs = None
-    errors, warnings = [], []
+        else:
+            unknown.append(p)
+    errors = []
     if not model.worlds:
         errors.append("empty world set")
     if len(seen) != len(model.worlds):
         errors.append("duplicate world names")
-    if succs is None:
-        pairs, others = [], []
-        for entry in model.relation:
-            (pairs if type(entry) is tuple and len(entry) == 2 else others).append(entry)
-        for (u, v) in sorted(pairs, key=_pair_order):
-            for w in (u, v):
-                if w not in seen:
-                    errors.append(f"relation names unknown world {w!r}")
-        for entry in sorted(others, key=repr):
-            errors.append(f"relation entry {entry!r} is not a pair of worlds")
+    for p in sorted(unknown, key=_pair_order):
+        errors += [f"relation names unknown world {w!r}" for w in p if w not in seen]
+    errors += [f"relation entry {p!r} is not a pair of worlds" for p in sorted(others, key=repr)]
     tags = bytearray(b"\xff") * len(model.worlds)  # 255 where the logic is unknown
     for i, w in enumerate(model.worlds):
         if w not in model.logics:
@@ -194,9 +195,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
             errors.append(f"world {w!r} has unknown logic {lid!r}")
         else:
             tags[i] = 16 * _LOGIC_INDEX[lid]
-    for w in model.logics:
-        if w not in seen:
-            errors.append(f"logic assignment names unknown world {w!r}")
+    errors += [f"logic assignment names unknown world {w!r}" for w in model.logics if w not in seen]
     if model.diamond not in DIAMOND_VARIANTS:
         errors.append(f"unknown diamond variant {model.diamond!r}")
     all_atoms, codes = set(), {}
@@ -209,8 +208,7 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 all_atoms.add(atom)
             else:
                 errors.append(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
-        tag = tags[seen[w]]
-        lat = _LATTICES[tag >> 4] if tag != 255 else None
+        lat = _LATTICES[tag >> 4] if (tag := tags[seen[w]]) != 255 else None
         for atom, val in row.items():
             if not isinstance(val, Value):  # a bool or int would index the tables as a code
                 errors.append(f"valuation({w!r},{atom!r}) = {val!r} is not a Value")
@@ -220,13 +218,8 @@ def _validate(model: Frame | Model, valuation) -> ValidationReport:
                 if atom not in codes:
                     codes[atom] = bytearray(b"\x06") * len(model.worlds)
                 codes[atom][seen[w]] = val
-    for w in model.worlds:
-        missing = all_atoms.difference(valuation.get(w, ()))
-        if missing:
-            warnings.append(
-                f"world {w!r} has no value for {', '.join(sorted(missing))}; "
-                "defaulting to lattice bottom"
-            )
+    warnings = [f"world {w!r} has no value for {', '.join(sorted(missing))}; defaulting to lattice bottom"
+                for w in model.worlds if (missing := all_atoms.difference(valuation.get(w, ())))]
     if not errors:
         _lay_out(model, seen, succs, tags, codes)
     _set(model, "_report", ValidationReport(tuple(errors), tuple(warnings)))
@@ -551,6 +544,12 @@ def load_frame(path) -> Frame:
 
 
 def model_to_dict(model: Model) -> dict:
+    """A model's document, valid or not; TypeError if a relation entry is no pair or a world name no str."""
+    require_type(model, Model, "a Model")
+    if not all(map(_is_pair, model.relation)):
+        raise TypeError("expected pairs of worlds as the relation's entries")
+    for w in (*model.worlds, *model.logics, *model.valuation, *(w for p in model.relation for w in p)):
+        require_type(w, str, "a str as each world name")
     return {
         "worlds": list(model.worlds),
         "logics": dict(model.logics),

@@ -78,6 +78,9 @@ MUTANTS = (
     Mutant("built-tag", MODELS,
            "tags[i] = 16 * _LOGIC_INDEX[lid]", "tags[i] = _LOGIC_INDEX[lid]",
            "every world of a model built in Python reads LETK's table rows and lattice"),
+    Mutant("validate-pair-type", MODELS,
+           "return type(entry) is tuple and len(entry) == 2", "return len(entry) == 2",
+           "a string or a set of two names passes as a pair: validate unpacks it into an edge"),
     Mutant("unhashable-logic", MODELS,
            "elif not isinstance(lid := model.logics[w], str) or lid not in _LOGIC_INDEX:",
            "elif (lid := model.logics[w]) not in _LOGIC_INDEX:",
@@ -102,6 +105,9 @@ MUTANTS = (
     Mutant("frame-tag-bits", FRAMES,
            "lat = frame.worlds, [t >> 4 for t in tags]", "lat = frame.worlds, [t & 15 for t in tags]",
            "axiom_valid_on_frame runs every world under LETK"),
+    Mutant("frame-properties-pair", FRAMES,
+           "frame.relation if not _is_pair(e)", "frame.relation if not isinstance(e, tuple)",
+           "frame_properties keeps a rule of its own: a 1- or 3-tuple reaches the relation walk"),
     Mutant("unhashable-logic-set", FRAMES,
            "if not isinstance(lid, str) or lid not in _LOGIC_INDEX:", "if lid not in _LOGIC_INDEX:",
            "a frame check raises TypeError for an unhashable logic id instead of BudgetError"),

@@ -390,6 +390,49 @@ def test_a_relation_entry_that_is_not_a_pair_is_a_validation_error(entry):
         axiom_valid_on_frame(frame, SCHEMAS["K"])
 
 
+_ODD_ENTRIES = ("ab", frozenset({"a", "b"}), ("a",), ("a", "b", "a"), None)
+
+
+def test_validate_and_frame_properties_refuse_the_same_relation_entries():
+    # one pair rule: a relation entry is a 2-tuple; a string or a set of two
+    # names unpacks into two worlds but is no pair.  Messages are compared
+    # through repr, which for a frozenset varies with the hash seed.
+    from manylogic.frames import frame_properties
+    from manylogic.models import validate_frame
+
+    logics = {"a": "K3", "b": "LP"}
+    assert validate_frame(Frame(("a", "b"), frozenset({("a", "b")}), logics)).ok
+    for entries in [[e] for e in _ODD_ENTRIES] + [list(_ODD_ENTRIES)]:
+        frame = Frame(("a", "b"), frozenset({("a", "b"), *entries}), logics)
+        named = tuple(f"relation entry {e!r} is not a pair of worlds" for e in sorted(entries, key=repr))
+        assert validate_frame(frame).errors == named
+        assert validate(Model(frame.worlds, frame.relation, logics, {})).errors == named
+        with pytest.raises(ModelFormatError) as exc:
+            frame_properties(frame)
+        assert str(exc.value) == named[0]
+
+
+def test_model_to_dict_refuses_what_a_document_cannot_hold():
+    # world names that are not strings validate, but no document holds them
+    mixed = Model((1, "a"), frozenset({(1, "a"), ("a", 1)}), {1: "K3", "a": "K3"}, {1: {"p": V.n}, "a": {"p": V.n}})
+    assert validate(mixed).ok
+    logics = {"a": "K3", "b": "K3"}
+    for model, message in (
+        (mixed, "expected a str as each world name, got int"),
+        (Model(("w1",), frozenset({("w1", 5)}), {"w1": "K3"}, {}), "expected a str as each world name, got int"),
+        (Model(("w1",), frozenset(), {"w1": "K3"}, {2: {}}), "expected a str as each world name, got int"),
+        (Model(("a", "b"), frozenset({"ab"}), logics, {}),
+         "expected pairs of worlds as the relation's entries"),
+        (Model(("a", "b"), frozenset({frozenset({"a", "b"})}), logics, {}),
+         "expected pairs of worlds as the relation's entries"),
+        (mixed.frame, "expected a Model, got Frame"),
+        (None, "expected a Model, got NoneType"),
+    ):
+        with pytest.raises(TypeError) as exc:
+            model_to_dict(model)
+        assert str(exc.value) == message
+
+
 def test_world_axis_matches_the_per_world_comprehension():
     # the successor positions built in one pass over the relation must be,
     # as sets, what filtering the sorted relation once per world gives; the
@@ -837,6 +880,7 @@ def test_validate_reports_every_defect_in_order():
         valuation={"w1": {"p": V.n}, "w2": {"p": V.b}}, diamond="up",
     )
     assert validate(Model(**clean)) == ValidationReport((), ())
+    two = frozenset({"w1", "w2"})  # its repr, and the order it unpacks in, vary with the hash seed
     for change, errors, warnings in (
         (dict(worlds=("w1", "w2", "w2")), ("duplicate world names",), ()),
         (dict(worlds=()), ("empty world set", "relation names unknown world 'w1'",
@@ -854,6 +898,11 @@ def test_validate_reports_every_defect_in_order():
         (dict(valuation={"w1": {}, "w2": {}}), (), ()),
         (dict(valuation={}), (), ()),
         (dict(valuation={"w1": {"p": V.n}, "w2": {"p": V.F}}), ("valuation('w2','p') = F not in L4w",), ()),
+        # a set of two names, or a string of two world names, unpacks into an
+        # edge but is no pair
+        (dict(relation=frozenset({("w1", "w2"), two})), (f"relation entry {two!r} is not a pair of worlds",), ()),
+        (dict(worlds=("a", "b"), relation=frozenset({"ab"}), logics={"a": "K3", "b": "FDE"},
+              valuation={"a": {"p": V.n}, "b": {"p": V.b}}), ("relation entry 'ab' is not a pair of worlds",), ()),
     ):
         report = validate(Model(**dict(clean, **change)))
         assert (report.errors, report.warnings) == (errors, warnings), change
