@@ -430,9 +430,6 @@ def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:
     return from_snapshot((assignment[f], assignment[Neg(f)], assignment[Circ(f)]))
 
 
-_CONN_OF = {And: "and", Or: "or", Imp: "imp", Neg: "neg", Circ: "circ"}
-
-
 class CorrespondenceReport(NamedTuple):
     logic_id: str
     v14_reading: str
@@ -497,8 +494,8 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
             continue
         for f in members:
             kids = syntax.children(f)
-            if type(f) in _CONN_OF and all(k in snaps for k in kids):
-                want = apply(logic, _CONN_OF[type(f)], [snaps[k] for k in kids])
+            if type(f) in syntax.NAMES and all(k in snaps for k in kids):
+                want = apply(logic, syntax.NAMES[type(f)], [snaps[k] for k in kids])
                 if snaps[f] != want:
                     comm_bad.append(f"{to_text(f)}: snapshot {snaps[f]} != table {want}")
     return CorrespondenceReport(

@@ -7,13 +7,13 @@ numpy over a joint (assignment, valuation) axis, on the 4-bit mask
 tables of `models`; counterexamples are handed back as ordinary models
 that replay through the normal evaluator.  Every sweep goes through one
 relation loop (`_sweep`), which evaluates each row once per what it
-depends on, and every check picks the lanes it reports by one
+depends on, and every sweep picks the lanes it reports by one
 failing-lane rule (`_failures`).  Sampled checks take a sample count and
 a seed and draw as `Random(seed)` draws.  A check of one given frame
 (`axiom_valid_on_frame`) reads the diamond off the frame, as an
-evaluation reads it off the model, and runs on byte lanes without numpy
-(`_run_lanes`); `_choose` decodes its draws in bulk, as many words as
-picks are missing.
+evaluation reads it off the model, runs on byte lanes without numpy
+(`_run_lanes`) and picks its own first undesignated lane; `_choose`
+decodes its draws in bulk, as many words as picks are missing.
 
 This module owns the numpy and byte forms of the mask tables `models`
 keeps as lists (`DOWN_M`, ...), and the code tables (`MEET_T`, ...) that

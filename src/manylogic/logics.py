@@ -41,15 +41,8 @@ class TooManyAtomsError(LogicError):
     """Valuation enumeration is capped at MAX_ATOMS atoms."""
 
 
-CONNECTIVES: dict[str, int] = {
-    "and": 2,
-    "or": 2,
-    "imp": 2,
-    "impL": 2,
-    "neg": 1,
-    "circ": 1,
-    "nabla": 1,
-}
+# Each connective's name to its arity, in the order of `syntax.NAMES`.
+CONNECTIVES: dict[str, int] = {name: len(cls._fields) for cls, name in syntax.NAMES.items()}
 
 
 # The paper's snapshot formulas.  A coordinate is 0 or 1, or a bit-plane
@@ -185,8 +178,7 @@ class TruthTable(NamedTuple):
 
     def render(self) -> str:
         width = 4
-        sym = {"and": "&", "or": "|", "imp": "->", "impL": "=>",
-               "neg": "!", "circ": "@", "nabla": "N"}[self.conn]
+        sym = next(syntax.SYMBOLS[cls] for cls, name in syntax.NAMES.items() if name == self.conn)
         lines = []
         if CONNECTIVES[self.conn] == 1:
             lines.append(f"{self.logic_id}  {sym}")

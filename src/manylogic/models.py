@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import syntax
 from .lattices import MASK
 from .logics import LOGIC_IDS, LOGICS, MatrixLogic, apply
-from .syntax import Bottom, Box, Diamond, Formula, Imp, Neg
+from .syntax import Bottom, Box, Diamond, Formula
 from .values import Frozen, ManylogicError, Value, _set, parse_value, require_type
 
 DIAMOND_VARIANTS = ("up", "down", "negbox", "cnegbox")
@@ -74,8 +74,11 @@ class _Worlds(Frozen):
         return hash((self.worlds, self.relation))
 
     def successors(self, w: str) -> tuple[str, ...]:
-        """w's successors in ascending order; each call scans the relation."""
-        return tuple(sorted([v for u, v in self.relation if u == w]))
+        """w's successors, str names first in ascending order, then any
+        others by repr; an entry that is no pair, which `validate` reports,
+        is skipped.  Each call scans the relation."""
+        succ = [p[1] for p in self.relation if _is_pair(p) and p[0] == w]
+        return tuple(sorted(succ, key=lambda v: (0, v) if isinstance(v, str) else (1, repr(v))))
 
     def logic(self, w: str) -> MatrixLogic:
         return LOGICS[self.logics[w]]
@@ -203,8 +206,8 @@ def _validate(model: Frame | Model) -> ValidationReport:
         if w not in seen:
             errors.append(f"valuation names unknown world {w!r}")
             continue
-        for atom in row:
-            if isinstance(atom, str):
+        for atom in row:  # held to the parser's pattern, as a document is
+            if isinstance(atom, str) and syntax.ATOM_RE.fullmatch(atom):
                 all_atoms.add(atom)
             else:
                 errors.append(f"valuation({w!r},{atom!r}): {atom!r} is not an atom name")
@@ -313,10 +316,7 @@ _IMP_T = b"".join(_IMP_ROWS.get(r, bytes(16)) for r in range(0, 256, 16))
 
 # ------------------------------------------------------------- programs
 
-_OPCODES = {
-    Bottom: "bottom", Neg: "neg", syntax.Circ: "circ",
-    syntax.And: "and", syntax.Or: "or", Imp: "imp", Box: "box",
-}
+_OPCODES = {Bottom: "bottom", Box: "box", **syntax.NAMES}  # ~, N and => are desugared first
 
 
 # (formula, variant) -> (atom names, program), compiled once per process
@@ -544,12 +544,16 @@ def load_frame(path) -> Frame:
 
 
 def model_to_dict(model: Model) -> dict:
-    """A model's document, valid or not; TypeError if a relation entry is no pair or a world name no str."""
+    """A model's document, valid or not; TypeError if a relation entry is
+    no pair, a world or atom name no str, or a valuation value no Value."""
     require_type(model, Model, "a Model")
     if not all(map(_is_pair, model.relation)):
         raise TypeError("expected pairs of worlds as the relation's entries")
     for w in (*model.worlds, *model.logics, *model.valuation, *(w for p in model.relation for w in p)):
         require_type(w, str, "a str as each world name")
+    for atom, val in (item for row in model.valuation.values() for item in row.items()):
+        require_type(atom, str, "a str as each atom name")
+        require_type(val, Value, "a Value as each valuation value")
     return {
         "worlds": list(model.worlds),
         "logics": dict(model.logics),

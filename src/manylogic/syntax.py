@@ -150,10 +150,6 @@ class ImpL(_Binary):
     __slots__ = ()
 
 
-_UNARY = {"!": Neg, "@": Circ, "~": CNeg, "N": Nabla, "[]": Box, "<>": Diamond}
-_UNARY_SYMBOL = {cls: sym for sym, cls in _UNARY.items()}
-_BINARY_SYMBOL = {And: "&", Or: "|", Imp: "->", ImpL: "=>"}
-
 # An atom name; model files are held to the same pattern.
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
 
@@ -170,6 +166,7 @@ MAX_DEPTH = 100
 # What a token does where an operand is expected: a prefix operator or an
 # open parenthesis, as its entry on the operator stack (binding strength,
 # class).  Strength 4 is a unary operator, 0 a parenthesis.
+_UNARY = {"!": Neg, "@": Circ, "~": CNeg, "N": Nabla, "[]": Box, "<>": Diamond}
 _PREFIX = {**{tok: (4, cls) for tok, cls in _UNARY.items()}, "(": (0, None)}
 # What a token does where an operator is expected: the strength it pushes,
 # its class, and the least strength it reduces first.  & and | associate
@@ -180,6 +177,15 @@ _INFIX = {"&": (3, And, 3), "|": (2, Or, 2), "->": (1, Imp, 2), "=>": (1, ImpL, 
 _END = (0, None, 1)
 _KNOWN = {*_PREFIX, *_INFIX, ")", "#"}
 _TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
+
+# The printer reads the same two tables: each operator's token, each
+# binary operator's strength, and those that associate right (reduce only
+# stronger ones first).  NAMES gives each connective the matrix logics
+# define its name in `logics`, in the order `manylogic tables` prints them.
+SYMBOLS = {cls: tok for tok, (_, cls, *_) in [*_PREFIX.items(), *_INFIX.items()] if cls}
+_STRENGTH = {cls: strength for strength, cls, _ in _INFIX.values()}
+_RIGHT = {cls for strength, cls, least in _INFIX.values() if least > strength}
+NAMES = {And: "and", Or: "or", Imp: "imp", ImpL: "impL", Neg: "neg", Circ: "circ", Nabla: "nabla"}
 
 
 def _error(text: str, tokens: list, i: int, message: str) -> ParseError:
@@ -290,9 +296,6 @@ def _parse(text: str) -> Formula:
                 raise _error(text, tokens, i, f"trailing input {tok!r}")
 
 
-_PREC = {Imp: 1, ImpL: 1, Or: 2, And: 3}  # every other node binds tightest, at 4
-
-
 def to_text(f: Formula) -> str:
     """The formula in concrete syntax, with the fewest parentheses that
     parse back to it; cached on the node."""
@@ -313,20 +316,19 @@ def _render(f: Formula) -> str:
         return f.name
     if kind is Bottom:
         return "#"
-    if kind in _UNARY_SYMBOL:
+    if kind not in _STRENGTH:  # a unary operator binds tighter than any binary one
         inner = to_text(f.child)
-        if _PREC.get(type(f.child), 4) < 4:
+        if type(f.child) in _STRENGTH:
             inner = f"({inner})"
-        return _UNARY_SYMBOL[kind] + inner
-    here = _PREC[kind]
-    lprec, rprec = _PREC.get(type(f.left), 4), _PREC.get(type(f.right), 4)
+        return SYMBOLS[kind] + inner
+    here = _STRENGTH[kind]
+    lprec, rprec = _STRENGTH.get(type(f.left), 4), _STRENGTH.get(type(f.right), 4)
     left, right = to_text(f.left), to_text(f.right)
-    # implications associate right, & and | left
-    if lprec < here or (lprec == here and here == 1):
+    if lprec < here or (lprec == here and kind in _RIGHT):
         left = f"({left})"
-    if rprec < here or (rprec == here and here > 1):
+    if rprec < here or (rprec == here and kind not in _RIGHT):
         right = f"({right})"
-    return f"{left} {_BINARY_SYMBOL[kind]} {right}"
+    return f"{left} {SYMBOLS[kind]} {right}"
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
     breaks: str
 
 
-MODELS, FRAMES = "src/manylogic/models.py", "src/manylogic/frames.py"
+MODELS, FRAMES, SYNTAX = "src/manylogic/models.py", "src/manylogic/frames.py", "src/manylogic/syntax.py"
 
 MUTANTS = (
     # the world axis a loaded document takes: laid out while it is checked
@@ -81,6 +81,12 @@ MUTANTS = (
     Mutant("validate-pair-type", MODELS,
            "return type(entry) is tuple and len(entry) == 2", "return len(entry) == 2",
            "a string or a set of two names passes as a pair: validate unpacks it into an edge"),
+    Mutant("successors-pair", MODELS,
+           "if _is_pair(p) and p[0] == w]", "if p[0] == w]",
+           "successors reads a string, a 3-tuple or None as an edge, or raises on it"),
+    Mutant("validate-atom-rule", MODELS,
+           "if isinstance(atom, str) and syntax.ATOM_RE.fullmatch(atom):", "if isinstance(atom, str):",
+           "validate passes a valuation key that no formula can mention and no document may hold"),
     Mutant("unhashable-logic", MODELS,
            "elif not isinstance(lid := model.logics[w], str) or lid not in _LOGIC_INDEX:",
            "elif (lid := model.logics[w]) not in _LOGIC_INDEX:",
@@ -117,6 +123,13 @@ MUTANTS = (
     Mutant("sweep-dia-down", FRAMES,
            'x = ch[u] if kind == "dia_up" else DOWN_M.take(l | ch[u])', "x = ch[u]",
            "the batched sweep runner folds dia_down as dia_up"),
+    # the formula language: the printer's and the logics' tables, read off syntax
+    Mutant("printer-right-assoc", SYNTAX,
+           "if least > strength}", "if least >= strength}",
+           "the printer takes & and | to associate right: p & q & r prints as (p & q) & r"),
+    Mutant("names-swapped", SYNTAX,
+           'Neg: "neg", Circ: "circ"', 'Neg: "circ", Circ: "neg"',
+           "! runs the circ table and @ the neg table, and `tables` prints them in each other's place"),
     # the checklist and the lattices
     Mutant("unhashable-criterion", "src/manylogic/verify.py",
            "if not isinstance(c, str) or c not in checks", "if c not in checks",

@@ -26,9 +26,16 @@ def test_tables_single_connective(capsys):
 
 
 def test_tables_all_connectives(capsys):
+    # seven blocks in the order of logics.CONNECTIVES, each headed by its symbol
     code, out, _ = run(capsys, "tables", "CLS")
     assert code == 0
-    assert "CLS  @" in out and "CLS  ->" in out and "CLS  N" in out
+    binary = "CLS  {}\n     T   F\n T   {}   {}\n F   {}   {}"
+    unary = "CLS  {}\n T   {}\n F   {}"
+    assert out.strip() == "\n\n".join([
+        binary.format("&", *"TFFF"), binary.format("|", *"TTTF"),
+        binary.format("->", *"TFTT"), binary.format("=>", *"TFTT"),
+        unary.format("!", *"FT"), unary.format("@", *"TT"), unary.format("N", *"TF"),
+    ])
 
 
 def test_eval_fixture(capsys, fixtures):

@@ -347,6 +347,12 @@ def test_successors_match_the_per_world_comprehension():
             assert frame.successors("nowhere") == ()
             if density == 0.0:
                 assert all(model.successors(w) == () for w in worlds)
+    # names that are not all str: str names first, then the others by repr
+    mixed = Model((1, "a"), frozenset({(1, "a"), (1, 1)}), {1: "K3", "a": "K3"}, {1: {"p": V.n}, "a": {"p": V.T0}})
+    assert validate(mixed).ok and eval_formula(mixed, 1, parse("[]p")) == V.n
+    assert mixed.successors(1) == ("a", 1) and mixed.successors("a") == ()
+    frame = Frame((10, 2, "b", "a"), frozenset(("a", v) for v in (10, 2, "b", "a")), {})
+    assert frame.successors("a") == ("a", "b", 10, 2)
 
 
 # An edge list naming unknown worlds several times, as source and as
@@ -410,6 +416,7 @@ def test_validate_and_frame_properties_refuse_the_same_relation_entries():
         with pytest.raises(ModelFormatError) as exc:
             frame_properties(frame)
         assert str(exc.value) == named[0]
+        assert frame.successors("a") == ("b",) and frame.successors("b") == ()  # each skipped
 
 
 def test_model_to_dict_refuses_what_a_document_cannot_hold():
@@ -425,12 +432,35 @@ def test_model_to_dict_refuses_what_a_document_cannot_hold():
          "expected pairs of worlds as the relation's entries"),
         (Model(("a", "b"), frozenset({frozenset({"a", "b"})}), logics, {}),
          "expected pairs of worlds as the relation's entries"),
+        (Model(("w1",), frozenset(), {"w1": "K3"}, {"w1": {"p": 5}}), "expected a Value as each valuation value, got int"),
+        (Model(("w1",), frozenset(), {"w1": "K3"}, {"w1": {5: V.n}}), "expected a str as each atom name, got int"),
         (mixed.frame, "expected a Model, got Frame"),
         (None, "expected a Model, got NoneType"),
     ):
         with pytest.raises(TypeError) as exc:
             model_to_dict(model)
         assert str(exc.value) == message
+
+
+def test_atom_names_follow_one_rule_in_python_and_in_documents():
+    # a valuation key no formula can mention is refused by validate as by
+    # the loader; a model with str names and atom names round-trips
+    error = "valuation('w1','Bad name'): 'Bad name' is not an atom name"
+    bad = Model(("w1",), frozenset(), {"w1": "K3"}, {"w1": {"Bad name": V.T0, "p": V.T0}})
+    assert validate(bad).errors == (error,)
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(error)}$"):
+        model_from_dict(model_to_dict(bad))
+    rng = Random(23)
+    for _ in range(60):
+        worlds = tuple(rng.sample(("w1", "w2", "u", "x y", "\u00e9"), rng.randint(1, 4)))
+        logics = {w: rng.choice(LOGIC_IDS) for w in worlds}
+        relation = frozenset((u, v) for u in worlds for v in worlds if rng.random() < 0.4)
+        valuation = {w: {a: rng.choice(LOGICS[logics[w]].lattice.elements)
+                         for a in ("p", "q1", "r_s", "aB9") if rng.random() < 0.7} for w in worlds}
+        model = Model(worlds, relation, logics, valuation, rng.choice(DIAMOND_VARIANTS))
+        assert validate(model).ok, model
+        back = model_from_dict(model_to_dict(model))
+        assert back == model and validate(back) == validate(model)
 
 
 def test_world_axis_matches_the_per_world_comprehension():

@@ -192,6 +192,9 @@ def test_printer_spot_forms():
     assert to_text(And(Or(p, q), q)) == "(p | q) & q"
     assert to_text(Imp(Imp(p, q), p)) == "(p -> q) -> p"
     assert to_text(Neg(Circ(p))) == "!@p"
+    # & and | associate left, -> and => right, as the parser reduces them
+    for text in ("p & q & r", "p & (q & r)", "p | q | r", "p -> q -> r", "(p => q) -> r"):
+        assert to_text(parse(text)) == text
 
 
 def test_size():
