@@ -13,20 +13,25 @@ This module owns the value tables: the 4-bit mask tables every compiled
 program runs on, Python lists read off each logic at the value of every
 mask.  Loading a document lays out its world axis as it checks it
 (validation does otherwise): each world's tag, 16 x its logic index,
-and each atom's column of tagged masks.  Formulas
-compile to a postfix program; `eval_formula` runs it over that axis, a
-node's row one `bytes` whose byte w is w's tag | a mask, so that a
-propositional node is a few `translate`s and int operations in C, and
-keeps the formula on the model as a row of `Value`s.  `frames` runs it
-on the same tables over byte lanes to check one frame, and over numpy
-arrays built from these lists on the first sweep, so only the sweeps
-load numpy.
+and each atom's column of tagged masks; a model of at most 255 worlds
+also keeps its successors as d rows of byte slots, one byte a world,
+where a byte names every world.  Formulas compile to a postfix program;
+`eval_formula` runs it over that axis, a node's row one `bytes` whose
+byte w is w's tag | a mask, so that a propositional node is a few
+`translate`s and int operations in C.  So is a box or diamond up to 255
+worlds: one `translate` reads every slot, and log2(d) shifts fold the
+rows; a larger model loops over each world's successors.  It keeps the formula
+on the model as a row of `Value`s.  `frames` runs the programs on the
+same tables over byte lanes to check one frame, and over numpy arrays
+built from these lists on the first sweep, so only the sweeps load
+numpy.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Collection, Hashable, Mapping
+from itertools import zip_longest
 from os import PathLike
 from pathlib import Path
 from types import MappingProxyType
@@ -101,7 +106,7 @@ class Model(_Worlds):
     views of mappings no caller holds, so the world axis kept on the
     model, and the rows `eval_formula` keeps there, stay true to it."""
 
-    __slots__ = ("valuation", "diamond", "_answers")
+    __slots__ = ("valuation", "diamond", "_answers", "_fanout")
     _fields = __match_args__ = ("worlds", "relation", "logics", "valuation", "diamond")
 
     def __init__(self, worlds, relation, logics, valuation: Mapping[str, Mapping[str, Value]], diamond: str = "up"):
@@ -110,6 +115,7 @@ class Model(_Worlds):
         rows = {w: _read_only(row, "a mapping as a world's valuation") for w, row in valuation.items()}
         self._init(self.worlds, self.relation, self.logics, MappingProxyType(rows), diamond)
         _set(self, "_answers", None)
+        _set(self, "_fanout", None)
 
     @property
     def frame(self) -> Frame:
@@ -232,10 +238,17 @@ def _validate(model: Frame | Model) -> ValidationReport:
 def _lay_out(x: Frame | Model, seen, succs, tags, codes) -> None:
     """Keep x's world axis on x: the position map, the successors and the
     tags as given, and each atom's value codes by position (6 where it is
-    missing) as its tagged column."""
+    missing) as its tagged column.  A model of at most 255 worlds also
+    keeps its successors as d rows of byte slots, d its largest
+    out-degree rounded up to a power of two: row k holds, by position,
+    each world's k-th successor's position, or 255, which names no world."""
     n, tag_bits = len(tags), _num(tags)
     columns = {a: (_num(c) | tag_bits).to_bytes(n, "little").translate(_ATOM_T) for a, c in codes.items()}
     _set(x, "_axis", (seen, succs, bytes(tags), columns))
+    if type(x) is Model and n <= 255:
+        rows = [*map(bytes, zip_longest(*succs, fillvalue=255))]  # one a rank: each world's k-th successor
+        d = 1 << (len(rows) - 1).bit_length() if rows else 1
+        _set(x, "_fanout", (d, b"".join(rows).ljust(n * d, b"\xff")))
 
 
 def _pair_order(pair: tuple) -> tuple:
@@ -362,7 +375,7 @@ def _run(model: Model, f: Formula) -> bytes:
         names = tuple(syntax.atoms(f))
         entry = _PROGRAMS.setdefault(key, (names, tuple(compile_program(f, model.diamond, names))))
     names, program = entry
-    _, succs, lat, columns = model._axis
+    (_, succs, lat, columns), fanout = model._axis, model._fanout
     tags, n, bot = _num(lat), len(lat), lat.translate(_UP_T)  # up_w(0): bottom
     slots: list[bytes] = []
     for node in program:
@@ -383,26 +396,38 @@ def _run(model: Model, f: Formula) -> bytes:
             at = (_num(slots[node[1]].translate(_IMP_X)) ^ _num(slots[node[2]])).to_bytes(n, "little")
             row = (_num(at.translate(_IMP_T)) | tags).to_bytes(n, "little")
         else:  # a fold over each world's successors, on the child's masks
-            ch, row = list(slots[node[1]].translate(_MASKS)), []
-            if kind == "box":  # down_w(AND of the successors' masks)
-                for ss in succs:
-                    acc = 15
-                    for u in ss:
-                        acc &= ch[u]
-                    row.append(acc)
-            elif kind == "dia_up":  # up_w(OR of the successors' masks)
-                for ss in succs:
-                    acc = 0
-                    for u in ss:
-                        acc |= ch[u]
-                    row.append(acc)
-            else:  # dia_down: up_w(OR of the successors' down_w)
-                for l, ss in zip(lat, succs):
-                    acc = 0
-                    for u in ss:
-                        acc |= _DOWN[l | ch[u]]
-                    row.append(acc)
-            row = (_num(bytes(row)) | tags).to_bytes(n, "little").translate(_DOWN_T if kind == "box" else _UP_T)
+            ch = slots[node[1]].translate(_MASKS)
+            if fanout is not None:  # at most 255 worlds: one translate reads every slot
+                d, fan = fanout
+                at = _num(fan.translate(ch.ljust(256, b"\x0f" if kind == "box" else b"\0")))  # a pad: the unit
+                if kind == "dia_down":  # each slot through its world's down: a pad reads w's bottom, the join's unit
+                    at = _num((at | _num(lat * d)).to_bytes(n * d, "little").translate(_DOWN_T))
+                half = 4 * n * d  # bits in half the rows: AND or OR them onto the other half
+                while half >= 8 * n:
+                    at = at & at >> half if kind == "box" else at | at >> half
+                    half >>= 1
+                row = at.to_bytes(n * d, "little")[:n]
+            else:  # more than 255 worlds: a loop over each world's successors
+                ch, row = list(ch), []
+                if kind == "box":  # down_w(AND of the successors' masks)
+                    for ss in succs:
+                        acc = 15
+                        for u in ss:
+                            acc &= ch[u]
+                        row.append(acc)
+                elif kind == "dia_up":  # up_w(OR of the successors' masks)
+                    for ss in succs:
+                        acc = 0
+                        for u in ss:
+                            acc |= ch[u]
+                        row.append(acc)
+                else:  # dia_down: up_w(OR of the successors' down_w)
+                    for l, ss in zip(lat, succs):
+                        acc = 0
+                        for u in ss:
+                            acc |= _DOWN[l | ch[u]]
+                        row.append(acc)
+            row = (_num(row) | tags).to_bytes(n, "little").translate(_DOWN_T if kind == "box" else _UP_T)
         slots.append(row)
     return slots[-1]
 
@@ -410,9 +435,12 @@ def _run(model: Model, f: Formula) -> bytes:
 def eval_formula(model: Model, world: str, f: Formula) -> Value:
     """The value of f at a world, run on the model's world axis;
     ModelFormatError if `validate` reports errors.  The first query of a
-    formula keeps its `Value` at every world on the model, a row read by
-    world position, so later queries of it are two subscripts.  Its
-    program is compiled once per process and variant (`_PROGRAMS`)."""
+    formula evaluates it at every world, a box or diamond through the
+    byte slots of a model of at most 255 worlds and a loop over each
+    world's successors above, and keeps its `Value` at every world on
+    the model, a row read by world position, so later queries of it are
+    two subscripts.  Its program is compiled once per process and
+    variant (`_PROGRAMS`)."""
     try:
         return model._answers[f][model._axis[0][world]]
     except (AttributeError, KeyError, TypeError):  # a miss or bad input: the checks run below

@@ -4,7 +4,10 @@
 
 Each named entry (every entry when none is named) is planted alone in a
 copy of the repository in a temporary directory, never in the checkout,
-and tier-1 runs there with -x, for at most TIMEOUT seconds.  The table
+and pytest runs there with -x, for at most TIMEOUT seconds in all: first
+on the mutated module's own test file (tests/test_<module>.py), where
+there is one, since its tests fail soonest, then, if that passes, on
+the whole of tier-1.  The table
 printed gives each mutant's outcome, the first failing test and the
 seconds the run took.  A mutant is killed only when pytest exits 1
 naming a failing test; any other exit (a usage error, no tests
@@ -91,7 +94,20 @@ MUTANTS = (
            "elif not isinstance(lid := model.logics[w], str) or lid not in _LOGIC_INDEX:",
            "elif (lid := model.logics[w]) not in _LOGIC_INDEX:",
            "validate raises TypeError for an unhashable logic id instead of reporting it"),
-    # the tagged runner
+    # the tagged runner: byte slots up to 255 worlds, a loop over each
+    # world's successors above
+    Mutant("fanout-box-pad", MODELS,
+           'ch.ljust(256, b"\\x0f" if kind == "box"', 'ch.ljust(256, b"\\0" if kind == "box"',
+           "a box's padding slots read F, so every world of out-degree under d reads its lattice's bottom"),
+    Mutant("fanout-dia-down-receiver", MODELS,
+           "at = _num((at | _num(lat * d)).to_bytes(", "at = _num(at.to_bytes(",
+           "dia_down reads each successor through LETK's down, not the receiving world's"),
+    Mutant("fanout-bound", MODELS,
+           "if type(x) is Model and n <= 255:", "if type(x) is Model and n <= 256:",
+           "a 256-world model takes the byte slots: position 255 reads as padding"),
+    Mutant("fanout-halving-step", MODELS,
+           "while half >= 8 * n:", "while half > 8 * n:",
+           "the last halving step is dropped: a world's fold reads only every other slot"),
     Mutant("run-dia-down", MODELS,
            "acc |= _DOWN[l | ch[u]]", "acc |= ch[u]",
            "eval_formula folds dia_down as dia_up: the successors' values are not interpreted"),
@@ -161,14 +177,19 @@ def run(mutant: Mutant) -> tuple[str, str, float]:
             return "unplanted", f"old text occurs {text.count(mutant.old)} times", 0.0
         target.write_text(text.replace(mutant.old, mutant.new))
         # less the catalogue's own check, which any planted entry fails
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--ignore", "tests/test_mutants.py"]
+        tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--ignore", "tests/test_mutants.py"]
+        own = Path("tests", f"test_{Path(mutant.path).stem}.py")
         env = {k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"} | {"PYTHONPATH": str(copy / "src")}
         start = time.perf_counter()
-        try:
-            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return "timeout", "", time.perf_counter() - start
+        for command in [tier1 + [str(own)], tier1] if (copy / own).is_file() else [tier1]:
+            try:
+                done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True,
+                                      timeout=TIMEOUT - (time.perf_counter() - start))
+            except subprocess.TimeoutExpired:
+                return "timeout", "", time.perf_counter() - start
+            if done.returncode != 0:  # a kill or an error: tier-1 need not run
+                break
         seconds = time.perf_counter() - start
     if done.returncode == 0:
         return "survived", "", seconds

@@ -81,6 +81,7 @@ class Model(_Worlds):
     valuation: Mapping[str, Mapping[str, Value]]
     diamond: str = "up"
     _answers: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _fanout: tuple | None = field(default=None, init=False, repr=False, compare=False)
     __hash__ = _Worlds.__hash__
 
     def __post_init__(self):
@@ -192,7 +193,8 @@ def test_equality_is_the_dataclass_equality(samples):
         assert (sub == x) is (twin_sub == twin) is (x == sub) is False  # and so is a subclass
     ex1 = next(x for x in samples if getattr(x, "_answers", None) is not None)
     assert ex1.frame != ex1 and ex1 != ex1.frame  # Frame against Model
-    assert ex1._answers is not None and ex1 == models.load_model(FIXTURES / "ex1.json")  # caches are not compared
+    assert ex1._answers is not None and ex1._fanout is not None  # caches are not compared
+    assert ex1 == models.load_model(FIXTURES / "ex1.json") == models.Model(*ex1._values())
 
 
 def test_frames_and_models_hash_as_before_and_lattices_by_id_and_elements(samples):
@@ -234,6 +236,11 @@ def test_pickle_and_copies_round_trip(samples, how):
             continue
         back = trip(x)
         assert type(back) is type(x) and back == x and hash(back) == hash(x)
+        if isinstance(x, models.Model) and models.validate(x).ok:  # it lays out its own caches
+            assert back._fanout is back._answers is None and models.validate(back).ok
+            for f in map(models.syntax.parse, ("[]p", "<>p", "[]<>p -> <>[]p", "<>(p & ~[]p)")):
+                assert models._run(back, f) == models._run(x, f)  # every world's tag and mask
+            assert back._fanout is not None
 
 
 def test_replace_is_dataclasses_replace(samples):
@@ -252,7 +259,7 @@ def test_replace_is_dataclasses_replace(samples):
             got, want = x._replace(**change), replace(twin, **change)
             assert type(got) is type(x) and repr(got) == repr(want), change
             assert got is not x and (got == x) == (want == twin), change
-            for cache in ("_report", "_axis", "_answers"):
+            for cache in ("_report", "_axis", "_answers", "_fanout"):
                 assert getattr(got, cache, None) is None
         with pytest.raises(TypeError):
             x._replace(nonesuch=1)

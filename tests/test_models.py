@@ -493,6 +493,9 @@ def test_world_axis_matches_the_per_world_comprehension():
                 assert [set(s) for s in succs] == want
                 assert sum(map(len, succs)) == len(relation)  # each edge once
                 assert _world_axis(x) is x._axis  # built once, kept on x
+                if type(x) is Model:  # a frame lays out no byte slots
+                    d = next(1 << k for k in range(9) if 1 << k >= max(map(len, want)))
+                    assert _fanout(x) == (d, want)
                 atoms = {a for row in getattr(x, "valuation", {}).values() for a in row}
                 assert set(columns) == atoms
                 for a in atoms:
@@ -503,6 +506,16 @@ def test_world_axis_matches_the_per_world_comprehension():
                     ]
                     missing += sum(a not in valuation[w] for w in worlds)
     assert loops and dead_ends and missing
+
+
+def _fanout(model):
+    """A model's byte slots as (d, each world's successor positions as a
+    set); a world's slots after its successors must all read 255."""
+    d, fan = model._fanout
+    n = len(model.worlds)
+    slots = [fan[w::n] for w in range(n)]  # row k holds each world's k-th slot
+    assert len(fan) == n * d and all(s == s.rstrip(b"\xff").ljust(d, b"\xff") for s in slots)
+    return d, [set(s.rstrip(b"\xff")) for s in slots]
 
 
 def test_world_axis_refuses_what_validate_rejects():
@@ -678,6 +691,91 @@ def test_eval_formula_agrees_with_the_reference_evaluator_on_large_mixed_models(
         assert set(lids) == set(LOGIC_IDS)
 
 
+# ------------------------------------------------ the 255-world bound
+#
+# A model of at most 255 worlds folds box and diamond through its byte
+# slots, where 255 pads each world's slots and names no world; a larger
+# model loops over its successors.  Both sides of the bound run against
+# the reference.  The last world is a LETK dead end where p is F and q is
+# T: were a 256-world model laid out in bytes, its position 255 would
+# read as padding, and every padded box of p would read F, every padded
+# diamond of q T.
+
+
+def _model_at_the_bound(n, variant, seed, wide=False):
+    rng = Random(seed)
+    worlds = tuple(f"w{i}" for i in range(n))
+    lids = [LOGIC_IDS[i % len(LOGIC_IDS)] for i in range(n - 1)]
+    rng.shuffle(lids)
+    lids.append("LETK")
+    relation = {
+        (worlds[i], worlds[j])
+        for i in range(n - 1)  # out-degrees 0-8, and a self-loop at every fifth world
+        for j in rng.sample(range(n), i % 9) + [i] * (i % 5 == 0)
+    }
+    if wide:  # one world sees every world: 255 successors, 256 slots a world
+        relation |= {(worlds[1], w) for w in worlds}
+    valuation = {
+        w: {a: rng.choice(LOGICS[lid].lattice.elements) for a in "pqr" if rng.random() < 0.8}
+        for w, lid in zip(worlds, lids)
+    }
+    valuation[worlds[-1]] = {"p": V.F, "q": V.T}
+    return Model(worlds, frozenset(relation), dict(zip(worlds, lids)), valuation, variant)
+
+
+class _SuccessorsOnce:
+    """A model as the reference reads it, with each world's successors
+    listed once: `successors` scans the whole relation at every call."""
+
+    def __init__(self, model):
+        self.model, self.succ = model, {}
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def successors(self, w):
+        if w not in self.succ:
+            self.succ[w] = self.model.successors(w)
+        return self.succ[w]
+
+
+_AT_THE_BOUND = [parse(t) for t in ("[]p", "<>q", "[]r", "<>r", "[]<>p", "<>[](p -> q)", "~<>~p => []N<>q")]
+
+
+@pytest.mark.parametrize("n, wide", [(255, False), (256, False), (255, True)])
+def test_eval_formula_agrees_with_the_reference_evaluator_at_the_255_world_bound(n, wide):
+    rng = Random(n + wide)
+    for variant in DIAMOND_VARIANTS:
+        model = _model_at_the_bound(n, variant, rng.randrange(1 << 30), wide)
+        fs = _AT_THE_BOUND + [_random_formula(rng, rng.randint(2, 7), rng.randint(1, 3)) for _ in range(3)]
+        reference = _SuccessorsOnce(model)
+        for f in fs:
+            memo: dict = {}
+            want = [_eval(reference, w, syntax.desugar(f), memo) for w in model.worlds]
+            assert [eval_formula(model, w, f) for w in model.worlds] == want, (variant, n, syntax.to_text(f))
+        # a byte names each of 255 worlds and 255 none; 256 worlds loop
+        assert (model._fanout is None) == (n > 255)
+        assert not wide or model._fanout[0] == 256
+        degrees = collections.Counter(u for u, _ in model.relation)
+        assert degrees[model.worlds[1]] == 255 if wide else len(degrees) < n - 1  # dead ends
+        assert any(u == v for u, v in model.relation) and len(model.valuation[model.worlds[-1]]) == 2
+
+
+def test_a_model_with_no_edges_folds_to_each_unit():
+    worlds = tuple(LOGIC_IDS)  # one world of each logic, each a dead end
+    valuation = {w: {"p": LOGICS[w].lattice.elements[0]} for w in worlds}
+    for variant in DIAMOND_VARIANTS:
+        model = Model(worlds, frozenset(), {w: w for w in worlds}, valuation, variant)
+        for w in worlds:
+            lat = LOGICS[w].lattice
+            assert eval_formula(model, w, parse("[]p")) == eval_formula(model, w, parse("[]#")) == lat.top
+            if variant in ("up", "down"):
+                assert eval_formula(model, w, parse("<>p")) == lat.bottom
+            for f in map(parse, ("<>p", "[]<>p", "<>[]p", "<>(p -> #)")):
+                assert eval_formula(model, w, f) == reference_eval(model, w, f), (variant, w, syntax.to_text(f))
+        assert model._fanout == (1, b"\xff" * len(worlds))  # one slot a world, padding
+
+
 def test_the_tagged_tables_read_the_mask_tables_and_keep_the_tag():
     from manylogic.models import (
         _ATOM_T, _CIRC, _CIRC_T, _DOWN, _DOWN_T, _IMP, _IMP_T, _IMP_X, _MASKS, _NEG, _NEG_T, _UP, _UP_T,
@@ -699,6 +797,8 @@ def test_the_tagged_tables_read_the_mask_tables_and_keep_the_tag():
                 at = _IMP_X[mx] ^ (tag | MASK[y])  # the index of (family, x, y)
                 assert _IMP_T[at] == _IMP[mx][MASK[y]] == MASK[apply(logic, "imp", [x, y])], (lid, x, y)
         assert _ATOM_T[tag | 6] == tag | MASK[logic.lattice.bottom]  # a missing atom
+        # down_w(0), which a dia_down's padding slot reads, is w's bottom: the join's unit
+        assert _DOWN[tag] == _UP[tag] == MASK[logic.lattice.bottom]
 
 
 def test_every_logic_fits_the_tag():
@@ -1009,6 +1109,8 @@ def _loads_as_built(doc: dict, kind) -> bool:
         (index, succs, tags, columns), want = x._axis, built._axis
         assert (index, tags, columns) == (want[0], want[2], want[3])
         assert [sorted(s) for s in succs] == [sorted(s) for s in want[1]]  # each edge once
+        if kind is Model:  # and the byte slots, up to each world's order of successors
+            assert _fanout(x) == _fanout(built)
     return kept
 
 
