@@ -246,11 +246,10 @@ def _search(
     order: list[Formula],
     pins: dict[Formula, int],
     v14_reading: str,
-    collect_all: bool = False,
     limit: int = 500000,
 ):
-    """Depth-first search for clause-satisfying assignments, found in
-    lexicographic order of their values along `order`.
+    """Depth-first search that yields the clause-satisfying assignments
+    in lexicographic order of their values along `order`.
 
     The pins, formulas of `order` (`biv_consequence` pins roots of the
     closure it orders), and the one-formula instances are set at the
@@ -258,9 +257,10 @@ def _search(
     mention it: one with a single unset position forces it or fails, one
     with none is checked.  Propagation only sets forced values, so branching on the
     lowest unset index, 0 before 1, meets the solutions in order.  `limit`
-    bounds the work: one per branching node and one per assignment
-    collected for every MAX_CLOSURE formulas of the domain, so no domain
-    keeps more formula values than a capped closure could.
+    bounds the work: one per branching node and, for each assignment
+    yielded and resumed past, one per MAX_CLOSURE formulas of the domain,
+    so a caller that lists them all keeps no more formula values than a
+    capped closure could.
     """
     idx = {f: i for i, f in enumerate(order)}
     n = len(order)
@@ -309,27 +309,34 @@ def _search(
             q += 1
         return True
 
+    ok = True
     for i, v in forced:
         if vals[i] < 0:
             vals[i] = v
             trail.append(i)
         elif vals[i] != v:
-            return []
-    if not propagate(0):
-        return []
+            ok = False
+    ok = ok and propagate(0)
 
-    found: list[dict[Formula, int]] = []
     work = 0
     leaf_work = -(-n // MAX_CLOSURE)
     branches: list[tuple[int, int]] = []  # (index set to 0, trail length before it)
     lo = 0
     while True:
+        while not ok:
+            if not branches:
+                return
+            lo, mark = branches.pop()
+            for i in trail[mark:]:
+                vals[i] = -1
+            del trail[mark:]
+            vals[lo] = 1
+            trail.append(lo)
+            ok = propagate(mark)
         while lo < n and vals[lo] >= 0:
             lo += 1
         if lo == n:
-            found.append(dict(zip(order, vals)))
-            if not collect_all:
-                return found
+            yield dict(zip(order, vals))
             work += leaf_work
             ok = False
         else:
@@ -341,16 +348,6 @@ def _search(
             ok = propagate(mark)
         if work > limit:
             raise ClosureTooLargeError("assignment search exceeded its node limit")
-        while not ok:
-            if not branches:
-                return found
-            lo, mark = branches.pop()
-            for i in trail[mark:]:
-                vals[i] = -1
-            del trail[mark:]
-            vals[lo] = 1
-            trail.append(lo)
-            ok = propagate(mark)
 
 
 # The formulas given to `biv_consequence`, premises then conclusion ->
@@ -401,10 +398,8 @@ def biv_consequence(
     if pins.get(conclusion) == 1:
         return Verdict(True)
     pins[conclusion] = 0
-    found = _search(logic, entry[1], pins, v14_reading)
-    if found:
-        return Verdict(False, found[0])
-    return Verdict(True)
+    witness = next(_search(logic, entry[1], pins, v14_reading), None)
+    return Verdict(witness is None, witness)
 
 
 def satisfying_assignments(
@@ -416,7 +411,7 @@ def satisfying_assignments(
     require_int(limit, "a node limit")
     if limit < 1:
         raise NodeLimitError(f"the node limit must be at least 1, got {limit}")
-    return _search(logic, _check_closed(closure), {}, v14_reading, collect_all=True, limit=limit)
+    return list(_search(logic, _check_closed(closure), {}, v14_reading, limit))
 
 
 def snapshot_of(assignment: dict[Formula, int], f: Formula) -> Value:
@@ -474,8 +469,9 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
 
     members = _ordered({g for f in base for g in syntax.subformulas(f)})
     snap_bad, comm_bad = [], []
-    assignments = satisfying_assignments(logic, closure, v14_reading)
-    for rho in assignments:
+    assignments = 0
+    for rho in _search(logic, _ordered(closure), {}, v14_reading):
+        assignments += 1
         snaps: dict[Formula, Value] = {}
         broken = False
         for f in members:
@@ -503,7 +499,7 @@ def correspondence_check(logic: MatrixLogic, v14_reading: str = "printed") -> Co
         v14_reading,
         count,
         tuple(induced),
-        len(assignments),
+        assignments,
         tuple(snap_bad),
         tuple(comm_bad),
     )

@@ -603,9 +603,11 @@ def axiom_valid_on_frame(
     root = _run_lanes(prog, succs, lat, vals, size)
     ok = reduce(and_, [_num(x.translate(_B_DESIG[l])) for l, x in zip(lat, root)])
     j = ok.to_bytes(size, "little").find(0)  # the first failing lane
+    if j < 0:
+        return CheckResult(True, None, 1, size)
     rows = [bytes([t]) * size for t in tags]  # each world's table row, as `_witness` reads it
-    bad = [_witness(j, root, rows, vals, worlds, frame.relation, atoms, frame.diamond)] if j >= 0 else []
-    return CheckResult(not bad, bad[0] if bad else None, 1, size)
+    ce = _witness(j, root, rows, vals, worlds, frame.relation, atoms, frame.diamond)
+    return CheckResult(False, ce, 1, size)
 
 
 # ------------------------------------------------- characterisation runs

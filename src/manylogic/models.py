@@ -472,9 +472,9 @@ _MEMBERS = {Model: {"worlds", "logics", "relation", "valuation", "diamond"},
 def _from_dict(data: dict, kind: type, diamond: str | None = None) -> Frame | Model:
     """The `kind` a document describes, under `diamond` if one is given
     once the document's own is checked; ModelFormatError for the first
-    malformed member.  The checks lay out the world axis as they go.  A
-    document with no validation error or warning keeps its report and
-    axis; any anomaly leaves both to `_validate`, which words it."""
+    malformed member or unknown variant.  The checks lay out the world
+    axis as they go.  A document with no validation error or warning
+    keeps its report and axis; any anomaly leaves both to `_validate`."""
     if not isinstance(data, dict):
         raise ModelFormatError(f"{kind.__name__.lower()} document must be a JSON object")
     unknown = set(data) - _MEMBERS[kind]
@@ -495,7 +495,8 @@ def _from_dict(data: dict, kind: type, diamond: str | None = None) -> Frame | Mo
         except KeyError:  # an unknown world
             clean = False
     pairs = frozenset(map(tuple, relation))  # shorter than relation if a pair is repeated
-    if (own := data.get("diamond", "up")) not in DIAMOND_VARIANTS:
+    own = data.get("diamond", "up")
+    if own not in DIAMOND_VARIANTS or (diamond := own if diamond is None else diamond) not in DIAMOND_VARIANTS:
         raise ModelFormatError(f"diamond must be one of {', '.join(DIAMOND_VARIANTS)}")
     try:  # a world with no logic, or an unknown one, fails a lookup
         tags = bytes([16 * _LOGIC_INDEX[logics[w]] for w in worlds])
@@ -525,10 +526,10 @@ def _from_dict(data: dict, kind: type, diamond: str | None = None) -> Frame | Mo
                 clean = False
         rows[w], entries = MappingProxyType(parsed), entries + len(parsed)
     if kind is Model:
-        x = Model(worlds, pairs, logics, {}, diamond or own)
+        x = Model(worlds, pairs, logics, {}, diamond)
         _set(x, "valuation", MappingProxyType(rows))  # built here, so not copied again
     else:
-        x = Frame(worlds, pairs, logics, diamond or own)
+        x = Frame(worlds, pairs, logics, diamond)
     if clean and entries == len(codes) * n:  # and no atom is missing at a world
         _lay_out(x, seen, succs, tags, codes)
         _set(x, "_report", ValidationReport((), ()))

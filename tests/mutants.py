@@ -46,6 +46,15 @@ class Mutant(NamedTuple):
 
 
 MODELS, FRAMES, SYNTAX = "src/manylogic/models.py", "src/manylogic/frames.py", "src/manylogic/syntax.py"
+BIVALUATIONS = "src/manylogic/bivaluations.py"
+# The clause search from a backtrack's value to a branch's: the mutant swaps the two.
+_SEARCH_STEP = (
+    "vals[lo] = 1\n            trail.append(lo)\n            ok = propagate(mark)\n"
+    "        while lo < n and vals[lo] >= 0:\n            lo += 1\n        if lo == n:\n"
+    "            yield dict(zip(order, vals))\n            work += leaf_work\n            ok = False\n"
+    "        else:\n            work += 1\n            mark = len(trail)\n"
+    "            branches.append((lo, mark))\n            vals[lo] = 0"
+)
 
 MUTANTS = (
     # the world axis a loaded document takes: laid out while it is checked
@@ -66,6 +75,10 @@ MUTANTS = (
     Mutant("load-empty-worlds-clean", MODELS,
            "len(seen) == n > 0", "len(seen) == n",
            "a document with no worlds takes the clean path: 'empty world set' is not reported"),
+    Mutant("load-diamond-override", MODELS,
+           "(diamond := own if diamond is None else diamond) not in DIAMOND_VARIANTS:",
+           "not (diamond := own if diamond is None else diamond):",
+           "an unknown override diamond loads as the document's variant, with a clean report"),
     Mutant("load-lattice-unchecked", MODELS,
            "if value in members:", "if members:",
            "a value outside its world's lattice takes the clean path: no error reported"),
@@ -146,6 +159,28 @@ MUTANTS = (
     Mutant("names-swapped", SYNTAX,
            'Neg: "neg", Circ: "circ"', 'Neg: "circ", Circ: "neg"',
            "! runs the circ table and @ the neg table, and `tables` prints them in each other's place"),
+    # the two-valued semantics: the clauses and the search that yields their assignments
+    Mutant("clause-12", BIVALUATIONS,
+           "12: lambda a, na: na == 1 or a == 1,", "12: lambda a, na: na == 1 or a == 0,",
+           "LP's and J3's clause 12 asks rho(A)=0, not 1, where rho(!A)=0"),
+    Mutant("clause-16", BIVALUATIONS,
+           "16: lambda a, na, t: t == 0 or a ^ na == 1,", "16: lambda a, na, t: t == 0 or a | na == 1,",
+           "LETK's clause 16 lets @A hold where A and !A are both 1"),
+    Mutant("clause-18", BIVALUATIONS,
+           "18: lambda ca, t: t == ca,", "18: lambda ca, t: t == 1 - ca,",
+           "LETK's clause 18 gives @!A the opposite of @A"),
+    Mutant("clause-21", BIVALUATIONS,
+           "t == (a & cb & nb) | (ca & na) | (cb & b),", "t == (a & cb & nb) | (ca & a) | (cb & b),",
+           "LETK's clause 21 reads @(A -> B) off @A and A, not @A and !A"),
+    Mutant("clause-22", BIVALUATIONS,
+           "22: lambda a, cb, t: t == (1 - a) | cb,", "22: lambda a, cb, t: t == a | cb,",
+           "LJ4's, J3's and L3's clause 22 reads @(A -> B) off A, not its negation"),
+    Mutant("search-leaf-work", BIVALUATIONS,
+           "            work += leaf_work\n", "",
+           "an assignment yielded and passed costs the search no work: a wide domain lists past its limit"),
+    Mutant("search-one-first", BIVALUATIONS,
+           _SEARCH_STEP, "vals[lo] = 0" + _SEARCH_STEP[12:-12] + "vals[lo] = 1",
+           "each branch tries 1 before 0: assignments and witnesses come out of lexicographic order"),
     # the checklist and the lattices
     Mutant("unhashable-criterion", "src/manylogic/verify.py",
            "if not isinstance(c, str) or c not in checks", "if c not in checks",

@@ -17,8 +17,8 @@ import re
 import pytest
 
 from manylogic import frames, verify
-from manylogic.logics import LOGIC_IDS
-from manylogic.models import eval_formula, model_from_dict
+from manylogic.logics import LOGIC_IDS, Verdict, apply
+from manylogic.models import Model, eval_formula, model_from_dict
 from manylogic.syntax import parse
 from manylogic.values import Value as V
 
@@ -171,3 +171,100 @@ def test_ac4_reports_each_law_a_corrupted_meet_table_breaks_with_its_witness(cap
         "      ! L4s meet_commutes_with_down: x=b y=n",
         "0/1 criteria pass",
     ]
+
+
+# The findings AC5, AC6, AC11 and AC12 word when what they check goes
+# wrong, each planted by patching the function the criterion calls.
+
+
+@pytest.mark.parametrize("valid, findings", [
+    (True, ("paraconsistent set is []", "paracomplete set is []")),
+    (False, (
+        "paraconsistent set is ['CLS', 'CLW', 'FDE', 'J3', 'K3', 'L3', 'LETK', 'LJ4', 'LP']",
+        "paracomplete set is ['CLS', 'CLW', 'FDE', 'J3', 'K3', 'L3', 'LETK', 'LJ4', 'LP']",
+        "@-explosion fails in ['J3', 'L3', 'LETK', 'LJ4']",
+    )),
+], ids=("all-valid", "none-valid"))
+def test_ac5_names_each_profile_a_wrong_consequence_relation_breaks(monkeypatch, valid, findings):
+    monkeypatch.setattr(verify, "matrix_consequence", lambda logic, premises, conclusion: Verdict(valid))
+    outcome = verify.ac5_logic_profiles()
+    assert not outcome.passed and outcome.findings == findings
+
+
+_PAIR = "(<Value.T0: 1>, <Value.F0: 4>)"  # CLW's two elements, as a de Morgan finding prints them
+
+
+@pytest.mark.parametrize("conn, table, findings", [
+    ("neg", lambda x: x, (
+        "CLW negation antitone pairing at (T0,F0)",
+        "CLW negation antitone pairing at (F0,T0)",
+        "CLW de morgan (meet) at ()",
+        "CLW de morgan (join) at ()",
+        f"CLW de morgan (meet) at {_PAIR}",
+        f"CLW de morgan (join) at {_PAIR}",
+        "CLW negation disagrees with the base lattice at T0",
+        "CLW negation disagrees with the base lattice at F0",
+    )),
+    ("neg", lambda x: V.F0, (
+        "CLW negation antitone pairing at (T0,F0)",
+        "CLW negation antitone pairing at (F0,T0)",
+        "CLW de morgan (join) at ()",
+        "CLW negation is not a bijection",
+        "CLW negation disagrees with the base lattice at F0",
+    )),
+    ("imp", lambda a, b: V.b, (
+        "CLW implication property at (T0,T0)",
+        "CLW implication property at (F0,T0)",
+        "CLW implication property at (F0,F0)",
+        "CLW ~T0 = b outside the classical range",
+        "CLW ~F0 = b outside the classical range",
+    )),
+], ids=("neg-identity", "neg-constant", "imp-constant-b"))
+def test_ac6_names_each_lemma_a_wrong_clw_table_breaks(monkeypatch, conn, table, findings):
+    def planted(logic, name, args):  # LETK, the base lattice, keeps its own tables
+        return table(*args) if logic.id == "CLW" and name == conn else apply(logic, name, args)
+
+    monkeypatch.setattr(verify, "LOGIC_IDS", ("CLW",))
+    monkeypatch.setattr(verify, "apply", planted)
+    outcome = verify.ac6_lemma_suite()
+    assert not outcome.passed and outcome.findings == findings
+
+
+def test_ac6_names_a_designated_set_that_is_not_upward_closed(monkeypatch):
+    monkeypatch.setattr(verify, "LOGIC_IDS", ("CLW",))
+    monkeypatch.setitem(verify.LOGICS, "CLW", verify.LOGICS["CLW"]._replace(designated=frozenset({V.F0})))
+    outcome = verify.ac6_lemma_suite()
+    assert not outcome.passed and outcome.findings == (
+        "CLW implication property at (T0,T0)",
+        "CLW upward closure at (F0,T0)",
+        "CLW implication property at (F0,F0)",
+    )
+
+
+def test_ac11_names_a_wrong_fixture_value_and_a_euclidean_failure(monkeypatch):
+    model = Model(("w1",), frozenset({("w1", "w1")}), {"w1": "K3"}, {"w1": {"p": V.n}}, "down")
+    report = verify.AC11_REPORT._replace(euclidean_failures=(frames.Counterexample(model, "w1", V.F0),))
+    monkeypatch.setattr(verify.models, "eval_formula", lambda model, world, f: V.b)
+    monkeypatch.setattr(frames, "five_c_characterization", lambda ids: report)
+    outcome = verify.ac11_euclidean_suite()
+    assert not outcome.passed and outcome.findings == (
+        "axiom-5 fixture value at w1 is b, expected F0",
+        'euclidean frame fails 5c: world=w1 value=F0 model={"worlds": ["w1"], "logics": {"w1": "K3"}, '
+        '"relation": [["w1", "w1"]], "valuation": {"w1": {"p": "n"}}, "diamond": "down"}',
+    )
+
+
+def test_ac12_names_each_sequent_the_two_oracles_disagree_on(monkeypatch):
+    monkeypatch.setattr(verify, "LOGIC_IDS", ("K3",))
+    monkeypatch.setattr(verify, "AC12_SEQUENT_COUNT", 3)
+    monkeypatch.setattr(verify.bivaluations, "biv_consequence",
+                        lambda logic, premises, conclusion, v14_reading: Verdict(True))
+    outcome = verify.ac12_cross_oracle()
+    assert not outcome.passed
+    assert outcome.details == ("K3: 2/3 agree (printed reading)",)
+    assert outcome.findings == (
+        "K3 [printed]: ['p', 'q'] => q -> @p: matrix=False biv=True",
+        "printed v14 reading: 3 disagreements on 50 or-free CLW/CLS sequents "
+        "(collapse documented; matrices are authoritative)",
+        "CLW/CLS clause sets have no disjunction clause, so their corpus excludes |",
+    )

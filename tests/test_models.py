@@ -17,6 +17,7 @@ from manylogic.models import (
     Model,
     ModelFormatError,
     ValidationReport,
+    _from_dict,
     eval_formula,
     holds,
     load_model,
@@ -924,6 +925,24 @@ def test_document_errors_come_in_member_order():
         assert str(exc.value) == message
         doc[member] = _DOC.get(member, "up")
     assert model_from_dict(doc).relation == frozenset({("w1", "w2")})
+
+
+@pytest.mark.parametrize("kind", [Model, Frame], ids=lambda k: k.__name__)
+def test_an_unknown_diamond_override_is_refused_like_a_documents_own(kind):
+    doc = {"worlds": ["w"], "logics": {"w": "K3"}, "relation": []}
+    if kind is Model:
+        doc["valuation"] = {"w": {"p": "n"}}
+    message = "diamond must be one of up, down, negbox, cnegbox"
+    # the document's own variant is checked first, then the override, in the same words
+    for own, override in (("up", "bogus"), ("up", "Up"), ("up", ""), ("sideways", "down"), ("sideways", "bogus")):
+        with pytest.raises(ModelFormatError) as exc:
+            _from_dict(dict(doc, diamond=own), kind, override)
+        assert str(exc.value) == message
+    # a known override replaces the document's own; none keeps it
+    assert _from_dict(dict(doc, diamond="negbox"), kind, "down").diamond == "down"
+    assert _from_dict(dict(doc, diamond="negbox"), kind, None).diamond == "negbox"
+    rows = [{"w": {"p": V.n}}] if kind is Model else []
+    assert _from_dict(doc, kind, "cnegbox") == kind(("w",), frozenset(), {"w": "K3"}, *rows, "cnegbox")
 
 
 def test_string_subclasses_load_as_strings():
